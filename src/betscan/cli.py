@@ -61,6 +61,16 @@ def _resolve_seed(value) -> int:
     return int(env) if env else 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_filter(text: str | None) -> frozenset[str] | None:
     if not text:
         return None
@@ -579,7 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="external Bonferroni pair count (>= pairs screened)",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=_worker_count,
+        default=1,
+        help="scoring threads, capped at the CPU count",
+    )
     p.add_argument("--mode", choices=CLI_MODES, default="exact")
     p.add_argument("--permutation-iterations", type=int, default=999)
     p.add_argument("--seed", type=int, default=None)

@@ -123,9 +123,9 @@ def bid_class_of(bid: BidId) -> BidClass:
     else:
         canonical = bid if bid.a_mask > bid.b_mask else partner
         members = tuple(sorted((bid, partner)))
-    label = DEPTH2_CLASS_LABELS.get(
-        (canonical.a_mask, canonical.b_mask), canonical.name
-    )
+    label = DEPTH2_CLASS_LABELS.get((canonical.a_mask, canonical.b_mask))
+    if label is None:
+        label = canonical.name
     return BidClass(canonical=canonical, members=members, label=label)
 
 

@@ -32,7 +32,7 @@ from .nulls import (
 )
 from .stats import all_symmetry_statistics, z_score
 
-__all__ = ["BetResult", "max_bet", "MODES"]
+__all__ = ["BetResult", "max_bet", "null_method", "null_pvalue", "MODES"]
 
 MODES = ("exact", "approx", "binomial", "permutation")
 
@@ -58,6 +58,56 @@ class BetResult:
         )
 
 
+_TAILS = {
+    "hypergeometric": pvalue_hypergeometric,
+    "normal_approx": pvalue_normal,
+    "binomial": pvalue_binomial,
+}
+
+
+def null_method(mode: str, n: int, depth: int) -> tuple[str, bool]:
+    """(method, approximate) of the null that mode uses for n and depth.
+
+    depth is max(d1, d2); the exact hypergeometric null needs 2^depth | n.
+    """
+    if mode == "exact" and n % (1 << depth) == 0:
+        return "hypergeometric", False
+    if mode in ("exact", "approx"):
+        return "normal_approx", True
+    if mode == "binomial":
+        return "binomial", False
+    if mode == "permutation":
+        return "permutation", n > EXACT_PERMUTATION_MAX_N
+    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def null_pvalue(
+    s: int,
+    n: int,
+    depth: int,
+    mode: str,
+    *,
+    u: BitPlanes | None = None,
+    v_ranks: CopulaColumn | None = None,
+    bid: BidId | None = None,
+    iterations: int = 9999,
+    seed: int = 0,
+) -> tuple[float, str, bool]:
+    """Raw p-value of a winning statistic s: (p_raw, method, approximate).
+
+    Outside permutation mode the p-value depends on |s|, n, depth and mode
+    alone, so a screen may tabulate it by |S|.  Permutation mode permutes
+    v's ranks against u for interaction bid and needs all three.
+    """
+    method, approximate = null_method(mode, n, depth)
+    if method != "permutation":
+        return _TAILS[method](s, n), method, approximate
+    if u is None or v_ranks is None or bid is None:
+        raise ValueError("permutation mode needs u, v_ranks and bid")
+    p = pvalue_permutation(u, v_ranks, bid, iterations=iterations, seed=seed)
+    return p, method, approximate
+
+
 def max_bet(
     u: BitPlanes,
     v: BitPlanes,
@@ -72,9 +122,6 @@ def max_bet(
     Permutation mode needs v's rank column (the planes alone cannot be
     re-permuted at full rank resolution).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
     stats = all_symmetry_statistics(u, v)
     best = stats[0]
     for st in stats[1:]:
@@ -82,34 +129,17 @@ def max_bet(
             best = st
 
     n = u.n
-    m_bids = bid_count(u.depth, v.depth)
-    approximate = False
-
-    if mode == "exact":
-        block = 1 << max(u.depth, v.depth)
-        if n % block == 0:
-            p_raw = pvalue_hypergeometric(best.s, n)
-            method = "hypergeometric"
-        else:
-            p_raw = pvalue_normal(best.s, n)
-            method = "normal_approx"
-            approximate = True
-    elif mode == "approx":
-        p_raw = pvalue_normal(best.s, n)
-        method = "normal_approx"
-        approximate = True
-    elif mode == "binomial":
-        p_raw = pvalue_binomial(best.s, n)
-        method = "binomial"
-    else:
-        if v_ranks is None:
-            raise ValueError("permutation mode needs v_ranks")
-        p_raw = pvalue_permutation(
-            u, v_ranks, best.bid, iterations=iterations, seed=seed
-        )
-        method = "permutation"
-        approximate = n > EXACT_PERMUTATION_MAX_N
-
+    p_raw, method, approximate = null_pvalue(
+        best.s,
+        n,
+        max(u.depth, v.depth),
+        mode,
+        u=u,
+        v_ranks=v_ranks,
+        bid=best.bid,
+        iterations=iterations,
+        seed=seed,
+    )
     return BetResult(
         bid=best.bid,
         bid_class=bid_class_of(best.bid),
@@ -117,7 +147,7 @@ def max_bet(
         n=n,
         z=z_score(best.s, n),
         p_raw=p_raw,
-        p_bid_adjusted=min(1.0, m_bids * p_raw),
+        p_bid_adjusted=min(1.0, bid_count(u.depth, v.depth) * p_raw),
         p_pair_adjusted=None,
         approximate=approximate,
         method=method,

@@ -1,9 +1,13 @@
 """All-pairs Max BET screening with family-wise error control.
 
-Planes are expanded once per gene and shared read-only; the per-pair inner
-loop is one XOR and one popcount per cross interaction over the packed
-planes (arbitrary-precision ints, so words are handled in bulk), with no
-per-pair rank arrays.  A pair is significant when
+Each gene's XOR mask combinations (`mask_combos`) are packed once into a
+word-major (W, G, 2^d - 1) uint64 array, d = max(d1, d2), W = ceil(n / 64),
+observation k at bit k % 64 of word k // 64 and zeros past n.  Row i is
+scored against every j > i in numpy passes over the partners: for each
+interaction (a, b), c = popcount(combos[:, j, b-1] ^ combos[:, i, a-1])
+summed over the words, S = sign(a, b) * (n - 2c), and the first maximum of
+|S| in canonical (a_mask-major) order wins, so ties break as in max_bet.
+A pair is significant when
 
     min(1, m_pairs * min(1, m_bids * p_raw)) <= alpha
 
@@ -11,25 +15,30 @@ i.e. Bonferroni across the interactions of the pair and then across all
 pairs.  m_pairs defaults to C(G, 2) of the screened matrix and may be
 overridden upward (never downward) to adjust against a larger external
 family, e.g. the full pair count of a parent dataset when screening a
-sample-subset context.
+sample-subset context.  Outside permutation mode p_raw depends on |S|
+alone and is computed once per distinct |S|.
 
-Results stream in pair-index order (gene index i < j, lexicographic), and
-the order is identical whatever worker_count is: workers own contiguous
-pair-index ranges whose outputs are concatenated in range order.
+Rows are cut into contiguous blocks of similar pair counts, scored by
+min(worker_count, os.cpu_count(), number of blocks) threads: a thread pool
+when there are several (numpy's XOR, popcount and sum loops release the
+GIL), else the calling thread.  The calling thread joins the blocks in row
+order and builds objects only for the emitted rows, so results come in
+pair-index order (i < j, lexicographic) whatever worker_count is.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core.bids import (
-    BidId,
     all_bids,
     bid_class_of,
     bid_count,
@@ -39,14 +48,7 @@ from .core.bids import (
 )
 from .core.copula import CopulaColumn, empirical_copula
 from .core.expansion import BitPlanes, binary_expansion
-from .core.maxbet import MODES, BetResult
-from .core.nulls import (
-    EXACT_PERMUTATION_MAX_N,
-    pvalue_binomial,
-    pvalue_hypergeometric,
-    pvalue_normal,
-    pvalue_permutation,
-)
+from .core.maxbet import MODES, BetResult, null_method, null_pvalue
 from .core.stats import (
     all_symmetry_statistics,
     mask_combos,
@@ -185,146 +187,67 @@ def run_from_matrix(matrix: ExpressionMatrix, d: int = 2) -> BetRun:
     )
 
 
-def _pair_offset(i: int, g: int) -> int:
-    return i * (2 * g - i - 1) // 2
+# Sizes that bound the scratch memory of the kernel: a row block holds at
+# most _BLOCK_PAIRS pairs (fewer when that gives each thread less than
+# four blocks), and one numpy pass XORs at most _PASS_WORDS words.
+_BLOCK_PAIRS = 1 << 13
+_PASS_WORDS = 1 << 17
 
 
-def _unrank_pair(k: int, g: int) -> tuple[int, int]:
-    # invert k = offset(i) + (j - i - 1)
-    i = int(g - 0.5 - math.sqrt(max(0.0, (g - 0.5) ** 2 - 2.0 * k)))
-    while _pair_offset(i + 1, g) <= k:
-        i += 1
-    while _pair_offset(i, g) > k:
-        i -= 1
-    return i, k - _pair_offset(i, g) + i + 1
-
-
-# Worker-process state, installed once per worker by the pool initializer.
-_W: dict = {}
-
-
-def _init_worker(state: dict) -> None:
-    _W.clear()
-    _W.update(state)
-
-
-def _score_range(bounds: tuple[int, int]) -> list[tuple[int, int, BetResult]]:
-    lo, hi = bounds
-    g = _W["n_genes"]
-    out = []
-    for k in range(lo, hi):
-        i, j = _unrank_pair(k, g)
-        res = _score_pair(i, j)
-        if res is not None:
-            out.append((i, j, res))
-    return out
-
-
-def _score_pair(i: int, j: int) -> BetResult | None:
-    n = _W["n"]
-    cu = _W["combos"][i]
-    cv = _W["combos"][j]
-    bids = _W["bids"]
-
-    best_idx = 0
-    best_count = 0
-    best_abs = -1
-    for t, (a, b) in enumerate(bids):
-        c = (cu[a] ^ cv[b]).bit_count()
-        mag = abs(n - 2 * c)
-        if mag > best_abs:
-            best_abs = mag
-            best_idx = t
-            best_count = c
-    a, b = bids[best_idx]
-    s = _W["signs"][best_idx] * (n - 2 * best_count)
-
-    p_raw, method, approximate = _pair_pvalue(s, i, j, best_idx)
-    p_bid = min(1.0, _W["m_bids"] * p_raw)
-    p_pair = min(1.0, _W["m_pairs"] * p_bid)
-
-    if not (p_pair <= _W["alpha"] or _W["emit_all"]):
-        return None
-    bid = BidId(a, b)
-    cls = bid_class_of(bid)
-    if _W["bid_filter"] is not None and cls.label not in _W["bid_filter"]:
-        return None
-    return BetResult(
-        bid=bid,
-        bid_class=cls,
-        s=s,
-        n=n,
-        z=z_score(s, n),
-        p_raw=p_raw,
-        p_bid_adjusted=p_bid,
-        p_pair_adjusted=p_pair,
-        approximate=approximate,
-        method=method,
+def _pack_combos(planes: Sequence[BitPlanes], depth: int) -> np.ndarray:
+    """Mask combinations of every gene, word-major: (W, G, 2^depth - 1) uint64."""
+    nbytes = 8 * ((planes[0].n + 63) // 64)
+    raw = b"".join(
+        combo.to_bytes(nbytes, "little")
+        for p in planes
+        for combo in mask_combos(p)[1 : 1 << depth]
     )
+    packed = np.frombuffer(raw, dtype="<u8").reshape(len(planes), (1 << depth) - 1, -1)
+    return np.ascontiguousarray(packed.transpose(2, 0, 1))
 
 
-def _pair_pvalue(s: int, i: int, j: int, bid_idx: int) -> tuple[float, str, bool]:
-    mode = _W["mode"]
-    n = _W["n"]
-    if mode == "exact" and _W["exact_ok"]:
-        cache = _W["p_cache"]
-        p = cache.get(abs(s))
-        if p is None:
-            p = pvalue_hypergeometric(s, n)
-            cache[abs(s)] = p
-        return p, "hypergeometric", False
-    if mode in ("exact", "approx"):
-        return pvalue_normal(s, n), "normal_approx", True
-    if mode == "binomial":
-        cache = _W["p_cache"]
-        p = cache.get(abs(s))
-        if p is None:
-            p = pvalue_binomial(s, n)
-            cache[abs(s)] = p
-        return p, "binomial", False
-    # permutation: per-pair seed, so output does not depend on visit order
-    a, b = _W["bids"][bid_idx]
-    p = pvalue_permutation(
-        _W["planes"][i],
-        _W["ranks"][j],
-        BidId(a, b),
-        iterations=_W["perm_iterations"],
-        seed=(_W["seed"] << 32) ^ (i * _W["n_genes"] + j),
-    )
-    return p, "permutation", n > EXACT_PERMUTATION_MAX_N
+def _row_blocks(g: int, target: int) -> list[tuple[int, int]]:
+    """Contiguous row ranges [lo, hi), each but the last with >= target pairs."""
+    blocks, lo, pairs = [], 0, 0
+    for i in range(g - 1):
+        pairs += g - 1 - i
+        if pairs >= target:
+            blocks.append((lo, i + 1))
+            lo, pairs = i + 1, 0
+    if pairs:
+        blocks.append((lo, g - 1))
+    return blocks
 
 
-def _build_state(
-    planes: Sequence[BitPlanes],
-    config: ScreenConfig,
-    m_pairs: int,
-    ranks: Sequence[CopulaColumn] | None,
-) -> dict:
-    n = planes[0].n
-    bids = all_bids(config.d1, config.d2)
-    block = 1 << max(config.d1, config.d2)
-    state = {
-        "n": n,
-        "n_genes": len(planes),
-        "combos": [mask_combos(p) for p in planes],
-        "bids": [(b.a_mask, b.b_mask) for b in bids],
-        "signs": [sign_factor(b) for b in bids],
-        "m_bids": bid_count(config.d1, config.d2),
-        "m_pairs": m_pairs,
-        "alpha": config.alpha,
-        "emit_all": config.emit_all,
-        "bid_filter": set(config.bid_filter) if config.bid_filter else None,
-        "mode": config.mode,
-        "exact_ok": n % block == 0,
-        "p_cache": {},
-        "perm_iterations": config.permutation_iterations,
-        "seed": config.seed,
-        "planes": list(planes) if config.mode == "permutation" else None,
-        "ranks": list(ranks) if ranks is not None else None,
-    }
-    if config.mode == "permutation" and state["ranks"] is None:
-        raise ValueError("permutation mode needs the rank columns")
-    return state
+def _score_rows(
+    combos: np.ndarray, rows: tuple[int, int], d1: int, d2: int, n: int
+) -> list[np.ndarray]:
+    """Columns i, j, t, c for every pair i in rows, j > i.
+
+    t indexes the winning interaction in all_bids(d1, d2) order (the first
+    maximum of |n - 2c|) and c is its XOR popcount.
+    """
+    words, g, _ = combos.shape
+    ma, mb = (1 << d1) - 1, (1 << d2) - 1
+    step = max(1, _PASS_WORDS // (ma * mb * words))
+    parts = []
+    for i in range(*rows):
+        cu = combos[:, i, :ma].T[:, :, None, None]
+        for lo in range(i + 1, g, step):
+            # axes (a, word, j, b)
+            x = combos[None, :, lo : lo + step, :mb] ^ cu
+            counts = np.bitwise_count(x).sum(1, dtype=np.int32)
+            counts = counts.transpose(1, 0, 2).reshape(-1, ma * mb)
+            t = np.abs(n - 2 * counts).argmax(1)
+            parts.append(
+                (
+                    np.full(len(t), i),
+                    np.arange(lo, lo + len(t)),
+                    t,
+                    np.take_along_axis(counts, t[:, None], 1)[:, 0],
+                )
+            )
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def screen_all_pairs(
@@ -346,48 +269,117 @@ def screen_all_pairs(
             f"m_pairs={m_pairs} below the {total_pairs} pairs screened; "
             "the external family may only be larger"
         )
+    n = planes[0].n
+    depth = max(config.d1, config.d2)
+    if any(p.n != n or p.depth < depth for p in planes):
+        raise ValueError(
+            f"every gene needs {n} samples and planes of depth >= {depth}"
+        )
+    permutation = config.mode == "permutation"
+    if permutation and ranks is None:
+        raise ValueError("permutation mode needs the rank columns")
 
     started = time.perf_counter()
-    state = _build_state(planes, config, m_pairs, ranks)
+    combos = _pack_combos(planes, depth)
+    bids = all_bids(config.d1, config.d2)
+    classes = [bid_class_of(b) for b in bids]
+    signs = [sign_factor(b) for b in bids]
+    m_bids = bid_count(config.d1, config.d2)
+    keep_class = (
+        None
+        if config.bid_filter is None
+        else np.array([c.label in config.bid_filter for c in classes])
+    )
 
-    if config.worker_count == 1:
-        _init_worker(state)
-        scored = _score_range((0, total_pairs))
-        _W.clear()
-    else:
-        chunk = max(1, math.ceil(total_pairs / (config.worker_count * 4)))
-        bounds = [
-            (lo, min(lo + chunk, total_pairs))
-            for lo in range(0, total_pairs, chunk)
+    def score(rows: tuple[int, int]) -> list[np.ndarray]:
+        i, j, t, c = _score_rows(combos, rows, config.d1, config.d2, n)
+        if not permutation:
+            return [i, j, t, c, None]
+        # per-pair seed, so the p-value does not depend on the block layout
+        p_raw = [
+            null_pvalue(
+                signs[tk] * (n - 2 * ck),
+                n,
+                depth,
+                config.mode,
+                u=planes[ik],
+                v_ranks=ranks[jk],
+                bid=bids[tk],
+                iterations=config.permutation_iterations,
+                seed=(config.seed << 32) ^ (ik * g + jk),
+            )[0]
+            for ik, jk, tk, ck in zip(i.tolist(), j.tolist(), t.tolist(), c.tolist())
         ]
-        with ProcessPoolExecutor(
-            max_workers=config.worker_count,
-            initializer=_init_worker,
-            initargs=(state,),
-        ) as pool:
-            scored = []
-            for part in pool.map(_score_range, bounds):
-                scored.extend(part)
+        return [i, j, t, c, np.array(p_raw, dtype=float)]
 
-    results = [
-        PairResult(gene_i=gene_ids[i], gene_j=gene_ids[j], result=r)
-        for i, j, r in scored
-    ]
+    method, approximate = null_method(config.mode, n, depth)
+
+    def result(t: int, c: int, p_raw: float) -> BetResult:
+        s = signs[t] * (n - 2 * c)
+        p_bid = min(1.0, m_bids * p_raw)
+        return BetResult(
+            bid=bids[t],
+            bid_class=classes[t],
+            s=s,
+            n=n,
+            z=z_score(s, n),
+            p_raw=p_raw,
+            p_bid_adjusted=p_bid,
+            p_pair_adjusted=min(1.0, m_pairs * p_bid),
+            approximate=approximate,
+            method=method,
+        )
+
+    p_table = np.full(n + 1, np.nan)  # p_raw by |S|, filled on first sight
+    # rows with the same winner, popcount and p_raw share one BetResult
+    shared: dict[tuple[int, int, float], BetResult] = {}
+    hits = np.zeros(len(bids), dtype=np.int64)
+    results: list[PairResult] = []
+
+    threads = min(config.worker_count, os.cpu_count() or 1)
+    blocks = _row_blocks(g, min(_BLOCK_PAIRS, -(-total_pairs // (4 * threads))))
+    threads = min(threads, len(blocks))
+    # a lone scorer runs in the calling thread: a pool thread would get a
+    # malloc arena of its own and raise the peak RSS
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    scored = pool.map(score, blocks) if pool else map(score, blocks)
+    try:
+        for i, j, t, c, p_raw in scored:
+            if p_raw is None:
+                abs_s = np.abs(n - 2 * c)
+                for a in np.unique(abs_s[np.isnan(p_table[abs_s])]).tolist():
+                    p_table[a] = null_pvalue(a, n, depth, config.mode)[0]
+                p_raw = p_table[abs_s]
+            p_pair = np.minimum(1.0, m_pairs * np.minimum(1.0, m_bids * p_raw))
+            sig = p_pair <= config.alpha
+            keep = sig | config.emit_all
+            if keep_class is not None:
+                keep &= keep_class[t]
+            hits += np.bincount(t[keep & sig], minlength=len(bids))
+            rows = np.flatnonzero(keep)
+            for ik, jk, tk, ck, pk in zip(
+                *(column[rows].tolist() for column in (i, j, t, c, p_raw))
+            ):
+                key = (tk, ck, pk)
+                if key not in shared:
+                    shared[key] = result(*key)
+                results.append(PairResult(gene_ids[ik], gene_ids[jk], shared[key]))
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
     class_counts: dict[str, int] = {}
-    n_sig = 0
-    for row in results:
-        if row.result.p_pair_adjusted <= config.alpha:
-            n_sig += 1
-            lab = row.result.bid_class.label
-            class_counts[lab] = class_counts.get(lab, 0) + 1
+    for cls, k in zip(classes, hits.tolist()):
+        if k:
+            class_counts[cls.label] = class_counts.get(cls.label, 0) + k
 
     summary = ScreenSummary(
         total_pairs=total_pairs,
-        significant_pairs=n_sig,
+        significant_pairs=int(hits.sum()),
         class_counts=dict(sorted(class_counts.items())),
         wall_time_s=time.perf_counter() - started,
         n_genes=g,
-        n_samples=planes[0].n,
+        n_samples=n,
         alpha=config.alpha,
         m_pairs=m_pairs,
         d1=config.d1,

@@ -175,6 +175,17 @@ def test_screen_workers_byte_identical(tmp_path):
     assert (out1 / "results.csv").read_bytes() == (out8 / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_screen_refuses_workers_below_one(tmp_path, capsys, workers):
+    matrix = screened_fixture(tmp_path)
+    out = tmp_path / "scr"
+    with pytest.raises(SystemExit) as exc:
+        main(["screen", str(matrix), "--out", str(out), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_screen_zero_significant_still_exits_zero(tmp_path):
     rng = np.random.default_rng(77)
     matrix = write_matrix(tmp_path, rng.normal(size=(6, 32)))

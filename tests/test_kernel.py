@@ -1,0 +1,185 @@
+"""Property tests: the columnar all-pairs kernel against single-pair Max BET.
+
+max_bet scores one pair from all_symmetry_statistics, which shares no code
+with the screen's packed uint64 kernel, its row blocks or its |S| table.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from betscan.core import (
+    all_bids,
+    all_symmetry_statistics,
+    bid_class_of,
+    binary_expansion,
+    empirical_copula,
+    max_bet,
+)
+from betscan.errors import BetscanError
+from betscan import screen
+from betscan.preprocess import ExpressionMatrix
+from betscan.screen import (
+    PairResult,
+    ScreenConfig,
+    screen_all_pairs,
+    write_results_csv,
+)
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+def make_matrix(g, n, seed):
+    """Random genes with a copy, a reflection and a parabola planted."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(g, n))
+    if g >= 3:
+        values[1] = values[0]
+        values[2] = (values[0] - 0.2) ** 2 + 0.01 * rng.normal(size=n)
+    if g >= 5:
+        values[4] = -values[3]
+    return ExpressionMatrix(
+        gene_ids=[f"G{i:02d}" for i in range(g)],
+        sample_ids=[f"S{j:03d}" for j in range(n)],
+        values=values,
+    )
+
+
+def screen_inputs(matrix, d1, d2):
+    copulas = [empirical_copula(row) for row in matrix.values]
+    planes = [binary_expansion(c, max(d1, d2)) for c in copulas]
+    u = [binary_expansion(c, d1) for c in copulas]
+    v = [binary_expansion(c, d2) for c in copulas]
+    return planes, u, v
+
+
+def reference(matrix, u, v, mode, m_pairs):
+    """Every pair's max_bet result, adjusted across m_pairs, in pair order."""
+    g = matrix.n_genes
+    return [
+        PairResult(
+            matrix.gene_ids[i],
+            matrix.gene_ids[j],
+            max_bet(u[i], v[j], mode).with_pair_adjustment(m_pairs),
+        )
+        for i in range(g)
+        for j in range(i + 1, g)
+    ]
+
+
+shapes = st.tuples(
+    st.integers(2, 7),  # genes
+    st.integers(4, 200),  # samples
+    st.integers(1, 4),  # d1
+    st.integers(1, 4),  # d2
+    st.integers(0, 2**32 - 1),  # seed
+)
+
+
+@PROPERTY
+@given(shape=shapes, mode=st.sampled_from(["exact", "approx"]))
+def test_emit_all_matches_max_bet_on_every_pair(shape, mode):
+    g, n, d1, d2, seed = shape
+    matrix = make_matrix(g, n, seed)
+    planes, u, v = screen_inputs(matrix, d1, d2)
+    config = ScreenConfig(d1=d1, d2=d2, mode=mode, emit_all=True)
+    try:
+        expected = reference(matrix, u, v, mode, g * (g - 1) // 2)
+    except BetscanError as exc:
+        # the exact null refuses n = 2 mod 4; the screen must refuse it too
+        with pytest.raises(type(exc)):
+            screen_all_pairs(planes, matrix.gene_ids, config)
+        return
+    results, summary = screen_all_pairs(planes, matrix.gene_ids, config)
+    assert results == expected
+    assert summary.total_pairs == len(expected)
+
+
+@PROPERTY
+@given(
+    shape=shapes,
+    mode=st.sampled_from(["exact", "approx"]),
+    alpha=st.sampled_from([1e-6, 0.01, 0.05, 0.5]),
+    data=st.data(),
+)
+def test_significant_rows_are_exactly_the_reference_hits(shape, mode, alpha, data):
+    g, n, d1, d2, seed = shape
+    n += (-n) % max(4, 1 << max(d1, d2))  # the exact null throughout
+    matrix = make_matrix(g, n, seed)
+    planes, u, v = screen_inputs(matrix, d1, d2)
+    labels = sorted({bid_class_of(b).label for b in all_bids(d1, d2)})
+    chosen = data.draw(st.none() | st.sets(st.sampled_from(labels), min_size=1))
+    bid_filter = None if chosen is None else frozenset(chosen)
+    config = ScreenConfig(d1=d1, d2=d2, mode=mode, alpha=alpha, bid_filter=bid_filter)
+    expected = [
+        row
+        for row in reference(matrix, u, v, mode, g * (g - 1) // 2)
+        if row.result.p_pair_adjusted <= alpha
+        and (bid_filter is None or row.result.bid_class.label in bid_filter)
+    ]
+    results, summary = screen_all_pairs(planes, matrix.gene_ids, config)
+    assert results == expected
+    assert summary.significant_pairs == len(expected)
+    counts: dict[str, int] = {}
+    for row in expected:
+        label = row.result.bid_class.label
+        counts[label] = counts.get(label, 0) + 1
+    assert summary.class_counts == counts
+
+
+def test_tied_maximum_goes_to_lowest_canonical_interaction():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(400):
+        x, y = rng.permutation(16) + 1.0, rng.permutation(16) + 1.0
+        u = binary_expansion(empirical_copula(x), 2)
+        v = binary_expansion(empirical_copula(y), 2)
+        stats = all_symmetry_statistics(u, v)
+        top = max(abs(st.s) for st in stats)
+        tied = [st.bid for st in stats if abs(st.s) == top]
+        # a tie the first interaction (A1B1) is not part of
+        if len(tied) < 2 or tied[0] == stats[0].bid:
+            continue
+        results, _ = screen_all_pairs([u, v], ["X", "Y"], ScreenConfig(emit_all=True))
+        assert results[0].result.bid == min(tied)
+        assert abs(results[0].result.s) == top
+        checked += 1
+    assert checked >= 5
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    g=st.integers(2, 40),
+    n=st.integers(4, 130),
+    seed=st.integers(0, 2**32 - 1),
+    emit_all=st.booleans(),
+)
+def test_csv_identical_for_one_two_three_workers(
+    tmp_path_factory, g, n, seed, emit_all
+):
+    matrix = make_matrix(g, n, seed)
+    planes, _, _ = screen_inputs(matrix, 2, 2)
+    out = tmp_path_factory.mktemp("workers")
+    csvs = []
+    for workers in (1, 2, 3):
+        results, _ = screen_all_pairs(
+            planes,
+            matrix.gene_ids,
+            ScreenConfig(emit_all=emit_all, worker_count=workers),
+        )
+        path = out / f"w{workers}.csv"
+        write_results_csv(results, path)
+        csvs.append(path.read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize("pass_words", [1, 40])
+def test_rows_split_into_several_passes(monkeypatch, pass_words):
+    # one pass per partner, or a few partners per pass, instead of whole rows
+    monkeypatch.setattr(screen, "_PASS_WORDS", pass_words)
+    matrix = make_matrix(12, 100, 5)
+    planes, u, v = screen_inputs(matrix, 2, 3)
+    config = ScreenConfig(d1=2, d2=3, mode="approx", emit_all=True)
+    results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
+    assert results == reference(matrix, u, v, "approx", 66)

@@ -3,6 +3,7 @@ import pytest
 
 from betscan.core import binary_expansion, empirical_copula
 from betscan.errors import EmptyIntersectionError
+from betscan import screen
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
     BetRun,
@@ -87,12 +88,35 @@ def test_output_deterministic_across_worker_counts():
     m.values[1] = m.values[0] + 0.0  # one guaranteed hit
     planes = precompute_bitplanes(m, 2)
     runs = {}
-    for workers in (1, 4, 16):
+    for workers in (1, 2, 4, 16):
         results, _ = screen_all_pairs(
             planes, m.gene_ids, ScreenConfig(worker_count=workers, emit_all=True)
         )
         runs[workers] = results
-    assert runs[1] == runs[4] == runs[16]
+    assert runs[1] == runs[2] == runs[4] == runs[16]
+
+
+def test_thread_count_capped_by_cpus_and_blocks(monkeypatch):
+    pools = []
+
+    class Recording(screen.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(screen, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(screen.os, "cpu_count", lambda: 2)
+    m = random_matrix(40, 64, 17)
+    planes = precompute_bitplanes(m, 2)
+    config = ScreenConfig(worker_count=16, emit_all=True)
+    many, _ = screen_all_pairs(planes, m.gene_ids, config)
+    assert pools == [2]
+    # one row block, or one CPU: the calling thread scores, no pool starts
+    screen_all_pairs(planes[:2], m.gene_ids[:2], config)
+    monkeypatch.setattr(screen.os, "cpu_count", lambda: 1)
+    one, _ = screen_all_pairs(planes, m.gene_ids, config)
+    assert pools == [2]
+    assert one == many
 
 
 def test_csv_round_trip_and_byte_identity(tmp_path):
