@@ -19,7 +19,6 @@ from .core import (
     binary_expansion,
     empirical_copula,
     max_bet,
-    pvalue_binomial,
     pvalue_hypergeometric,
     pvalue_permutation,
     symmetry_statistic,
@@ -40,7 +39,6 @@ __all__ = [
     "binary_expansion",
     "empirical_copula",
     "max_bet",
-    "pvalue_binomial",
     "pvalue_hypergeometric",
     "pvalue_permutation",
     "symmetry_statistic",

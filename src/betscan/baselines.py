@@ -1,6 +1,6 @@
 """Reference dependence measures and region-level contingency analysis.
 
-The correlation coefficients and the chi-square tail come from scipy;
+Pearson's correlation test and the chi-square tail come from scipy;
 Hoeffding's D is computed here from the classical Q/R/S count
 decomposition (the quintuple-sum definition lives in the test suite as an
 independent oracle).  Region analysis decomposes a depth-2 interaction's
@@ -28,10 +28,7 @@ from .errors import (
 )
 
 __all__ = [
-    "pearson",
     "pearson_test",
-    "spearman",
-    "kendall",
     "hoeffdings_d",
     "hoeffdings_d_pvalue",
     "chi_square_independence",
@@ -62,27 +59,11 @@ def _paired(x, y, min_n: int):
     return x, y
 
 
-def pearson(x, y) -> float:
-    x, y = _paired(x, y, 3)
-    return float(sps.pearsonr(x, y).statistic)
-
-
 def pearson_test(x, y) -> tuple[float, float]:
     """Product-moment correlation with its two-sided t-test p-value."""
     x, y = _paired(x, y, 3)
     res = sps.pearsonr(x, y)
     return float(res.statistic), float(res.pvalue)
-
-
-def spearman(x, y) -> float:
-    x, y = _paired(x, y, 3)
-    return float(sps.spearmanr(x, y).statistic)
-
-
-def kendall(x, y) -> float:
-    """Kendall's tau-b (tie-corrected)."""
-    x, y = _paired(x, y, 3)
-    return float(sps.kendalltau(x, y, variant="b").statistic)
 
 
 def _bivariate_q(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Subcommands mirror the pipeline: preprocess, test (one pair, verbose),
 screen (all pairs), network, compare (cross-dataset), baselines, and
-rerun (replay a recorded manifest).  Outputs are plain text, CSV, and
+rerun (replay a recorded manifest; it refuses an input that is missing
+or whose sha256 no longer matches).  Outputs are plain text, CSV, and
 JSON only; every run directory gets a manifest.json sufficient to
 reproduce the data outputs byte for byte (wall-time metadata aside).
 
@@ -24,10 +25,10 @@ from . import __version__
 from .core.bids import bid_class_of, parse_class_label
 from .core.copula import empirical_copula
 from .core.expansion import binary_expansion
-from .core.maxbet import max_bet
+from .core.maxbet import MODES, max_bet
 from .core.stats import all_symmetry_statistics, cell_counts
 from .errors import BetscanError
-from .manifest import new_manifest, read_manifest, write_manifest
+from .manifest import new_manifest, read_manifest, sha256_file, write_manifest
 from .preprocess import (
     load_labels,
     load_matrix,
@@ -43,15 +44,12 @@ from .screen import (
     precompute_bitplanes,
     precompute_copulas,
     read_results_csv,
-    run_from_matrix,
     screen_all_pairs,
     top_k_genes,
     write_compare_csv,
     write_diagnostics_csv,
     write_results_csv,
 )
-
-CLI_MODES = ("exact", "approx", "permutation")
 
 
 def _resolve_seed(value) -> int:
@@ -379,9 +377,9 @@ def run_compare(config: dict, out_dir: Path) -> int:
     matrix_b = load_matrix(
         config["matrix_b"], config.get("format", "tsv_genes_by_samples")
     )
-    depth = int(config.get("depth", 2))
+    planes_b = precompute_bitplanes(matrix_b, int(config.get("depth", 2)))
     rows = compare_runs(
-        results_a, run_from_matrix(matrix_b, depth), config["bid_class"]
+        results_a, dict(zip(matrix_b.gene_ids, planes_b)), config["bid_class"]
     )
     out_path = out_dir / "compare.csv"
     write_compare_csv(rows, out_path)
@@ -508,7 +506,7 @@ def _cmd_baselines(args) -> int:
 
 _RUNNERS = {
     "preprocess": run_preprocess,
-    "test": lambda config, out: run_test(config, out),
+    "test": run_test,
     "screen": run_screen,
     "network": run_network,
     "compare": run_compare,
@@ -520,6 +518,11 @@ def _cmd_rerun(args) -> int:
     manifest = read_manifest(args.manifest)
     if manifest.command not in _RUNNERS:
         raise BetscanError(f"manifest for unknown command {manifest.command!r}")
+    for path, digest in manifest.inputs.items():
+        if not Path(path).is_file():
+            raise BetscanError(f"recorded input {path} is missing")
+        if sha256_file(path) != digest:
+            raise BetscanError(f"recorded input {path} has changed since the run")
     out_dir = Path(args.out) if args.out else Path(manifest.config.get("out") or ".")
     config = dict(manifest.config)
     config["out"] = str(out_dir)
@@ -571,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gene_b")
     _add_format(p)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--mode", choices=CLI_MODES, default="exact")
+    p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--permutation-iterations", type=int, default=999)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, default=None, help="also write report + manifest")
@@ -595,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="scoring threads, capped at the CPU count",
     )
-    p.add_argument("--mode", choices=CLI_MODES, default="exact")
+    p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--permutation-iterations", type=int, default=999)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(

@@ -4,7 +4,6 @@ from .bids import (
     BidClass,
     BidId,
     DEPTH2_CLASS_LABELS,
-    NONLINEAR_DEPTH2_LABELS,
     all_bids,
     bid_class_of,
     bid_count,
@@ -18,7 +17,6 @@ from .expansion import BitPlanes, binary_expansion, pack_bits, plane_bits
 from .maxbet import MODES, BetResult, max_bet
 from .nulls import (
     EXACT_PERMUTATION_MAX_N,
-    pvalue_binomial,
     pvalue_hypergeometric,
     pvalue_normal,
     pvalue_permutation,
@@ -43,7 +41,6 @@ __all__ = [
     "DEPTH2_CLASS_LABELS",
     "EXACT_PERMUTATION_MAX_N",
     "MODES",
-    "NONLINEAR_DEPTH2_LABELS",
     "SymmetryStat",
     "all_bids",
     "all_symmetry_statistics",
@@ -60,7 +57,6 @@ __all__ = [
     "pack_bits",
     "parse_class_label",
     "plane_bits",
-    "pvalue_binomial",
     "pvalue_hypergeometric",
     "pvalue_normal",
     "pvalue_permutation",

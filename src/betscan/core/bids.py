@@ -27,7 +27,6 @@ __all__ = [
     "class_members",
     "parse_class_label",
     "DEPTH2_CLASS_LABELS",
-    "NONLINEAR_DEPTH2_LABELS",
 ]
 
 
@@ -84,8 +83,6 @@ DEPTH2_CLASS_LABELS: dict[tuple[int, int], str] = {
     (3, 3): "FullCross",
     (3, 2): "LShape",
 }
-
-NONLINEAR_DEPTH2_LABELS = ("Parabolic", "W", "FullCross", "Checkerboard", "LShape")
 
 _ALIASES = {
     "linear": "Linear",

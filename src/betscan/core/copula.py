@@ -29,13 +29,6 @@ class CopulaColumn:
     def n(self) -> int:
         return int(self.ranks.shape[0])
 
-    def grid_value(self, i: int) -> float:
-        """Copula coordinate of observation i, rank_i / n."""
-        return int(self.ranks[i]) / self.n
-
-    def is_valid_permutation(self) -> bool:
-        return bool(np.array_equal(np.sort(self.ranks), np.arange(1, self.n + 1)))
-
 
 def empirical_copula(values) -> CopulaColumn:
     """Rank-transform a tie-free vector into its empirical copula margin.

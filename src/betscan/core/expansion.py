@@ -36,17 +36,12 @@ class BitPlanes:
 
     planes[k-1] holds digit k for every observation, observation i at bit
     position i (arbitrary-precision int, so there are no stray bits past
-    position n-1; pad_mask records the valid-bit region regardless).
+    position n-1).
     """
 
     depth: int
     n: int
     planes: tuple[int, ...]
-    pad_mask: int
-
-    def plane(self, k: int) -> int:
-        """Packed digit-k vector, k being 1-based."""
-        return self.planes[k - 1]
 
 
 def pack_bits(bits: np.ndarray) -> int:
@@ -80,4 +75,4 @@ def binary_expansion(col: CopulaColumn, depth: int) -> BitPlanes:
         ceil_val = ((ranks << k) + n - 1) // n
         bits = (ceil_val & 1) == 0
         planes.append(pack_bits(bits))
-    return BitPlanes(depth=depth, n=n, planes=tuple(planes), pad_mask=(1 << n) - 1)
+    return BitPlanes(depth=depth, n=n, planes=tuple(planes))

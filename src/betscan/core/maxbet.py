@@ -12,7 +12,6 @@ p-value backends by mode:
     exact        hypergeometric when 2^max(d1, d2) divides n, else the
                  normal approximation with approximate=True
     approx       always the normal approximation
-    binomial     the continuous-margin binomial null
     permutation  seeded permutation of v's ranks (exact for n <= 8)
 """
 
@@ -25,7 +24,6 @@ from .copula import CopulaColumn
 from .expansion import BitPlanes
 from .nulls import (
     EXACT_PERMUTATION_MAX_N,
-    pvalue_binomial,
     pvalue_hypergeometric,
     pvalue_normal,
     pvalue_permutation,
@@ -34,7 +32,7 @@ from .stats import all_symmetry_statistics, z_score
 
 __all__ = ["BetResult", "max_bet", "null_method", "null_pvalue", "MODES"]
 
-MODES = ("exact", "approx", "binomial", "permutation")
+MODES = ("exact", "approx", "permutation")
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class BetResult:
 _TAILS = {
     "hypergeometric": pvalue_hypergeometric,
     "normal_approx": pvalue_normal,
-    "binomial": pvalue_binomial,
 }
 
 
@@ -74,8 +71,6 @@ def null_method(mode: str, n: int, depth: int) -> tuple[str, bool]:
         return "hypergeometric", False
     if mode in ("exact", "approx"):
         return "normal_approx", True
-    if mode == "binomial":
-        return "binomial", False
     if mode == "permutation":
         return "permutation", n > EXACT_PERMUTATION_MAX_N
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -1,18 +1,18 @@
 """Null distributions and p-values for the symmetry statistic.
 
-Under independence the statistic for any cross interaction satisfies
+Under independence the statistic for any cross interaction of two
+empirical-copula variables satisfies
 
-    (S + n) / 2 ~ Binomial(n, 1/2)              (continuous margins)
-    (S + n) / 4 ~ Hypergeometric(n, n/2, n/2)   (empirical copula)
+    (S + n) / 4 ~ Hypergeometric(n, n/2, n/2)
 
-the second because the empirical ranks pin each axis's sign split to an
-exact half, so only the count K of observations positive on both axes is
-random and S = 4K - n.  The hypergeometric form needs 2^depth | n so the
-splits really are halves; otherwise callers fall back on the normal
-approximation 2 * Phi(-|s| / sqrt(n)) or on the permutation backend.
+because the empirical ranks pin each axis's sign split to an exact half,
+so only the count K of observations positive on both axes is random and
+S = 4K - n.  The splits are halves only when 2^depth divides n (at
+depth 1, when n is even); otherwise callers fall back on the normal approximation
+2 * Phi(-|s| / sqrt(n)) or on the permutation backend.
 
-Both exact tails are evaluated from the log-pmf of the most extreme term
-outward via stable multiplicative recurrences, so they do not underflow
+The exact tail is evaluated from the log-pmf of the most extreme term
+outward via a stable multiplicative recurrence, so it does not underflow
 before the final exponentiation.
 """
 
@@ -30,7 +30,6 @@ from .expansion import BitPlanes, binary_expansion
 from .stats import sign_labels, symmetry_statistic
 
 __all__ = [
-    "pvalue_binomial",
     "pvalue_hypergeometric",
     "pvalue_normal",
     "pvalue_permutation",
@@ -44,55 +43,32 @@ _P_FLOOR = 5e-324
 EXACT_PERMUTATION_MAX_N = 8
 
 
-def _check_parity(s: int, n: int, modulus: int) -> None:
-    if abs(s) > n:
-        raise ValueError(f"|s| = {abs(s)} exceeds n = {n}")
-    if (s - n) % modulus != 0:
-        raise ParityViolationError(
-            f"s = {s} is not congruent to n = {n} modulo {modulus}"
-        )
-
-
 def _log_choose(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def pvalue_binomial(s: int, n: int) -> float:
-    """Exact two-sided tail P(|S| >= |s|) under the Binomial(n, 1/2) null."""
-    _check_parity(s, n, 2)
-    if s == 0:
-        return 1.0
-    m = (n + abs(s)) // 2
-    # Upper tail from k = m upward; terms decrease since m > n/2.
-    log_head = _log_choose(n, m) - n * math.log(2.0)
-    tail = 0.0
-    term = 1.0
-    for k in range(m, n):
-        tail += term
-        term *= (n - k) / (k + 1)
-    tail += term
-    p = 2.0 * math.exp(log_head) * tail
-    return min(1.0, max(p, _P_FLOOR))
 
 
 def pvalue_hypergeometric(s: int, n: int) -> float:
     """Exact two-sided tail P(|S| >= |s|) under the empirical-copula null.
 
-    S = 4K - n with K ~ Hypergeometric(n, n/2, n/2); n must be divisible
-    by 4 and s congruent to n modulo 4.
+    S = 4K - n with K ~ Hypergeometric(n, n/2, n/2); n must be even and
+    s congruent to n modulo 4.
     """
-    if n % 4 != 0:
+    if n % 2 != 0:
         raise DivisibilityViolationError(
-            f"n = {n} is not divisible by 4; use the normal approximation "
+            f"n = {n} is odd; use the normal approximation "
             "or the permutation backend"
         )
-    _check_parity(s, n, 4)
+    if abs(s) > n:
+        raise ValueError(f"|s| = {abs(s)} exceeds n = {n}")
+    if (s - n) % 4 != 0:
+        raise ParityViolationError(f"s = {s} is not congruent to n = {n} modulo 4")
     if s == 0:
         return 1.0
     half = n // 2
     m = (n + abs(s)) // 4
     # P(K = k) = C(half, k)^2 / C(n, half); symmetric about n/4, and
-    # m > n/4 here, so double the upper tail.
+    # m > n/4 here (s = 0 cannot occur when n = 2 mod 4), so double the
+    # upper tail.
     log_head = 2.0 * _log_choose(half, m) - _log_choose(n, half)
     tail = 0.0
     term = 1.0

@@ -11,30 +11,40 @@ class BetscanError(Exception):
     """Base class for all package-specific errors."""
 
 
+def _column(gene: str | None) -> str:
+    return "column" if gene is None else f"gene {gene!r}"
+
+
 class TiesPresentError(BetscanError):
     """A column contains tied values and cannot be rank-transformed.
 
-    Carries the first tied value, how often it occurs, and the total
-    number of distinct tied values in the column.
+    Carries the first tied value, how often it occurs, the total number
+    of distinct tied values in the column, and the gene id when known.
     """
 
-    def __init__(self, value: float, count: int, tie_groups: int):
+    def __init__(
+        self, value: float, count: int, tie_groups: int, gene: str | None = None
+    ):
         self.value = value
         self.count = count
         self.tie_groups = tie_groups
+        self.gene = gene
         super().__init__(
-            f"column has tied values: {value!r} occurs {count} times "
+            f"{_column(gene)} has tied values: {value!r} occurs {count} times "
             f"({tie_groups} tied group(s) total); jitter the column first"
         )
 
 
 class NonFiniteError(BetscanError):
-    """A column contains NaN or infinite entries."""
+    """A column contains NaN or infinite entries; names the gene when known."""
 
-    def __init__(self, index: int, value: float):
+    def __init__(self, index: int, value: float, gene: str | None = None):
         self.index = index
         self.value = value
-        super().__init__(f"non-finite value {value!r} at position {index}")
+        self.gene = gene
+        super().__init__(
+            f"{_column(gene)} has non-finite value {value!r} at position {index}"
+        )
 
 
 class DepthTooLargeError(BetscanError):

@@ -23,7 +23,6 @@ __all__ = [
     "build_network",
     "hub_report",
     "export_graph",
-    "import_graph",
 ]
 
 # Parabolic/W/FullCross follow the published convention; the two classes
@@ -197,46 +196,3 @@ def _export_json(graph: DependenceGraph, path) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def import_graph(path, fmt: str = "csv_edge_list") -> DependenceGraph:
-    """Read a graph exported by export_graph (csv_edge_list or json)."""
-    if fmt == "csv_edge_list":
-        edges = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for rec in csv.DictReader(fh):
-                edges.append(
-                    GraphEdge(
-                        gene_i=rec["gene_i"],
-                        gene_j=rec["gene_j"],
-                        bid_class=rec["bid_class"],
-                        z=float(rec["z"]),
-                        color=rec["color"],
-                    )
-                )
-        nodes: dict[str, float] = {}
-        try:
-            with open(str(path) + ".nodes.csv", "r", encoding="utf-8", newline="") as fh:
-                for rec in csv.DictReader(fh):
-                    nodes[rec["gene"]] = float(rec["max_z"])
-        except FileNotFoundError:
-            for e in edges:
-                for gene in (e.gene_i, e.gene_j):
-                    nodes[gene] = max(nodes.get(gene, 0.0), e.z)
-        return DependenceGraph(nodes=nodes, edges=edges)
-    if fmt == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return DependenceGraph(
-            nodes={rec["gene"]: float(rec["max_z"]) for rec in payload["nodes"]},
-            edges=[
-                GraphEdge(
-                    gene_i=rec["gene_i"],
-                    gene_j=rec["gene_j"],
-                    bid_class=rec["bid_class"],
-                    z=float(rec["z"]),
-                    color=rec["color"],
-                )
-                for rec in payload["edges"]
-            ],
-        )
-    raise ValueError(f"unknown graph format {fmt!r}")

@@ -32,9 +32,8 @@ import csv
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -56,14 +55,13 @@ from .core.stats import (
     symmetry_statistic,
     z_score,
 )
-from .errors import EmptyIntersectionError
+from .errors import EmptyIntersectionError, NonFiniteError, TiesPresentError
 from .preprocess import ExpressionMatrix
 
 __all__ = [
     "ScreenConfig",
     "ScreenSummary",
     "PairResult",
-    "BetRun",
     "CompareRow",
     "precompute_bitplanes",
     "precompute_copulas",
@@ -102,7 +100,6 @@ class ScreenConfig:
     m_pairs: int | None = None
     bid_filter: frozenset[str] | None = None
     worker_count: int = 1
-    output_path: str | Path | None = None
     emit_all: bool = False
     mode: str = "exact"
     permutation_iterations: int = 999
@@ -154,37 +151,25 @@ class PairResult:
     result: BetResult
 
 
-@dataclass
-class BetRun:
-    """A screening run bundled with the planes it was computed from."""
-
-    gene_ids: list[str]
-    results: list[PairResult]
-    planes: dict[str, BitPlanes] = field(default_factory=dict)
-    n: int = 0
+def _ranked_genes(matrix: ExpressionMatrix) -> Iterator[CopulaColumn]:
+    """Rank-transform the genes one at a time, naming the gene in an error."""
+    for gene, values in zip(matrix.gene_ids, matrix.values):
+        try:
+            col = empirical_copula(values)
+        except TiesPresentError as exc:
+            raise TiesPresentError(exc.value, exc.count, exc.tie_groups, gene) from None
+        except NonFiniteError as exc:
+            raise NonFiniteError(exc.index, exc.value, gene) from None
+        yield col
 
 
 def precompute_bitplanes(matrix: ExpressionMatrix, d1: int) -> list[BitPlanes]:
     """Copula-transform and expand every gene once."""
-    return [
-        binary_expansion(empirical_copula(matrix.values[g]), d1)
-        for g in range(matrix.n_genes)
-    ]
+    return [binary_expansion(col, d1) for col in _ranked_genes(matrix)]
 
 
 def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
-    return [empirical_copula(matrix.values[g]) for g in range(matrix.n_genes)]
-
-
-def run_from_matrix(matrix: ExpressionMatrix, d: int = 2) -> BetRun:
-    """Expand a matrix into a BetRun usable as a comparison target."""
-    planes = precompute_bitplanes(matrix, d)
-    return BetRun(
-        gene_ids=list(matrix.gene_ids),
-        results=[],
-        planes=dict(zip(matrix.gene_ids, planes)),
-        n=matrix.n_samples,
-    )
+    return list(_ranked_genes(matrix))
 
 
 # Sizes that bound the scratch memory of the kernel: a row block holds at
@@ -386,8 +371,6 @@ def screen_all_pairs(
         d2=config.d2,
         mode=config.mode,
     )
-    if config.output_path is not None:
-        write_results_csv(results, config.output_path)
     return results, summary
 
 
@@ -531,27 +514,28 @@ def class_z(planes_u: BitPlanes, planes_v: BitPlanes, class_label: str) -> float
 
 def compare_runs(
     results_a: Iterable[PairResult],
-    run_b: BetRun,
+    planes_b: Mapping[str, BitPlanes],
     bid_class: str,
 ) -> list[CompareRow]:
     """Class-specific z of run A's significant pairs, recomputed in run B.
 
-    Rows of run A whose winning class matches are kept; for each, the
-    class statistic is recomputed from run B's planes even when that class
-    is not the winner there.  Pairs with a gene missing from run B are
-    flagged 'missing_in_b' (z_b = nan) rather than dropped.
+    planes_b maps run B's gene ids to their planes.  Rows of run A whose
+    winning class matches are kept; for each, the class statistic is
+    recomputed from run B's planes even when that class is not the winner
+    there.  Pairs with a gene missing from run B are flagged
+    'missing_in_b' (z_b = nan) rather than dropped.
     """
     label = parse_class_label(bid_class)
     rows_a = [r for r in results_a if r.result.bid_class.label == label]
     genes_a = {g for r in rows_a for g in (r.gene_i, r.gene_j)}
-    if genes_a and not (genes_a & set(run_b.planes)):
+    if genes_a and genes_a.isdisjoint(planes_b):
         raise EmptyIntersectionError(
             "no gene of the selected pairs exists in the comparison run"
         )
     out = []
     for r in rows_a:
-        pu = run_b.planes.get(r.gene_i)
-        pv = run_b.planes.get(r.gene_j)
+        pu = planes_b.get(r.gene_i)
+        pv = planes_b.get(r.gene_j)
         if pu is None or pv is None:
             out.append(
                 CompareRow(r.gene_i, r.gene_j, r.result.z, float("nan"), "missing_in_b")

@@ -64,13 +64,6 @@ def all_quadrant_stats(u_ranks, v_ranks, depth: int) -> dict[tuple[int, int], in
     }
 
 
-def binomial_tail(s: int, n: int) -> float:
-    """P(|S| >= |s|) for (S+n)/2 ~ Binomial(n, 1/2), by full enumeration."""
-    target = abs(s)
-    hits = sum(comb(n, k) for k in range(n + 1) if abs(2 * k - n) >= target)
-    return hits / 2**n
-
-
 def hypergeom_tail(s: int, n: int) -> float:
     """P(|S| >= |s|) for (S+n)/4 ~ Hypergeom(n, n/2, n/2), by enumeration."""
     half = n // 2
@@ -119,43 +112,6 @@ def pearson_oracle(x, y) -> float:
     num = float(np.sum((x - mx) * (y - my)))
     den = float(np.sqrt(np.sum((x - mx) ** 2) * np.sum((y - my) ** 2)))
     return num / den
-
-
-def spearman_oracle(x, y) -> float:
-    def ranks(v):
-        v = np.asarray(v, float)
-        order = np.argsort(v)
-        r = np.empty(len(v))
-        r[order] = np.arange(1, len(v) + 1)
-        return r
-
-    return pearson_oracle(ranks(x), ranks(y))
-
-
-def kendall_oracle(x, y) -> float:
-    """Tau-b by the definitional O(n^2) pair scan."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    n = len(x)
-    concordant = discordant = ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = np.sign(x[i] - x[j])
-            dy = np.sign(y[i] - y[j])
-            if dx == 0 and dy == 0:
-                continue
-            if dx == 0:
-                ties_x += 1
-            elif dy == 0:
-                ties_y += 1
-            elif dx == dy:
-                concordant += 1
-            else:
-                discordant += 1
-    n0 = n * (n - 1) / 2
-    n1 = ties_x + concordant + discordant
-    n2 = ties_y + concordant + discordant
-    return (concordant - discordant) / np.sqrt(float(n1) * float(n2))
 
 
 def hoeffding_kernel_oracle(x, y) -> float:

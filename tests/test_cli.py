@@ -186,6 +186,17 @@ def test_screen_refuses_workers_below_one(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_screen_names_the_tied_gene(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    values = np.array([rng.permutation(16) + 1.0 for _ in range(5)])
+    values[3, 1] = values[3, 0]
+    matrix = write_matrix(tmp_path, values, genes=[f"G{i}" for i in range(5)])
+    assert main(["screen", str(matrix), "--out", str(tmp_path / "scr")]) == 1
+    err = capsys.readouterr().err
+    assert "G3" in err
+    assert "tied values" in err
+
+
 def test_screen_zero_significant_still_exits_zero(tmp_path):
     rng = np.random.default_rng(77)
     matrix = write_matrix(tmp_path, rng.normal(size=(6, 32)))
@@ -325,6 +336,22 @@ def test_rerun_reproduces_screen(tmp_path):
     b = json.loads((replay / "summary.json").read_text())
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+
+
+def test_rerun_refuses_changed_input(tmp_path, capsys):
+    matrix = screened_fixture(tmp_path, seed=8)
+    out = tmp_path / "scr"
+    assert main(["screen", str(matrix), "--out", str(out)]) == 0
+    screened_fixture(tmp_path, seed=9)  # same path, other values
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 1
+    err = capsys.readouterr().err
+    assert f"recorded input {matrix} has changed" in err
+    assert not replay.exists()
+    matrix.unlink()
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 1
+    assert f"recorded input {matrix} is missing" in capsys.readouterr().err
+    assert not replay.exists()
 
 
 def test_rerun_reproduces_preprocess(tmp_path):

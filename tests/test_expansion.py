@@ -76,7 +76,7 @@ def test_no_bits_beyond_n():
     col = empirical_copula([4.0, 2.0, 9.0, 1.0, 7.0])
     bp = binary_expansion(col, 2)
     for plane in bp.planes:
-        assert plane & ~bp.pad_mask == 0
+        assert plane >> bp.n == 0
 
 
 def test_depth_cap():

@@ -17,7 +17,6 @@ from betscan.core import (
     empirical_copula,
     max_bet,
 )
-from betscan.errors import BetscanError
 from betscan import screen
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
@@ -84,13 +83,7 @@ def test_emit_all_matches_max_bet_on_every_pair(shape, mode):
     matrix = make_matrix(g, n, seed)
     planes, u, v = screen_inputs(matrix, d1, d2)
     config = ScreenConfig(d1=d1, d2=d2, mode=mode, emit_all=True)
-    try:
-        expected = reference(matrix, u, v, mode, g * (g - 1) // 2)
-    except BetscanError as exc:
-        # the exact null refuses n = 2 mod 4; the screen must refuse it too
-        with pytest.raises(type(exc)):
-            screen_all_pairs(planes, matrix.gene_ids, config)
-        return
+    expected = reference(matrix, u, v, mode, g * (g - 1) // 2)
     results, summary = screen_all_pairs(planes, matrix.gene_ids, config)
     assert results == expected
     assert summary.total_pairs == len(expected)

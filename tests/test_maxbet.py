@@ -81,12 +81,6 @@ def test_permutation_mode_needs_ranks():
     assert res.p_raw == pytest.approx(1 / 35, rel=1e-12)  # exact enumeration
 
 
-def test_binomial_mode():
-    res = max_bet(planes_for(range(1, 9)), planes_for(range(1, 9)), mode="binomial")
-    assert res.method == "binomial"
-    assert res.p_raw == pytest.approx(2.0 ** (1 - 8), rel=1e-12)
-
-
 def test_pair_adjustment_helper():
     res = max_bet(planes_for(range(64)), planes_for(range(64)), mode="exact")
     adjusted = res.with_pair_adjustment(1000)

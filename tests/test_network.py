@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -6,10 +7,10 @@ import numpy as np
 from betscan.core import binary_expansion, empirical_copula, max_bet
 from betscan.network import (
     EDGE_COLORS,
+    GraphEdge,
     build_network,
     export_graph,
     hub_report,
-    import_graph,
 )
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
@@ -110,11 +111,14 @@ def test_csv_round_trip_identical(tmp_path):
     graph = build_network(results, top_k_genes(results, k=200))
     path = tmp_path / "graph.csv"
     export_graph(graph, path, "csv_edge_list")
-    again = import_graph(path, "csv_edge_list")
-    assert again.nodes == graph.nodes
-    assert sorted(again.edges, key=lambda e: (e.gene_i, e.gene_j)) == sorted(
-        graph.edges, key=lambda e: (e.gene_i, e.gene_j)
-    )
+    with open(path, newline="") as fh:
+        edges = [
+            GraphEdge(**{**rec, "z": float(rec["z"])}) for rec in csv.DictReader(fh)
+        ]
+    with open(f"{path}.nodes.csv", newline="") as fh:
+        nodes = {rec["gene"]: float(rec["max_z"]) for rec in csv.DictReader(fh)}
+    assert nodes == graph.nodes
+    assert edges == sorted(graph.edges, key=lambda e: (e.gene_i, e.gene_j))
 
 
 def test_json_counts_match(tmp_path):
@@ -125,8 +129,7 @@ def test_json_counts_match(tmp_path):
     payload = json.loads(path.read_text())
     assert len(payload["nodes"]) == len(graph.nodes)
     assert len(payload["edges"]) == len(graph.edges)
-    again = import_graph(path, "json")
-    assert again.nodes == graph.nodes
+    assert {rec["gene"]: rec["max_z"] for rec in payload["nodes"]} == graph.nodes
 
 
 DOT_EDGE = re.compile(

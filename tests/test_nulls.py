@@ -6,7 +6,6 @@ from betscan.core import (
     all_bids,
     binary_expansion,
     empirical_copula,
-    pvalue_binomial,
     pvalue_hypergeometric,
     pvalue_normal,
     pvalue_permutation,
@@ -14,7 +13,6 @@ from betscan.core import (
 from betscan.errors import DivisibilityViolationError, ParityViolationError
 
 from ._oracles import (
-    binomial_tail,
     hypergeom_tail,
     permutation_distribution,
     permutation_tail,
@@ -25,45 +23,29 @@ def planes_for(ranks, depth=2):
     return binary_expansion(empirical_copula(np.asarray(ranks, float)), depth)
 
 
-def test_binomial_extremes():
-    assert pvalue_binomial(10, 10) == pytest.approx(2.0 ** (1 - 10), rel=1e-12)
-    assert pvalue_binomial(0, 10) == 1.0
-
-
-def test_binomial_matches_enumeration():
-    for n, s in [(10, 6), (10, 2), (11, 5), (17, 9), (24, 0)]:
-        assert pvalue_binomial(s, n) == pytest.approx(binomial_tail(s, n), rel=1e-12)
-
-
-def test_binomial_parity_error():
-    with pytest.raises(ParityViolationError):
-        pvalue_binomial(3, 10)
-
-
 def test_hypergeometric_extremes():
     assert pvalue_hypergeometric(8, 8) == pytest.approx(1 / 35, rel=1e-12)
     assert pvalue_hypergeometric(0, 8) == 1.0
 
 
 def test_hypergeometric_matches_enumeration():
-    for n in (8, 12, 64):
-        for s in range(0, n + 1, 4):
-            if (s - n) % 4 == 0:
-                assert pvalue_hypergeometric(s, n) == pytest.approx(
-                    hypergeom_tail(s, n), rel=1e-12
-                )
+    # n = 2 mod 4 is the depth-1 case: only 2 | n is needed for the halves
+    for n in (6, 8, 10, 12, 14, 18, 64):
+        for s in range(-n, n + 1, 4):
+            assert pvalue_hypergeometric(s, n) == pytest.approx(
+                hypergeom_tail(s, n), rel=1e-12
+            )
 
 
 def test_hypergeometric_preconditions():
     with pytest.raises(DivisibilityViolationError):
-        pvalue_hypergeometric(3, 10)
+        pvalue_hypergeometric(3, 11)
     with pytest.raises(ParityViolationError):
         pvalue_hypergeometric(2, 8)
 
 
 def test_pvalue_monotone_in_s():
     for backend, n, step in (
-        (pvalue_binomial, 18, 2),
         (pvalue_hypergeometric, 16, 4),
         (pvalue_normal, 17, 1),
     ):

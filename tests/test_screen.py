@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from betscan.core import binary_expansion, empirical_copula
-from betscan.errors import EmptyIntersectionError
+from betscan.errors import EmptyIntersectionError, NonFiniteError, TiesPresentError
 from betscan import screen
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
-    BetRun,
     ScreenConfig,
     compare_runs,
     precompute_bitplanes,
+    precompute_copulas,
     read_results_csv,
-    run_from_matrix,
     screen_all_pairs,
     top_k_genes,
     write_results_csv,
@@ -32,6 +31,21 @@ def matrix_from(values):
 def random_matrix(g, n, seed):
     rng = np.random.default_rng(seed)
     return matrix_from(rng.normal(size=(g, n)))
+
+
+def test_ranking_errors_name_the_gene():
+    m = random_matrix(4, 16, 17)
+    m.values[2, 5] = m.values[2, 0]
+    with pytest.raises(TiesPresentError) as err:
+        precompute_bitplanes(m, 2)
+    assert err.value.gene == "G002"
+    assert "'G002' has tied values" in str(err.value)
+    m.values[2, 5] = np.nan
+    with pytest.raises(NonFiniteError) as err:
+        precompute_copulas(m)
+    assert err.value.gene == "G002"
+    assert err.value.index == 5
+    assert "'G002' has non-finite value" in str(err.value)
 
 
 def test_precompute_shapes_and_purity():
@@ -123,11 +137,7 @@ def test_csv_round_trip_and_byte_identity(tmp_path):
     m = random_matrix(12, 64, 6)
     m.values[3] = -m.values[7]
     planes = precompute_bitplanes(m, 2)
-    streamed = tmp_path / "streamed.csv"
-    results, _ = screen_all_pairs(
-        planes, m.gene_ids, ScreenConfig(emit_all=True, output_path=streamed)
-    )
-    assert streamed.exists()
+    results, _ = screen_all_pairs(planes, m.gene_ids, ScreenConfig(emit_all=True))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_results_csv(results, p1)
     write_results_csv(results, p2)
@@ -245,9 +255,9 @@ def test_compare_runs_identity_diagonal():
     m.values[3] = (m.values[2] - m.values[2].mean()) ** 2
     planes = precompute_bitplanes(m, 2)
     results, _ = screen_all_pairs(planes, m.gene_ids, ScreenConfig(emit_all=True))
-    run_b = run_from_matrix(m, 2)
+    planes_b = dict(zip(m.gene_ids, planes))
     for label in ("Linear", "Parabolic"):
-        for row in compare_runs(results, run_b, label):
+        for row in compare_runs(results, planes_b, label):
             assert row.flag == "ok"
             assert row.z_b == pytest.approx(row.z_a, rel=1e-12)
 
@@ -265,7 +275,8 @@ def test_compare_runs_larger_sample_strengthens_z():
     results_a, _ = screen_all_pairs(
         precompute_bitplanes(small, 2), small.gene_ids, ScreenConfig()
     )
-    rows = compare_runs(results_a, run_from_matrix(big, 2), "Parabolic")
+    planes_b = dict(zip(big.gene_ids, precompute_bitplanes(big, 2)))
+    rows = compare_runs(results_a, planes_b, "Parabolic")
     assert rows
     za = np.median([r.z_a for r in rows])
     zb = np.median([r.z_b for r in rows])
@@ -282,7 +293,8 @@ def test_compare_runs_missing_gene_flagged():
         sample_ids=m.sample_ids,
         values=np.vstack([m.values[:1], m.values[2:]]),
     )
-    rows = compare_runs(results, run_from_matrix(partial, 2), "Linear")
+    planes_b = dict(zip(partial.gene_ids, precompute_bitplanes(partial, 2)))
+    rows = compare_runs(results, planes_b, "Linear")
     flagged = [r for r in rows if r.flag == "missing_in_b"]
     assert flagged
     assert all(np.isnan(r.z_b) for r in flagged)
@@ -293,6 +305,5 @@ def test_compare_runs_empty_intersection():
     m.values[1] = m.values[0]
     planes = precompute_bitplanes(m, 2)
     results, _ = screen_all_pairs(planes, m.gene_ids, ScreenConfig())
-    stranger = BetRun(gene_ids=["X1"], results=[], planes={}, n=64)
     with pytest.raises(EmptyIntersectionError):
-        compare_runs(results, stranger, "Linear")
+        compare_runs(results, {}, "Linear")
