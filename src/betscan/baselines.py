@@ -321,9 +321,9 @@ def measure_comparison(
     The Hoeffding permutation p cannot fall below 1/(iterations + 1), so
     at stringent thresholds its significant counts are a lower bound.
     """
-    from .core.copula import empirical_copula
     from .core.expansion import binary_expansion
     from .core.maxbet import max_bet
+    from .screen import rank_gene
 
     if m_pairs is None:
         m_pairs = len(pairs)
@@ -333,7 +333,7 @@ def measure_comparison(
     def planes_of(gene: str):
         if gene not in plane_cache:
             plane_cache[gene] = binary_expansion(
-                empirical_copula(matrix.column(gene)), d
+                rank_gene(gene, matrix.column(gene)), d
             )
         return plane_cache[gene]
 

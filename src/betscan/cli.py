@@ -23,7 +23,6 @@ from pathlib import Path
 
 from . import __version__
 from .core.bids import bid_class_of, parse_class_label
-from .core.copula import empirical_copula
 from .core.expansion import binary_expansion
 from .core.maxbet import MODES, max_bet
 from .core.stats import all_symmetry_statistics, cell_counts
@@ -43,6 +42,7 @@ from .screen import (
     compare_runs,
     precompute_bitplanes,
     precompute_copulas,
+    rank_gene,
     read_results_csv,
     screen_all_pairs,
     top_k_genes,
@@ -59,7 +59,7 @@ def _resolve_seed(value) -> int:
     return int(env) if env else 0
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -176,8 +176,8 @@ def run_test(config: dict, out_dir: Path | None) -> int:
     gene_a, gene_b = config["gene_a"], config["gene_b"]
     depth = int(config.get("depth", 2))
 
-    col_u = empirical_copula(matrix.column(gene_a))
-    col_v = empirical_copula(matrix.column(gene_b))
+    col_u = rank_gene(gene_a, matrix.column(gene_a))
+    col_v = rank_gene(gene_b, matrix.column(gene_b))
     u = binary_expansion(col_u, depth)
     v = binary_expansion(col_v, depth)
 
@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--mode", choices=MODES, default="exact")
-    p.add_argument("--permutation-iterations", type=int, default=999)
+    p.add_argument("--permutation-iterations", type=_positive_int, default=999)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, default=None, help="also write report + manifest")
     p.set_defaults(func=_cmd_test, parser=p)
@@ -594,12 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers",
-        type=_worker_count,
+        type=_positive_int,
         default=1,
         help="scoring threads, capped at the CPU count",
     )
     p.add_argument("--mode", choices=MODES, default="exact")
-    p.add_argument("--permutation-iterations", type=int, default=999)
+    p.add_argument("--permutation-iterations", type=_positive_int, default=999)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--bid-filter", help="comma-separated class labels to keep in the output"

@@ -12,7 +12,9 @@ p-value backends by mode:
     exact        hypergeometric when 2^max(d1, d2) divides n, else the
                  normal approximation with approximate=True
     approx       always the normal approximation
-    permutation  seeded permutation of v's ranks (exact for n <= 8)
+    permutation  permutation null of v's ranks: every pairing for n <= 8,
+                 else Monte Carlo with one seeded Hypergeometric draw of
+                 K (points +1 on both sign labels) per iteration
 """
 
 from __future__ import annotations

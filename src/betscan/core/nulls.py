@@ -42,6 +42,9 @@ _P_FLOOR = 5e-324
 
 EXACT_PERMUTATION_MAX_N = 8
 
+# Monte Carlo draws per chunk, so memory stays bounded for any iteration count
+_BATCH = 2048
+
 
 def _log_choose(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -104,6 +107,11 @@ def pvalue_permutation(
     Philox stream with the add-one correction
     p = (1 + #extreme) / (1 + iterations), so the estimate is positive and
     reproducible for a given seed.
+
+    A permutation of v changes S only through K, the number of points
+    whose sign labels are +1 on both axes: with P labels +1 on u and Q
+    on v, S = n - 2P - 2Q + 4K and K ~ Hypergeometric(n, Q, P).  Each
+    iteration therefore draws K, not a shuffle of the n labels.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -129,14 +137,13 @@ def pvalue_permutation(
                 extreme += 1
         return extreme / total
 
+    p = int(np.count_nonzero(su > 0))
+    q = int(np.count_nonzero(sv > 0))
     rng = np.random.Generator(np.random.Philox(key=seed))
     extreme = 0
-    batch = 2048
     done = 0
     while done < iterations:
-        m = min(batch, iterations - done)
-        draws = rng.permuted(np.tile(sv, (m, 1)), axis=1)
-        s = draws @ su
-        extreme += int(np.count_nonzero(np.abs(s) >= s_obs))
-        done += m
+        k = rng.hypergeometric(q, n - q, p, size=min(_BATCH, iterations - done))
+        extreme += int(np.count_nonzero(np.abs(n - 2 * p - 2 * q + 4 * k) >= s_obs))
+        done += len(k)
     return (1 + extreme) / (1 + iterations)

@@ -65,6 +65,7 @@ __all__ = [
     "CompareRow",
     "precompute_bitplanes",
     "precompute_copulas",
+    "rank_gene",
     "screen_all_pairs",
     "write_results_csv",
     "read_results_csv",
@@ -112,6 +113,8 @@ class ScreenConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
+        if self.permutation_iterations < 1:
+            raise ValueError("permutation_iterations must be >= 1")
 
 
 @dataclass
@@ -151,16 +154,20 @@ class PairResult:
     result: BetResult
 
 
+def rank_gene(gene: str, values: np.ndarray) -> CopulaColumn:
+    """Rank-transform one gene's values, naming the gene in an error."""
+    try:
+        return empirical_copula(values)
+    except TiesPresentError as exc:
+        raise TiesPresentError(exc.value, exc.count, exc.tie_groups, gene) from None
+    except NonFiniteError as exc:
+        raise NonFiniteError(exc.index, exc.value, gene) from None
+
+
 def _ranked_genes(matrix: ExpressionMatrix) -> Iterator[CopulaColumn]:
-    """Rank-transform the genes one at a time, naming the gene in an error."""
+    """Rank-transform the genes one at a time."""
     for gene, values in zip(matrix.gene_ids, matrix.values):
-        try:
-            col = empirical_copula(values)
-        except TiesPresentError as exc:
-            raise TiesPresentError(exc.value, exc.count, exc.tie_groups, gene) from None
-        except NonFiniteError as exc:
-            raise NonFiniteError(exc.index, exc.value, gene) from None
-        yield col
+        yield rank_gene(gene, values)
 
 
 def precompute_bitplanes(matrix: ExpressionMatrix, d1: int) -> list[BitPlanes]:
@@ -379,15 +386,16 @@ def _fmt(x: float | None) -> str:
 
 
 def write_results_csv(results: Iterable[PairResult], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in results:
-            r = row.result
-            writer.writerow(
-                [
-                    row.gene_i,
-                    row.gene_j,
+    # rows of one screen share BetResult objects, so each one is formatted
+    # once; an entry keeps its result alive, so no id is reused meanwhile
+    tails: dict[int, tuple[BetResult, tuple[str, ...]]] = {}
+
+    def tail(r: BetResult) -> tuple[str, ...]:
+        entry = tails.get(id(r))
+        if entry is None:
+            entry = tails[id(r)] = (
+                r,
+                (
                     r.bid.name,
                     r.bid_class.label,
                     str(r.s),
@@ -397,8 +405,14 @@ def write_results_csv(results: Iterable[PairResult], path) -> None:
                     _fmt(r.p_pair_adjusted),
                     "true" if r.approximate else "false",
                     r.method,
-                ]
+                ),
             )
+        return entry[1]
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RESULT_COLUMNS)
+        writer.writerows((row.gene_i, row.gene_j, *tail(row.result)) for row in results)
 
 
 def read_results_csv(path, n: int | None = None) -> list[PairResult]:

@@ -105,6 +105,23 @@ def permutation_tail(dist: dict[int, int], s: int, n: int) -> float:
     return hits / factorial(n)
 
 
+def arrangement_tail(su, plus_v: int, s: int) -> float:
+    """P(|S| >= |s|) when plus_v labels +1 (the rest -1) pair with su.
+
+    A uniform permutation of v's labels puts its +1 labels on a uniform
+    subset of the positions, so enumerating all C(n, plus_v) subsets gives
+    the permutation null exactly.
+    """
+    su = np.asarray(su, dtype=np.int64)
+    total = int(su.sum())
+    hits = 0
+    for plus in itertools.combinations(range(len(su)), plus_v):
+        # S = sum over +1 positions minus sum over the others
+        on = int(su[list(plus)].sum())
+        hits += abs(2 * on - total) >= abs(s)
+    return hits / comb(len(su), plus_v)
+
+
 def pearson_oracle(x, y) -> float:
     x = np.asarray(x, float)
     y = np.asarray(y, float)

@@ -186,15 +186,50 @@ def test_screen_refuses_workers_below_one(tmp_path, capsys, workers):
     assert not out.exists()
 
 
-def test_screen_names_the_tied_gene(tmp_path, capsys):
+def faulty_fixture(tmp_path, fault="tie"):
+    """5 x 16 ranks with a tie (or a NaN) in gene G3."""
     rng = np.random.default_rng(3)
     values = np.array([rng.permutation(16) + 1.0 for _ in range(5)])
-    values[3, 1] = values[3, 0]
-    matrix = write_matrix(tmp_path, values, genes=[f"G{i}" for i in range(5)])
+    values[3, 1] = values[3, 0] if fault == "tie" else np.nan
+    return write_matrix(tmp_path, values, genes=[f"G{i}" for i in range(5)])
+
+
+def test_screen_names_the_tied_gene(tmp_path, capsys):
+    matrix = faulty_fixture(tmp_path)
     assert main(["screen", str(matrix), "--out", str(tmp_path / "scr")]) == 1
     err = capsys.readouterr().err
     assert "G3" in err
     assert "tied values" in err
+
+
+@pytest.mark.parametrize(
+    "fault, message", [("tie", "tied values"), ("nan", "non-finite value")]
+)
+@pytest.mark.parametrize("command", ["test", "baselines"])
+def test_pair_commands_name_the_faulty_gene(tmp_path, capsys, command, fault, message):
+    matrix = faulty_fixture(tmp_path, fault)
+    if command == "test":
+        args = ["test", str(matrix), "G1", "G3"]
+    else:
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("gene_i,gene_j\nG0,G1\nG1,G3\n")
+        args = ["baselines", str(matrix), str(pairs), "--out", str(tmp_path / "b")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "gene 'G3' has " + message in err
+
+
+@pytest.mark.parametrize("command", ["screen", "test"])
+def test_permutation_iterations_below_one_refused(tmp_path, capsys, command):
+    matrix = screened_fixture(tmp_path)
+    out = tmp_path / "run"
+    args = [command, str(matrix)] + (["P00x", "P00y"] if command == "test" else [])
+    args += ["--out", str(out), "--mode", "permutation", "--permutation-iterations", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--permutation-iterations: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_screen_zero_significant_still_exits_zero(tmp_path):

@@ -13,9 +13,11 @@ from betscan.core import (
 from betscan.errors import DivisibilityViolationError, ParityViolationError
 
 from ._oracles import (
+    arrangement_tail,
     hypergeom_tail,
     permutation_distribution,
     permutation_tail,
+    sign_vector,
 )
 
 
@@ -100,6 +102,53 @@ def test_permutation_monte_carlo_deterministic_and_corrected():
     assert p1 >= 1 / 501  # add-one correction keeps it positive
     p3 = pvalue_permutation(u, v_ranks, BidId(3, 1), iterations=500, seed=100)
     assert abs(p3 - p1) < 0.25
+
+
+def test_permutation_monte_carlo_matches_enumeration_n9():
+    # n = 9 is the smallest n on the Monte Carlo branch, and there no sign
+    # label splits the points in halves; 5 binomial standard errors
+    from betscan.core import symmetry_statistic
+
+    n, iterations = 9, 100_000
+    rng = np.random.default_rng(9)
+    ur = rng.permutation(n) + 1
+    vr = rng.permutation(n) + 1
+    u, v = planes_for(ur), planes_for(vr)
+    v_ranks = empirical_copula(vr.astype(float))
+    for seed, bid in enumerate(all_bids(2, 2)):
+        assert 2 * np.count_nonzero(sign_vector(ur, n, bid.a_mask, 2) > 0) != n
+        dist = permutation_distribution(ur, (bid.a_mask, bid.b_mask), 2)
+        expected = permutation_tail(dist, symmetry_statistic(u, v, bid).s, n)
+        p = pvalue_permutation(u, v_ranks, bid, iterations=iterations, seed=seed)
+        se = np.sqrt(expected * (1 - expected) / iterations)
+        assert abs(p - expected) <= 5 * se + 1 / (1 + iterations), bid.name
+
+
+def test_permutation_monte_carlo_unequal_label_counts():
+    # at n = 10 and 14 the two axes' sign labels have different numbers of
+    # +1 entries for some interactions; the oracle places v's +1 labels
+    # in every possible way
+    from betscan.core import symmetry_statistic
+
+    iterations = 100_000
+    rng = np.random.default_rng(10)
+    checked = 0
+    for n in (10, 14):
+        ur = rng.permutation(n) + 1
+        vr = rng.permutation(n) + 1
+        u, v = planes_for(ur), planes_for(vr)
+        v_ranks = empirical_copula(vr.astype(float))
+        for bid in all_bids(2, 2):
+            su = sign_vector(ur, n, bid.a_mask, 2)
+            plus_v = int(np.count_nonzero(sign_vector(vr, n, bid.b_mask, 2) > 0))
+            if np.count_nonzero(su > 0) == plus_v:
+                continue
+            checked += 1
+            expected = arrangement_tail(su, plus_v, symmetry_statistic(u, v, bid).s)
+            p = pvalue_permutation(u, v_ranks, bid, iterations=iterations, seed=n)
+            se = np.sqrt(expected * (1 - expected) / iterations)
+            assert abs(p - expected) <= 5 * se + 1 / (1 + iterations), (n, bid.name)
+    assert checked >= 4
 
 
 def test_normal_approx_basics():
