@@ -170,7 +170,7 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
     sample_ids = [c.strip() for c in header[1:]]
 
     gene_ids: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -180,15 +180,18 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
                 f"expected {len(sample_ids) + 1} cells, found {len(row)}",
             )
         gene_ids.append(row[0].strip())
-        vals = []
-        for col_no, cell in enumerate(row[1:], start=2):
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise MatrixParseError(
-                    path, line_no, col_no, f"non-numeric cell {cell!r}"
-                ) from None
-        rows.append(vals)
+        try:
+            rows.append(np.fromiter(map(float, row[1:]), np.float64, len(sample_ids)))
+        except ValueError:
+            # find the cell at fault
+            for col_no, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise MatrixParseError(
+                        path, line_no, col_no, f"non-numeric cell {cell!r}"
+                    ) from None
+            raise
     if not rows:
         raise MatrixParseError(path, 2, 1, "no gene rows")
     return ExpressionMatrix(

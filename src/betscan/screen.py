@@ -22,17 +22,28 @@ Rows are cut into contiguous blocks of similar pair counts, scored by
 min(worker_count, os.cpu_count(), number of blocks) threads: a thread pool
 when there are several (numpy's XOR, popcount and sum loops release the
 GIL), else the calling thread.  The calling thread joins the blocks in row
-order and builds objects only for the emitted rows, so results come in
-pair-index order (i < j, lexicographic) whatever worker_count is.
+order, so results come in pair-index order (i < j, lexicographic) whatever
+worker_count is.
+
+The emitted rows stay columns: `ScreenResults` holds int32 columns i, j
+and k, where k indexes a table with one BetResult per distinct (winner,
+popcount, p_raw); each block maps its rows to the table with one
+np.unique.  It reads as a sequence of PairResult.  `write_results_csv`
+formats each gene-id cell and each table entry's cells once and writes the
+rows as joined strings, a few thousand at a time, into a temporary file
+that is renamed over the target when complete.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -62,6 +73,7 @@ __all__ = [
     "ScreenConfig",
     "ScreenSummary",
     "PairResult",
+    "ScreenResults",
     "CompareRow",
     "precompute_bitplanes",
     "precompute_copulas",
@@ -154,6 +166,72 @@ class PairResult:
     result: BetResult
 
 
+# rows per chunk when iterating or writing ScreenResults
+_CHUNK_ROWS = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class ScreenResults(Sequence[PairResult]):
+    """Rows of a screen as columns, read as a sequence of PairResult.
+
+    Row r is the pair (gene_ids[i[r]], gene_ids[j[r]]) with the result
+    table[k[r]]; i, j and k are int32 arrays, and rows with equal results
+    share one table entry.  Comparing with == takes any sequence of
+    PairResult, and + concatenates into a list.
+    """
+
+    gene_ids: tuple[str, ...]
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    table: tuple[BetResult, ...]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[PairResult]) -> ScreenResults:
+        genes: dict[str, int] = {}
+        table: dict[BetResult, int] = {}
+        i, j, k = [], [], []
+        for row in rows:
+            i.append(genes.setdefault(row.gene_i, len(genes)))
+            j.append(genes.setdefault(row.gene_j, len(genes)))
+            k.append(table.setdefault(row.result, len(table)))
+        return cls(
+            tuple(genes),
+            *(np.array(column, dtype=np.int32) for column in (i, j, k)),
+            tuple(table),
+        )
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, r: int) -> PairResult:
+        return PairResult(
+            self.gene_ids[self.i[r]], self.gene_ids[self.j[r]], self.table[self.k[r]]
+        )
+
+    def _chunks(self) -> Iterator[tuple[list[int], list[int], list[int]]]:
+        """The columns i, j, k as lists, _CHUNK_ROWS rows at a time."""
+        for lo in range(0, len(self), _CHUNK_ROWS):
+            yield tuple(
+                column[lo : lo + _CHUNK_ROWS].tolist()
+                for column in (self.i, self.j, self.k)
+            )
+
+    def __iter__(self) -> Iterator[PairResult]:
+        genes, table = self.gene_ids, self.table
+        for i, j, k in self._chunks():
+            for a, b, c in zip(i, j, k):
+                yield PairResult(genes[a], genes[b], table[c])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __add__(self, other: Iterable[PairResult]) -> list[PairResult]:
+        return [*self, *other]
+
+
 def rank_gene(gene: str, values: np.ndarray) -> CopulaColumn:
     """Rank-transform one gene's values, naming the gene in an error."""
     try:
@@ -233,8 +311,8 @@ def _score_rows(
             t = np.abs(n - 2 * counts).argmax(1)
             parts.append(
                 (
-                    np.full(len(t), i),
-                    np.arange(lo, lo + len(t)),
+                    np.full(len(t), i, dtype=np.int32),
+                    np.arange(lo, lo + len(t), dtype=np.int32),
                     t,
                     np.take_along_axis(counts, t[:, None], 1)[:, 0],
                 )
@@ -247,7 +325,7 @@ def screen_all_pairs(
     gene_ids: Sequence[str],
     config: ScreenConfig,
     ranks: Sequence[CopulaColumn] | None = None,
-) -> tuple[list[PairResult], ScreenSummary]:
+) -> tuple[ScreenResults, ScreenSummary]:
     """Score every unordered gene pair; see the module docstring for rules."""
     g = len(planes)
     if g < 2:
@@ -323,10 +401,11 @@ def screen_all_pairs(
         )
 
     p_table = np.full(n + 1, np.nan)  # p_raw by |S|, filled on first sight
-    # rows with the same winner, popcount and p_raw share one BetResult
-    shared: dict[tuple[int, int, float], BetResult] = {}
+    # rows with the same winner, popcount and p_raw share one table entry:
+    # (t, c, p_raw) -> its index
+    shared: dict[tuple[int, int, float], int] = {}
     hits = np.zeros(len(bids), dtype=np.int64)
-    results: list[PairResult] = []
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     threads = min(config.worker_count, os.cpu_count() or 1)
     blocks = _row_blocks(g, min(_BLOCK_PAIRS, -(-total_pairs // (4 * threads))))
@@ -349,16 +428,28 @@ def screen_all_pairs(
                 keep &= keep_class[t]
             hits += np.bincount(t[keep & sig], minlength=len(bids))
             rows = np.flatnonzero(keep)
-            for ik, jk, tk, ck, pk in zip(
-                *(column[rows].tolist() for column in (i, j, t, c, p_raw))
-            ):
-                key = (tk, ck, pk)
-                if key not in shared:
-                    shared[key] = result(*key)
-                results.append(PairResult(gene_ids[ik], gene_ids[jk], shared[key]))
+            i, j, t, c, p_raw = (column[rows] for column in (i, j, t, c, p_raw))
+            # outside permutation mode (t, c) fixes p_raw; in it each pair
+            # has its own Monte Carlo p_raw
+            code = t * (n + 1) + c
+            if permutation:
+                code = np.stack([code, p_raw.view(np.int64)], axis=1)
+            _, first, inverse = np.unique(
+                code, return_index=True, return_inverse=True, axis=0
+            )
+            keys = zip(*(column[first].tolist() for column in (t, c, p_raw)))
+            lut = np.array(
+                [shared.setdefault(key, len(shared)) for key in keys], dtype=np.int32
+            )
+            columns.append((i, j, lut[inverse.reshape(-1)]))
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
+    results = ScreenResults(
+        tuple(gene_ids),
+        *(np.concatenate(column) for column in zip(*columns)),
+        tuple(result(*key) for key in shared),
+    )
 
     class_counts: dict[str, int] = {}
     for cls, k in zip(classes, hits.tolist()):
@@ -385,34 +476,53 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.12g}"
 
 
+def _csv_line(fields: Sequence[str]) -> str:
+    """The fields as a line of csv.writer, which quotes as the reader needs."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _result_cells(r: BetResult) -> list[str]:
+    return [
+        r.bid.name,
+        r.bid_class.label,
+        str(r.s),
+        _fmt(r.z),
+        _fmt(r.p_raw),
+        _fmt(r.p_bid_adjusted),
+        _fmt(r.p_pair_adjusted),
+        "true" if r.approximate else "false",
+        r.method,
+    ]
+
+
 def write_results_csv(results: Iterable[PairResult], path) -> None:
-    # rows of one screen share BetResult objects, so each one is formatted
-    # once; an entry keeps its result alive, so no id is reused meanwhile
-    tails: dict[int, tuple[BetResult, tuple[str, ...]]] = {}
+    """Write the rows as CSV, replacing path only once the file is complete.
 
-    def tail(r: BetResult) -> tuple[str, ...]:
-        entry = tails.get(id(r))
-        if entry is None:
-            entry = tails[id(r)] = (
-                r,
-                (
-                    r.bid.name,
-                    r.bid_class.label,
-                    str(r.s),
-                    _fmt(r.z),
-                    _fmt(r.p_raw),
-                    _fmt(r.p_bid_adjusted),
-                    _fmt(r.p_pair_adjusted),
-                    "true" if r.approximate else "false",
-                    r.method,
-                ),
-            )
-        return entry[1]
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows((row.gene_i, row.gene_j, *tail(row.result)) for row in results)
+    Rows that are not a ScreenResults are first gathered into one.  Each
+    gene id and each table entry is formatted once.  The file is written
+    to a temporary file beside path and renamed over it, so a failed write
+    leaves the earlier file, if any, in place.
+    """
+    if not isinstance(results, ScreenResults):
+        results = ScreenResults.from_rows(results)
+    # each gene cell with the comma after it; it is formatted beside an
+    # empty field, because csv.writer writes a lone empty field as ""
+    genes = [_csv_line([gene, ""])[:-1] for gene in results.gene_ids]
+    tails = [_csv_line(_result_cells(r)) for r in results.table]
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_csv_line(RESULT_COLUMNS))
+            for i, j, k in results._chunks():
+                rows = [genes[a] + genes[b] + tails[c] for a, b, c in zip(i, j, k)]
+                fh.write("".join(rows))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_results_csv(path, n: int | None = None) -> list[PairResult]:

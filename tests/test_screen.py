@@ -1,3 +1,10 @@
+import csv
+import dataclasses
+import hashlib
+import io
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +13,7 @@ from betscan.errors import EmptyIntersectionError, NonFiniteError, TiesPresentEr
 from betscan import screen
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
+    RESULT_COLUMNS,
     ScreenConfig,
     compare_runs,
     precompute_bitplanes,
@@ -186,6 +194,138 @@ def test_csv_round_trip_and_byte_identity(tmp_path):
         assert have.result.bid == want.result.bid
         assert have.result.s == want.result.s
         assert have.result.p_raw == pytest.approx(want.result.p_raw, rel=1e-11)
+
+
+def test_csv_quotes_gene_ids_as_csv_writer_does(tmp_path):
+    # a gene id alone in a csv row would be written as "" when empty, so
+    # the writer must format each id as a field among others
+    ids = ["a,b", 'say "hi"', " lead", "", "two\nlines", "plain"]
+    m = random_matrix(len(ids), 64, 9)
+    m = ExpressionMatrix(gene_ids=ids, sample_ids=m.sample_ids, values=m.values)
+    results, _ = screen_all_pairs(
+        precompute_bitplanes(m, 2), m.gene_ids, ScreenConfig(emit_all=True)
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RESULT_COLUMNS)
+    writer.writerows(
+        [
+            r.gene_i,
+            r.gene_j,
+            r.result.bid.name,
+            r.result.bid_class.label,
+            str(r.result.s),
+            *(
+                f"{x:.12g}"
+                for x in (
+                    r.result.z,
+                    r.result.p_raw,
+                    r.result.p_bid_adjusted,
+                    r.result.p_pair_adjusted,
+                )
+            ),
+            "true" if r.result.approximate else "false",
+            r.result.method,
+        ]
+        for r in results
+    )
+    path = tmp_path / "results.csv"
+    write_results_csv(results, path)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    again = tmp_path / "again.csv"
+    write_results_csv(read_results_csv(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+# sha256 of emit-all CSVs written by the release that built a list of
+# PairResult objects and wrote it row by row with csv.writer
+PINNED_CSVS = {
+    # (genes, samples, depth, mode, matrix seed)
+    (30, 64, 2, "exact", 21): (
+        "f7b1cfd75b8d4dc496d5c082b64f63ddbd9047dfa320b8cbf5e1ef4ee1752301"
+    ),
+    (16, 70, 3, "approx", 22): (
+        "61085aa47a6eee45dfc5f05897f8026052964f2132f5195b57aad1c007726cee"
+    ),
+    (12, 40, 2, "permutation", 23): (
+        "5e9f68d1306d3debaf75ed2b7115be023a45f3277db2ad3d47cb56ce61846ac6"
+    ),
+}
+
+
+def pinned_csv(tmp_path, shape):
+    g, n, depth, mode, seed = shape
+    m = random_matrix(g, n, seed)
+    m.values[1] = m.values[0] ** 2  # one pair far in the tail
+    config = ScreenConfig(
+        d1=depth,
+        d2=depth,
+        mode=mode,
+        emit_all=True,
+        permutation_iterations=199,
+        seed=5,
+    )
+    ranks = precompute_copulas(m) if mode == "permutation" else None
+    results, _ = screen_all_pairs(
+        precompute_bitplanes(m, depth), m.gene_ids, config, ranks
+    )
+    path = tmp_path / "results.csv"
+    write_results_csv(results, path)
+    return path
+
+
+@pytest.mark.parametrize("shape, digest", PINNED_CSVS.items())
+def test_emit_all_csv_bytes_pinned(tmp_path, shape, digest):
+    path = pinned_csv(tmp_path, shape)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("shape", PINNED_CSVS)
+def test_read_then_write_gives_identical_bytes(tmp_path, shape):
+    path = pinned_csv(tmp_path, shape)
+    again = tmp_path / "again.csv"
+    write_results_csv(read_results_csv(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_failed_write_leaves_no_partial_csv(tmp_path, monkeypatch):
+    m = random_matrix(40, 64, 12)
+    results, _ = screen_all_pairs(
+        precompute_bitplanes(m, 2), m.gene_ids, ScreenConfig(emit_all=True)
+    )
+    # the last row names a table entry that does not exist, so the write
+    # fails after several chunks
+    monkeypatch.setattr(screen, "_CHUNK_ROWS", 100)
+    k = results.k.copy()
+    k[-1] = len(results.table)
+    broken = dataclasses.replace(results, k=k)
+    path = tmp_path / "results.csv"
+    with pytest.raises(IndexError):
+        write_results_csv(broken, path)
+    assert os.listdir(tmp_path) == []
+    write_results_csv(results, path)
+    earlier = path.read_bytes()
+    with pytest.raises(IndexError):
+        write_results_csv(broken, path)
+    assert os.listdir(tmp_path) == ["results.csv"]
+    assert path.read_bytes() == earlier
+
+
+def test_emit_all_rows_retain_few_bytes():
+    m = random_matrix(200, 64, 4)
+    planes = precompute_bitplanes(m, 2)
+    config = ScreenConfig(emit_all=True)
+    # fills the null tables and module caches, which are not per row
+    screen_all_pairs(planes[:20], m.gene_ids[:20], config)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results, _ = screen_all_pairs(planes, m.gene_ids, config)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 19_900
+    assert retained / len(results) < 32
 
 
 def test_summary_counts_match_stream_recount():
