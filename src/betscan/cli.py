@@ -4,8 +4,8 @@ Subcommands mirror the pipeline: preprocess, test (one pair, verbose),
 screen (all pairs), network, compare (cross-dataset), baselines, and
 rerun (replay a recorded manifest; it refuses an input that is missing
 or whose sha256 no longer matches).  Outputs are plain text, CSV, and
-JSON only; every run directory gets a manifest.json sufficient to
-reproduce the data outputs byte for byte (wall-time metadata aside).
+JSON only; every run directory gets a manifest.json, written last, that
+reproduces the data outputs byte for byte (wall-time metadata aside).
 
 The seed, when not given with --seed, falls back to the BETSCAN_SEED
 environment variable and then to 0.
@@ -14,7 +14,6 @@ environment variable and then to 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from .core.expansion import binary_expansion
 from .core.maxbet import MODES, max_bet
 from .core.stats import all_symmetry_statistics, cell_counts
 from .errors import BetscanError
-from .manifest import new_manifest, read_manifest, sha256_file, write_manifest
+from .manifest import atomic_open, new_manifest, read_manifest, sha256_file, write_json
 from .preprocess import (
     load_labels,
     load_matrix,
@@ -41,7 +40,6 @@ from .screen import (
     all_bid_diagnostics,
     compare_runs,
     precompute_bitplanes,
-    precompute_copulas,
     rank_gene,
     read_results_csv,
     screen_all_pairs,
@@ -75,10 +73,16 @@ def _parse_filter(text: str | None) -> frozenset[str] | None:
     return frozenset(parse_class_label(tok) for tok in text.split(",") if tok.strip())
 
 
+def _start_run(out_dir: Path) -> None:
+    """Make out_dir; drop an earlier manifest, which would mark this run complete."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+
+
 def _finish_run(out_dir: Path, manifest, outputs: list[str], started: float) -> None:
     manifest.outputs = sorted(outputs)
     manifest.wall_time_s = time.perf_counter() - started
-    write_manifest(manifest, out_dir / "manifest.json")
+    write_json(manifest.to_dict(), out_dir / "manifest.json")
 
 
 # ---------------------------------------------------------------- preprocess
@@ -86,7 +90,7 @@ def _finish_run(out_dir: Path, manifest, outputs: list[str], started: float) -> 
 
 def run_preprocess(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _start_run(out_dir)
     inputs = [config["input"]]
     if config.get("labels"):
         inputs.append(config["labels"])
@@ -116,15 +120,13 @@ def run_preprocess(config: dict, out_dir: Path) -> int:
     outputs.append(matrix_path.name)
     if cleaned.labels is not None:
         labels_path = out_dir / "labels.csv"
-        with open(labels_path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(labels_path) as fh:
             fh.write("sample_id,label\n")
             for sample, label in zip(cleaned.sample_ids, cleaned.labels):
                 fh.write(f"{sample},{label}\n")
         outputs.append(labels_path.name)
     report_path = out_dir / "preprocess_report.json"
-    with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_dict(), report_path)
     outputs.append(report_path.name)
 
     manifest = new_manifest("preprocess", config, inputs, seed=int(config["seed"]))
@@ -186,7 +188,6 @@ def run_test(config: dict, out_dir: Path | None) -> int:
         u,
         v,
         mode=config.get("mode", "exact"),
-        v_ranks=col_v,
         iterations=int(config.get("permutation_iterations", 999)),
         seed=int(config.get("seed", 0)),
     )
@@ -215,8 +216,9 @@ def run_test(config: dict, out_dir: Path | None) -> int:
     print(report, end="")
 
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "test_report.txt").write_text(report, encoding="utf-8")
+        _start_run(out_dir)
+        with atomic_open(out_dir / "test_report.txt") as fh:
+            fh.write(report)
         manifest = new_manifest(
             "test", config, [config["input"]], seed=int(config.get("seed", 0))
         )
@@ -244,10 +246,9 @@ def _cmd_test(args) -> int:
 
 def run_screen(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _start_run(out_dir)
     matrix = load_matrix(config["input"], config.get("format", "tsv_genes_by_samples"))
     depth = int(config.get("depth", 2))
-    mode = config.get("mode", "exact")
 
     screen_config = ScreenConfig(
         d1=depth,
@@ -257,20 +258,17 @@ def run_screen(config: dict, out_dir: Path) -> int:
         bid_filter=_parse_filter(config.get("bid_filter")),
         worker_count=int(config.get("workers", 1)),
         emit_all=bool(config.get("emit_all", False)),
-        mode=mode,
+        mode=config.get("mode", "exact"),
         permutation_iterations=int(config.get("permutation_iterations", 999)),
         seed=int(config.get("seed", 0)),
     )
     planes = precompute_bitplanes(matrix, depth)
-    ranks = precompute_copulas(matrix) if mode == "permutation" else None
-    results, summary = screen_all_pairs(planes, matrix.gene_ids, screen_config, ranks)
+    results, summary = screen_all_pairs(planes, matrix.gene_ids, screen_config)
 
     results_path = out_dir / "results.csv"
     write_results_csv(results, results_path)
     summary_path = out_dir / "summary.json"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary.to_dict(), summary_path)
     outputs = [results_path.name, summary_path.name]
 
     if config.get("emit_all_bids"):
@@ -318,7 +316,7 @@ def run_network(config: dict, out_dir: Path) -> int:
     from .network import build_network, export_graph, hub_report
 
     started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _start_run(out_dir)
     alpha = float(config.get("alpha", 0.05))
     results = [
         r
@@ -336,7 +334,7 @@ def run_network(config: dict, out_dir: Path) -> int:
     export_graph(graph, graph_path, fmt)
 
     hubs_path = out_dir / "hubs.csv"
-    with open(hubs_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(hubs_path) as fh:
         fh.write("gene,degree,neighbors\n")
         for gene, degree, neighbors in hub_report(
             graph, int(config.get("min_degree", 1))
@@ -372,7 +370,7 @@ def _cmd_network(args) -> int:
 
 def run_compare(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _start_run(out_dir)
     results_a = read_results_csv(config["results_a"])
     matrix_b = load_matrix(
         config["matrix_b"], config.get("format", "tsv_genes_by_samples")
@@ -413,7 +411,7 @@ def run_baselines(config: dict, out_dir: Path) -> int:
     from .baselines import measure_comparison
 
     started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _start_run(out_dir)
     matrix = load_matrix(config["input"], config.get("format", "tsv_genes_by_samples"))
 
     pairs = []
@@ -434,7 +432,7 @@ def run_baselines(config: dict, out_dir: Path) -> int:
     )
 
     pairs_path = out_dir / "baseline_pairs.csv"
-    with open(pairs_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(pairs_path) as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow(
             [
@@ -455,7 +453,7 @@ def run_baselines(config: dict, out_dir: Path) -> int:
                 ]
             )
     classes_path = out_dir / "baseline_classes.csv"
-    with open(classes_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(classes_path) as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow(
             [

@@ -17,6 +17,7 @@ from .expansion import BitPlanes, binary_expansion, pack_bits, plane_bits
 from .maxbet import MODES, BetResult, max_bet
 from .nulls import (
     EXACT_PERMUTATION_MAX_N,
+    label_counts,
     pvalue_hypergeometric,
     pvalue_normal,
     pvalue_permutation,
@@ -27,7 +28,6 @@ from .stats import (
     cell_counts,
     mask_combos,
     sign_factor,
-    sign_labels,
     symmetry_statistic,
     z_score,
 )
@@ -52,6 +52,7 @@ __all__ = [
     "class_members",
     "depth2_classes",
     "empirical_copula",
+    "label_counts",
     "mask_combos",
     "max_bet",
     "pack_bits",
@@ -61,7 +62,6 @@ __all__ = [
     "pvalue_normal",
     "pvalue_permutation",
     "sign_factor",
-    "sign_labels",
     "symmetry_statistic",
     "z_score",
 ]

@@ -7,32 +7,37 @@ interactions examined.  The adjustment count includes the linear
 interaction; restricting reports to the nonlinear classes is a
 reporting-time filter, not an adjustment change.
 
-p-value backends by mode:
+The raw p-value of a winner is null_table(mode, n, d1, d2)[t, |S|], t the
+winner's index in all_bids(d1, d2).  By mode:
 
-    exact        hypergeometric when 2^max(d1, d2) divides n, else the
-                 normal approximation with approximate=True
-    approx       always the normal approximation
-    permutation  permutation null of v's ranks: every pairing for n <= 8,
-                 else Monte Carlo with one seeded Hypergeometric draw of
-                 K (points +1 on both sign labels) per iteration
+    exact        the exact hypergeometric tail of the winner's label
+                 counts, for every n (approximate=False)
+    approx       the normal approximation 2 * Phi(-|S| / sqrt(n))
+    permutation  the permutation null of v's ranks: the exact tail for
+                 n <= 8, else (1 + X) / (1 + iterations) with
+                 X ~ Binomial(iterations, exact tail) from a seeded stream
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
-from .bids import BidClass, BidId, bid_class_of, bid_count
+import numpy as np
+
+from .bids import BidClass, BidId, all_bids, bid_class_of, bid_count
 from .copula import CopulaColumn
 from .expansion import BitPlanes
 from .nulls import (
     EXACT_PERMUTATION_MAX_N,
-    pvalue_hypergeometric,
+    exact_tail,
+    label_counts,
+    permutation_pvalue,
     pvalue_normal,
-    pvalue_permutation,
 )
 from .stats import all_symmetry_statistics, z_score
 
-__all__ = ["BetResult", "max_bet", "null_method", "null_pvalue", "MODES"]
+__all__ = ["BetResult", "max_bet", "null_method", "null_table", "MODES"]
 
 MODES = ("exact", "approx", "permutation")
 
@@ -58,51 +63,34 @@ class BetResult:
         )
 
 
-_TAILS = {
-    "hypergeometric": pvalue_hypergeometric,
-    "normal_approx": pvalue_normal,
-}
-
-
-def null_method(mode: str, n: int, depth: int) -> tuple[str, bool]:
-    """(method, approximate) of the null that mode uses for n and depth.
-
-    depth is max(d1, d2); the exact hypergeometric null needs 2^depth | n.
-    """
-    if mode == "exact" and n % (1 << depth) == 0:
+def null_method(mode: str, n: int) -> tuple[str, bool]:
+    """(method, approximate) of the null that mode uses for n samples."""
+    if mode == "exact":
         return "hypergeometric", False
-    if mode in ("exact", "approx"):
+    if mode == "approx":
         return "normal_approx", True
     if mode == "permutation":
         return "permutation", n > EXACT_PERMUTATION_MAX_N
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def null_pvalue(
-    s: int,
-    n: int,
-    depth: int,
-    mode: str,
-    *,
-    u: BitPlanes | None = None,
-    v_ranks: CopulaColumn | None = None,
-    bid: BidId | None = None,
-    iterations: int = 9999,
-    seed: int = 0,
-) -> tuple[float, str, bool]:
-    """Raw p-value of a winning statistic s: (p_raw, method, approximate).
+@lru_cache(maxsize=64)
+def null_table(mode: str, n: int, d1: int, d2: int) -> np.ndarray:
+    """Shared read-only (T, n + 1) table: [t, a] is the p-value of |S| = a won by t.
 
-    Outside permutation mode the p-value depends on |s|, n, depth and mode
-    alone, so a screen may tabulate it by |S|.  Permutation mode permutes
-    v's ranks against u for interaction bid and needs all three.
+    t indexes all_bids(d1, d2).  Exact and permutation mode hold each t's
+    exact tail; approx mode holds one normal row for every t.
     """
-    method, approximate = null_method(mode, n, depth)
-    if method != "permutation":
-        return _TAILS[method](s, n), method, approximate
-    if u is None or v_ranks is None or bid is None:
-        raise ValueError("permutation mode needs u, v_ranks and bid")
-    p = pvalue_permutation(u, v_ranks, bid, iterations=iterations, seed=seed)
-    return p, method, approximate
+    null_method(mode, n)  # refuses an unknown mode
+    if mode == "approx":
+        row = np.array([pvalue_normal(a, n) for a in range(n + 1)])
+        return np.broadcast_to(row, (bid_count(d1, d2), n + 1))
+    p, q = label_counts(n, d1), label_counts(n, d2)
+    table = np.stack(
+        [exact_tail(n, p[bid.a_mask], q[bid.b_mask]) for bid in all_bids(d1, d2)]
+    )
+    table.flags.writeable = False
+    return table
 
 
 def max_bet(
@@ -116,27 +104,18 @@ def max_bet(
 ) -> BetResult:
     """Run Max BET on one pair of expanded variables.
 
-    Permutation mode needs v's rank column (the planes alone cannot be
-    re-permuted at full rank resolution).
+    v_ranks is unused; it is accepted for callers that still pass it.
+    Permutation mode draws from Philox(key=seed).
     """
     stats = all_symmetry_statistics(u, v)
-    best = stats[0]
-    for st in stats[1:]:
-        if abs(st.s) > abs(best.s):
-            best = st
+    t = max(range(len(stats)), key=lambda k: abs(stats[k].s))  # the first maximum
+    best = stats[t]
 
     n = u.n
-    p_raw, method, approximate = null_pvalue(
-        best.s,
-        n,
-        max(u.depth, v.depth),
-        mode,
-        u=u,
-        v_ranks=v_ranks,
-        bid=best.bid,
-        iterations=iterations,
-        seed=seed,
-    )
+    method, approximate = null_method(mode, n)
+    p_raw = float(null_table(mode, n, u.depth, v.depth)[t, abs(best.s)])
+    if method == "permutation" and approximate:
+        p_raw = float(permutation_pvalue(p_raw, iterations, seed))
     return BetResult(
         bid=best.bid,
         bid_class=bid_class_of(best.bid),

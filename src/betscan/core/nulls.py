@@ -1,35 +1,38 @@
 """Null distributions and p-values for the symmetry statistic.
 
-Under independence the statistic for any cross interaction of two
-empirical-copula variables satisfies
+Ranks are a permutation of 1..n, so the number of +1 sign labels of a
+digit mask depends on n and the mask alone (`label_counts`).  With P
+labels +1 on u and Q on v, a uniform pairing of the two rank vectors
+moves S only through K, the number of observations +1 on both axes:
 
-    (S + n) / 4 ~ Hypergeometric(n, n/2, n/2)
+    S = n - 2P - 2Q + 4K,    K ~ Hypergeometric(n, Q, P)
 
-because the empirical ranks pin each axis's sign split to an exact half,
-so only the count K of observations positive on both axes is random and
-S = 4K - n.  The splits are halves only when 2^depth divides n (at
-depth 1, when n is even); otherwise callers fall back on the normal approximation
-2 * Phi(-|s| / sqrt(n)) or on the permutation backend.
+`exact_tail` tabulates P(|S| >= a) for a = 0..n, once per (n, P, Q); when
+2^depth divides n, P = Q = n/2.  Each one-sided tail P(K >= m) is P(K = m),
+from log-factorials so that deep tails do not underflow before the final
+exponentiation, times the sum of P(K = k) / P(K = m) over k >= m.
 
-The exact tail is evaluated from the log-pmf of the most extreme term
-outward via a stable multiplicative recurrence, so it does not underflow
-before the final exponentiation.
+A permutation test counts the extreme pairings among `iterations` uniform
+ones; that count is Binomial(iterations, tail) in law, so it is drawn once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DivisibilityViolationError, ParityViolationError
+from ..errors import DivisibilityViolationError, LengthMismatchError, ParityViolationError
 from .bids import BidId
 from .copula import CopulaColumn
 from .expansion import BitPlanes, binary_expansion
-from .stats import sign_labels, symmetry_statistic
+from .stats import mask_combos, symmetry_statistic
 
 __all__ = [
+    "label_counts",
+    "exact_tail",
+    "permutation_pvalue",
     "pvalue_hypergeometric",
     "pvalue_normal",
     "pvalue_permutation",
@@ -40,48 +43,96 @@ __all__ = [
 # floor rather than flushing to 0, keeping p strictly positive.
 _P_FLOOR = 5e-324
 
+# Up to this n the permutation null is the exact tail, as enumerating all
+# n! pairings gives it; above it, a Monte Carlo estimate.
 EXACT_PERMUTATION_MAX_N = 8
 
-# Monte Carlo draws per chunk, so memory stays bounded for any iteration count
-_BATCH = 2048
+
+@lru_cache(maxsize=64)
+def label_counts(n: int, depth: int) -> tuple[int, ...]:
+    """Number of +1 sign labels over ranks 1..n, indexed by digit mask."""
+    planes = binary_expansion(CopulaColumn(np.arange(1, n + 1)), depth)
+    # a label is -1 raised to the number of 0 digits in its mask
+    return tuple(
+        combo.bit_count() if mask.bit_count() & 1 else n - combo.bit_count()
+        for mask, combo in enumerate(mask_combos(planes))
+    )
 
 
-def _log_choose(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _tail_sums(ratios: np.ndarray) -> np.ndarray:
+    """For r = 0..len(ratios): 1 + x1 + x2 + ..., x_i = ratios[r] * ... * ratios[r+i-1].
+
+    Each sum runs left to right, as a scalar loop would.  ratios must not
+    increase, so no r's terms exceed those of r = 0; a term below 2^-54
+    cannot change a sum of at least 1, so all sums stop where r = 0's does.
+    """
+    padded = np.concatenate((ratios, np.zeros(len(ratios))))
+    term = np.ones(len(ratios) + 1)
+    total = term.copy()
+    for i in range(len(ratios)):
+        term = term * padded[i : i + len(term)]
+        if term[0] < 2.0**-54:
+            break
+        total += term
+    return total
+
+
+def _upper_tail(n: int, p: int, q: int, log_fact: np.ndarray) -> np.ndarray:
+    """P(S >= a) for a = 1..n, S = n - 2p - 2q + 4K, K ~ Hypergeometric(n, q, p)."""
+    hi = min(p, q)
+    c0 = n - 2 * p - 2 * q
+    m0 = max(0, p + q - n, -c0 // 4 + 1)  # least K with S > 0
+    if m0 > hi:
+        return np.zeros(n)
+
+    def log_choose(a, b):
+        # larger factorial first, so C(a, b) and C(a, a - b) agree bit for bit
+        return log_fact[a] - log_fact[np.maximum(b, a - b)] - log_fact[np.minimum(b, a - b)]
+
+    m = np.arange(m0, hi + 1)
+    log_pmf = log_choose(p, m) + log_choose(n - p, q - m) - log_choose(n, q)
+    k = m[:-1]
+    ratios = ((p - k) / (k + 1)) * ((q - k) / (n - p - q + k + 1))  # pmf(k+1) / pmf(k)
+    head = np.array([math.exp(x) for x in log_pmf.tolist()])
+    tails = np.append(head * _tail_sums(ratios), 0.0)  # P(K >= m), 0 past the end
+    return tails[np.clip(-((c0 - np.arange(1, n + 1)) // 4), m0, hi + 1) - m0]
+
+
+@lru_cache(maxsize=256)
+def _tail_table(n: int, p: int, q: int) -> np.ndarray:
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    # flipping u's labels maps p to n - p and S to -S, so P(S <= -a) is the
+    # upper tail of (n - p, q): the very same array when p = n/2
+    lower = _upper_tail(n, n - p, q, log_fact)
+    table = np.concatenate(([1.0], _upper_tail(n, p, q, log_fact) + lower))
+    table = np.minimum(1.0, np.maximum(table, _P_FLOOR))
+    table.flags.writeable = False
+    return table
+
+
+def exact_tail(n: int, p: int, q: int) -> np.ndarray:
+    """P(|S| >= a) for a = 0..n, S = n - 2p - 2q + 4K, K ~ Hypergeometric(n, q, p).
+
+    The array is shared and read-only.  |S| has the same law for p and
+    n - p, and for q and n - q, so one table serves all four.
+    """
+    p, q = sorted((min(p, n - p), min(q, n - q)))
+    return _tail_table(n, p, q)
 
 
 def pvalue_hypergeometric(s: int, n: int) -> float:
-    """Exact two-sided tail P(|S| >= |s|) under the empirical-copula null.
+    """Exact two-sided tail P(|S| >= |s|) when both axes split in halves.
 
     S = 4K - n with K ~ Hypergeometric(n, n/2, n/2); n must be even and
     s congruent to n modulo 4.
     """
     if n % 2 != 0:
-        raise DivisibilityViolationError(
-            f"n = {n} is odd; use the normal approximation "
-            "or the permutation backend"
-        )
+        raise DivisibilityViolationError(f"n = {n} is odd, so it has no halves")
     if abs(s) > n:
         raise ValueError(f"|s| = {abs(s)} exceeds n = {n}")
     if (s - n) % 4 != 0:
         raise ParityViolationError(f"s = {s} is not congruent to n = {n} modulo 4")
-    if s == 0:
-        return 1.0
-    half = n // 2
-    m = (n + abs(s)) // 4
-    # P(K = k) = C(half, k)^2 / C(n, half); symmetric about n/4, and
-    # m > n/4 here (s = 0 cannot occur when n = 2 mod 4), so double the
-    # upper tail.
-    log_head = 2.0 * _log_choose(half, m) - _log_choose(n, half)
-    tail = 0.0
-    term = 1.0
-    for k in range(m, half):
-        tail += term
-        ratio = (half - k) / (k + 1)
-        term *= ratio * ratio
-    tail += term
-    p = 2.0 * math.exp(log_head) * tail
-    return min(1.0, max(p, _P_FLOOR))
+    return float(exact_tail(n, n // 2, n // 2)[abs(s)])
 
 
 def pvalue_normal(s: int, n: int) -> float:
@@ -93,6 +144,18 @@ def pvalue_normal(s: int, n: int) -> float:
     return min(1.0, max(p, _P_FLOOR))
 
 
+def permutation_pvalue(tail, iterations: int, seed: int):
+    """(1 + X) / (1 + iterations), X ~ Binomial(iterations, tail) from Philox(key=seed).
+
+    X is the number of extreme pairings among `iterations` uniform ones;
+    an array of tails is drawn elementwise from the one stream.
+    """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return (1 + rng.binomial(iterations, tail)) / (1 + iterations)
+
+
 def pvalue_permutation(
     u: BitPlanes,
     v_ranks: CopulaColumn,
@@ -102,48 +165,17 @@ def pvalue_permutation(
 ) -> float:
     """Permutation-null tail P(|S_perm| >= |S_obs|), permuting v's ranks.
 
-    For n <= 8 every one of the n! pairings is enumerated and the tail is
-    the exact fraction.  Larger n uses Monte Carlo draws from a seeded
-    Philox stream with the add-one correction
-    p = (1 + #extreme) / (1 + iterations), so the estimate is positive and
-    reproducible for a given seed.
-
-    A permutation of v changes S only through K, the number of points
-    whose sign labels are +1 on both axes: with P labels +1 on u and Q
-    on v, S = n - 2P - 2Q + 4K and K ~ Hypergeometric(n, Q, P).  Each
-    iteration therefore draws K, not a shuffle of the n labels.
+    For n <= EXACT_PERMUTATION_MAX_N this is the exact tail, the fraction
+    that enumerating all n! pairings gives; larger n gets the seeded
+    Monte Carlo estimate of `permutation_pvalue`.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
     n = u.n
     if v_ranks.n != n:
-        from ..errors import LengthMismatchError
-
         raise LengthMismatchError(n, v_ranks.n)
-
     v = binary_expansion(v_ranks, max(1, bid.b_mask.bit_length()))
-    s_obs = abs(symmetry_statistic(u, v, bid).s)
-
-    su = sign_labels(u, bid.a_mask)
-    sv = sign_labels(v, bid.b_mask)
-
+    s_obs = symmetry_statistic(u, v, bid).s
+    p = label_counts(n, u.depth)[bid.a_mask]
+    tail = exact_tail(n, p, label_counts(n, v.depth)[bid.b_mask])[abs(s_obs)]
     if n <= EXACT_PERMUTATION_MAX_N:
-        su_t = tuple(int(x) for x in su)
-        total = math.factorial(n)
-        extreme = 0
-        for perm in itertools.permutations(int(x) for x in sv):
-            s = sum(a * b for a, b in zip(su_t, perm))
-            if abs(s) >= s_obs:
-                extreme += 1
-        return extreme / total
-
-    p = int(np.count_nonzero(su > 0))
-    q = int(np.count_nonzero(sv > 0))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    extreme = 0
-    done = 0
-    while done < iterations:
-        k = rng.hypergeometric(q, n - q, p, size=min(_BATCH, iterations - done))
-        extreme += int(np.count_nonzero(np.abs(n - 2 * p - 2 * q + 4 * k) >= s_obs))
-        done += len(k)
-    return (1 + extreme) / (1 + iterations)
+        return float(tail)
+    return float(permutation_pvalue(tail, iterations, seed))

@@ -32,7 +32,6 @@ __all__ = [
     "z_score",
     "mask_combos",
     "sign_factor",
-    "sign_labels",
     "cell_counts",
 ]
 
@@ -119,17 +118,6 @@ def all_symmetry_statistics(u: BitPlanes, v: BitPlanes) -> list[SymmetryStat]:
         s = n - 2 * parity.bit_count()
         out.append(SymmetryStat(bid=bid, s=sign_factor(bid) * s, n=n))
     return out
-
-
-def sign_labels(planes: BitPlanes, mask: int) -> np.ndarray:
-    """Per-observation +-1 value of the selected digit-sign product."""
-    parity = 0
-    for k in range(planes.depth):
-        if mask >> k & 1:
-            parity ^= planes.planes[k]
-    bits = plane_bits(parity, planes.n).astype(np.int64)
-    sign = -1 if mask.bit_count() & 1 else 1
-    return sign * (1 - 2 * bits)
 
 
 def cell_counts(u: BitPlanes, v: BitPlanes) -> np.ndarray:

@@ -1,18 +1,48 @@
 """Run manifests: enough recorded state to reproduce a run byte for byte.
 
-Every CLI command writes one next to its outputs.  The manifest captures
-the resolved configuration (every flag after defaulting), the sha256 of
-each input file, the seed, and tool versions; `betscan rerun` replays a
-manifest and must reproduce the recorded outputs exactly (wall time is
-metadata and exempt).
+Every CLI command writes one next to its outputs, last, so a manifest
+marks a run that completed.  The manifest captures the resolved
+configuration (every flag after defaulting), the sha256 of each input
+file, the seed, and tool versions; `betscan rerun` replays a manifest and
+must reproduce the recorded outputs exactly (wall time is metadata and
+exempt).  Every output goes through `atomic_open`, so none is left
+partly written.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterator, TextIO
+
+
+@contextmanager
+def atomic_open(path) -> Iterator[TextIO]:
+    """Write a temporary file beside path, renamed over it once the block completes.
+
+    A failed write leaves the earlier file, if any, in place.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(payload, path) -> None:
+    """Write payload as indented JSON with sorted keys, atomically."""
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
@@ -67,12 +97,6 @@ def new_manifest(command: str, config: dict, input_paths, seed=None) -> RunManif
         seed=seed,
         versions=tool_versions(),
     )
-
-
-def write_manifest(manifest: RunManifest, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def read_manifest(path) -> RunManifest:

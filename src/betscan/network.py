@@ -10,10 +10,10 @@ per pair.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .manifest import atomic_open, write_json
 from .screen import PairResult
 
 __all__ = [
@@ -145,13 +145,12 @@ def _sorted_edges(graph: DependenceGraph) -> list[GraphEdge]:
 
 
 def _export_csv(graph: DependenceGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gene_i", "gene_j", "bid_class", "z", "color"])
         for e in _sorted_edges(graph):
             writer.writerow([e.gene_i, e.gene_j, e.bid_class, f"{e.z:.12g}", e.color])
-    nodes_path = str(path) + ".nodes.csv"
-    with open(nodes_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(str(path) + ".nodes.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gene", "max_z"])
         for gene in sorted(graph.nodes):
@@ -172,7 +171,7 @@ def _export_dot(graph: DependenceGraph, path) -> None:
             f'[color={e.color}, bid_class={_dot_quote(e.bid_class)}, z={e.z:.12g}];'
         )
     lines.append("}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -192,7 +191,5 @@ def _export_json(graph: DependenceGraph, path) -> None:
             for e in _sorted_edges(graph)
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 

@@ -27,7 +27,6 @@ processing.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
     MatrixParseError,
     UnknownLabelError,
 )
+from .manifest import atomic_open
 
 __all__ = [
     "ExpressionMatrix",
@@ -204,13 +204,11 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
 def save_matrix(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples"):
     """Write a matrix back out; floats use repr so reload is bit-exact."""
     delim = _delimiter(fmt)
-    buf = io.StringIO()
-    buf.write(delim.join(["gene_id", *matrix.sample_ids]) + "\n")
-    for g, gene in enumerate(matrix.gene_ids):
-        cells = [repr(float(x)) for x in matrix.values[g]]
-        buf.write(delim.join([gene, *cells]) + "\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    with atomic_open(path) as fh:
+        fh.write(delim.join(["gene_id", *matrix.sample_ids]) + "\n")
+        for g, gene in enumerate(matrix.gene_ids):
+            cells = [repr(float(x)) for x in matrix.values[g]]
+            fh.write(delim.join([gene, *cells]) + "\n")
 
 
 def load_labels(path) -> dict[str, str]:

@@ -15,8 +15,9 @@ i.e. Bonferroni across the interactions of the pair and then across all
 pairs.  m_pairs defaults to C(G, 2) of the screened matrix and may be
 overridden upward (never downward) to adjust against a larger external
 family, e.g. the full pair count of a parent dataset when screening a
-sample-subset context.  Outside permutation mode p_raw depends on |S|
-alone and is computed once per distinct |S|.
+sample-subset context.  p_raw is null_table(...)[t, |S|], t the winner;
+permutation mode above n = 8 draws it from that entry with one Philox
+stream per row i (key (seed << 32) ^ i), whatever the blocks and threads.
 
 Rows are cut into contiguous blocks of similar pair counts, scored by
 min(worker_count, os.cpu_count(), number of blocks) threads: a thread pool
@@ -43,7 +44,6 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -58,7 +58,8 @@ from .core.bids import (
 )
 from .core.copula import CopulaColumn, empirical_copula
 from .core.expansion import BitPlanes, binary_expansion
-from .core.maxbet import MODES, BetResult, null_method, null_pvalue
+from .core.maxbet import MODES, BetResult, null_method, null_table
+from .core.nulls import permutation_pvalue
 from .core.stats import (
     all_symmetry_statistics,
     mask_combos,
@@ -67,6 +68,7 @@ from .core.stats import (
     z_score,
 )
 from .errors import EmptyIntersectionError, NonFiniteError, TiesPresentError
+from .manifest import atomic_open
 from .preprocess import ExpressionMatrix
 
 __all__ = [
@@ -326,7 +328,10 @@ def screen_all_pairs(
     config: ScreenConfig,
     ranks: Sequence[CopulaColumn] | None = None,
 ) -> tuple[ScreenResults, ScreenSummary]:
-    """Score every unordered gene pair; see the module docstring for rules."""
+    """Score every unordered gene pair; see the module docstring for rules.
+
+    ranks is unused; it is accepted for callers that still pass it.
+    """
     g = len(planes)
     if g < 2:
         raise ValueError("need at least two genes")
@@ -345,10 +350,6 @@ def screen_all_pairs(
         raise ValueError(
             f"every gene needs {n} samples and planes of depth >= {depth}"
         )
-    permutation = config.mode == "permutation"
-    if permutation and ranks is None:
-        raise ValueError("permutation mode needs the rank columns")
-
     started = time.perf_counter()
     combos = _pack_combos(planes, depth)
     bids = all_bids(config.d1, config.d2)
@@ -360,29 +361,24 @@ def screen_all_pairs(
         if config.bid_filter is None
         else np.array([c.label in config.bid_filter for c in classes])
     )
+    method, approximate = null_method(config.mode, n)
+    p_table = null_table(config.mode, n, config.d1, config.d2)
+    draw = config.mode == "permutation" and approximate
 
     def score(rows: tuple[int, int]) -> list[np.ndarray]:
         i, j, t, c = _score_rows(combos, rows, config.d1, config.d2, n)
-        if not permutation:
-            return [i, j, t, c, None]
-        # per-pair seed, so the p-value does not depend on the block layout
-        p_raw = [
-            null_pvalue(
-                signs[tk] * (n - 2 * ck),
-                n,
-                depth,
-                config.mode,
-                u=planes[ik],
-                v_ranks=ranks[jk],
-                bid=bids[tk],
-                iterations=config.permutation_iterations,
-                seed=(config.seed << 32) ^ (ik * g + jk),
-            )[0]
-            for ik, jk, tk, ck in zip(i.tolist(), j.tolist(), t.tolist(), c.tolist())
-        ]
-        return [i, j, t, c, np.array(p_raw, dtype=float)]
-
-    method, approximate = null_method(config.mode, n, depth)
+        p_raw = p_table[t, np.abs(n - 2 * c)]
+        if draw:
+            # one stream per row, so p_raw does not depend on the blocks
+            lo = 0
+            for r in range(*rows):
+                hi = lo + g - 1 - r
+                seed = (config.seed << 32) ^ r
+                p_raw[lo:hi] = permutation_pvalue(
+                    p_raw[lo:hi], config.permutation_iterations, seed
+                )
+                lo = hi
+        return [i, j, t, c, p_raw]
 
     def result(t: int, c: int, p_raw: float) -> BetResult:
         s = signs[t] * (n - 2 * c)
@@ -400,7 +396,6 @@ def screen_all_pairs(
             method=method,
         )
 
-    p_table = np.full(n + 1, np.nan)  # p_raw by |S|, filled on first sight
     # rows with the same winner, popcount and p_raw share one table entry:
     # (t, c, p_raw) -> its index
     shared: dict[tuple[int, int, float], int] = {}
@@ -416,11 +411,6 @@ def screen_all_pairs(
     scored = pool.map(score, blocks) if pool else map(score, blocks)
     try:
         for i, j, t, c, p_raw in scored:
-            if p_raw is None:
-                abs_s = np.abs(n - 2 * c)
-                for a in np.unique(abs_s[np.isnan(p_table[abs_s])]).tolist():
-                    p_table[a] = null_pvalue(a, n, depth, config.mode)[0]
-                p_raw = p_table[abs_s]
             p_pair = np.minimum(1.0, m_pairs * np.minimum(1.0, m_bids * p_raw))
             sig = p_pair <= config.alpha
             keep = sig | config.emit_all
@@ -429,10 +419,9 @@ def screen_all_pairs(
             hits += np.bincount(t[keep & sig], minlength=len(bids))
             rows = np.flatnonzero(keep)
             i, j, t, c, p_raw = (column[rows] for column in (i, j, t, c, p_raw))
-            # outside permutation mode (t, c) fixes p_raw; in it each pair
-            # has its own Monte Carlo p_raw
+            # (t, c) fixes p_raw, unless it is a Monte Carlo draw per pair
             code = t * (n + 1) + c
-            if permutation:
+            if draw:
                 code = np.stack([code, p_raw.view(np.int64)], axis=1)
             _, first, inverse = np.unique(
                 code, return_index=True, return_inverse=True, axis=0
@@ -502,8 +491,8 @@ def write_results_csv(results: Iterable[PairResult], path) -> None:
 
     Rows that are not a ScreenResults are first gathered into one.  Each
     gene id and each table entry is formatted once.  The file is written
-    to a temporary file beside path and renamed over it, so a failed write
-    leaves the earlier file, if any, in place.
+    through atomic_open, so a failed write leaves the earlier file, if
+    any, in place.
     """
     if not isinstance(results, ScreenResults):
         results = ScreenResults.from_rows(results)
@@ -511,18 +500,11 @@ def write_results_csv(results: Iterable[PairResult], path) -> None:
     # empty field, because csv.writer writes a lone empty field as ""
     genes = [_csv_line([gene, ""])[:-1] for gene in results.gene_ids]
     tails = [_csv_line(_result_cells(r)) for r in results.table]
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_csv_line(RESULT_COLUMNS))
-            for i, j, k in results._chunks():
-                rows = [genes[a] + genes[b] + tails[c] for a, b, c in zip(i, j, k)]
-                fh.write("".join(rows))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(_csv_line(RESULT_COLUMNS))
+        for i, j, k in results._chunks():
+            rows = [genes[a] + genes[b] + tails[c] for a, b, c in zip(i, j, k)]
+            fh.write("".join(rows))
 
 
 def read_results_csv(path, n: int | None = None) -> list[PairResult]:
@@ -593,7 +575,7 @@ def all_bid_diagnostics(
 
 
 def write_diagnostics_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gene_i", "gene_j", "bid", "bid_class", "s", "z"])
         for gene_i, gene_j, bid, cls, s, z in rows:
@@ -672,7 +654,7 @@ def compare_runs(
 
 
 def write_compare_csv(rows: Iterable[CompareRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gene_i", "gene_j", "z_a", "z_b", "flag"])
         for row in rows:

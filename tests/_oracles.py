@@ -10,6 +10,7 @@ with the bit-parallel production path.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -120,6 +121,23 @@ def arrangement_tail(su, plus_v: int, s: int) -> float:
         on = int(su[list(plus)].sum())
         hits += abs(2 * on - total) >= abs(s)
     return hits / comb(len(su), plus_v)
+
+
+def exact_tails(n: int, p: int, q: int) -> dict[int, Fraction]:
+    """P(|S| >= a) at every reachable a, as exact fractions.
+
+    S = n - 2p - 2q + 4K with K ~ Hypergeometric(n, q, p), whose pmf is
+    C(p, k) C(n - p, q - k) / C(n, q).
+    """
+    weight = {
+        n - 2 * p - 2 * q + 4 * k: comb(p, k) * comb(n - p, q - k)
+        for k in range(max(0, p + q - n), min(p, q) + 1)
+    }
+    total = comb(n, q)
+    return {
+        abs(s): Fraction(sum(w for t, w in weight.items() if abs(t) >= abs(s)), total)
+        for s in weight
+    }
 
 
 def pearson_oracle(x, y) -> float:

@@ -253,6 +253,27 @@ def test_screen_emit_all_bids_sidecar(tmp_path):
     assert len(diag) - 1 == 9 * len(results)
 
 
+def test_failed_screen_leaves_no_manifest(tmp_path, monkeypatch):
+    # a rerun into the same directory fails after results.csv: the earlier
+    # manifest must not mark the new outputs complete, and the failed
+    # write must leave no partial or temporary file
+    from betscan import cli
+
+    matrix = screened_fixture(tmp_path, seed=10)
+    out = tmp_path / "out"
+    assert main(["screen", str(matrix), "--out", str(out)]) == 0
+    assert (out / "manifest.json").is_file()
+
+    def failing_diagnostics(planes, gene_ids, results):
+        yield ("P00x", "P00y", "A1B1", "Linear", 0, 0.0)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "all_bid_diagnostics", failing_diagnostics)
+    with pytest.raises(OSError, match="disk full"):
+        main(["screen", str(matrix), "--out", str(out), "--emit-all-bids"])
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv", "summary.json"]
+
+
 def test_screen_m_pairs_override_recorded(tmp_path):
     matrix = screened_fixture(tmp_path, seed=3)
     out = tmp_path / "big"

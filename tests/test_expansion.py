@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betscan.core import binary_expansion, empirical_copula, plane_bits
 from betscan.errors import DepthTooLargeError
@@ -61,15 +63,31 @@ def test_balanced_planes_when_divisible():
 def test_balanced_sign_combination_every_mask():
     # every nonzero sign mask splits the ranks into exact halves when
     # 2^depth divides n
-    from betscan.core import sign_labels
+    from betscan.core import label_counts
 
     for n, depth in ((8, 3), (32, 3), (64, 2)):
-        col = empirical_copula(list(range(1, n + 1)))
-        bp = binary_expansion(col, depth)
-        for mask in range(1, 1 << depth):
-            labels = sign_labels(bp, mask)
-            assert (labels == 1).sum() == n // 2
-            assert (labels == -1).sum() == n // 2
+        counts = label_counts(n, depth)
+        assert len(counts) == 1 << depth
+        assert all(counts[mask] == n // 2 for mask in range(1, 1 << depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 200),
+    depth=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_label_counts_match_the_planes_of_any_gene(n, depth, seed):
+    # the +1 labels of a mask are the points where the mask's XOR parity
+    # equals its size's parity; any ranking of n values has the same count
+    from betscan.core import label_counts, mask_combos
+
+    values = np.random.default_rng(seed).normal(size=n)
+    combos = mask_combos(binary_expansion(empirical_copula(values), depth))
+    for mask in range(1, 1 << depth):
+        ones = combos[mask].bit_count()
+        plus = ones if mask.bit_count() % 2 else n - ones
+        assert label_counts(n, depth)[mask] == plus
 
 
 def test_no_bits_beyond_n():

@@ -167,12 +167,42 @@ def test_csv_identical_for_one_two_three_workers(
     assert csvs[0] == csvs[1] == csvs[2]
 
 
-@pytest.mark.parametrize("pass_words", [1, 40])
-def test_rows_split_into_several_passes(monkeypatch, pass_words):
-    # one pass per partner, or a few partners per pass, instead of whole rows
-    monkeypatch.setattr(screen, "_PASS_WORDS", pass_words)
+@pytest.mark.parametrize(
+    "pass_words, mode",
+    [(1, "approx"), (40, "approx"), (1, "permutation"), (40, "permutation")],
+    ids=["1", "40", "permutation-1", "permutation-40"],
+)
+def test_rows_split_into_several_passes(monkeypatch, tmp_path, pass_words, mode):
+    # one pass per partner, or a few partners per pass, instead of whole rows;
+    # permutation draws split across passes give the same CSV
     matrix = make_matrix(12, 100, 5)
     planes, u, v = screen_inputs(matrix, 2, 3)
-    config = ScreenConfig(d1=2, d2=3, mode="approx", emit_all=True)
+    config = ScreenConfig(d1=2, d2=3, mode=mode, emit_all=True, permutation_iterations=199)
+    whole, _ = screen_all_pairs(planes, matrix.gene_ids, config)
+    monkeypatch.setattr(screen, "_PASS_WORDS", pass_words)
     results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
-    assert results == reference(matrix, u, v, "approx", 66)
+    if mode == "approx":
+        assert results == reference(matrix, u, v, "approx", 66)
+    paths = tmp_path / "whole.csv", tmp_path / "passes.csv"
+    write_results_csv(whole, paths[0])
+    write_results_csv(results, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_permutation_screen_within_binomial_error_of_exact():
+    # each row's Monte Carlo count is Binomial(iterations, exact tail)
+    iterations = 2000
+    matrix = make_matrix(20, 100, 3)
+    planes, _, _ = screen_inputs(matrix, 2, 2)
+    config = ScreenConfig(
+        mode="permutation", permutation_iterations=iterations, emit_all=True, seed=4
+    )
+    results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
+    index = {gene: k for k, gene in enumerate(matrix.gene_ids)}
+    assert len(results) == 190
+    for row in results:
+        u, v = planes[index[row.gene_i]], planes[index[row.gene_j]]
+        exact = max_bet(u, v, "exact").p_raw
+        se = np.sqrt(exact * (1 - exact) / iterations)
+        assert row.result.method == "permutation" and row.result.approximate
+        assert abs(row.result.p_raw - exact) <= 5 * se + 1 / (1 + iterations)

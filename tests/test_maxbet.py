@@ -63,22 +63,22 @@ def test_bid_adjustment_count():
 
 
 def test_exact_mode_backend_selection():
-    res = max_bet(planes_for(range(64)), planes_for(range(64)), mode="exact")
-    assert res.method == "hypergeometric"
-    assert not res.approximate
-    res = max_bet(planes_for(range(17)), planes_for(range(17)), mode="exact")
-    assert res.method == "normal_approx"
-    assert res.approximate
+    # the exact null holds for every n, also where 2^depth does not divide it
+    for n in (64, 17):
+        res = max_bet(planes_for(range(n)), planes_for(range(n)), mode="exact")
+        assert res.method == "hypergeometric"
+        assert not res.approximate
 
 
-def test_permutation_mode_needs_ranks():
+def test_permutation_mode_without_ranks():
+    # the planes fix the permutation null; v_ranks is accepted and unused
     u = planes_for(range(1, 9))
-    with pytest.raises(ValueError):
-        max_bet(u, u, mode="permutation")
     ranks = empirical_copula(np.arange(1.0, 9.0))
-    res = max_bet(u, u, mode="permutation", v_ranks=ranks)
-    assert res.method == "permutation"
-    assert res.p_raw == pytest.approx(1 / 35, rel=1e-12)  # exact enumeration
+    for v_ranks in (None, ranks):
+        res = max_bet(u, u, mode="permutation", v_ranks=v_ranks)
+        assert res.method == "permutation"
+        assert not res.approximate
+        assert res.p_raw == pytest.approx(1 / 35, rel=1e-12)  # exact tail
 
 
 def test_pair_adjustment_helper():

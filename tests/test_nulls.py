@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,17 @@ from betscan.core import (
     all_bids,
     binary_expansion,
     empirical_copula,
+    max_bet,
     pvalue_hypergeometric,
     pvalue_normal,
     pvalue_permutation,
 )
+from betscan.core.nulls import exact_tail
 from betscan.errors import DivisibilityViolationError, ParityViolationError
 
 from ._oracles import (
     arrangement_tail,
+    exact_tails,
     hypergeom_tail,
     permutation_distribution,
     permutation_tail,
@@ -149,6 +154,61 @@ def test_permutation_monte_carlo_unequal_label_counts():
             se = np.sqrt(expected * (1 - expected) / iterations)
             assert abs(p - expected) <= 5 * se + 1 / (1 + iterations), (n, bid.name)
     assert checked >= 4
+
+
+@pytest.mark.parametrize(
+    "n, p, q", [(817, 408, 409), (817, 409, 409), (1096, 548, 548), (1097, 548, 549)]
+)
+def test_exact_tail_matches_rational_oracle(n, p, q):
+    table = exact_tail(n, p, q)
+    checked = 0
+    for a, exact in exact_tails(n, p, q).items():
+        if exact >= Fraction(1, 10**300):
+            assert abs(Fraction(table[a]) - exact) <= 5e-12 * exact, a
+            checked += 1
+    assert checked >= 150
+
+
+def test_exact_tail_floor():
+    # P(|S| = 1096) = 2 / C(1096, 548) is below the smallest double
+    assert exact_tails(1096, 548, 548)[1096] < Fraction(5e-324)
+    assert exact_tail(1096, 548, 548)[1096] == 5e-324
+    assert pvalue_hypergeometric(1096, 1096) == 5e-324
+
+
+def test_exact_tail_matches_scipy_and_arrangements():
+    from scipy.stats import hypergeom
+
+    for n in range(1, 13):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                table = exact_tail(n, p, q)
+                law = hypergeom(n, q, p)
+                su = np.array([1] * p + [-1] * (n - p))
+                c0 = n - 2 * p - 2 * q
+                for k in range(max(0, p + q - n), min(p, q) + 1):
+                    a = abs(c0 + 4 * k)
+                    # P(S >= a) + P(S <= -a) for a > 0
+                    up, down = law.sf(-((c0 - a) // 4) - 1), law.cdf((-a - c0) // 4)
+                    want = min(1.0, up + down) if a else 1.0
+                    assert table[a] == pytest.approx(want, rel=1e-12)
+                    assert table[a] == pytest.approx(
+                        arrangement_tail(su, q, a), rel=1e-12
+                    )
+
+
+def test_exact_mode_calibrated_where_4_does_not_divide_n():
+    # criterion c06's family-wise rejection rate, at n = 817
+    rng = np.random.default_rng(817)
+    n, sims, alpha = 817, 10_000, 0.05
+    u = binary_expansion(empirical_copula(np.arange(1.0, n + 1.0)), 2)
+    rejections = 0
+    for _ in range(sims):
+        v = binary_expansion(empirical_copula(rng.permutation(n) + 1.0), 2)
+        res = max_bet(u, v, mode="exact")
+        assert res.method == "hypergeometric" and not res.approximate
+        rejections += res.p_bid_adjusted <= alpha
+    assert rejections / sims <= alpha + 3.0 * np.sqrt(alpha * (1 - alpha) / sims)
 
 
 def test_normal_approx_basics():

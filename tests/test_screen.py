@@ -238,7 +238,9 @@ def test_csv_quotes_gene_ids_as_csv_writer_does(tmp_path):
 
 
 # sha256 of emit-all CSVs written by the release that built a list of
-# PairResult objects and wrote it row by row with csv.writer
+# PairResult objects and wrote it row by row with csv.writer; the
+# permutation one by the release that drew each row's Monte Carlo counts
+# from the exact tails, one Philox stream per row
 PINNED_CSVS = {
     # (genes, samples, depth, mode, matrix seed)
     (30, 64, 2, "exact", 21): (
@@ -248,7 +250,7 @@ PINNED_CSVS = {
         "61085aa47a6eee45dfc5f05897f8026052964f2132f5195b57aad1c007726cee"
     ),
     (12, 40, 2, "permutation", 23): (
-        "5e9f68d1306d3debaf75ed2b7115be023a45f3277db2ad3d47cb56ce61846ac6"
+        "89f75e1d500ccc6a40fe55513be7868a265a4060dc855f809b3a43d95d569772"
     ),
 }
 

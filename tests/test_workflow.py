@@ -107,7 +107,7 @@ def test_full_workflow(tmp_path):
     context_matrix = load_matrix(ctx / "matrix.tsv")
     assert context_matrix.n_samples == 415
 
-    # ---- screen both runs (817 is not divisible by 4: approx path) ----
+    # ---- screen both runs (the exact null also where 4 does not divide 817) ----
     scr = tmp_path / "scr"
     assert main(["screen", str(pre / "matrix.tsv"), "--out", str(scr)]) == 0
     results = (scr / "results.csv").read_text().splitlines()
@@ -116,7 +116,7 @@ def test_full_workflow(tmp_path):
     assert lin[3] == "Linear" and lin[4] == "817"
     par = by_pair[("PAR_A", "PAR_B")]
     assert par[3] == "Parabolic"
-    assert lin[10] == "normal_approx" and lin[9] == "true"
+    assert lin[10] == "hypergeometric" and lin[9] == "false"
 
     scr_ctx = tmp_path / "scr_ctx"
     assert main(["screen", str(ctx / "matrix.tsv"), "--out", str(scr_ctx)]) == 0
