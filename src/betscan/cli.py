@@ -26,7 +26,14 @@ from .core.expansion import binary_expansion
 from .core.maxbet import MODES, max_bet
 from .core.stats import all_symmetry_statistics, cell_counts
 from .errors import BetscanError
-from .manifest import atomic_open, new_manifest, read_manifest, sha256_file, write_json
+from .manifest import (
+    atomic_open,
+    new_manifest,
+    read_manifest,
+    sha256_file,
+    write_json,
+    write_records,
+)
 from .preprocess import (
     load_labels,
     load_matrix,
@@ -36,6 +43,8 @@ from .preprocess import (
     upper_quartile_log2,
 )
 from .screen import (
+    SEED_LIMIT,
+    CompareRow,
     ScreenConfig,
     all_bid_diagnostics,
     compare_runs,
@@ -44,17 +53,29 @@ from .screen import (
     read_results_csv,
     screen_all_pairs,
     top_k_genes,
-    write_compare_csv,
     write_diagnostics_csv,
     write_results_csv,
 )
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def _resolve_seed(value) -> int:
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("BETSCAN_SEED")
-    return int(env) if env else 0
+    try:
+        return _seed(env) if env else 0
+    except argparse.ArgumentTypeError as exc:
+        raise BetscanError(f"BETSCAN_SEED: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -138,22 +159,6 @@ def run_preprocess(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_preprocess(args) -> int:
-    if args.context and not args.labels:
-        args.parser.error("--context requires --labels")
-    config = {
-        "input": str(args.input),
-        "format": args.format,
-        "labels": str(args.labels) if args.labels else None,
-        "context": args.context,
-        "seed": _resolve_seed(args.seed),
-        "zero_threshold": args.zero_threshold,
-        "uq_target": args.uq_target,
-        "out": str(args.out),
-    }
-    return run_preprocess(config, Path(args.out))
-
-
 # ---------------------------------------------------------------------- test
 
 
@@ -226,21 +231,6 @@ def run_test(config: dict, out_dir: Path | None) -> int:
     return 0
 
 
-def _cmd_test(args) -> int:
-    config = {
-        "input": str(args.input),
-        "format": args.format,
-        "gene_a": args.gene_a,
-        "gene_b": args.gene_b,
-        "depth": args.depth,
-        "mode": args.mode,
-        "permutation_iterations": args.permutation_iterations,
-        "seed": _resolve_seed(args.seed),
-        "out": str(args.out) if args.out else None,
-    }
-    return run_test(config, Path(args.out) if args.out else None)
-
-
 # -------------------------------------------------------------------- screen
 
 
@@ -290,25 +280,6 @@ def run_screen(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_screen(args) -> int:
-    config = {
-        "input": str(args.input),
-        "format": args.format,
-        "depth": args.depth,
-        "alpha": args.alpha,
-        "m_pairs": args.m_pairs,
-        "workers": args.workers,
-        "mode": args.mode,
-        "bid_filter": args.bid_filter,
-        "emit_all": args.emit_all,
-        "emit_all_bids": args.emit_all_bids,
-        "permutation_iterations": args.permutation_iterations,
-        "seed": _resolve_seed(args.seed),
-        "out": str(args.out),
-    }
-    return run_screen(config, Path(args.out))
-
-
 # ------------------------------------------------------------------- network
 
 
@@ -318,12 +289,9 @@ def run_network(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
     _start_run(out_dir)
     alpha = float(config.get("alpha", 0.05))
-    results = [
-        r
-        for r in read_results_csv(config["results"])
-        if r.result.p_pair_adjusted is not None
-        and r.result.p_pair_adjusted <= alpha
-    ]
+    results = read_results_csv(config["results"]).where(
+        lambda r: r.p_pair_adjusted is not None and r.p_pair_adjusted <= alpha
+    )
     k = int(config.get("k", 200))
     class_filter = _parse_filter(config.get("bid_filter"))
 
@@ -352,19 +320,6 @@ def run_network(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_network(args) -> int:
-    config = {
-        "results": str(args.results),
-        "k": args.k,
-        "alpha": args.alpha,
-        "graph_format": args.graph_format,
-        "bid_filter": args.bid_filter,
-        "min_degree": args.min_degree,
-        "out": str(args.out),
-    }
-    return run_network(config, Path(args.out))
-
-
 # ------------------------------------------------------------------- compare
 
 
@@ -380,7 +335,7 @@ def run_compare(config: dict, out_dir: Path) -> int:
         results_a, dict(zip(matrix_b.gene_ids, planes_b)), config["bid_class"]
     )
     out_path = out_dir / "compare.csv"
-    write_compare_csv(rows, out_path)
+    write_records(rows, CompareRow, out_path)
     manifest = new_manifest(
         "compare", config, [config["results_a"], config["matrix_b"]]
     )
@@ -390,25 +345,13 @@ def run_compare(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    config = {
-        "results_a": str(args.results_a),
-        "matrix_b": str(args.matrix_b),
-        "bid_class": args.bid_class,
-        "depth": args.depth,
-        "format": args.format,
-        "out": str(args.out),
-    }
-    return run_compare(config, Path(args.out))
-
-
 # ----------------------------------------------------------------- baselines
 
 
 def run_baselines(config: dict, out_dir: Path) -> int:
     import csv as _csv
 
-    from .baselines import measure_comparison
+    from .baselines import MeasureClassRow, MeasurePairRow, measure_comparison
 
     started = time.perf_counter()
     _start_run(out_dir)
@@ -432,44 +375,9 @@ def run_baselines(config: dict, out_dir: Path) -> int:
     )
 
     pairs_path = out_dir / "baseline_pairs.csv"
-    with atomic_open(pairs_path) as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "gene_i", "gene_j", "bid_class", "z", "bet_significant",
-                "pearson_r", "pearson_p", "pearson_significant",
-                "hoeffding_d", "hoeffding_p", "hoeffding_significant",
-            ]
-        )
-        for row in per_pair:
-            writer.writerow(
-                [
-                    row.gene_i, row.gene_j, row.bid_class, f"{row.z:.12g}",
-                    str(row.bet_significant).lower(),
-                    f"{row.pearson_r:.12g}", f"{row.pearson_p:.12g}",
-                    str(row.pearson_significant).lower(),
-                    f"{row.hoeffding_d:.12g}", f"{row.hoeffding_p:.12g}",
-                    str(row.hoeffding_significant).lower(),
-                ]
-            )
+    write_records(per_pair, MeasurePairRow, pairs_path)
     classes_path = out_dir / "baseline_classes.csv"
-    with atomic_open(classes_path) as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "bid_class", "bet_significant",
-                "pearson_significant", "pearson_proportion",
-                "hoeffding_significant", "hoeffding_proportion",
-            ]
-        )
-        for row in per_class:
-            writer.writerow(
-                [
-                    row.bid_class, row.bet_significant,
-                    row.pearson_significant, f"{row.pearson_proportion:.12g}",
-                    row.hoeffding_significant, f"{row.hoeffding_proportion:.12g}",
-                ]
-            )
+    write_records(per_class, MeasureClassRow, classes_path)
 
     manifest = new_manifest(
         "baselines", config, [config["input"], config["pairs"]],
@@ -485,21 +393,6 @@ def run_baselines(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_baselines(args) -> int:
-    config = {
-        "input": str(args.input),
-        "pairs": str(args.pairs),
-        "format": args.format,
-        "alpha": args.alpha,
-        "m_pairs": args.m_pairs,
-        "depth": args.depth,
-        "hoeffding_iterations": args.hoeffding_iterations,
-        "seed": _resolve_seed(args.seed),
-        "out": str(args.out),
-    }
-    return run_baselines(config, Path(args.out))
-
-
 # --------------------------------------------------------------------- rerun
 
 _RUNNERS = {
@@ -512,7 +405,7 @@ _RUNNERS = {
 }
 
 
-def _cmd_rerun(args) -> int:
+def _rerun(args) -> int:
     manifest = read_manifest(args.manifest)
     if manifest.command not in _RUNNERS:
         raise BetscanError(f"manifest for unknown command {manifest.command!r}")
@@ -556,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--context",
         help="comma-separated labels to keep (requires --labels); applied last",
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--zero-threshold", type=float, default=0.20)
     p.add_argument(
         "--uq-target",
@@ -564,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="apply approximate upper-quartile + log2(x+1) normalization first",
     )
-    p.set_defaults(func=_cmd_preprocess, parser=p)
 
     p = sub.add_parser("test", help="run the full test on one gene pair")
     p.add_argument("input", type=Path)
@@ -574,9 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--permutation-iterations", type=_positive_int, default=999)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", type=Path, default=None, help="also write report + manifest")
-    p.set_defaults(func=_cmd_test, parser=p)
 
     p = sub.add_parser("screen", help="score every gene pair")
     p.add_argument("input", type=Path)
@@ -598,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--permutation-iterations", type=_positive_int, default=999)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument(
         "--bid-filter", help="comma-separated class labels to keep in the output"
     )
@@ -612,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also write every interaction's statistic per emitted pair",
     )
-    p.set_defaults(func=_cmd_screen, parser=p)
 
     p = sub.add_parser("network", help="build the significance network")
     p.add_argument("results", type=Path, help="results.csv from screen")
@@ -626,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bid-filter")
     p.add_argument("--min-degree", type=int, default=1)
-    p.set_defaults(func=_cmd_network, parser=p)
 
     p = sub.add_parser(
         "compare", help="recompute one class's z-scores on a second dataset"
@@ -637,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--depth", type=int, default=2)
     _add_format(p)
-    p.set_defaults(func=_cmd_compare, parser=p)
 
     p = sub.add_parser(
         "baselines", help="compare the test with Pearson and Hoeffding's D"
@@ -650,22 +538,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-pairs", type=int, default=None)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--hoeffding-iterations", type=int, default=999)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_baselines, parser=p)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("rerun", help="replay a recorded manifest")
     p.add_argument("manifest", type=Path)
     p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_rerun, parser=p)
 
     return parser
+
+
+def _config(args) -> dict:
+    """A command's flags as its run config: paths as strings, the seed resolved."""
+    config = {
+        key: str(value) if isinstance(value, Path) else value
+        for key, value in vars(args).items()
+        if key != "command"
+    }
+    if "seed" in config:
+        config["seed"] = _resolve_seed(config["seed"])
+    return config
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "preprocess" and args.context and not args.labels:
+        parser.error("--context requires --labels")
     try:
-        return args.func(args)
+        if args.command == "rerun":
+            return _rerun(args)
+        return _RUNNERS[args.command](_config(args), args.out)
     except BetscanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,14 +11,17 @@ partly written.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
 import platform
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 
 @contextmanager
@@ -43,6 +46,25 @@ def write_json(payload, path) -> None:
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def write_records(records: Iterable, cls, path) -> None:
+    """Write dataclass records as CSV below cls's field names, atomically.
+
+    Floats are written at 12 significant digits, booleans as true/false.
+    """
+    names = [f.name for f in fields(cls)]
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        for record in records:
+            writer.writerow([_cell(getattr(record, name)) for name in names])
 
 
 @dataclass

@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .manifest import atomic_open, write_json
+from .manifest import atomic_open, write_json, write_records
 from .screen import PairResult
 
 __all__ = [
@@ -145,11 +145,7 @@ def _sorted_edges(graph: DependenceGraph) -> list[GraphEdge]:
 
 
 def _export_csv(graph: DependenceGraph, path) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gene_i", "gene_j", "bid_class", "z", "color"])
-        for e in _sorted_edges(graph):
-            writer.writerow([e.gene_i, e.gene_j, e.bid_class, f"{e.z:.12g}", e.color])
+    write_records(_sorted_edges(graph), GraphEdge, path)
     with atomic_open(str(path) + ".nodes.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gene", "max_z"])

@@ -2,12 +2,16 @@
 
 Each gene's XOR mask combinations (`mask_combos`) are packed once into a
 word-major (W, G, 2^d - 1) uint64 array, d = max(d1, d2), W = ceil(n / 64),
-observation k at bit k % 64 of word k // 64 and zeros past n.  Row i is
-scored against every j > i in numpy passes over the partners: for each
-interaction (a, b), c = popcount(combos[:, j, b-1] ^ combos[:, i, a-1])
-summed over the words, S = sign(a, b) * (n - 2c), and the first maximum of
-|S| in canonical (a_mask-major) order wins, so ties break as in max_bet.
-A pair is significant when
+observation k at bit k % 64 of word k // 64 and zeros past n.  One helper,
+`_interaction_counts`, computes S for many pairs: for each interaction
+(a, b) of pair (i, j), c = popcount(combos[:, j, b-1] ^ combos[:, i, a-1])
+summed over the words, and S = sign(a, b) * (n - 2c).  Its callers are
+`_score_rows` (row i against every j > i; the first maximum of |S| in
+canonical, a_mask-major order wins, so ties break as in max_bet),
+`all_bid_diagnostics` (every S of the emitted pairs, for --emit-all-bids)
+and `compare_runs` (a class's largest |S| in a second dataset).  max_bet
+and the other single-pair paths stay on Python ints, so that they check
+this kernel rather than share it.  A pair is significant when
 
     min(1, m_pairs * min(1, m_bids * p_raw)) <= alpha
 
@@ -32,7 +36,8 @@ popcount, p_raw); each block maps its rows to the table with one
 np.unique.  It reads as a sequence of PairResult.  `write_results_csv`
 formats each gene-id cell and each table entry's cells once and writes the
 rows as joined strings, a few thousand at a time, into a temporary file
-that is renamed over the target when complete.
+that is renamed over the target when complete.  `read_results_csv` reads
+such a file back into a ScreenResults, parsing each distinct result once.
 """
 
 from __future__ import annotations
@@ -42,9 +47,11 @@ import io
 import operator
 import os
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import cache
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,14 +67,13 @@ from .core.copula import CopulaColumn, empirical_copula
 from .core.expansion import BitPlanes, binary_expansion
 from .core.maxbet import MODES, BetResult, null_method, null_table
 from .core.nulls import permutation_pvalue
-from .core.stats import (
-    all_symmetry_statistics,
-    mask_combos,
-    sign_factor,
-    symmetry_statistic,
-    z_score,
+from .core.stats import mask_combos, sign_factor, z_score
+from .errors import (
+    BetscanError,
+    EmptyIntersectionError,
+    NonFiniteError,
+    TiesPresentError,
 )
-from .errors import EmptyIntersectionError, NonFiniteError, TiesPresentError
 from .manifest import atomic_open
 from .preprocess import ExpressionMatrix
 
@@ -83,14 +89,15 @@ __all__ = [
     "screen_all_pairs",
     "write_results_csv",
     "read_results_csv",
-    "write_compare_csv",
     "all_bid_diagnostics",
     "write_diagnostics_csv",
     "top_k_genes",
     "compare_runs",
-    "class_z",
     "RESULT_COLUMNS",
 ]
+
+# seeds are 64-bit, as preprocess.gene_stream_key keeps them
+SEED_LIMIT = 1 << 64
 
 RESULT_COLUMNS = (
     "gene_i",
@@ -129,6 +136,8 @@ class ScreenConfig:
             raise ValueError("worker_count must be >= 1")
         if self.permutation_iterations < 1:
             raise ValueError("permutation_iterations must be >= 1")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -188,21 +197,6 @@ class ScreenResults(Sequence[PairResult]):
     k: np.ndarray
     table: tuple[BetResult, ...]
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[PairResult]) -> ScreenResults:
-        genes: dict[str, int] = {}
-        table: dict[BetResult, int] = {}
-        i, j, k = [], [], []
-        for row in rows:
-            i.append(genes.setdefault(row.gene_i, len(genes)))
-            j.append(genes.setdefault(row.gene_j, len(genes)))
-            k.append(table.setdefault(row.result, len(table)))
-        return cls(
-            tuple(genes),
-            *(np.array(column, dtype=np.int32) for column in (i, j, k)),
-            tuple(table),
-        )
-
     def __len__(self) -> int:
         return len(self.k)
 
@@ -232,6 +226,12 @@ class ScreenResults(Sequence[PairResult]):
 
     def __add__(self, other: Iterable[PairResult]) -> list[PairResult]:
         return [*self, *other]
+
+    def where(self, keep: Callable[[BetResult], bool]) -> ScreenResults:
+        """The rows whose result passes keep, asked once per table entry."""
+        chosen = [k for k, result in enumerate(self.table) if keep(result)]
+        rows = np.flatnonzero(np.isin(self.k, chosen))
+        return replace(self, i=self.i[rows], j=self.j[rows], k=self.k[rows])
 
 
 def rank_gene(gene: str, values: np.ndarray) -> CopulaColumn:
@@ -291,6 +291,29 @@ def _row_blocks(g: int, target: int) -> list[tuple[int, int]]:
     return blocks
 
 
+def _interaction_counts(
+    combos: np.ndarray, rows_u, rows_v, d1: int, d2: int
+) -> np.ndarray:
+    """XOR popcounts of every interaction for the pairs (rows_u, rows_v).
+
+    rows_u and rows_v select genes of combos, as slices or index arrays;
+    they pair up elementwise, and a side of length one pairs with every
+    gene of the other.  Returns (pairs, (2^d1 - 1)(2^d2 - 1)) int32 counts,
+    interactions in all_bids(d1, d2) order.
+    """
+    ma, mb = (1 << d1) - 1, (1 << d2) - 1
+    cu = combos[:, rows_u, :ma].transpose(2, 0, 1)[..., None]
+    # axes (a, word, pair, b)
+    x = combos[None, :, rows_v, :mb] ^ cu
+    counts = np.bitwise_count(x).sum(1, dtype=np.int32)
+    return counts.transpose(1, 0, 2).reshape(-1, ma * mb)
+
+
+def _pass_pairs(combos: np.ndarray, d1: int, d2: int) -> int:
+    """Pairs per _interaction_counts call that XOR at most _PASS_WORDS words."""
+    return max(1, _PASS_WORDS // (bid_count(d1, d2) * combos.shape[0]))
+
+
 def _score_rows(
     combos: np.ndarray, rows: tuple[int, int], d1: int, d2: int, n: int
 ) -> list[np.ndarray]:
@@ -299,17 +322,13 @@ def _score_rows(
     t indexes the winning interaction in all_bids(d1, d2) order (the first
     maximum of |n - 2c|) and c is its XOR popcount.
     """
-    words, g, _ = combos.shape
-    ma, mb = (1 << d1) - 1, (1 << d2) - 1
-    step = max(1, _PASS_WORDS // (ma * mb * words))
+    g, step = combos.shape[1], _pass_pairs(combos, d1, d2)
     parts = []
     for i in range(*rows):
-        cu = combos[:, i, :ma].T[:, :, None, None]
         for lo in range(i + 1, g, step):
-            # axes (a, word, j, b)
-            x = combos[None, :, lo : lo + step, :mb] ^ cu
-            counts = np.bitwise_count(x).sum(1, dtype=np.int32)
-            counts = counts.transpose(1, 0, 2).reshape(-1, ma * mb)
+            counts = _interaction_counts(
+                combos, slice(i, i + 1), slice(lo, lo + step), d1, d2
+            )
             t = np.abs(n - 2 * counts).argmax(1)
             parts.append(
                 (
@@ -472,6 +491,15 @@ def _csv_line(fields: Sequence[str]) -> str:
     return buf.getvalue()
 
 
+def _gene_cells(gene_ids: Sequence[str]) -> list[str]:
+    """Each gene id as a CSV cell with the comma after it.
+
+    It is formatted beside an empty field, because csv.writer writes a
+    lone empty field as "".
+    """
+    return [_csv_line([gene, ""])[:-1] for gene in gene_ids]
+
+
 def _result_cells(r: BetResult) -> list[str]:
     return [
         r.bid.name,
@@ -486,19 +514,14 @@ def _result_cells(r: BetResult) -> list[str]:
     ]
 
 
-def write_results_csv(results: Iterable[PairResult], path) -> None:
+def write_results_csv(results: ScreenResults, path) -> None:
     """Write the rows as CSV, replacing path only once the file is complete.
 
-    Rows that are not a ScreenResults are first gathered into one.  Each
-    gene id and each table entry is formatted once.  The file is written
-    through atomic_open, so a failed write leaves the earlier file, if
-    any, in place.
+    Each gene id and each table entry is formatted once.  The file is
+    written through atomic_open, so a failed write leaves the earlier
+    file, if any, in place.
     """
-    if not isinstance(results, ScreenResults):
-        results = ScreenResults.from_rows(results)
-    # each gene cell with the comma after it; it is formatted beside an
-    # empty field, because csv.writer writes a lone empty field as ""
-    genes = [_csv_line([gene, ""])[:-1] for gene in results.gene_ids]
+    genes = _gene_cells(results.gene_ids)
     tails = [_csv_line(_result_cells(r)) for r in results.table]
     with atomic_open(path) as fh:
         fh.write(_csv_line(RESULT_COLUMNS))
@@ -507,79 +530,133 @@ def write_results_csv(results: Iterable[PairResult], path) -> None:
             fh.write("".join(rows))
 
 
-def read_results_csv(path, n: int | None = None) -> list[PairResult]:
-    """Load a results CSV back into PairResult rows.
+# how read_results_csv parses the cells after the gene ids; the bid_class
+# cell is not read, because the class follows from the bid
+_CELL_PARSERS = (
+    bid_from_name, str, int, float, float, float,
+    lambda text: float(text) if text else None, "true".__eq__, str,
+)
 
-    The sample count is not stored per row; pass n when downstream code
-    needs BetResult.n, otherwise it is reconstructed from s and z (0 when
-    s = 0).
+
+def _parse_result(cells: Sequence[str], n: int | None) -> BetResult:
+    """The BetResult of a row's cells after the gene ids.
+
+    Raises ValueError naming the column of a cell that does not parse.
     """
-    out: list[PairResult] = []
+    values = []
+    for name, parse, text in zip(RESULT_COLUMNS[2:], _CELL_PARSERS, cells):
+        try:
+            values.append(parse(text))
+        except ValueError:
+            raise ValueError(f"column {name}: cannot parse {text!r}") from None
+    bid, _, s, z, *rest = values
+    if n is None:
+        try:
+            n = round((s / z) ** 2) if z > 0 else 0
+        except OverflowError:
+            raise ValueError(f"column z: {z!r} does not fit s = {s}") from None
+    return BetResult(bid, bid_class_of(bid), s, n, z, *rest)
+
+
+def read_results_csv(path, n: int | None = None) -> ScreenResults:
+    """Load a results CSV back into a ScreenResults.
+
+    Gene ids are numbered in first-seen order, and each distinct run of
+    the nine cells after them is parsed once into a table entry.  The
+    sample count is not stored per row; pass n when downstream code needs
+    BetResult.n, otherwise it is reconstructed from s and z (0 when
+    s = 0).  A file whose header is not RESULT_COLUMNS, or with a row of
+    another length or a cell that does not parse, raises BetscanError.
+    """
+    genes: dict[str, int] = {}
+    tails: dict[tuple[str, ...], int] = {}
+    table: list[BetResult] = []
+    i, j, k = array("i"), array("i"), array("i")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            s = int(rec["s"])
-            z = float(rec["z"])
-            n_row = n if n is not None else (round((s / z) ** 2) if z > 0 else 0)
-            bid = bid_from_name(rec["bid"])
-            out.append(
-                PairResult(
-                    gene_i=rec["gene_i"],
-                    gene_j=rec["gene_j"],
-                    result=BetResult(
-                        bid=bid,
-                        bid_class=bid_class_of(bid),
-                        s=s,
-                        n=n_row,
-                        z=z,
-                        p_raw=float(rec["p_raw"]),
-                        p_bid_adjusted=float(rec["p_bid_adj"]),
-                        p_pair_adjusted=(
-                            float(rec["p_pair_adj"]) if rec["p_pair_adj"] else None
-                        ),
-                        approximate=rec["approximate"] == "true",
-                        method=rec["method"],
-                    ),
-                )
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header) != RESULT_COLUMNS:
+            raise BetscanError(
+                f"{path}: header {','.join(header)!r} is not "
+                f"{','.join(RESULT_COLUMNS)!r}"
             )
-    return out
+        for row in filter(None, reader):  # blank lines aside
+            if len(row) != len(RESULT_COLUMNS):
+                raise BetscanError(
+                    f"{path}: line {reader.line_num}: {len(row)} cells, "
+                    f"expected {len(RESULT_COLUMNS)}"
+                )
+            tail = tuple(row[2:])
+            entry = tails.get(tail)
+            if entry is None:
+                try:
+                    table.append(_parse_result(tail, n))
+                except ValueError as exc:
+                    raise BetscanError(
+                        f"{path}: line {reader.line_num}: {exc}"
+                    ) from None
+                entry = tails[tail] = len(tails)
+            i.append(genes.setdefault(row[0], len(genes)))
+            j.append(genes.setdefault(row[1], len(genes)))
+            k.append(entry)
+    return ScreenResults(
+        tuple(genes),
+        *(np.array(column, dtype=np.int32) for column in (i, j, k)),
+        tuple(table),
+    )
 
 
 def all_bid_diagnostics(
     planes: Sequence[BitPlanes],
     gene_ids: Sequence[str],
-    results: Iterable[PairResult],
-) -> list[tuple[str, str, str, str, int, float]]:
-    """Every interaction's statistic for the emitted pairs (diagnostics).
+    results: ScreenResults,
+) -> Iterator[str]:
+    """Every interaction's statistic for the emitted pairs, as CSV lines.
 
-    Rows are (gene_i, gene_j, bid, bid_class, s, z); inference stays with
-    the winning interaction in the main results.
+    Yields the lines gene_i,gene_j,bid,bid_class,s,z of one kernel pass
+    of pairs at a time, in row order and all_bids order within a pair;
+    inference stays with the winning interaction in the main results.
+    planes[x] belongs to gene_ids[x].  Each gene cell and each
+    (interaction, S) cell is formatted once.
     """
-    index = {g: i for i, g in enumerate(gene_ids)}
-    out = []
-    for row in results:
-        u = planes[index[row.gene_i]]
-        v = planes[index[row.gene_j]]
-        for st in all_symmetry_statistics(u, v):
-            out.append(
-                (
-                    row.gene_i,
-                    row.gene_j,
-                    st.bid.name,
-                    bid_class_of(st.bid).label,
-                    st.s,
-                    st.z,
-                )
-            )
-    return out
+    if not len(results):
+        return
+    index = {gene: x for x, gene in enumerate(gene_ids)}
+    chosen = [planes[index[gene]] for gene in results.gene_ids]
+    n, d = chosen[0].n, chosen[0].depth
+    combos = _pack_combos(chosen, d)
+    bids = all_bids(d, d)
+    # code t * (n + 1) + c stands for interaction t with popcount c
+    offsets = np.arange(len(bids), dtype=np.int32) * (n + 1)
+
+    @cache
+    def cell(code: int) -> str:
+        t, c = divmod(code, n + 1)
+        s = sign_factor(bids[t]) * (n - 2 * c)
+        label = bid_class_of(bids[t]).label
+        return _csv_line([bids[t].name, label, str(s), _fmt(z_score(s, n))])
+
+    genes = _gene_cells(results.gene_ids)
+    step = _pass_pairs(combos, d, d)
+    for lo in range(0, len(results), step):
+        i, j = results.i[lo : lo + step], results.j[lo : lo + step]
+        codes = _interaction_counts(combos, i, j, d, d) + offsets
+        unique, inverse = np.unique(codes, return_inverse=True)
+        cells = [cell(code) for code in unique.tolist()]
+        lines = []
+        for a, b, row in zip(
+            i.tolist(), j.tolist(), inverse.reshape(codes.shape).tolist()
+        ):
+            pair = genes[a] + genes[b]
+            lines.append(pair + pair.join([cells[x] for x in row]))
+        yield "".join(lines)
 
 
-def write_diagnostics_csv(rows, path) -> None:
+def write_diagnostics_csv(lines: Iterable[str], path) -> None:
+    """Write all_bid_diagnostics' lines below their header, atomically."""
     with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gene_i", "gene_j", "bid", "bid_class", "s", "z"])
-        for gene_i, gene_j, bid, cls, s, z in rows:
-            writer.writerow([gene_i, gene_j, bid, cls, str(s), f"{z:.12g}"])
+        fh.write("gene_i,gene_j,bid,bid_class,s,z\n")
+        fh.writelines(lines)
 
 
 def top_k_genes(
@@ -608,56 +685,52 @@ class CompareRow:
     flag: str
 
 
-def class_z(planes_u: BitPlanes, planes_v: BitPlanes, class_label: str) -> float:
-    """Largest |S|/sqrt(n) over the member interactions of a class.
-
-    Taking the max over the reflection orbit makes the value independent
-    of which gene sits on which axis.
-    """
-    members = class_members(class_label, planes_u.depth, planes_v.depth)
-    return max(symmetry_statistic(planes_u, planes_v, m).z for m in members)
-
-
 def compare_runs(
-    results_a: Iterable[PairResult],
+    results_a: ScreenResults,
     planes_b: Mapping[str, BitPlanes],
     bid_class: str,
 ) -> list[CompareRow]:
     """Class-specific z of run A's significant pairs, recomputed in run B.
 
     planes_b maps run B's gene ids to their planes.  Rows of run A whose
-    winning class matches are kept; for each, the class statistic is
-    recomputed from run B's planes even when that class is not the winner
-    there.  Pairs with a gene missing from run B are flagged
+    winning class matches are kept; for each, z_b is the largest
+    |S|/sqrt(n) in run B over the member interactions of the class, even
+    when that class is not the winner there.  Taking the max over the
+    reflection orbit makes it independent of which gene sits on which
+    axis.  Pairs with a gene missing from run B are flagged
     'missing_in_b' (z_b = nan) rather than dropped.
     """
     label = parse_class_label(bid_class)
-    rows_a = [r for r in results_a if r.result.bid_class.label == label]
-    genes_a = {g for r in rows_a for g in (r.gene_i, r.gene_j)}
-    if genes_a and genes_a.isdisjoint(planes_b):
+    rows = results_a.where(lambda r: r.bid_class.label == label)
+    # each of run A's genes as an index into planes_b, -1 when missing
+    in_b = {gene: x for x, gene in enumerate(planes_b)}
+    index = np.array([in_b.get(gene, -1) for gene in rows.gene_ids], dtype=np.intp)
+    u, v = index[rows.i], index[rows.j]
+    if len(rows) and max(u.max(), v.max()) < 0:
         raise EmptyIntersectionError(
             "no gene of the selected pairs exists in the comparison run"
         )
-    out = []
-    for r in rows_a:
-        pu = planes_b.get(r.gene_i)
-        pv = planes_b.get(r.gene_j)
-        if pu is None or pv is None:
-            out.append(
-                CompareRow(r.gene_i, r.gene_j, r.result.z, float("nan"), "missing_in_b")
+    ok = (u >= 0) & (v >= 0)
+    z_b = np.full(len(rows), np.nan)
+    if ok.any():
+        chosen = list(planes_b.values())
+        n, d = chosen[0].n, chosen[0].depth
+        combos = _pack_combos(chosen, d)
+        members = class_members(label, d, d)
+        columns = [t for t, bid in enumerate(all_bids(d, d)) if bid in members]
+        u, v = u[ok], v[ok]
+        step = _pass_pairs(combos, d, d)
+        best = []
+        for lo in range(0, len(u), step):
+            counts = _interaction_counts(
+                combos, u[lo : lo + step], v[lo : lo + step], d, d
             )
-            continue
-        out.append(
-            CompareRow(r.gene_i, r.gene_j, r.result.z, class_z(pu, pv, label), "ok")
+            best.append(np.abs(n - 2 * counts[:, columns]).max(1))
+        z_b[ok] = np.concatenate(best) / np.sqrt(n)
+    genes, table = rows.gene_ids, rows.table
+    return [
+        CompareRow(genes[a], genes[b], table[c].z, z, "ok" if f else "missing_in_b")
+        for a, b, c, z, f in zip(
+            rows.i.tolist(), rows.j.tolist(), rows.k.tolist(), z_b.tolist(), ok
         )
-    return out
-
-
-def write_compare_csv(rows: Iterable[CompareRow], path) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gene_i", "gene_j", "z_a", "z_b", "flag"])
-        for row in rows:
-            writer.writerow(
-                [row.gene_i, row.gene_j, _fmt(row.z_a), _fmt(row.z_b), row.flag]
-            )
+    ]

@@ -232,6 +232,32 @@ def test_permutation_iterations_below_one_refused(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("command", ["screen", "test"])
+def test_seed_outside_64_bits_refused(tmp_path, capsys, command, seed):
+    matrix = screened_fixture(tmp_path)
+    out = tmp_path / "run"
+    args = [command, str(matrix)] + (["P00x", "P00y"] if command == "test" else [])
+    args += ["--out", str(out), "--mode", "permutation", "--seed", seed]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"--seed: must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["screen", "test"])
+def test_env_seed_outside_64_bits_refused(tmp_path, capsys, monkeypatch, command):
+    matrix = screened_fixture(tmp_path)
+    monkeypatch.setenv("BETSCAN_SEED", "-1")
+    out = tmp_path / "run"
+    args = [command, str(matrix)] + (["P00x", "P00y"] if command == "test" else [])
+    assert main(args + ["--out", str(out), "--mode", "permutation"]) == 1
+    err = capsys.readouterr().err
+    assert "error: BETSCAN_SEED: must be in [0, 2**64), got -1" in err
+    assert not out.exists()
+
+
 def test_screen_zero_significant_still_exits_zero(tmp_path):
     rng = np.random.default_rng(77)
     matrix = write_matrix(tmp_path, rng.normal(size=(6, 32)))
@@ -265,7 +291,7 @@ def test_failed_screen_leaves_no_manifest(tmp_path, monkeypatch):
     assert (out / "manifest.json").is_file()
 
     def failing_diagnostics(planes, gene_ids, results):
-        yield ("P00x", "P00y", "A1B1", "Linear", 0, 0.0)
+        yield "P00x,P00y,A1B1,Linear,0,0\n"
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "all_bid_diagnostics", failing_diagnostics)
@@ -327,6 +353,30 @@ def test_network_empty_results(tmp_path):
     assert (out / "graph.csv").read_text().splitlines() == [
         "gene_i,gene_j,bid_class,z,color"
     ]
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("gene_i,gene_j,score\nP00x,P00y,3\n", "header 'gene_i,gene_j,score' is not"),
+        (
+            "gene_i,gene_j,bid,bid_class,s,z,p_raw,p_bid_adj,p_pair_adj,approximate,"
+            "method\nP00x,P00y,A1B1,Linear,64,8,1e-10,9e-10,x,false,hypergeometric\n",
+            "line 2: column p_pair_adj: cannot parse 'x'",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["network", "compare"])
+def test_malformed_results_csv_refused(tmp_path, capsys, command, text, fault):
+    matrix = screened_fixture(tmp_path)
+    results = tmp_path / "results.csv"
+    results.write_text(text)
+    args = [command, str(results), "--out", str(tmp_path / "out")]
+    if command == "compare":
+        args += [str(matrix), "--class", "Linear"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}: {fault}")
 
 
 def test_compare_command_identity(tmp_path):

@@ -8,19 +8,35 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from betscan.core import binary_expansion, empirical_copula
-from betscan.errors import EmptyIntersectionError, NonFiniteError, TiesPresentError
+from betscan.core import (
+    all_bids,
+    all_symmetry_statistics,
+    bid_class_of,
+    binary_expansion,
+    empirical_copula,
+    max_bet,
+    symmetry_statistic,
+)
+from betscan.core.bids import class_members
+from betscan.errors import (
+    BetscanError,
+    EmptyIntersectionError,
+    NonFiniteError,
+    TiesPresentError,
+)
 from betscan import screen
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
     RESULT_COLUMNS,
     ScreenConfig,
+    all_bid_diagnostics,
     compare_runs,
     precompute_bitplanes,
     precompute_copulas,
     read_results_csv,
     screen_all_pairs,
     top_k_genes,
+    write_diagnostics_csv,
     write_results_csv,
 )
 
@@ -148,7 +164,8 @@ def test_permutation_csv_identical_across_worker_counts(tmp_path):
 @pytest.mark.parametrize(
     "field, value",
     [("alpha", 0.0), ("mode", "binomial"), ("worker_count", 0),
-     ("permutation_iterations", 0), ("permutation_iterations", -5)],
+     ("permutation_iterations", 0), ("permutation_iterations", -5),
+     ("seed", -1), ("seed", 1 << 64)],
 )
 def test_screen_config_refuses_bad_values(field, value):
     with pytest.raises(ValueError, match=field.split("_")[0]):
@@ -486,3 +503,151 @@ def test_compare_runs_empty_intersection():
     results, _ = screen_all_pairs(planes, m.gene_ids, ScreenConfig())
     with pytest.raises(EmptyIntersectionError):
         compare_runs(results, {}, "Linear")
+
+
+def diagnostics_rows(planes, gene_ids, results, tmp_path):
+    path = tmp_path / "results_all_bids.csv"
+    write_diagnostics_csv(all_bid_diagnostics(planes, gene_ids, results), path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+QUOTED_IDS = ["a,b", 'say "hi"', " lead", "two\nlines", "plain", ""]
+
+
+@pytest.mark.parametrize("emit_all", [True, False])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_all_bid_diagnostics_match_all_symmetry_statistics(tmp_path, depth, emit_all):
+    m = random_matrix(14, 70, 30 + depth)
+    m.values[1] = m.values[0] ** 2
+    m.values[5] = -m.values[4]
+    ids = QUOTED_IDS + m.gene_ids[len(QUOTED_IDS) :]
+    m = ExpressionMatrix(gene_ids=ids, sample_ids=m.sample_ids, values=m.values)
+    planes = precompute_bitplanes(m, depth)
+    config = ScreenConfig(d1=depth, d2=depth, emit_all=emit_all, alpha=0.5)
+    results, _ = screen_all_pairs(planes, m.gene_ids, config)
+    assert 0 < len(results) <= 91
+    path = tmp_path / "results.csv"
+    write_results_csv(results, path)
+    index = {gene: x for x, gene in enumerate(ids)}
+    # the reader numbers genes in first-seen order, not the matrix's
+    for rows in (results, read_results_csv(path)):
+        lines = diagnostics_rows(planes, ids, rows, tmp_path)
+        assert lines[0] == ["gene_i", "gene_j", "bid", "bid_class", "s", "z"]
+        expected = [
+            [row.gene_i, row.gene_j, st.bid.name, bid_class_of(st.bid).label,
+             str(st.s), f"{st.z:.12g}"]
+            for row in rows
+            for st in all_symmetry_statistics(
+                planes[index[row.gene_i]], planes[index[row.gene_j]]
+            )
+        ]
+        assert lines[1:] == expected
+        assert len(expected) == len(rows) * ((1 << depth) - 1) ** 2
+
+
+# sha256 of a results_all_bids.csv written by the release that computed
+# each row with all_symmetry_statistics and wrote it with csv.writer
+PINNED_DIAGNOSTICS = (
+    "36bf4a9cf5345438d0d3c308af7f9c8c4f4680eb8636b3eb04db19f7795a6437"
+)
+
+
+def test_all_bid_diagnostics_bytes_pinned(tmp_path):
+    m = random_matrix(16, 70, 22)
+    m.values[1] = m.values[0] ** 2
+    m = ExpressionMatrix(
+        gene_ids=QUOTED_IDS + m.gene_ids[len(QUOTED_IDS) :],
+        sample_ids=m.sample_ids,
+        values=m.values,
+    )
+    planes = precompute_bitplanes(m, 3)
+    config = ScreenConfig(d1=3, d2=3, emit_all=True)
+    results, _ = screen_all_pairs(planes, m.gene_ids, config)
+    path = tmp_path / "results_all_bids.csv"
+    write_diagnostics_csv(all_bid_diagnostics(planes, m.gene_ids, results), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIAGNOSTICS
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_compare_runs_takes_class_max_of_symmetry_statistic(depth):
+    a = random_matrix(12, 64, 40 + depth)
+    a.values[1] = a.values[0] ** 2
+    a.values[3] = a.values[2]
+    config = ScreenConfig(d1=depth, d2=depth, emit_all=True)
+    results, _ = screen_all_pairs(precompute_bitplanes(a, depth), a.gene_ids, config)
+    # run B lacks two genes and lists the others in another order
+    b = random_matrix(12, 96, 50 + depth)
+    keep = [x for x in range(12) if x not in (4, 7)][::-1]
+    ids_b = [a.gene_ids[x] for x in keep]
+    planes_b = dict(
+        zip(
+            ids_b,
+            precompute_bitplanes(
+                ExpressionMatrix(ids_b, b.sample_ids, b.values[keep]), depth
+            ),
+        )
+    )
+    labels = sorted({bid_class_of(bid).label for bid in all_bids(depth, depth)})
+    other_winner = missing = 0
+    for label in labels:
+        members = class_members(label, depth, depth)
+        expected = [r for r in results if r.result.bid_class.label == label]
+        rows = compare_runs(results, planes_b, label)
+        assert [(r.gene_i, r.gene_j, r.z_a) for r in rows] == [
+            (r.gene_i, r.gene_j, r.result.z) for r in expected
+        ]
+        for row in rows:
+            u, v = planes_b.get(row.gene_i), planes_b.get(row.gene_j)
+            if u is None or v is None:
+                assert row.flag == "missing_in_b" and np.isnan(row.z_b)
+                missing += 1
+                continue
+            assert row.flag == "ok"
+            assert row.z_b == max(symmetry_statistic(u, v, bid).z for bid in members)
+            other_winner += max_bet(u, v).bid_class.label != label
+    assert missing and other_winner
+
+
+def test_read_results_csv_retains_few_bytes(tmp_path):
+    m = random_matrix(200, 64, 4)
+    results, _ = screen_all_pairs(
+        precompute_bitplanes(m, 2), m.gene_ids, ScreenConfig(emit_all=True)
+    )
+    path = tmp_path / "results.csv"
+    write_results_csv(results, path)
+    read_results_csv(path, n=64)  # fills module caches, which are not per row
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = read_results_csv(path, n=64)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 19_900
+    assert loaded.gene_ids == results.gene_ids
+    assert retained / len(loaded) < 32
+
+
+HEADER = ",".join(RESULT_COLUMNS)
+ROW = "G0,G1,A1B1,Linear,64,8,1e-10,9e-10,1e-09,false,hypergeometric"
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("", "header '' is not"),
+        ("gene_i,gene_j,s\nG0,G1,3\n", "header 'gene_i,gene_j,s' is not"),
+        (f"{HEADER}\n{ROW}\nG0,G1,A1B1\n", "line 3: 3 cells, expected 11"),
+        (f"{HEADER}\n{ROW.replace(',64,', ',6x4,')}\n", "line 2: column s: cannot parse '6x4'"),
+        (f"{HEADER}\n{ROW.replace('A1B1', 'A1C1')}\n", "line 2: column bid: cannot parse 'A1C1'"),
+        (f"{HEADER}\n{ROW.replace(',8,', ',1e-300,')}\n", "line 2: column z: "),
+    ],
+)
+def test_read_results_csv_names_the_fault(tmp_path, text, fault):
+    path = tmp_path / "results.csv"
+    path.write_text(text)
+    with pytest.raises(BetscanError) as err:
+        read_results_csv(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert fault in str(err.value)
