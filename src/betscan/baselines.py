@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 from scipy import stats as sps
@@ -328,14 +329,10 @@ def measure_comparison(
     if m_pairs is None:
         m_pairs = len(pairs)
     per_pair: list[MeasurePairRow] = []
-    plane_cache: dict[str, object] = {}
 
+    @cache
     def planes_of(gene: str):
-        if gene not in plane_cache:
-            plane_cache[gene] = binary_expansion(
-                rank_gene(gene, matrix.column(gene)), d
-            )
-        return plane_cache[gene]
+        return binary_expansion(rank_gene(gene, matrix.column(gene)), d)
 
     for idx, (gi, gj) in enumerate(pairs):
         x = matrix.column(gi)

@@ -29,6 +29,7 @@ from .errors import BetscanError
 from .manifest import (
     atomic_open,
     new_manifest,
+    open_input,
     read_manifest,
     sha256_file,
     write_json,
@@ -58,14 +59,39 @@ from .screen import (
 )
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value < SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
-    return value
+def _number(cast, ok, rule: str):
+    """An argparse type: text cast to int or float, refused unless ok(value)."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return parse
+
+
+_seed = _number(int, lambda x: 0 <= x < SEED_LIMIT, "in [0, 2**64)")
+_positive_int = _number(int, lambda x: x >= 1, "at least 1")
+_alpha = _number(float, lambda x: 0 < x < 1, "in (0, 1)")
+_fraction = _number(float, lambda x: 0 <= x <= 1, "in [0, 1]")
+
+
+def _labels(parse):
+    """An argparse type: class label text that parse accepts, kept as written."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return check
 
 
 def _resolve_seed(value) -> int:
@@ -76,16 +102,6 @@ def _resolve_seed(value) -> int:
         return _seed(env) if env else 0
     except argparse.ArgumentTypeError as exc:
         raise BetscanError(f"BETSCAN_SEED: {exc}") from None
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _parse_filter(text: str | None) -> frozenset[str] | None:
@@ -244,7 +260,7 @@ def run_screen(config: dict, out_dir: Path) -> int:
         d1=depth,
         d2=depth,
         alpha=float(config.get("alpha", 0.05)),
-        m_pairs=(int(config["m_pairs"]) if config.get("m_pairs") else None),
+        m_pairs=config.get("m_pairs"),
         bid_filter=_parse_filter(config.get("bid_filter")),
         worker_count=int(config.get("workers", 1)),
         emit_all=bool(config.get("emit_all", False)),
@@ -357,10 +373,11 @@ def run_baselines(config: dict, out_dir: Path) -> int:
     _start_run(out_dir)
     matrix = load_matrix(config["input"], config.get("format", "tsv_genes_by_samples"))
 
-    pairs = []
-    with open(config["pairs"], "r", encoding="utf-8", newline="") as fh:
-        for rec in _csv.DictReader(fh):
-            pairs.append((rec["gene_i"], rec["gene_j"]))
+    with open_input(config["pairs"]) as fh:
+        reader = _csv.DictReader(fh)
+        if not {"gene_i", "gene_j"} <= set(reader.fieldnames or ()):
+            raise BetscanError(f"{config['pairs']}: no gene_i and gene_j columns")
+        pairs = [(rec["gene_i"], rec["gene_j"]) for rec in reader]
     if not pairs:
         raise BetscanError(f"no pairs found in {config['pairs']}")
 
@@ -368,7 +385,7 @@ def run_baselines(config: dict, out_dir: Path) -> int:
         matrix,
         pairs,
         alpha=float(config.get("alpha", 0.05)),
-        m_pairs=(int(config["m_pairs"]) if config.get("m_pairs") else None),
+        m_pairs=config.get("m_pairs"),
         d=int(config.get("depth", 2)),
         hoeffding_iterations=int(config.get("hoeffding_iterations", 999)),
         seed=int(config.get("seed", 0)),
@@ -450,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated labels to keep (requires --labels); applied last",
     )
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--zero-threshold", type=float, default=0.20)
+    p.add_argument("--zero-threshold", type=_fraction, default=0.20)
     p.add_argument(
         "--uq-target",
         type=float,
@@ -463,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gene_a")
     p.add_argument("gene_b")
     _add_format(p)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_positive_int, default=2)
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--permutation-iterations", type=_positive_int, default=999)
     p.add_argument("--seed", type=_seed, default=None)
@@ -473,11 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=Path)
     p.add_argument("--out", type=Path, required=True)
     _add_format(p)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--depth", type=_positive_int, default=2)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument(
         "--m-pairs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="external Bonferroni pair count (>= pairs screened)",
     )
@@ -491,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permutation-iterations", type=_positive_int, default=999)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument(
-        "--bid-filter", help="comma-separated class labels to keep in the output"
+        "--bid-filter",
+        type=_labels(_parse_filter),
+        help="comma-separated class labels to keep in the output",
     )
     p.add_argument(
         "--emit-all",
@@ -507,14 +526,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("network", help="build the significance network")
     p.add_argument("results", type=Path, help="results.csv from screen")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--k", type=int, default=200)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--k", type=_positive_int, default=200)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument(
         "--graph-format",
         choices=["csv_edge_list", "dot", "json"],
         default="csv_edge_list",
     )
-    p.add_argument("--bid-filter")
+    p.add_argument("--bid-filter", type=_labels(_parse_filter))
     p.add_argument("--min-degree", type=int, default=1)
 
     p = sub.add_parser(
@@ -522,9 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("results_a", type=Path, help="results.csv from the reference run")
     p.add_argument("matrix_b", type=Path, help="preprocessed matrix of the other run")
-    p.add_argument("--class", dest="bid_class", required=True)
+    p.add_argument(
+        "--class", dest="bid_class", type=_labels(parse_class_label), required=True
+    )
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_positive_int, default=2)
     _add_format(p)
 
     p = sub.add_parser(
@@ -534,10 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pairs", type=Path, help="CSV with gene_i,gene_j columns")
     p.add_argument("--out", type=Path, required=True)
     _add_format(p)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--m-pairs", type=int, default=None)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--hoeffding-iterations", type=int, default=999)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
+    p.add_argument("--m-pairs", type=_positive_int, default=None)
+    p.add_argument("--depth", type=_positive_int, default=2)
+    p.add_argument("--hoeffding-iterations", type=_positive_int, default=999)
     p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("rerun", help="replay a recorded manifest")

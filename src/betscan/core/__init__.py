@@ -13,7 +13,7 @@ from .bids import (
     parse_class_label,
 )
 from .copula import CopulaColumn, empirical_copula
-from .expansion import BitPlanes, binary_expansion, pack_bits, plane_bits
+from .expansion import BitPlanes, binary_expansion, plane_bits
 from .maxbet import MODES, BetResult, max_bet
 from .nulls import (
     EXACT_PERMUTATION_MAX_N,
@@ -55,7 +55,6 @@ __all__ = [
     "label_counts",
     "mask_combos",
     "max_bet",
-    "pack_bits",
     "parse_class_label",
     "plane_bits",
     "pvalue_hypergeometric",

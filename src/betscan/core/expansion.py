@@ -12,7 +12,8 @@ Digits are never computed in floating point: u = r/n lies in
                = 1  iff  ((2^k * r + n - 1) // n) % 2 == 0
 
 which is exact for any rank and immune to boundary rounding at points
-like u = 1/2.
+like u = 1/2.  The digits are packed into the uint64 words of BitPlanes,
+the layout that the single-pair statistics and the screen kernel share.
 """
 
 from __future__ import annotations
@@ -24,37 +25,37 @@ import numpy as np
 from ..errors import DepthTooLargeError
 from .copula import CopulaColumn
 
-__all__ = ["BitPlanes", "binary_expansion", "plane_bits", "pack_bits"]
+__all__ = ["BitPlanes", "binary_expansion", "plane_bits"]
 
 MAX_DEPTH = 16
 _INT64_BUDGET = 1 << 62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitPlanes:
-    """Expansion digits of one variable, one packed bit-vector per depth.
+    """Expansion digits of one variable, one packed row of words per depth.
 
-    planes[k-1] holds digit k for every observation, observation i at bit
-    position i (arbitrary-precision int, so there are no stray bits past
-    position n-1).
+    planes is a read-only (depth, ceil(n / 64)) uint64 array; planes[k-1]
+    holds digit k, observation i at bit i % 64 of word i // 64, and every
+    bit past observation n-1 is zero.
     """
 
     depth: int
     n: int
-    planes: tuple[int, ...]
+    planes: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitPlanes):
+            return NotImplemented
+        return (self.depth, self.n) == (other.depth, other.n) and bool(
+            np.array_equal(self.planes, other.planes)
+        )
 
 
-def pack_bits(bits: np.ndarray) -> int:
-    """Pack a 0/1 vector into an int, observation i at bit i."""
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def plane_bits(packed: int, n: int) -> np.ndarray:
-    """Unpack bit positions 0..n-1 of an int into a uint8 vector."""
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(packed.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
+def plane_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """Unpack bits 0..n-1 of packed words (last axis) into uint8 digits."""
+    raw = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, bitorder="little")[..., :n]
 
 
 def binary_expansion(col: CopulaColumn, depth: int) -> BitPlanes:
@@ -69,10 +70,10 @@ def binary_expansion(col: CopulaColumn, depth: int) -> BitPlanes:
             f"2^{depth} * n = {n << depth} overflows the exact integer test"
         )
 
-    ranks = col.ranks
-    planes = []
-    for k in range(1, depth + 1):
-        ceil_val = ((ranks << k) + n - 1) // n
-        bits = (ceil_val & 1) == 0
-        planes.append(pack_bits(bits))
-    return BitPlanes(depth=depth, n=n, planes=tuple(planes))
+    shifts = np.arange(1, depth + 1, dtype=np.int64)[:, None]
+    ceil_val = ((col.ranks << shifts) + n - 1) // n
+    bits = np.zeros((depth, 64 * ((n + 63) // 64)), dtype=bool)
+    bits[:, :n] = (ceil_val & 1) == 0
+    planes = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    planes.flags.writeable = False
+    return BitPlanes(depth=depth, n=n, planes=planes)

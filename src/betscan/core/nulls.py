@@ -52,10 +52,10 @@ EXACT_PERMUTATION_MAX_N = 8
 def label_counts(n: int, depth: int) -> tuple[int, ...]:
     """Number of +1 sign labels over ranks 1..n, indexed by digit mask."""
     planes = binary_expansion(CopulaColumn(np.arange(1, n + 1)), depth)
+    ones = np.bitwise_count(mask_combos(planes)).sum(1).tolist()
     # a label is -1 raised to the number of 0 digits in its mask
     return tuple(
-        combo.bit_count() if mask.bit_count() & 1 else n - combo.bit_count()
-        for mask, combo in enumerate(mask_combos(planes))
+        c if mask.bit_count() & 1 else n - c for mask, c in enumerate(ones)
     )
 
 

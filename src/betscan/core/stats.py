@@ -10,9 +10,9 @@ of the selected digit bits this gives
 
     S = (-1)^(|a| + |b|) * (n - 2 * popcount(P))
 
-one XOR-and-popcount pass over the packed planes per interaction; the
-leading sign restores the orientation that the parity trick drops for
-odd-weight interactions.
+one XOR-and-popcount pass over the packed uint64 words of the planes
+(`BitPlanes.planes`) per interaction; the leading sign restores the
+orientation that the parity trick drops for odd-weight interactions.
 """
 
 from __future__ import annotations
@@ -63,21 +63,23 @@ def sign_factor(bid: BidId) -> int:
     return -1 if bid.weight & 1 else 1
 
 
-def mask_combos(planes: BitPlanes) -> list[int]:
-    """XOR combination of planes for every nonzero mask, indexed by mask.
+def mask_combos(planes: BitPlanes | np.ndarray) -> np.ndarray:
+    """XOR combination of planes for every mask: (..., 2^depth, words) uint64.
 
-    Entry 0 is a placeholder; entry m is the XOR of the planes whose digit
-    participates in mask m.  Computing these once per variable amortizes
-    the per-pair work down to one XOR and one popcount per interaction.
+    planes is a BitPlanes or a (..., depth, words) stack of plane arrays.
+    Row m is the XOR of the planes whose digit participates in mask m (row
+    0 is all zeros).  Computing these once per variable amortizes the
+    per-pair work down to one XOR and one popcount per interaction.
     """
-    size = 1 << planes.depth
-    combos = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        combos[mask] = (
-            planes.planes[low.bit_length() - 1]
-            if mask == low
-            else combos[mask ^ low] ^ combos[low]
+    words = planes.planes if isinstance(planes, BitPlanes) else planes
+    depth = words.shape[-2]
+    combos = np.zeros((*words.shape[:-2], 1 << depth, words.shape[-1]), np.uint64)
+    for k in range(depth):
+        # masks with highest bit k: the masks below 2^k, XOR plane k
+        np.bitwise_xor(
+            combos[..., : 1 << k, :],
+            words[..., k : k + 1, :],
+            out=combos[..., 1 << k : 2 << k, :],
         )
     return combos
 
@@ -95,14 +97,13 @@ def _check_pair(u: BitPlanes, v: BitPlanes, bid: BidId | None = None) -> None:
 def symmetry_statistic(u: BitPlanes, v: BitPlanes, bid: BidId) -> SymmetryStat:
     """Signed white-minus-blue count of one interaction for one pair."""
     _check_pair(u, v, bid)
-    parity = 0
-    for k in range(u.depth):
-        if bid.a_mask >> k & 1:
-            parity ^= u.planes[k]
-    for k in range(v.depth):
-        if bid.b_mask >> k & 1:
-            parity ^= v.planes[k]
-    s = u.n - 2 * parity.bit_count()
+    chosen = [
+        p.planes[k]
+        for p, mask in ((u, bid.a_mask), (v, bid.b_mask))
+        for k in range(p.depth)
+        if mask >> k & 1
+    ]
+    s = u.n - 2 * int(np.bitwise_count(np.bitwise_xor.reduce(chosen)).sum())
     return SymmetryStat(bid=bid, s=sign_factor(bid) * s, n=u.n)
 
 
@@ -110,14 +111,13 @@ def all_symmetry_statistics(u: BitPlanes, v: BitPlanes) -> list[SymmetryStat]:
     """Every cross interaction's statistic, a_mask-major then b ascending."""
     _check_pair(u, v)
     n = u.n
-    cu = mask_combos(u)
-    cv = mask_combos(v)
-    out = []
-    for bid in all_bids(u.depth, v.depth):
-        parity = cu[bid.a_mask] ^ cv[bid.b_mask]
-        s = n - 2 * parity.bit_count()
-        out.append(SymmetryStat(bid=bid, s=sign_factor(bid) * s, n=n))
-    return out
+    cu = mask_combos(u)[1:, None]
+    cv = mask_combos(v)[None, 1:]
+    counts = np.bitwise_count(cu ^ cv).sum(-1).ravel().tolist()
+    return [
+        SymmetryStat(bid=bid, s=sign_factor(bid) * (n - 2 * c), n=n)
+        for bid, c in zip(all_bids(u.depth, v.depth), counts)
+    ]
 
 
 def cell_counts(u: BitPlanes, v: BitPlanes) -> np.ndarray:
@@ -127,12 +127,10 @@ def cell_counts(u: BitPlanes, v: BitPlanes) -> np.ndarray:
     statistic is a signed sum over this grid.
     """
     _check_pair(u, v)
-    iu = np.zeros(u.n, dtype=np.int64)
-    for k in range(u.depth):
-        iu |= plane_bits(u.planes[k], u.n).astype(np.int64) << (u.depth - 1 - k)
-    iv = np.zeros(v.n, dtype=np.int64)
-    for k in range(v.depth):
-        iv |= plane_bits(v.planes[k], v.n).astype(np.int64) << (v.depth - 1 - k)
+    # an observation's cell index has its first digit as the most significant bit
+    cells = tuple(
+        (1 << np.arange(p.depth - 1, -1, -1)) @ plane_bits(p.planes, p.n) for p in (u, v)
+    )
     counts = np.zeros((1 << u.depth, 1 << v.depth), dtype=np.int64)
-    np.add.at(counts, (iu, iv), 1)
+    np.add.at(counts, cells, 1)
     return counts

@@ -17,11 +17,21 @@ import json
 import os
 import platform
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
+
+from .errors import BetscanError
+
+
+def open_input(path) -> TextIO:
+    """Open a text input; a missing or unreadable file is a BetscanError."""
+    try:
+        return open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise BetscanError(f"{path}: {exc.strerror or exc}") from None
 
 
 @contextmanager
@@ -78,15 +88,7 @@ class RunManifest:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "versions": self.versions,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 def sha256_file(path) -> str:
@@ -122,14 +124,8 @@ def new_manifest(command: str, config: dict, input_paths, seed=None) -> RunManif
 
 
 def read_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return RunManifest(
-        command=payload["command"],
-        config=payload["config"],
-        inputs=payload.get("inputs", {}),
-        outputs=payload.get("outputs", []),
-        seed=payload.get("seed"),
-        versions=payload.get("versions", {}),
-        wall_time_s=payload.get("wall_time_s", 0.0),
-    )
+    with open_input(path) as fh:
+        try:
+            return RunManifest(**json.load(fh))
+        except (ValueError, TypeError) as exc:
+            raise BetscanError(f"{path}: not a run manifest: {exc}") from None

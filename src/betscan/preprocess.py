@@ -38,7 +38,7 @@ from .errors import (
     MatrixParseError,
     UnknownLabelError,
 )
-from .manifest import atomic_open
+from .manifest import atomic_open, open_input
 
 __all__ = [
     "ExpressionMatrix",
@@ -149,7 +149,7 @@ def load_matrix(path, fmt: str = "tsv_genes_by_samples") -> ExpressionMatrix:
     raise MatrixParseError with 1-based line/column coordinates.
     """
     delim = _delimiter(fmt)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path) as fh:
         return _parse_matrix(fh, path, delim)
 
 
@@ -214,7 +214,7 @@ def save_matrix(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples
 def load_labels(path) -> dict[str, str]:
     """Read a two-column CSV (header 'sample_id,label') into a mapping."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != ["sample_id", "label"]:

@@ -1,8 +1,9 @@
 """All-pairs Max BET screening with family-wise error control.
 
-Each gene's XOR mask combinations (`mask_combos`) are packed once into a
-word-major (W, G, 2^d - 1) uint64 array, d = max(d1, d2), W = ceil(n / 64),
-observation k at bit k % 64 of word k // 64 and zeros past n.  One helper,
+Every gene's planes (BitPlanes.planes: W = ceil(n / 64) uint64 words per
+digit, observation k at bit k % 64 of word k // 64 and zeros past n) are
+stacked and combined once by `mask_combos` into a word-major
+(W, G, 2^d - 1) array, d = max(d1, d2).  One helper,
 `_interaction_counts`, computes S for many pairs: for each interaction
 (a, b) of pair (i, j), c = popcount(combos[:, j, b-1] ^ combos[:, i, a-1])
 summed over the words, and S = sign(a, b) * (n - 2c).  Its callers are
@@ -10,8 +11,9 @@ summed over the words, and S = sign(a, b) * (n - 2c).  Its callers are
 canonical, a_mask-major order wins, so ties break as in max_bet),
 `all_bid_diagnostics` (every S of the emitted pairs, for --emit-all-bids)
 and `compare_runs` (a class's largest |S| in a second dataset).  max_bet
-and the other single-pair paths stay on Python ints, so that they check
-this kernel rather than share it.  A pair is significant when
+and the other single-pair paths read the same words but keep their own
+XOR and popcount, so that they check this kernel rather than share it.
+A pair is significant when
 
     min(1, m_pairs * min(1, m_bids * p_raw)) <= alpha
 
@@ -49,7 +51,7 @@ import os
 import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -74,7 +76,7 @@ from .errors import (
     NonFiniteError,
     TiesPresentError,
 )
-from .manifest import atomic_open
+from .manifest import atomic_open, open_input
 from .preprocess import ExpressionMatrix
 
 __all__ = [
@@ -155,19 +157,7 @@ class ScreenSummary:
     mode: str
 
     def to_dict(self) -> dict:
-        return {
-            "total_pairs": self.total_pairs,
-            "significant_pairs": self.significant_pairs,
-            "class_counts": self.class_counts,
-            "wall_time_s": float(f"{self.wall_time_s:.12g}"),
-            "n_genes": self.n_genes,
-            "n_samples": self.n_samples,
-            "alpha": self.alpha,
-            "m_pairs": self.m_pairs,
-            "d1": self.d1,
-            "d2": self.d2,
-            "mode": self.mode,
-        }
+        return {**asdict(self), "wall_time_s": float(f"{self.wall_time_s:.12g}")}
 
 
 @dataclass(frozen=True)
@@ -268,14 +258,8 @@ _PASS_WORDS = 1 << 17
 
 def _pack_combos(planes: Sequence[BitPlanes], depth: int) -> np.ndarray:
     """Mask combinations of every gene, word-major: (W, G, 2^depth - 1) uint64."""
-    nbytes = 8 * ((planes[0].n + 63) // 64)
-    raw = b"".join(
-        combo.to_bytes(nbytes, "little")
-        for p in planes
-        for combo in mask_combos(p)[1 : 1 << depth]
-    )
-    packed = np.frombuffer(raw, dtype="<u8").reshape(len(planes), (1 << depth) - 1, -1)
-    return np.ascontiguousarray(packed.transpose(2, 0, 1))
+    combos = mask_combos(np.stack([p.planes[:depth] for p in planes]))
+    return np.ascontiguousarray(combos[:, 1:].transpose(2, 0, 1))
 
 
 def _row_blocks(g: int, target: int) -> list[tuple[int, int]]:
@@ -359,7 +343,7 @@ def screen_all_pairs(
     total_pairs = g * (g - 1) // 2
     m_pairs = config.m_pairs if config.m_pairs is not None else total_pairs
     if m_pairs < total_pairs:
-        raise ValueError(
+        raise BetscanError(
             f"m_pairs={m_pairs} below the {total_pairs} pairs screened; "
             "the external family may only be larger"
         )
@@ -572,7 +556,7 @@ def read_results_csv(path, n: int | None = None) -> ScreenResults:
     tails: dict[tuple[str, ...], int] = {}
     table: list[BetResult] = []
     i, j, k = array("i"), array("i"), array("i")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if tuple(header) != RESULT_COLUMNS:

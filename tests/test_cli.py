@@ -246,6 +246,103 @@ def test_seed_outside_64_bits_refused(tmp_path, capsys, command, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, rule",
+    [
+        ("screen", "--depth", "0", "must be at least 1"),
+        ("test", "--depth", "-1", "must be at least 1"),
+        ("screen", "--alpha", "2", "must be in (0, 1)"),
+        ("network", "--alpha", "1", "must be in (0, 1)"),
+        ("baselines", "--alpha", "nan", "must be in (0, 1)"),
+        ("preprocess", "--zero-threshold", "2", "must be in [0, 1]"),
+        ("preprocess", "--zero-threshold", "-0.5", "must be in [0, 1]"),
+        ("screen", "--m-pairs", "0", "must be at least 1"),
+        ("baselines", "--m-pairs", "-4", "must be at least 1"),
+        ("network", "--k", "-1", "must be at least 1"),
+        ("baselines", "--hoeffding-iterations", "0", "must be at least 1"),
+        ("screen", "--alpha", "x", "not a number: 'x'"),
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, command, flag, value, rule):
+    out = tmp_path / "run"
+    inputs = {
+        "screen": ["m.tsv"],
+        "test": ["m.tsv", "A", "B"],
+        "network": ["results.csv"],
+        "baselines": ["m.tsv", "pairs.csv"],
+        "preprocess": ["m.tsv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--out", str(out), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"{flag}: {rule}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_m_pairs_below_the_pairs_screened_is_an_error(tmp_path, capsys):
+    matrix = screened_fixture(tmp_path)
+    args = ["screen", str(matrix), "--out", str(tmp_path / "scr"), "--m-pairs", "65"]
+    assert main(args) == 1
+    assert "error: m_pairs=65 below the 66 pairs screened" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["screen", "m.tsv", "--bid-filter", "Bogus"],
+        ["network", "results.csv", "--bid-filter", "Linear,Bogus"],
+        ["compare", "results.csv", "m.tsv", "--class", "Bogus"],
+    ],
+)
+def test_unknown_class_labels_are_usage_errors(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unknown pattern class: 'Bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["rerun", "network", "compare", "preprocess", "baselines"]
+)
+def test_missing_input_is_an_error_naming_the_path(tmp_path, capsys, command):
+    matrix = screened_fixture(tmp_path)
+    missing = tmp_path / "none.csv"
+    results = tmp_path / "scr" / "results.csv"
+    assert main(["screen", str(matrix), "--out", str(results.parent)]) == 0
+    args = {
+        "rerun": ["rerun", str(missing)],
+        "network": ["network", str(missing)],
+        "compare": ["compare", str(results), str(missing), "--class", "Linear"],
+        "preprocess": ["preprocess", str(matrix), "--labels", str(missing)],
+        "baselines": ["baselines", str(matrix), str(missing)],
+    }[command]
+    if command != "rerun":
+        args += ["--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: {missing}: No such file or directory" in err
+
+
+@pytest.mark.parametrize("text", ["not json", "[]", '{"command": "screen"}'])
+def test_rerun_refuses_a_file_that_is_not_a_manifest(tmp_path, capsys, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    assert main(["rerun", str(path)]) == 1
+    assert f"error: {path}: not a run manifest" in capsys.readouterr().err
+
+
+def test_baselines_refuses_pairs_without_gene_columns(tmp_path, capsys):
+    matrix = screened_fixture(tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("a,b\nP00x,P00y\n")
+    args = ["baselines", str(matrix), str(pairs), "--out", str(tmp_path / "b")]
+    assert main(args) == 1
+    assert f"error: {pairs}: no gene_i and gene_j columns" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["screen", "test"])
 def test_env_seed_outside_64_bits_refused(tmp_path, capsys, monkeypatch, command):
     matrix = screened_fixture(tmp_path)

@@ -85,7 +85,7 @@ def test_label_counts_match_the_planes_of_any_gene(n, depth, seed):
     values = np.random.default_rng(seed).normal(size=n)
     combos = mask_combos(binary_expansion(empirical_copula(values), depth))
     for mask in range(1, 1 << depth):
-        ones = combos[mask].bit_count()
+        ones = int(np.bitwise_count(combos[mask]).sum())
         plus = ones if mask.bit_count() % 2 else n - ones
         assert label_counts(n, depth)[mask] == plus
 
@@ -93,8 +93,43 @@ def test_label_counts_match_the_planes_of_any_gene(n, depth, seed):
 def test_no_bits_beyond_n():
     col = empirical_copula([4.0, 2.0, 9.0, 1.0, 7.0])
     bp = binary_expansion(col, 2)
+    assert bp.planes.shape == (2, 1)
     for plane in bp.planes:
-        assert plane >> bp.n == 0
+        assert int(plane[0]) >> bp.n == 0
+
+
+def word_bits(words, count):
+    """Bit i of packed words, read as bit i % 64 of word i // 64."""
+    i = np.arange(count)
+    return (words[..., i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+
+
+@pytest.mark.parametrize("n", [5, 63, 64, 65, 817, 1096])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_packed_words_match_the_digit_oracle(n, depth):
+    from betscan.core import mask_combos
+
+    ranks = np.random.default_rng(n + depth).permutation(n) + 1
+    bp = binary_expansion(empirical_copula(ranks.astype(float)), depth)
+    words = -(-n // 64)
+    assert bp.planes.dtype == np.uint64 and bp.planes.shape == (depth, words)
+    digits = digit_table(n, depth)[ranks].T  # (depth, n)
+    bits = word_bits(bp.planes, 64 * words)
+    assert (bits[:, :n] == digits).all()
+    assert not bits[:, n:].any()
+    combos = mask_combos(bp)
+    assert combos.shape == (1 << depth, words)
+    for mask in range(1 << depth):
+        parity = np.zeros(n, dtype=np.int64)
+        for k in range(depth):
+            if mask >> k & 1:
+                parity ^= digits[k]
+        assert (word_bits(combos[mask], n) == parity).all()
+    assert not bp.planes.flags.writeable
+    assert bp == binary_expansion(empirical_copula(ranks.astype(float)), depth)
+    assert bp != binary_expansion(empirical_copula(ranks[::-1].astype(float)), depth)
+    with pytest.raises(ValueError):
+        bp.planes[0, 0] = 1
 
 
 def test_depth_cap():

@@ -365,7 +365,7 @@ def test_summary_counts_match_stream_recount():
 def test_m_pairs_override_only_upward():
     m = random_matrix(6, 16, 8)
     planes = precompute_bitplanes(m, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BetscanError, match="m_pairs=10 below the 15 pairs"):
         screen_all_pairs(planes, m.gene_ids, ScreenConfig(m_pairs=10))
     _, summary = screen_all_pairs(
         planes, m.gene_ids, ScreenConfig(m_pairs=138_020_805)
