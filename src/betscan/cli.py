@@ -111,7 +111,11 @@ def _parse_filter(text: str | None) -> frozenset[str] | None:
 
 
 def _start_run(out_dir: Path) -> None:
-    """Make out_dir; drop an earlier manifest, which would mark this run complete."""
+    """Make out_dir; drop an earlier manifest, which would mark this run complete.
+
+    Every command calls it only once its inputs are loaded and checked, so a
+    refused input leaves no directory behind and an earlier run untouched.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
 
@@ -127,7 +131,6 @@ def _finish_run(out_dir: Path, manifest, outputs: list[str], started: float) -> 
 
 def run_preprocess(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
-    _start_run(out_dir)
     inputs = [config["input"]]
     if config.get("labels"):
         inputs.append(config["labels"])
@@ -151,6 +154,7 @@ def run_preprocess(config: dict, out_dir: Path) -> int:
         keep = [tok.strip() for tok in config["context"].split(",") if tok.strip()]
         cleaned = subset_by_labels(cleaned, keep)
 
+    _start_run(out_dir)
     outputs = []
     matrix_path = out_dir / "matrix.tsv"
     save_matrix(cleaned, matrix_path, "tsv_genes_by_samples")
@@ -252,7 +256,6 @@ def run_test(config: dict, out_dir: Path | None) -> int:
 
 def run_screen(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
-    _start_run(out_dir)
     matrix = load_matrix(config["input"], config.get("format", "tsv_genes_by_samples"))
     depth = int(config.get("depth", 2))
 
@@ -271,6 +274,7 @@ def run_screen(config: dict, out_dir: Path) -> int:
     planes = precompute_bitplanes(matrix, depth)
     results, summary = screen_all_pairs(planes, matrix.gene_ids, screen_config)
 
+    _start_run(out_dir)
     results_path = out_dir / "results.csv"
     write_results_csv(results, results_path)
     summary_path = out_dir / "summary.json"
@@ -303,7 +307,6 @@ def run_network(config: dict, out_dir: Path) -> int:
     from .network import build_network, export_graph, hub_report
 
     started = time.perf_counter()
-    _start_run(out_dir)
     alpha = float(config.get("alpha", 0.05))
     results = read_results_csv(config["results"]).where(
         lambda r: r.p_pair_adjusted is not None and r.p_pair_adjusted <= alpha
@@ -315,6 +318,7 @@ def run_network(config: dict, out_dir: Path) -> int:
     fmt = config.get("graph_format", "csv_edge_list")
     ext = {"csv_edge_list": "csv", "dot": "dot", "json": "json"}[fmt]
     graph_path = out_dir / f"graph.{ext}"
+    _start_run(out_dir)
     export_graph(graph, graph_path, fmt)
 
     hubs_path = out_dir / "hubs.csv"
@@ -341,7 +345,6 @@ def run_network(config: dict, out_dir: Path) -> int:
 
 def run_compare(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
-    _start_run(out_dir)
     results_a = read_results_csv(config["results_a"])
     matrix_b = load_matrix(
         config["matrix_b"], config.get("format", "tsv_genes_by_samples")
@@ -350,6 +353,7 @@ def run_compare(config: dict, out_dir: Path) -> int:
     rows = compare_runs(
         results_a, dict(zip(matrix_b.gene_ids, planes_b)), config["bid_class"]
     )
+    _start_run(out_dir)
     out_path = out_dir / "compare.csv"
     write_records(rows, CompareRow, out_path)
     manifest = new_manifest(
@@ -370,14 +374,21 @@ def run_baselines(config: dict, out_dir: Path) -> int:
     from .baselines import MeasureClassRow, MeasurePairRow, measure_comparison
 
     started = time.perf_counter()
-    _start_run(out_dir)
     matrix = load_matrix(config["input"], config.get("format", "tsv_genes_by_samples"))
 
+    pairs = []
     with open_input(config["pairs"]) as fh:
         reader = _csv.DictReader(fh)
         if not {"gene_i", "gene_j"} <= set(reader.fieldnames or ()):
             raise BetscanError(f"{config['pairs']}: no gene_i and gene_j columns")
-        pairs = [(rec["gene_i"], rec["gene_j"]) for rec in reader]
+        for rec in reader:
+            # DictReader fills the cells missing from a short row with None
+            if rec["gene_i"] is None or rec["gene_j"] is None:
+                raise BetscanError(
+                    f"{config['pairs']}: line {reader.line_num}: "
+                    "no gene_i or gene_j cell"
+                )
+            pairs.append((rec["gene_i"], rec["gene_j"]))
     if not pairs:
         raise BetscanError(f"no pairs found in {config['pairs']}")
 
@@ -391,6 +402,7 @@ def run_baselines(config: dict, out_dir: Path) -> int:
         seed=int(config.get("seed", 0)),
     )
 
+    _start_run(out_dir)
     pairs_path = out_dir / "baseline_pairs.csv"
     write_records(per_pair, MeasurePairRow, pairs_path)
     classes_path = out_dir / "baseline_classes.csv"

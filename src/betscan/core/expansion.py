@@ -14,6 +14,8 @@ Digits are never computed in floating point: u = r/n lies in
 which is exact for any rank and immune to boundary rounding at points
 like u = 1/2.  The digits are packed into the uint64 words of BitPlanes,
 the layout that the single-pair statistics and the screen kernel share.
+binary_expansion applies the test to one rank column, expand_rank_rows to
+a block of them in one pass.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from ..errors import DepthTooLargeError
 from .copula import CopulaColumn
 
-__all__ = ["BitPlanes", "binary_expansion", "plane_bits"]
+__all__ = ["BitPlanes", "binary_expansion", "expand_rank_rows", "plane_bits"]
 
 MAX_DEPTH = 16
 _INT64_BUDGET = 1 << 62
@@ -60,20 +62,37 @@ def plane_bits(words: np.ndarray, n: int) -> np.ndarray:
 
 def binary_expansion(col: CopulaColumn, depth: int) -> BitPlanes:
     """Expand a rank column into its first `depth` binary digit planes."""
+    planes = _digit_words(col.ranks, col.n, depth)
+    return BitPlanes(depth=depth, n=col.n, planes=planes)
+
+
+def expand_rank_rows(ranks: np.ndarray, depth: int) -> list[BitPlanes]:
+    """binary_expansion of every row of a (genes, n) rank array in one pass.
+
+    The planes are read-only views of one packed (genes, depth, words) array.
+    """
+    n = ranks.shape[1]
+    return [
+        BitPlanes(depth=depth, n=n, planes=words)
+        for words in _digit_words(ranks, n, depth)
+    ]
+
+
+def _digit_words(ranks: np.ndarray, n: int, depth: int) -> np.ndarray:
+    """Read-only packed digits (..., depth, ceil(n / 64)) of ranks (..., n)."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if depth > MAX_DEPTH:
         raise DepthTooLargeError(f"depth {depth} exceeds the cap of {MAX_DEPTH}")
-    n = col.n
     if (n << depth) >= _INT64_BUDGET:
         raise DepthTooLargeError(
             f"2^{depth} * n = {n << depth} overflows the exact integer test"
         )
 
     shifts = np.arange(1, depth + 1, dtype=np.int64)[:, None]
-    ceil_val = ((col.ranks << shifts) + n - 1) // n
-    bits = np.zeros((depth, 64 * ((n + 63) // 64)), dtype=bool)
-    bits[:, :n] = (ceil_val & 1) == 0
-    planes = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    planes.flags.writeable = False
-    return BitPlanes(depth=depth, n=n, planes=planes)
+    ceil_val = ((ranks[..., None, :] << shifts) + n - 1) // n
+    bits = np.zeros((*ranks.shape[:-1], depth, 64 * ((n + 63) // 64)), dtype=bool)
+    bits[..., :n] = (ceil_val & 1) == 0
+    words = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    words.flags.writeable = False
+    return words

@@ -1,5 +1,20 @@
 """Expression-matrix ingestion and the cleaning pipeline.
 
+load_matrix reads a file as csv.reader and float() would, row by row, but
+in blocks of _BLOCK_LINES lines.  A first binary pass counts the lines,
+which bounds the gene rows, so the values go straight into one array and
+the peak memory is that array plus one block.  Each block's gene ids are
+the text before each line's first delimiter, stripped; its cells are
+parsed by one np.loadtxt call, which rounds as float() does, after a check
+that every line has one delimiter per sample (loadtxt would drop extra
+cells).  A block goes to csv.reader and float() instead when it holds a
+quote (a quoted cell may span lines; csv.reader then reads on past the
+block to the end of its record) or a NUL, a row of the wrong length, or a
+cell that loadtxt refuses but float() may take, such as '1_000'.  That
+path also names the line and column of a fault, so the accepted input,
+the values and the errors are those of the row-by-row parse.  A pipe is
+read once, into memory, to count its lines.
+
 Count matrices as published typically carry two artifacts that break a
 rank transform: genes whose zero counts were replaced by the gene median
 (a large spike of exactly-equal values), and residual zeros (ties at the
@@ -27,7 +42,9 @@ processing.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -140,6 +157,9 @@ class PreprocessReport:
 
 _DELIMS = {"tsv_genes_by_samples": "\t", "tsv": "\t", "csv": ","}
 
+# body lines parsed per np.loadtxt call; bounds the text held at once
+_BLOCK_LINES = 32
+
 
 def load_matrix(path, fmt: str = "tsv_genes_by_samples") -> ExpressionMatrix:
     """Parse a delimited genes-by-samples matrix.
@@ -160,45 +180,134 @@ def _delimiter(fmt: str) -> str:
 
 
 def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
-    reader = csv.reader(fh, delimiter=delim)
+    # csv.reader takes lines from fh one at a time and stops at the end of
+    # a record, so after the header, or a record of the csv path below, fh
+    # goes on at the next line
     try:
-        header = next(reader)
+        header = next(csv.reader(fh, delimiter=delim))
     except StopIteration:
         raise MatrixParseError(path, 1, 1, "empty file") from None
     if len(header) < 2:
         raise MatrixParseError(path, 1, 1, "header has no sample ids")
     sample_ids = [c.strip() for c in header[1:]]
+    width = len(sample_ids)
 
+    lines, bound = _body_lines(fh, path, width)
+    values = np.empty((bound, width))
     gene_ids: list[str] = []
-    rows: list[np.ndarray] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(sample_ids) + 1:
-            raise MatrixParseError(
-                path, line_no, len(row),
-                f"expected {len(sample_ids) + 1} cells, found {len(row)}",
+    line_no = 2  # csv record number of the next body line
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        g = len(gene_ids)
+        parsed = _parse_block(block, delim, width, gene_ids)
+        if parsed is None:
+            records = csv.reader(itertools.chain(block, lines), delimiter=delim)
+            parsed, line_no = _parse_records(
+                records, len(block), path, line_no, width, gene_ids
             )
-        gene_ids.append(row[0].strip())
-        try:
-            rows.append(np.fromiter(map(float, row[1:]), np.float64, len(sample_ids)))
-        except ValueError:
-            # find the cell at fault
-            for col_no, cell in enumerate(row[1:], start=2):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise MatrixParseError(
-                        path, line_no, col_no, f"non-numeric cell {cell!r}"
-                    ) from None
-            raise
-    if not rows:
+        else:
+            line_no += len(block)
+        values[g : len(gene_ids)] = parsed
+    if not gene_ids:
         raise MatrixParseError(path, 2, 1, "no gene rows")
-    return ExpressionMatrix(
-        gene_ids=gene_ids,
-        sample_ids=sample_ids,
-        values=np.array(rows, dtype=np.float64),
-    )
+    if len(gene_ids) < bound:
+        values = values[: len(gene_ids)].copy()
+    return ExpressionMatrix(gene_ids=gene_ids, sample_ids=sample_ids, values=values)
+
+
+def _body_lines(fh, path, width: int) -> tuple[Iterator[str], int]:
+    """The lines of fh after its header, and an upper bound on their records.
+
+    A record takes at least one line and holds `width` delimiters, so there
+    are no more records than lines, nor than characters // width.  A pipe
+    can be read only once, so its lines are held in memory; a file's are
+    counted in a binary pass.
+    """
+    if not fh.seekable():
+        held = list(fh)
+        return iter(held), min(len(held), sum(map(len, held)) // width)
+    count, size, last = 0, 0, b"\n"
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            # '\n', '\r' and '\r\n' each end a line
+            count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk.startswith(b"\n"):
+                count -= 1  # a '\r\n' split between two chunks
+            size += len(chunk)
+            last = chunk[-1:]
+    if last not in b"\r\n":
+        count += 1  # a last line without a line break
+    # the header took at least one line
+    return fh, min(count - 1, size // width)
+
+
+def _parse_block(
+    lines: list[str], delim: str, width: int, gene_ids: list[str]
+) -> np.ndarray | None:
+    """Parse lines that hold one record each with one loadtxt call.
+
+    Returns their (records, width) values and appends their gene ids, or
+    returns None and appends nothing when csv.reader must read the lines:
+    a quote or NUL, a row of the wrong length, or a cell that loadtxt
+    refuses (float() also takes '1_000').  A carriage return needs no
+    csv.reader: a file opened with newline="" ends a line at every one.
+    """
+    text = "".join(lines)
+    if '"' in text or "\0" in text:
+        return None
+    # csv.reader's blank records: no delimiter and nothing but whitespace
+    rows = [line for line in lines if delim in line or line.strip()]
+    if any(line.count(delim) != width for line in rows):
+        return None
+    if not rows:
+        return np.empty((0, width))
+    try:
+        values = np.loadtxt(
+            rows,
+            delimiter=delim,
+            usecols=range(1, width + 1),
+            comments=None,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    gene_ids.extend(line.partition(delim)[0].strip() for line in rows)
+    return values
+
+
+def _parse_records(
+    records, lines: int, path, line_no: int, width: int, gene_ids: list[str]
+) -> tuple[np.ndarray, int]:
+    """Read csv records until `lines` source lines are consumed.
+
+    A quoted cell may carry the last record past them.  Returns the values
+    and the record number after the last one read; raises MatrixParseError
+    at the first bad record or cell.
+    """
+    rows: list[np.ndarray] = []
+    for row in records:
+        if row and (len(row) > 1 or row[0].strip()):
+            if len(row) != width + 1:
+                raise MatrixParseError(
+                    path, line_no, len(row),
+                    f"expected {width + 1} cells, found {len(row)}",
+                )
+            gene_ids.append(row[0].strip())
+            try:
+                rows.append(np.fromiter(map(float, row[1:]), np.float64, width))
+            except ValueError:
+                # find the cell at fault
+                for col_no, cell in enumerate(row[1:], start=2):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise MatrixParseError(
+                            path, line_no, col_no, f"non-numeric cell {cell!r}"
+                        ) from None
+                raise
+        line_no += 1
+        if records.line_num >= lines:
+            break
+    return np.array(rows, dtype=np.float64).reshape(-1, width), line_no
 
 
 def save_matrix(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples"):
@@ -206,9 +315,8 @@ def save_matrix(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples
     delim = _delimiter(fmt)
     with atomic_open(path) as fh:
         fh.write(delim.join(["gene_id", *matrix.sample_ids]) + "\n")
-        for g, gene in enumerate(matrix.gene_ids):
-            cells = [repr(float(x)) for x in matrix.values[g]]
-            fh.write(delim.join([gene, *cells]) + "\n")
+        for gene, row in zip(matrix.gene_ids, matrix.values):
+            fh.write(delim.join([gene, *map(repr, row.tolist())]) + "\n")
 
 
 def load_labels(path) -> dict[str, str]:

@@ -1,5 +1,14 @@
 """All-pairs Max BET screening with family-wise error control.
 
+`precompute_bitplanes` and `precompute_copulas` rank the genes
+_RANK_GENES at a time: one argsort(axis=1) per block, a check of the
+block for non-finite values and for equal neighbours in sorted order,
+then ranks as empirical_copula gives them.  `expand_rank_rows` expands a
+block's ranks with binary_expansion's integer test in one pass, and each
+gene's BitPlanes is a view of the block's packed words.  A block with a
+fault is ranked again one gene at a time by `rank_gene`, so the first
+gene at fault raises the error that names it.
+
 Every gene's planes (BitPlanes.planes: W = ceil(n / 64) uint64 words per
 digit, observation k at bit k % 64 of word k // 64 and zeros past n) are
 stacked and combined once by `mask_combos` into a word-major
@@ -65,8 +74,8 @@ from .core.bids import (
     class_members,
     parse_class_label,
 )
-from .core.copula import CopulaColumn, empirical_copula
-from .core.expansion import BitPlanes, binary_expansion
+from .core.copula import MIN_SAMPLES, CopulaColumn, empirical_copula
+from .core.expansion import BitPlanes, binary_expansion, expand_rank_rows
 from .core.maxbet import MODES, BetResult, null_method, null_table
 from .core.nulls import permutation_pvalue
 from .core.stats import mask_combos, sign_factor, z_score
@@ -234,19 +243,58 @@ def rank_gene(gene: str, values: np.ndarray) -> CopulaColumn:
         raise NonFiniteError(exc.index, exc.value, gene) from None
 
 
-def _ranked_genes(matrix: ExpressionMatrix) -> Iterator[CopulaColumn]:
-    """Rank-transform the genes one at a time."""
-    for gene, values in zip(matrix.gene_ids, matrix.values):
-        yield rank_gene(gene, values)
+# genes ranked per argsort and expanded per pass; bounds the scratch arrays
+_RANK_GENES = 32
+
+
+def _rank_block(values: np.ndarray) -> np.ndarray | None:
+    """Ranks 1..n of every row of a (genes, n) block, as empirical_copula gives.
+
+    None when a row has too few, non-finite or tied values.
+    """
+    n = values.shape[1]
+    if n < MIN_SAMPLES or not np.isfinite(values).all():
+        return None
+    order = values.argsort(axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        return None
+    ranks = np.empty(values.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, n + 1), axis=1)
+    return ranks
+
+
+def _gene_blocks(matrix: ExpressionMatrix) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Gene ids and values, _RANK_GENES genes at a time."""
+    for lo in range(0, matrix.n_genes, _RANK_GENES):
+        hi = lo + _RANK_GENES
+        yield matrix.gene_ids[lo:hi], matrix.values[lo:hi]
 
 
 def precompute_bitplanes(matrix: ExpressionMatrix, d1: int) -> list[BitPlanes]:
     """Copula-transform and expand every gene once."""
-    return [binary_expansion(col, d1) for col in _ranked_genes(matrix)]
+    planes: list[BitPlanes] = []
+    for genes, values in _gene_blocks(matrix):
+        ranks = _rank_block(values)
+        if ranks is None:
+            # one gene at a time, so the first gene at fault is named
+            planes += (
+                binary_expansion(rank_gene(g, v), d1) for g, v in zip(genes, values)
+            )
+        else:
+            planes += expand_rank_rows(ranks, d1)
+    return planes
 
 
 def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
-    return list(_ranked_genes(matrix))
+    columns: list[CopulaColumn] = []
+    for genes, values in _gene_blocks(matrix):
+        ranks = _rank_block(values)
+        if ranks is None:
+            columns += map(rank_gene, genes, values)
+        else:
+            columns += map(CopulaColumn, ranks)
+    return columns
 
 
 # Sizes that bound the scratch memory of the kernel: a row block holds at

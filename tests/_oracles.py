@@ -3,18 +3,23 @@
 Everything here recomputes quantities from first principles: digits by
 scanning the dyadic intervals with integer cross-multiplication,
 statistics by classifying each observation into its quadrant and summing
-region signs, tails by exhaustive enumeration.  None of it shares code
-with the bit-parallel production path.
+region signs, tails by exhaustive enumeration, a matrix file by
+csv.reader and float() one row at a time.  None of it shares code with
+the bit-parallel production path or the block-wise loader.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
+
+from betscan.errors import MatrixParseError
+from betscan.preprocess import ExpressionMatrix
 
 
 def interval_digit(rank: int, n: int, k: int) -> int:
@@ -194,3 +199,46 @@ def chi_square_oracle(counts) -> float:
     col = counts.sum(axis=0, keepdims=True)
     expected = row @ col / counts.sum()
     return float(np.sum((counts - expected) ** 2 / expected))
+
+
+def parse_matrix_oracle(fh, path, delim: str) -> ExpressionMatrix:
+    """The row-at-a-time matrix parser that the block-wise loader replaced."""
+    reader = csv.reader(fh, delimiter=delim)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MatrixParseError(path, 1, 1, "empty file") from None
+    if len(header) < 2:
+        raise MatrixParseError(path, 1, 1, "header has no sample ids")
+    sample_ids = [c.strip() for c in header[1:]]
+
+    gene_ids: list[str] = []
+    rows: list[np.ndarray] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(sample_ids) + 1:
+            raise MatrixParseError(
+                path, line_no, len(row),
+                f"expected {len(sample_ids) + 1} cells, found {len(row)}",
+            )
+        gene_ids.append(row[0].strip())
+        try:
+            rows.append(np.fromiter(map(float, row[1:]), np.float64, len(sample_ids)))
+        except ValueError:
+            # find the cell at fault
+            for col_no, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise MatrixParseError(
+                        path, line_no, col_no, f"non-numeric cell {cell!r}"
+                    ) from None
+            raise
+    if not rows:
+        raise MatrixParseError(path, 2, 1, "no gene rows")
+    return ExpressionMatrix(
+        gene_ids=gene_ids,
+        sample_ids=sample_ids,
+        values=np.array(rows, dtype=np.float64),
+    )

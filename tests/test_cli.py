@@ -326,6 +326,66 @@ def test_missing_input_is_an_error_naming_the_path(tmp_path, capsys, command):
     assert f"error: {missing}: No such file or directory" in err
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        "screen-missing",
+        "screen-tie",
+        "screen-m-pairs",
+        "preprocess-missing",
+        "network-missing",
+        "compare-missing",
+        "baselines-missing",
+        "baselines-short-row",
+    ],
+)
+def test_refused_input_leaves_no_output_directory(tmp_path, capsys, case):
+    matrix = screened_fixture(tmp_path)
+    missing = tmp_path / "none.tsv"
+    results = tmp_path / "scr" / "results.csv"
+    assert main(["screen", str(matrix), "--out", str(results.parent)]) == 0
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("gene_i,gene_j\nP00x\n")
+    (tmp_path / "tied").mkdir()
+    out = tmp_path / "run"
+    args = {
+        "screen-missing": ["screen", str(missing)],
+        "screen-tie": ["screen", str(faulty_fixture(tmp_path / "tied"))],
+        "screen-m-pairs": ["screen", str(matrix), "--m-pairs", "65"],
+        "preprocess-missing": ["preprocess", str(missing)],
+        "network-missing": ["network", str(missing)],
+        "compare-missing": ["compare", str(results), str(missing), "--class", "Linear"],
+        "baselines-missing": ["baselines", str(missing), str(pairs)],
+        "baselines-short-row": ["baselines", str(matrix), str(pairs)],
+    }[case]
+    capsys.readouterr()
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_refused_input_leaves_an_earlier_run_complete(tmp_path, capsys):
+    matrix = screened_fixture(tmp_path)
+    out = tmp_path / "scr"
+    assert main(["screen", str(matrix), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    (tmp_path / "tied").mkdir()
+    tied = faulty_fixture(tmp_path / "tied")
+    assert main(["screen", str(tied), "--out", str(out)]) == 1
+    assert "tied values" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_baselines_names_the_line_of_a_short_pairs_row(tmp_path, capsys):
+    matrix = screened_fixture(tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("gene_i,gene_j\nP00x,P00y\n\nP00x\n")
+    args = ["baselines", str(matrix), str(pairs), "--out", str(tmp_path / "b")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {pairs}: line 4: no gene_i or gene_j cell\n"
+
+
 @pytest.mark.parametrize("text", ["not json", "[]", '{"command": "screen"}'])
 def test_rerun_refuses_a_file_that_is_not_a_manifest(tmp_path, capsys, text):
     path = tmp_path / "manifest.json"

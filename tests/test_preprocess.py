@@ -1,5 +1,11 @@
+import math
+import os
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betscan.core import empirical_copula
 from betscan.errors import (
@@ -23,6 +29,9 @@ from betscan.preprocess import (
     upper_quartile_log2,
 )
 
+from betscan import preprocess
+
+from ._oracles import parse_matrix_oracle
 from ._synth import subtype_context_labels
 
 
@@ -72,6 +81,219 @@ def test_round_trip_bit_exact(tmp_path):
     assert np.array_equal(again.values, m.values)
     save_matrix(again, tmp_path / "m2.tsv")
     assert (tmp_path / "m.tsv").read_bytes() == (tmp_path / "m2.tsv").read_bytes()
+
+
+def outcome(read):
+    """read()'s matrix, or the error it raises, as comparable data."""
+    try:
+        m = read()
+    except MatrixParseError as exc:
+        return ("MatrixParseError", exc.line, exc.column, str(exc))
+    except Exception as exc:  # the same failure, whatever it is
+        return (type(exc).__name__, str(exc))
+    return m.gene_ids, m.sample_ids, m.values.shape, m.values.view(np.uint64).tobytes()
+
+
+def assert_matches_oracle(path, fmt="tsv"):
+    def oracle():
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse_matrix_oracle(fh, path, "," if fmt == "csv" else "\t")
+
+    assert outcome(lambda: load_matrix(path, fmt)) == outcome(oracle)
+
+
+_SPECIAL_CELLS = [
+    "nan", "NaN", "-nan", "inf", "-Infinity", "+INF", "1e22", "1E-310", "5e-324",
+    "-0.0", ".5", "+3.",
+]
+# cells that float() takes and loadtxt refuses, that neither takes, or
+# that only csv.reader reads
+_ODD_CELLS = [
+    "1_000", "\u0661", "0x10", "1,5", "oops", "", " ", "1 2", "\x00", '"2.5"',
+    '"1\n2"', '"a""b"',
+]
+_ODD_LINES = ["", "   ", " \x0c "]
+# gene ids that csv.reader reads (before Python 3.11 it refuses a NUL);
+# the last two add a cell in one format
+_ODD_IDS = ['a"b', '"G"', '"x\ty"', '"x,y"', "", " G ", "G\x00", "x\ty", "x,y"]
+_PADS = [" ", "  ", "\x0c", "\u2000"]
+
+
+def _cell(rng, odd: int) -> str:
+    """A number as a matrix file may write it, or an odd cell odd times in 1000."""
+    if rng.integers(1000) < odd:
+        return str(rng.choice(_ODD_CELLS))
+    x = float(rng.lognormal()) * 10.0 ** int(rng.integers(-300, 300))
+    kind = rng.integers(5)
+    if kind == 0:
+        return str(rng.choice(_SPECIAL_CELLS))
+    if kind == 1:
+        return str(int(rng.integers(-(10**6), 10**6)))
+    return f"{x:.6g}" if kind == 2 else repr(-x if kind == 3 else x)
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix text with quotes, CRLF, blank lines, padding and bad cells."""
+    delim = draw(st.sampled_from(["\t", ","]))
+    width = draw(st.integers(1, 4))
+    genes = draw(st.integers(1, 2 * preprocess._BLOCK_LINES + 8))
+    # per 1000: odd cells and rows of the wrong length, which are mostly
+    # faults; blank and padded rows; odd gene ids, mostly quoted
+    odd_cells = draw(st.sampled_from([0, 3, 30, 300]))
+    odd_rows = draw(st.sampled_from([0, 30, 300]))
+    odd_ids = draw(st.sampled_from([0, 10, 100]))
+    breaks = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    ids = _ODD_IDS if odd_cells == 300 else ["a", "b_c", '"S 1"']
+    lines = [delim.join(str(rng.choice(ids)) for _ in range(width + 1))]
+    for g in range(genes):
+        cells = [_cell(rng, odd_cells) for _ in range(width)]
+        gene = f"G{g}"
+        if rng.integers(1000) < odd_cells:
+            cells = cells[: rng.integers(width + 1)] + ["1"] * rng.integers(3)
+        kind = rng.integers(1000)
+        if kind < odd_rows // 2:
+            lines.append(str(rng.choice([*_ODD_LINES, delim, delim + " "])))
+            continue
+        if kind < odd_rows:
+            pad = str(rng.choice(_PADS))
+            cells = [pad + c + pad for c in cells]
+        if rng.integers(1000) < odd_ids:
+            gene = str(rng.choice(_ODD_IDS[:7]))
+        lines.append(delim.join([gene, *cells]))
+    ends = [
+        str(rng.choice(["\n", "\r\n", "\r"])) if breaks == "mixed" else breaks
+        for _ in lines
+    ]
+    if draw(st.booleans()):  # some files end without a line break
+        ends[-1] = ""
+    return delim, "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_texts())
+def test_block_loader_matches_the_row_oracle(tmp_path_factory, sample):
+    delim, text = sample
+    path = tmp_path_factory.mktemp("m") / ("m.csv" if delim == "," else "m.tsv")
+    path.write_bytes(text.encode("utf-8"))
+    fmt = "csv" if delim == "," else "tsv"
+    assert_matches_oracle(path, fmt)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "gene_id\n", "gene_id\tS0\n", "gene_id\tS0\n\n \n",
+     "gene_id\tS0\nG0\t1"],
+)
+def test_block_loader_edge_files_match_the_oracle(tmp_path, text):
+    path = tmp_path / "m.tsv"
+    path.write_text(text)
+    assert_matches_oracle(path)
+
+
+@pytest.mark.parametrize("genes", [1, 31, 32, 33, 64, 65, 100])
+def test_block_loader_matches_the_oracle_across_blocks(tmp_path, genes, monkeypatch):
+    rng = np.random.default_rng(genes)
+    scales = 10.0 ** rng.integers(-300, 300, (genes, 7))
+    values = rng.lognormal(size=(genes, 7)) * scales
+    values[rng.random(values.shape) < 0.05] = np.nan
+    m = small_matrix(values)
+    path = tmp_path / "m.tsv"
+    save_matrix(m, path)
+    assert_matches_oracle(path)
+    # a clean file never needs csv.reader
+    monkeypatch.setattr(preprocess, "_parse_records", None)
+    assert np.array_equal(load_matrix(path).values, m.values, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "fault, line, column",
+    [
+        ("G40\t1\t2\t3\n", 42, 4),  # a missing cell
+        ("G40\t1\t2\t3\t4\t5\n", 42, 6),  # an extra cell, which usecols would drop
+        ("G40\t1\t2\tx\t4\n", 42, 4),
+        ('G40\t1\t2\t"3\n4"\t5\n', 42, 4),  # a quoted cell spanning two lines
+    ],
+)
+def test_block_loader_names_the_fault_in_a_later_block(tmp_path, fault, line, column):
+    body = "".join(f"G{g}\t{g}\t1\t2\t3\n" for g in range(40))
+    path = tmp_path / "m.tsv"
+    path.write_text("gene_id\tS0\tS1\tS2\tS3\n" + body + fault + "G41\t0\t1\t2\t3\n")
+    with pytest.raises(MatrixParseError) as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert_matches_oracle(path)
+
+
+def test_block_loader_reads_what_loadtxt_refuses(tmp_path):
+    # '1_000' and quoted cells pass float() but not the bulk parse; a
+    # quoted cell with a line break spans two blocks
+    rows = [f"G{g}\t{g}\t1_000" for g in range(60)]
+    rows[31] = 'G31\t"31\n"\t2'
+    path = tmp_path / "m.tsv"
+    path.write_text("gene_id\tS0\tS1\n" + "\n".join(rows) + "\n")
+    m = load_matrix(path)
+    assert m.gene_ids == [f"G{g}" for g in range(60)]
+    assert m.values[:, 1].tolist() == [1000.0] * 31 + [2.0] + [1000.0] * 28
+    assert m.values[:, 0].tolist() == list(range(60))
+    assert_matches_oracle(path)
+
+
+def test_crlf_split_between_read_chunks(tmp_path):
+    # the lines of a file are counted 1 MiB at a time; put a '\r\n' across
+    chunk = 1 << 20
+    rows, size, g = ["gene_id\tS0\r\n"], 12, 0
+    while size < chunk - 2000:
+        rows.append(f"G{g}\t{' ' * 1000}{g}\r\n")
+        size += len(rows[-1])
+        g += 1
+    head = f"G{g}\t{g}"
+    rows.append(head + " " * (chunk - 1 - size - len(head)) + "\r\n")
+    rows += [f"G{g + 1}\t{g + 1}\r\n", f"G{g + 2}\t{g + 2}"]
+    text = "".join(rows)
+    assert text[chunk - 1 : chunk + 1] == "\r\n"
+    path = tmp_path / "m.tsv"
+    path.write_bytes(text.encode())
+    m = load_matrix(path)
+    assert m.values[:, 0].tolist() == list(range(g + 3))
+    assert_matches_oracle(path)
+
+
+def test_load_matrix_reads_a_pipe(tmp_path):
+    # a pipe cannot be read twice, so its lines are counted in memory
+    text = "gene_id\tS0\tS1\n" + "".join(f"G{g}\t{g}\t-{g}\n\n" for g in range(70))
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        m = load_matrix(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert m.gene_ids == [f"G{g}" for g in range(70)]
+    assert m.values.tolist() == [[g, -g] for g in range(70)]
+
+
+def test_save_matrix_bytes_pinned(tmp_path):
+    m = small_matrix(
+        [[math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1, -2.5e-300]]
+    )
+    path = tmp_path / "m.tsv"
+    save_matrix(m, path)
+    assert path.read_text() == (
+        "gene_id\tS0\tS1\tS2\tS3\tS4\tS5\tS6\tS7\n"
+        "G0\tnan\tinf\t-inf\t-0.0\t5e-324\t1e+22\t0.1\t-2.5e-300\n"
+    )
+    save_matrix(m, tmp_path / "m.csv", "csv")
+    assert (tmp_path / "m.csv").read_text() == (
+        "gene_id,S0,S1,S2,S3,S4,S5,S6,S7\n"
+        "G0,nan,inf,-inf,-0.0,5e-324,1e+22,0.1,-2.5e-300\n"
+    )
+    again = load_matrix(path).values
+    assert np.array_equal(again.view(np.uint64), m.values.view(np.uint64))
 
 
 def test_labels_file(tmp_path):

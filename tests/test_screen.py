@@ -72,6 +72,65 @@ def test_ranking_errors_name_the_gene():
     assert "'G002' has non-finite value" in str(err.value)
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1, screen._RANK_GENES + 1])
+@pytest.mark.parametrize("n", [4, 64, 65, 817])
+def test_block_ranks_and_planes_match_each_gene(extra, n):
+    g = screen._RANK_GENES + extra
+    m = random_matrix(g, n, g * n)
+    m.values[1] *= -1e-300  # tiny and negative values, and a signed zero
+    m.values[2, 3] = -0.0
+    columns = precompute_copulas(m)
+    planes = precompute_bitplanes(m, 3)
+    assert len(columns) == len(planes) == g
+    for values, col, plane in zip(m.values, columns, planes):
+        single = empirical_copula(values)
+        assert np.array_equal(col.ranks, single.ranks)
+        assert col.ranks.dtype == single.ranks.dtype
+        assert plane == binary_expansion(single, 3)
+        assert not plane.planes.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        ("tie", TiesPresentError),
+        ("nan", NonFiniteError),
+        ("inf", NonFiniteError),
+        ("zeros", TiesPresentError),  # 0.0 and -0.0 tie
+    ],
+)
+def test_fault_in_a_later_block_names_the_first_gene(fault, error):
+    m = random_matrix(3 * screen._RANK_GENES, 40, 5)
+    first, second = screen._RANK_GENES + 3, screen._RANK_GENES + 9
+    for g in (first, second, 2 * screen._RANK_GENES + 1):
+        if fault == "tie":
+            m.values[g, 7] = m.values[g, 30]
+        elif fault == "zeros":
+            m.values[g, 7], m.values[g, 30] = 0.0, -0.0
+        else:
+            m.values[g, 30] = float(fault)
+    for precompute in (precompute_copulas, lambda m: precompute_bitplanes(m, 2)):
+        with pytest.raises(error) as err:
+            precompute(m)
+        assert err.value.gene == m.gene_ids[first]
+        with pytest.raises(error) as direct:
+            screen.rank_gene(m.gene_ids[first], m.values[first])
+        assert str(err.value) == str(direct.value)
+
+
+def test_bad_depth_or_too_few_samples_fail_as_for_one_gene():
+    m = random_matrix(40, 3, 1)
+    with pytest.raises(ValueError, match="at least 4 observations"):
+        precompute_bitplanes(m, 2)
+    m = random_matrix(40, 16, 1)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        precompute_bitplanes(m, 0)
+    m.values[33, 1] = m.values[33, 2]
+    with pytest.raises(BetscanError, match="exceeds the cap"):
+        precompute_bitplanes(m, 17)
+    assert precompute_bitplanes(matrix_from(np.empty((0, 8))), 0) == []
+
+
 def test_precompute_shapes_and_purity():
     m = random_matrix(10, 64, 1)
     planes = precompute_bitplanes(m, 2)
