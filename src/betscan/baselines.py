@@ -322,9 +322,9 @@ def measure_comparison(
     The Hoeffding permutation p cannot fall below 1/(iterations + 1), so
     at stringent thresholds its significant counts are a lower bound.
     """
-    from .core.expansion import binary_expansion
+    from .core.copula import rank_rows
+    from .core.expansion import expand_rank_rows
     from .core.maxbet import max_bet
-    from .screen import rank_gene
 
     if m_pairs is None:
         m_pairs = len(pairs)
@@ -332,7 +332,7 @@ def measure_comparison(
 
     @cache
     def planes_of(gene: str):
-        return binary_expansion(rank_gene(gene, matrix.column(gene)), d)
+        return expand_rank_rows(rank_rows(matrix.column(gene)[None], [gene]), d)[0]
 
     for idx, (gi, gj) in enumerate(pairs):
         x = matrix.column(gi)

@@ -14,6 +14,7 @@ environment variable and then to 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 import time
@@ -22,7 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from .core.bids import bid_class_of, parse_class_label
-from .core.expansion import binary_expansion
+from .core.copula import rank_rows
+from .core.expansion import expand_rank_rows
 from .core.maxbet import MODES, max_bet
 from .core.stats import all_symmetry_statistics, cell_counts
 from .errors import BetscanError
@@ -50,7 +52,6 @@ from .screen import (
     all_bid_diagnostics,
     compare_runs,
     precompute_bitplanes,
-    rank_gene,
     read_results_csv,
     screen_all_pairs,
     top_k_genes,
@@ -162,9 +163,9 @@ def run_preprocess(config: dict, out_dir: Path) -> int:
     if cleaned.labels is not None:
         labels_path = out_dir / "labels.csv"
         with atomic_open(labels_path) as fh:
-            fh.write("sample_id,label\n")
-            for sample, label in zip(cleaned.sample_ids, cleaned.labels):
-                fh.write(f"{sample},{label}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["sample_id", "label"])
+            writer.writerows(zip(cleaned.sample_ids, cleaned.labels))
         outputs.append(labels_path.name)
     report_path = out_dir / "preprocess_report.json"
     write_json(report.to_dict(), report_path)
@@ -203,10 +204,8 @@ def run_test(config: dict, out_dir: Path | None) -> int:
     gene_a, gene_b = config["gene_a"], config["gene_b"]
     depth = int(config.get("depth", 2))
 
-    col_u = rank_gene(gene_a, matrix.column(gene_a))
-    col_v = rank_gene(gene_b, matrix.column(gene_b))
-    u = binary_expansion(col_u, depth)
-    v = binary_expansion(col_v, depth)
+    values = matrix.values[[matrix.gene_index(gene_a), matrix.gene_index(gene_b)]]
+    u, v = expand_rank_rows(rank_rows(values, [gene_a, gene_b]), depth)
 
     stats = all_symmetry_statistics(u, v)
     result = max_bet(
@@ -323,11 +322,12 @@ def run_network(config: dict, out_dir: Path) -> int:
 
     hubs_path = out_dir / "hubs.csv"
     with atomic_open(hubs_path) as fh:
-        fh.write("gene,degree,neighbors\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["gene", "degree", "neighbors"])
         for gene, degree, neighbors in hub_report(
             graph, int(config.get("min_degree", 1))
         ):
-            fh.write(f"{gene},{degree},{';'.join(neighbors)}\n")
+            writer.writerow([gene, degree, ";".join(neighbors)])
 
     outputs = [graph_path.name, hubs_path.name]
     if fmt == "csv_edge_list":
@@ -369,8 +369,6 @@ def run_compare(config: dict, out_dir: Path) -> int:
 
 
 def run_baselines(config: dict, out_dir: Path) -> int:
-    import csv as _csv
-
     from .baselines import MeasureClassRow, MeasurePairRow, measure_comparison
 
     started = time.perf_counter()
@@ -378,17 +376,20 @@ def run_baselines(config: dict, out_dir: Path) -> int:
 
     pairs = []
     with open_input(config["pairs"]) as fh:
-        reader = _csv.DictReader(fh)
-        if not {"gene_i", "gene_j"} <= set(reader.fieldnames or ()):
-            raise BetscanError(f"{config['pairs']}: no gene_i and gene_j columns")
-        for rec in reader:
-            # DictReader fills the cells missing from a short row with None
-            if rec["gene_i"] is None or rec["gene_j"] is None:
-                raise BetscanError(
-                    f"{config['pairs']}: line {reader.line_num}: "
-                    "no gene_i or gene_j cell"
-                )
-            pairs.append((rec["gene_i"], rec["gene_j"]))
+        reader = csv.DictReader(fh)
+        try:
+            if not {"gene_i", "gene_j"} <= set(reader.fieldnames or ()):
+                raise BetscanError(f"{config['pairs']}: no gene_i and gene_j columns")
+            for rec in reader:
+                # DictReader fills the cells missing from a short row with None
+                if rec["gene_i"] is None or rec["gene_j"] is None:
+                    raise ValueError("no gene_i or gene_j cell")
+                pairs.append((rec["gene_i"], rec["gene_j"]))
+        except (ValueError, csv.Error) as exc:
+            # DictReader.line_num counts only the records it returned
+            raise BetscanError(
+                f"{config['pairs']}: line {reader.reader.line_num}: {exc}"
+            ) from None
     if not pairs:
         raise BetscanError(f"no pairs found in {config['pairs']}")
 

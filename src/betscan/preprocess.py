@@ -28,7 +28,7 @@ minimum).  The pipeline applies, in order:
        up to the second-smallest distinct value
 
 after which each column is strictly ordered and ready for
-empirical_copula.  Jitter never crosses the second-smallest value, so
+the rank transform.  Jitter never crosses the second-smallest value, so
 every jittered observation stays in the lowest rank block and no
 non-minimum ordering changes.
 
@@ -48,11 +48,14 @@ from typing import Iterator
 
 import numpy as np
 
+from .core.copula import MIN_SAMPLES
 from .errors import (
+    BetscanError,
     DegenerateColumnError,
     DegenerateSampleError,
     DimensionMismatchError,
     MatrixParseError,
+    TooFewSamplesError,
     UnknownLabelError,
 )
 from .manifest import atomic_open, open_input
@@ -187,6 +190,8 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
         header = next(csv.reader(fh, delimiter=delim))
     except StopIteration:
         raise MatrixParseError(path, 1, 1, "empty file") from None
+    except csv.Error as exc:
+        raise _csv_error(path, 1, exc) from None
     if len(header) < 2:
         raise MatrixParseError(path, 1, 1, "header has no sample ids")
     sample_ids = [c.strip() for c in header[1:]]
@@ -284,30 +289,38 @@ def _parse_records(
     at the first bad record or cell.
     """
     rows: list[np.ndarray] = []
-    for row in records:
-        if row and (len(row) > 1 or row[0].strip()):
-            if len(row) != width + 1:
-                raise MatrixParseError(
-                    path, line_no, len(row),
-                    f"expected {width + 1} cells, found {len(row)}",
-                )
-            gene_ids.append(row[0].strip())
-            try:
-                rows.append(np.fromiter(map(float, row[1:]), np.float64, width))
-            except ValueError:
-                # find the cell at fault
-                for col_no, cell in enumerate(row[1:], start=2):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise MatrixParseError(
-                            path, line_no, col_no, f"non-numeric cell {cell!r}"
-                        ) from None
-                raise
-        line_no += 1
-        if records.line_num >= lines:
-            break
+    try:
+        for row in records:
+            if row and (len(row) > 1 or row[0].strip()):
+                if len(row) != width + 1:
+                    raise MatrixParseError(
+                        path, line_no, len(row),
+                        f"expected {width + 1} cells, found {len(row)}",
+                    )
+                gene_ids.append(row[0].strip())
+                try:
+                    rows.append(np.fromiter(map(float, row[1:]), np.float64, width))
+                except ValueError:
+                    # find the cell at fault
+                    for col_no, cell in enumerate(row[1:], start=2):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise MatrixParseError(
+                                path, line_no, col_no, f"non-numeric cell {cell!r}"
+                            ) from None
+                    raise
+            line_no += 1
+            if records.line_num >= lines:
+                break
+    except csv.Error as exc:
+        raise _csv_error(path, line_no, exc) from None
     return np.array(rows, dtype=np.float64).reshape(-1, width), line_no
+
+
+def _csv_error(path, line: int, exc: csv.Error) -> BetscanError:
+    """A record that csv.reader refuses, such as a field past its size limit."""
+    return BetscanError(f"{path}: line {line}: {exc}")
 
 
 def save_matrix(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples"):
@@ -321,18 +334,21 @@ def save_matrix(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples
 
 def load_labels(path) -> dict[str, str]:
     """Read a two-column CSV (header 'sample_id,label') into a mapping."""
-    out: dict[str, str] = {}
     with open_input(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["sample_id", "label"]:
-            raise MatrixParseError(path, 1, 1, "expected header 'sample_id,label'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise MatrixParseError(path, line_no, 1, "expected two columns")
-            out[row[0].strip()] = row[1].strip()
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise _csv_error(path, reader.line_num, exc) from None
+    if not rows or [c.strip() for c in rows[0][:2]] != ["sample_id", "label"]:
+        raise MatrixParseError(path, 1, 1, "expected header 'sample_id,label'")
+    out: dict[str, str] = {}
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise MatrixParseError(path, line_no, 1, "expected two columns")
+        out[row[0].strip()] = row[1].strip()
     return out
 
 
@@ -371,8 +387,10 @@ def reset_median_imputed(column) -> np.ndarray:
     median is not a duplicated data value.
     """
     col = np.asarray(column, dtype=np.float64).copy()
-    if col.shape[0] < 4:
-        raise ValueError("need at least 4 observations")
+    if col.shape[0] < MIN_SAMPLES:
+        raise TooFewSamplesError(
+            f"need at least {MIN_SAMPLES} observations, got {col.shape[0]}"
+        )
     med = float(np.median(col))
     hits = np.nonzero(col == med)[0]
     if hits.shape[0] > 1:

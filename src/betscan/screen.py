@@ -1,13 +1,9 @@
 """All-pairs Max BET screening with family-wise error control.
 
 `precompute_bitplanes` and `precompute_copulas` rank the genes
-_RANK_GENES at a time: one argsort(axis=1) per block, a check of the
-block for non-finite values and for equal neighbours in sorted order,
-then ranks as empirical_copula gives them.  `expand_rank_rows` expands a
-block's ranks with binary_expansion's integer test in one pass, and each
-gene's BitPlanes is a view of the block's packed words.  A block with a
-fault is ranked again one gene at a time by `rank_gene`, so the first
-gene at fault raises the error that names it.
+_RANK_GENES at a time with `rank_rows`, which names the first gene at
+fault.  `expand_rank_rows` expands a block's ranks in one pass, and each
+gene's BitPlanes is a view of the block's packed words.
 
 Every gene's planes (BitPlanes.planes: W = ceil(n / 64) uint64 words per
 digit, observation k at bit k % 64 of word k // 64 and zeros past n) are
@@ -74,17 +70,12 @@ from .core.bids import (
     class_members,
     parse_class_label,
 )
-from .core.copula import MIN_SAMPLES, CopulaColumn, empirical_copula
-from .core.expansion import BitPlanes, binary_expansion, expand_rank_rows
+from .core.copula import CopulaColumn, rank_rows
+from .core.expansion import BitPlanes, expand_rank_rows
 from .core.maxbet import MODES, BetResult, null_method, null_table
 from .core.nulls import permutation_pvalue
 from .core.stats import mask_combos, sign_factor, z_score
-from .errors import (
-    BetscanError,
-    EmptyIntersectionError,
-    NonFiniteError,
-    TiesPresentError,
-)
+from .errors import BetscanError, EmptyIntersectionError
 from .manifest import atomic_open, open_input
 from .preprocess import ExpressionMatrix
 
@@ -96,7 +87,6 @@ __all__ = [
     "CompareRow",
     "precompute_bitplanes",
     "precompute_copulas",
-    "rank_gene",
     "screen_all_pairs",
     "write_results_csv",
     "read_results_csv",
@@ -233,68 +223,24 @@ class ScreenResults(Sequence[PairResult]):
         return replace(self, i=self.i[rows], j=self.j[rows], k=self.k[rows])
 
 
-def rank_gene(gene: str, values: np.ndarray) -> CopulaColumn:
-    """Rank-transform one gene's values, naming the gene in an error."""
-    try:
-        return empirical_copula(values)
-    except TiesPresentError as exc:
-        raise TiesPresentError(exc.value, exc.count, exc.tie_groups, gene) from None
-    except NonFiniteError as exc:
-        raise NonFiniteError(exc.index, exc.value, gene) from None
-
-
 # genes ranked per argsort and expanded per pass; bounds the scratch arrays
 _RANK_GENES = 32
 
 
-def _rank_block(values: np.ndarray) -> np.ndarray | None:
-    """Ranks 1..n of every row of a (genes, n) block, as empirical_copula gives.
-
-    None when a row has too few, non-finite or tied values.
-    """
-    n = values.shape[1]
-    if n < MIN_SAMPLES or not np.isfinite(values).all():
-        return None
-    order = values.argsort(axis=1)
-    ordered = np.take_along_axis(values, order, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        return None
-    ranks = np.empty(values.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, n + 1), axis=1)
-    return ranks
-
-
-def _gene_blocks(matrix: ExpressionMatrix) -> Iterator[tuple[list[str], np.ndarray]]:
-    """Gene ids and values, _RANK_GENES genes at a time."""
+def _gene_ranks(matrix: ExpressionMatrix) -> Iterator[np.ndarray]:
+    """rank_rows of every gene, _RANK_GENES genes at a time."""
     for lo in range(0, matrix.n_genes, _RANK_GENES):
         hi = lo + _RANK_GENES
-        yield matrix.gene_ids[lo:hi], matrix.values[lo:hi]
+        yield rank_rows(matrix.values[lo:hi], matrix.gene_ids[lo:hi])
 
 
 def precompute_bitplanes(matrix: ExpressionMatrix, d1: int) -> list[BitPlanes]:
     """Copula-transform and expand every gene once."""
-    planes: list[BitPlanes] = []
-    for genes, values in _gene_blocks(matrix):
-        ranks = _rank_block(values)
-        if ranks is None:
-            # one gene at a time, so the first gene at fault is named
-            planes += (
-                binary_expansion(rank_gene(g, v), d1) for g, v in zip(genes, values)
-            )
-        else:
-            planes += expand_rank_rows(ranks, d1)
-    return planes
+    return [p for ranks in _gene_ranks(matrix) for p in expand_rank_rows(ranks, d1)]
 
 
 def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
-    columns: list[CopulaColumn] = []
-    for genes, values in _gene_blocks(matrix):
-        ranks = _rank_block(values)
-        if ranks is None:
-            columns += map(rank_gene, genes, values)
-        else:
-            columns += map(CopulaColumn, ranks)
-    return columns
+    return [CopulaColumn(r) for ranks in _gene_ranks(matrix) for r in ranks]
 
 
 # Sizes that bound the scratch memory of the kernel: a row block holds at
@@ -385,7 +331,7 @@ def screen_all_pairs(
     """
     g = len(planes)
     if g < 2:
-        raise ValueError("need at least two genes")
+        raise BetscanError(f"need at least two genes, got {g}")
     if len(gene_ids) != g:
         raise ValueError("gene_ids and planes disagree in length")
     total_pairs = g * (g - 1) // 2
@@ -597,8 +543,9 @@ def read_results_csv(path, n: int | None = None) -> ScreenResults:
     the nine cells after them is parsed once into a table entry.  The
     sample count is not stored per row; pass n when downstream code needs
     BetResult.n, otherwise it is reconstructed from s and z (0 when
-    s = 0).  A file whose header is not RESULT_COLUMNS, or with a row of
-    another length or a cell that does not parse, raises BetscanError.
+    s = 0).  A file whose header is not RESULT_COLUMNS, or with a record
+    that csv.reader refuses, a row of another length or a cell that does
+    not parse, raises BetscanError.
     """
     genes: dict[str, int] = {}
     tails: dict[tuple[str, ...], int] = {}
@@ -606,31 +553,28 @@ def read_results_csv(path, n: int | None = None) -> ScreenResults:
     i, j, k = array("i"), array("i"), array("i")
     with open_input(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header) != RESULT_COLUMNS:
-            raise BetscanError(
-                f"{path}: header {','.join(header)!r} is not "
-                f"{','.join(RESULT_COLUMNS)!r}"
-            )
-        for row in filter(None, reader):  # blank lines aside
-            if len(row) != len(RESULT_COLUMNS):
+        try:
+            header = next(reader, [])
+            if tuple(header) != RESULT_COLUMNS:
                 raise BetscanError(
-                    f"{path}: line {reader.line_num}: {len(row)} cells, "
-                    f"expected {len(RESULT_COLUMNS)}"
+                    f"{path}: header {','.join(header)!r} is not "
+                    f"{','.join(RESULT_COLUMNS)!r}"
                 )
-            tail = tuple(row[2:])
-            entry = tails.get(tail)
-            if entry is None:
-                try:
+            for row in filter(None, reader):  # blank lines aside
+                if len(row) != len(RESULT_COLUMNS):
+                    raise ValueError(
+                        f"{len(row)} cells, expected {len(RESULT_COLUMNS)}"
+                    )
+                tail = tuple(row[2:])
+                entry = tails.get(tail)
+                if entry is None:
                     table.append(_parse_result(tail, n))
-                except ValueError as exc:
-                    raise BetscanError(
-                        f"{path}: line {reader.line_num}: {exc}"
-                    ) from None
-                entry = tails[tail] = len(tails)
-            i.append(genes.setdefault(row[0], len(genes)))
-            j.append(genes.setdefault(row[1], len(genes)))
-            k.append(entry)
+                    entry = tails[tail] = len(tails)
+                i.append(genes.setdefault(row[0], len(genes)))
+                j.append(genes.setdefault(row[1], len(genes)))
+                k.append(entry)
+        except (ValueError, csv.Error) as exc:
+            raise BetscanError(f"{path}: line {reader.line_num}: {exc}") from None
     return ScreenResults(
         tuple(genes),
         *(np.array(column, dtype=np.int32) for column in (i, j, k)),

@@ -4,8 +4,9 @@ Everything here recomputes quantities from first principles: digits by
 scanning the dyadic intervals with integer cross-multiplication,
 statistics by classifying each observation into its quadrant and summing
 region signs, tails by exhaustive enumeration, a matrix file by
-csv.reader and float() one row at a time.  None of it shares code with
-the bit-parallel production path or the block-wise loader.
+csv.reader and float() one row at a time, ranks by np.unique and a
+stable argsort one gene at a time.  None of it shares code with the
+bit-parallel production path, the block-wise loader or the block ranker.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from math import comb, factorial
 
 import numpy as np
 
-from betscan.errors import MatrixParseError
+from betscan.core.copula import CopulaColumn
+from betscan.errors import (
+    BetscanError,
+    MatrixParseError,
+    NonFiniteError,
+    TiesPresentError,
+)
 from betscan.preprocess import ExpressionMatrix
 
 
@@ -202,39 +209,51 @@ def chi_square_oracle(counts) -> float:
 
 
 def parse_matrix_oracle(fh, path, delim: str) -> ExpressionMatrix:
-    """The row-at-a-time matrix parser that the block-wise loader replaced."""
+    """The row-at-a-time matrix parser that the block-wise loader replaced.
+
+    A record that csv.reader refuses is a BetscanError naming its number.
+    """
     reader = csv.reader(fh, delimiter=delim)
+    line_no = 1
     try:
         header = next(reader)
     except StopIteration:
         raise MatrixParseError(path, 1, 1, "empty file") from None
+    except csv.Error as exc:
+        raise BetscanError(f"{path}: line 1: {exc}") from None
     if len(header) < 2:
         raise MatrixParseError(path, 1, 1, "header has no sample ids")
     sample_ids = [c.strip() for c in header[1:]]
 
     gene_ids: list[str] = []
     rows: list[np.ndarray] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(sample_ids) + 1:
-            raise MatrixParseError(
-                path, line_no, len(row),
-                f"expected {len(sample_ids) + 1} cells, found {len(row)}",
-            )
-        gene_ids.append(row[0].strip())
-        try:
-            rows.append(np.fromiter(map(float, row[1:]), np.float64, len(sample_ids)))
-        except ValueError:
-            # find the cell at fault
-            for col_no, cell in enumerate(row[1:], start=2):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise MatrixParseError(
-                        path, line_no, col_no, f"non-numeric cell {cell!r}"
-                    ) from None
-            raise
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(sample_ids) + 1:
+                raise MatrixParseError(
+                    path, line_no, len(row),
+                    f"expected {len(sample_ids) + 1} cells, found {len(row)}",
+                )
+            gene_ids.append(row[0].strip())
+            try:
+                rows.append(
+                    np.fromiter(map(float, row[1:]), np.float64, len(sample_ids))
+                )
+            except ValueError:
+                # find the cell at fault
+                for col_no, cell in enumerate(row[1:], start=2):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise MatrixParseError(
+                            path, line_no, col_no, f"non-numeric cell {cell!r}"
+                        ) from None
+                raise
+    except csv.Error as exc:
+        # the record after the last one read
+        raise BetscanError(f"{path}: line {line_no + 1}: {exc}") from None
     if not rows:
         raise MatrixParseError(path, 2, 1, "no gene rows")
     return ExpressionMatrix(
@@ -242,3 +261,34 @@ def parse_matrix_oracle(fh, path, delim: str) -> ExpressionMatrix:
         sample_ids=sample_ids,
         values=np.array(rows, dtype=np.float64),
     )
+
+
+def empirical_copula_oracle(values, gene: str | None = None) -> CopulaColumn:
+    """The one-gene ranker that the block ranker replaced; names gene in errors."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("expected a 1-d vector of values")
+    n = arr.shape[0]
+    if n < 4:
+        raise ValueError(f"need at least 4 observations, got {n}")
+
+    finite = np.isfinite(arr)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        raise NonFiniteError(idx, float(arr[idx]), gene)
+
+    uniq, counts = np.unique(arr, return_counts=True)
+    dup = counts > 1
+    if dup.any():
+        first = int(np.argmax(dup))
+        raise TiesPresentError(
+            value=float(uniq[first]),
+            count=int(counts[first]),
+            tie_groups=int(dup.sum()),
+            gene=gene,
+        )
+
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(1, n + 1, dtype=np.int64)
+    return CopulaColumn(ranks=ranks)

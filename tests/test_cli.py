@@ -1,10 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from betscan.cli import main
-from betscan.preprocess import ExpressionMatrix, load_matrix, save_matrix
+from betscan.screen import RESULT_COLUMNS
+from betscan.preprocess import ExpressionMatrix, load_labels, load_matrix, save_matrix
 
 from ._synth import make_parabola
 
@@ -100,6 +102,24 @@ def test_preprocess_with_context(tmp_path):
     cleaned = load_matrix(out / "matrix.tsv")
     assert cleaned.n_samples == 25
     assert (out / "labels.csv").exists()
+
+
+def test_preprocess_labels_with_commas_and_quotes_round_trip(tmp_path):
+    matrix = count_fixture(tmp_path)
+    names = ["Basal, HER2+", 'say "hi"', "LumA"]
+    labels = tmp_path / "labels.csv"
+    with open(labels, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "label"])
+        writer.writerows((f"S{j:03d}", names[j % 3]) for j in range(40))
+    out = tmp_path / "pre"
+    args = ["preprocess", str(matrix), "--out", str(out), "--labels", str(labels)]
+    assert main(args) == 0
+    assert load_labels(out / "labels.csv") == load_labels(labels)
+    lines = (out / "labels.csv").read_text().splitlines()
+    assert lines[:4] == [
+        "sample_id,label", 'S000,"Basal, HER2+"', 'S001,"say ""hi"""', "S002,LumA"
+    ]
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):
@@ -386,6 +406,70 @@ def test_baselines_names_the_line_of_a_short_pairs_row(tmp_path, capsys):
     assert err == f"error: {pairs}: line 4: no gene_i or gene_j cell\n"
 
 
+@pytest.mark.parametrize(
+    "command", ["preprocess", "screen", "test", "compare", "baselines"]
+)
+def test_three_samples_refused_by_every_command(tmp_path, capsys, command):
+    screened = screened_fixture(tmp_path)
+    results = tmp_path / "scr" / "results.csv"
+    assert main(["screen", str(screened), "--out", str(results.parent)]) == 0
+    rng = np.random.default_rng(3)
+    matrix = write_matrix(tmp_path, rng.uniform(1, 2, size=(4, 3)), name="three.tsv")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("gene_i,gene_j\nG000,G001\n")
+    args = {
+        "preprocess": ["preprocess", str(matrix)],
+        "screen": ["screen", str(matrix)],
+        "test": ["test", str(matrix), "G000", "G001"],
+        "compare": ["compare", str(results), str(matrix), "--class", "Linear"],
+        "baselines": ["baselines", str(matrix), str(pairs)],
+    }[command]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: need at least 4 observations, got 3\n"
+    assert not out.exists()
+
+
+def test_screen_refuses_one_gene(tmp_path, capsys):
+    matrix = write_matrix(tmp_path, [[1.0, 2.0, 3.0, 4.0]])
+    out = tmp_path / "run"
+    assert main(["screen", str(matrix), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: need at least two genes, got 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["matrix", "labels", "results", "pairs"])
+def test_oversized_csv_field_is_an_error_naming_the_line(tmp_path, capsys, reader):
+    huge = '"' + "x" * 200_000 + '"'
+    matrix = screened_fixture(tmp_path)
+    assert main(["screen", str(matrix), "--out", str(tmp_path / "scr")]) == 0
+    bad = tmp_path / "bad.csv"
+    text, line, args = {
+        "matrix": (
+            matrix.read_text() + huge + "\t1" * 64 + "\n", 14, ["screen", str(bad)]
+        ),
+        "labels": (
+            f"sample_id,label\nS000,A\nS001,{huge}\n", 3,
+            ["preprocess", str(matrix), "--labels", str(bad)],
+        ),
+        "results": (
+            ",".join(RESULT_COLUMNS) + f"\n{huge},P00y\n", 2, ["network", str(bad)]
+        ),
+        "pairs": (
+            f"gene_i,gene_j\nP00x,P00y\n{huge},P01x\n", 3,
+            ["baselines", str(matrix), str(bad)],
+        ),
+    }[reader]
+    bad.write_text(text)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line {line}: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["not json", "[]", '{"command": "screen"}'])
 def test_rerun_refuses_a_file_that_is_not_a_manifest(tmp_path, capsys, text):
     path = tmp_path / "manifest.json"
@@ -498,6 +582,21 @@ def test_network_command(tmp_path):
     payload = json.loads((out / "graph.json").read_text())
     assert len(payload["nodes"]) <= 5
     assert (out / "hubs.csv").exists()
+
+
+def test_network_hubs_keep_a_gene_id_with_a_comma(tmp_path):
+    rng = np.random.default_rng(3)
+    x, y = make_parabola(64, rng)
+    genes = ["A,1", 'B "2"', "C"]
+    matrix = write_matrix(tmp_path, [x, y, rng.normal(size=64)], genes=genes)
+    scr, net = tmp_path / "scr", tmp_path / "net"
+    assert main(["screen", str(matrix), "--out", str(scr)]) == 0
+    assert main(["network", str(scr / "results.csv"), "--out", str(net)]) == 0
+    with open(net / "hubs.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["gene", "degree", "neighbors"], ["A,1", "1", 'B "2"'], ['B "2"', "1", "A,1"]
+    ]
 
 
 def test_network_empty_results(tmp_path):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from betscan.core import empirical_copula
 from betscan.errors import (
+    BetscanError,
     DegenerateColumnError,
     DegenerateSampleError,
     MatrixParseError,
     TiesPresentError,
+    TooFewSamplesError,
     UnknownLabelError,
 )
 from betscan.preprocess import (
@@ -227,6 +229,31 @@ def test_block_loader_names_the_fault_in_a_later_block(tmp_path, fault, line, co
     assert_matches_oracle(path)
 
 
+# a quoted cell past csv's field size limit
+_HUGE = '"' + "x" * 200_000 + '"'
+
+
+@pytest.mark.parametrize(
+    "record, line, two_line_record",
+    [(0, 1, False), (1, 2, False), (34, 35, False), (40, 41, False), (40, 41, True)],
+)
+def test_block_loader_names_the_line_of_an_oversized_field(
+    tmp_path, record, line, two_line_record
+):
+    lines = ["gene_id\tS0\tS1"] + [f"G{g}\t{g}\t1" for g in range(50)]
+    if two_line_record:  # lines count csv records, as in MatrixParseError
+        lines[30] = '"G\n29"\t29\t1'
+    lines[record] = f"{_HUGE}\tS0\tS1" if record == 0 else f"G\t{_HUGE}\t1"
+    path = tmp_path / "m.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BetscanError) as err:
+        load_matrix(path)
+    assert str(err.value) == (
+        f"{path}: line {line}: field larger than field limit (131072)"
+    )
+    assert_matches_oracle(path)
+
+
 def test_block_loader_reads_what_loadtxt_refuses(tmp_path):
     # '1_000' and quoted cells pass float() but not the bulk parse; a
     # quoted cell with a line break spans two blocks
@@ -304,6 +331,11 @@ def test_labels_file(tmp_path):
     bad.write_text("sample,group\nS0,A\n")
     with pytest.raises(MatrixParseError):
         load_labels(bad)
+    huge = tmp_path / "huge.csv"
+    huge.write_text(f"sample_id,label\nS0,A\nS1,{_HUGE}\n")
+    with pytest.raises(BetscanError) as err:
+        load_labels(huge)
+    assert str(err.value) == f"{huge}: line 3: field larger than field limit (131072)"
 
 
 # ------------------------------------------------------------------- filter

@@ -23,6 +23,7 @@ from betscan.errors import (
     EmptyIntersectionError,
     NonFiniteError,
     TiesPresentError,
+    TooFewSamplesError,
 )
 from betscan import screen
 from betscan.preprocess import ExpressionMatrix
@@ -40,6 +41,7 @@ from betscan.screen import (
     write_results_csv,
 )
 
+from ._oracles import empirical_copula_oracle
 from ._synth import make_parabola
 
 
@@ -83,7 +85,7 @@ def test_block_ranks_and_planes_match_each_gene(extra, n):
     planes = precompute_bitplanes(m, 3)
     assert len(columns) == len(planes) == g
     for values, col, plane in zip(m.values, columns, planes):
-        single = empirical_copula(values)
+        single = empirical_copula_oracle(values)
         assert np.array_equal(col.ranks, single.ranks)
         assert col.ranks.dtype == single.ranks.dtype
         assert plane == binary_expansion(single, 3)
@@ -114,13 +116,13 @@ def test_fault_in_a_later_block_names_the_first_gene(fault, error):
             precompute(m)
         assert err.value.gene == m.gene_ids[first]
         with pytest.raises(error) as direct:
-            screen.rank_gene(m.gene_ids[first], m.values[first])
+            empirical_copula_oracle(m.values[first], m.gene_ids[first])
         assert str(err.value) == str(direct.value)
 
 
 def test_bad_depth_or_too_few_samples_fail_as_for_one_gene():
     m = random_matrix(40, 3, 1)
-    with pytest.raises(ValueError, match="at least 4 observations"):
+    with pytest.raises(TooFewSamplesError, match="at least 4 observations, got 3"):
         precompute_bitplanes(m, 2)
     m = random_matrix(40, 16, 1)
     with pytest.raises(ValueError, match="depth must be >= 1"):
