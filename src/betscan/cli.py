@@ -38,6 +38,7 @@ from .manifest import (
     write_records,
 )
 from .preprocess import (
+    ExpressionMatrix,
     load_labels,
     load_matrix,
     run_pipeline,
@@ -78,6 +79,7 @@ def _number(cast, ok, rule: str):
 
 _seed = _number(int, lambda x: 0 <= x < SEED_LIMIT, "in [0, 2**64)")
 _positive_int = _number(int, lambda x: x >= 1, "at least 1")
+_non_negative_int = _number(int, lambda x: x >= 0, "at least 0")
 _alpha = _number(float, lambda x: 0 < x < 1, "in (0, 1)")
 _fraction = _number(float, lambda x: 0 <= x <= 1, "in [0, 1]")
 
@@ -111,6 +113,20 @@ def _parse_filter(text: str | None) -> frozenset[str] | None:
     return frozenset(parse_class_label(tok) for tok in text.split(",") if tok.strip())
 
 
+def _load_matrix(config: dict, key: str = "input") -> ExpressionMatrix:
+    """The matrix at config[key], refused when two gene rows share an id."""
+    path = config[key]
+    matrix = load_matrix(path, config.get("format", "tsv_genes_by_samples"))
+    seen: dict[str, int] = {}
+    for row, gene in enumerate(matrix.gene_ids, start=1):
+        earlier = seen.setdefault(gene, row)
+        if earlier != row:
+            raise BetscanError(
+                f"{path}: gene id {gene!r} on gene rows {earlier} and {row}"
+            )
+    return matrix
+
+
 def _start_run(out_dir: Path) -> None:
     """Make out_dir; drop an earlier manifest, which would mark this run complete.
 
@@ -136,7 +152,7 @@ def run_preprocess(config: dict, out_dir: Path) -> int:
     if config.get("labels"):
         inputs.append(config["labels"])
 
-    matrix = load_matrix(config["input"], config.get("format", "tsv_genes_by_samples"))
+    matrix = _load_matrix(config)
     if config.get("labels"):
         matrix = matrix.with_labels(load_labels(config["labels"]))
 
@@ -200,7 +216,7 @@ def _grid_lines(counts) -> list[str]:
 
 def run_test(config: dict, out_dir: Path | None) -> int:
     started = time.perf_counter()
-    matrix = load_matrix(config["input"], config.get("format", "tsv_genes_by_samples"))
+    matrix = _load_matrix(config)
     gene_a, gene_b = config["gene_a"], config["gene_b"]
     depth = int(config.get("depth", 2))
 
@@ -255,7 +271,7 @@ def run_test(config: dict, out_dir: Path | None) -> int:
 
 def run_screen(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
-    matrix = load_matrix(config["input"], config.get("format", "tsv_genes_by_samples"))
+    matrix = _load_matrix(config)
     depth = int(config.get("depth", 2))
 
     screen_config = ScreenConfig(
@@ -346,9 +362,7 @@ def run_network(config: dict, out_dir: Path) -> int:
 def run_compare(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
     results_a = read_results_csv(config["results_a"])
-    matrix_b = load_matrix(
-        config["matrix_b"], config.get("format", "tsv_genes_by_samples")
-    )
+    matrix_b = _load_matrix(config, "matrix_b")
     planes_b = precompute_bitplanes(matrix_b, int(config.get("depth", 2)))
     rows = compare_runs(
         results_a, dict(zip(matrix_b.gene_ids, planes_b)), config["bid_class"]
@@ -372,7 +386,7 @@ def run_baselines(config: dict, out_dir: Path) -> int:
     from .baselines import MeasureClassRow, MeasurePairRow, measure_comparison
 
     started = time.perf_counter()
-    matrix = load_matrix(config["input"], config.get("format", "tsv_genes_by_samples"))
+    matrix = _load_matrix(config)
 
     pairs = []
     with open_input(config["pairs"]) as fh:
@@ -547,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="csv_edge_list",
     )
     p.add_argument("--bid-filter", type=_labels(_parse_filter))
-    p.add_argument("--min-degree", type=int, default=1)
+    p.add_argument("--min-degree", type=_non_negative_int, default=1)
 
     p = sub.add_parser(
         "compare", help="recompute one class's z-scores on a second dataset"

@@ -4,7 +4,8 @@ Nodes are exactly the top-K gene selection; an edge joins two top genes
 whenever their pair was significant, coloured by the pair's single
 winning pattern class (the class is taken from the screening result and
 never recomputed).  The graph is simple: no self-loops, at most one edge
-per pair.
+per pair.  `build_network` reads a ScreenResults as columns and makes a
+GraphEdge only for the rows it keeps.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .manifest import atomic_open, write_json, write_records
-from .screen import PairResult
+from .screen import ScreenResults
 
 __all__ = [
     "DependenceGraph",
@@ -54,70 +57,61 @@ class DependenceGraph:
     nodes: dict[str, float]
     edges: list[GraphEdge]
 
-    def degree(self) -> dict[str, int]:
-        deg = {g: 0 for g in self.nodes}
-        for e in self.edges:
-            deg[e.gene_i] += 1
-            deg[e.gene_j] += 1
-        return deg
-
-    def neighbors(self, gene: str) -> list[str]:
-        out = []
-        for e in self.edges:
-            if e.gene_i == gene:
-                out.append(e.gene_j)
-            elif e.gene_j == gene:
-                out.append(e.gene_i)
-        return sorted(out)
-
 
 def build_network(
-    results: Iterable[PairResult],
+    results: ScreenResults,
     top_genes: Sequence[tuple[str, float]],
     class_filter: Iterable[str] | None = None,
 ) -> DependenceGraph:
     """Graph of significant pairs among the selected genes.
 
     top_genes is the (gene, max_z) ranking from top_k_genes; class_filter,
-    when given, keeps only edges whose winning class is listed.
+    when given, keeps only edges whose winning class is listed.  Each
+    unordered pair takes its first row, and edges keep row order.
     """
     allowed = set(class_filter) if class_filter is not None else None
     nodes = {gene: float(z) for gene, z in top_genes}
-    edges: list[GraphEdge] = []
-    seen: set[tuple[str, str]] = set()
-    for row in results:
-        if row.gene_i == row.gene_j:
-            continue
-        if row.gene_i not in nodes or row.gene_j not in nodes:
-            continue
-        label = row.result.bid_class.label
-        if allowed is not None and label not in allowed:
-            continue
-        key = tuple(sorted((row.gene_i, row.gene_j)))
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(
-            GraphEdge(
-                gene_i=row.gene_i,
-                gene_j=row.gene_j,
-                bid_class=label,
-                z=row.result.z,
-                color=EDGE_COLORS.get(label, _DEFAULT_COLOR),
-            )
+    labels = [r.bid_class.label for r in results.table]
+    in_top = np.array([gene in nodes for gene in results.gene_ids], dtype=bool)
+    in_class = np.array(
+        [allowed is None or label in allowed for label in labels], dtype=bool
+    )
+    i, j, k = results.i, results.j, results.k
+    rows = np.flatnonzero(in_top[i] & in_top[j] & in_class[k] & (i != j))
+    low = np.minimum(i[rows], j[rows]).astype(np.int64)
+    high = np.maximum(i[rows], j[rows])
+    _, first = np.unique(low * len(results.gene_ids) + high, return_index=True)
+    rows = rows[np.sort(first)]
+    genes, table = results.gene_ids, results.table
+    edges = [
+        GraphEdge(
+            gene_i=genes[a],
+            gene_j=genes[b],
+            bid_class=labels[c],
+            z=table[c].z,
+            color=EDGE_COLORS.get(labels[c], _DEFAULT_COLOR),
         )
+        for a, b, c in zip(i[rows].tolist(), j[rows].tolist(), k[rows].tolist())
+    ]
     return DependenceGraph(nodes=nodes, edges=edges)
 
 
 def hub_report(
     graph: DependenceGraph, min_degree: int = 1
 ) -> list[tuple[str, int, list[str]]]:
-    """Genes of degree >= min_degree, highest degree first, ties by id."""
-    deg = graph.degree()
+    """Genes of degree >= min_degree, highest degree first, ties by id.
+
+    Each gene comes with its sorted neighbours; one pass over the edges
+    lists them.
+    """
+    adjacent: dict[str, list[str]] = {gene: [] for gene in graph.nodes}
+    for e in graph.edges:
+        adjacent[e.gene_i].append(e.gene_j)
+        adjacent[e.gene_j].append(e.gene_i)
     hubs = [
-        (gene, d, graph.neighbors(gene))
-        for gene, d in deg.items()
-        if d >= min_degree
+        (gene, len(near), sorted(near))
+        for gene, near in adjacent.items()
+        if len(near) >= min_degree
     ]
     hubs.sort(key=lambda item: (-item[1], item[0]))
     return hubs

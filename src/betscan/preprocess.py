@@ -492,8 +492,19 @@ def run_pipeline(
     seed: int,
     zero_fraction_threshold: float = 0.20,
 ) -> tuple[ExpressionMatrix, PreprocessReport]:
-    """filter -> reset -> jitter, returning the cleaned matrix and a report."""
+    """filter -> reset -> jitter, returning the cleaned matrix and a report.
+
+    Raises BetscanError when fewer than two genes pass the zero filter,
+    since a screen needs a pair.
+    """
     filtered, report = filter_zero_heavy(matrix, zero_fraction_threshold)
+    if filtered.n_genes < 2:
+        raise BetscanError(
+            f"{filtered.n_genes} gene(s) left: the zero filter (zero fraction "
+            f"above {zero_fraction_threshold:g}) dropped "
+            f"{len(report.genes_dropped)} of {matrix.n_genes}; a screen needs "
+            "at least 2"
+        )
     report.jitter_seed = seed
 
     values = filtered.values.copy()

@@ -40,18 +40,19 @@ worker_count is.
 The emitted rows stay columns: `ScreenResults` holds int32 columns i, j
 and k, where k indexes a table with one BetResult per distinct (winner,
 popcount, p_raw); each block maps its rows to the table with one
-np.unique.  It reads as a sequence of PairResult.  `write_results_csv`
-formats each gene-id cell and each table entry's cells once and writes the
-rows as joined strings, a few thousand at a time, into a temporary file
-that is renamed over the target when complete.  `read_results_csv` reads
-such a file back into a ScreenResults, parsing each distinct result once.
+np.unique.  Every reader works on the columns and asks each table entry
+once.  `write_results_csv` formats each gene-id cell and each table
+entry's cells once and writes the rows as joined strings, a few thousand
+at a time, into a temporary file that is renamed over the target when
+complete.  `read_results_csv` reads such a file back into a ScreenResults,
+parsing each distinct result once.  `top_k_genes` folds each row's z into
+its two genes with np.fmax.at.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import operator
 import os
 import time
 from array import array
@@ -82,7 +83,6 @@ from .preprocess import ExpressionMatrix
 __all__ = [
     "ScreenConfig",
     "ScreenSummary",
-    "PairResult",
     "ScreenResults",
     "CompareRow",
     "precompute_bitplanes",
@@ -159,25 +159,17 @@ class ScreenSummary:
         return {**asdict(self), "wall_time_s": float(f"{self.wall_time_s:.12g}")}
 
 
-@dataclass(frozen=True)
-class PairResult:
-    gene_i: str
-    gene_j: str
-    result: BetResult
-
-
-# rows per chunk when iterating or writing ScreenResults
+# rows per chunk when writing ScreenResults
 _CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
-class ScreenResults(Sequence[PairResult]):
-    """Rows of a screen as columns, read as a sequence of PairResult.
+class ScreenResults:
+    """Rows of a screen as columns.
 
     Row r is the pair (gene_ids[i[r]], gene_ids[j[r]]) with the result
-    table[k[r]]; i, j and k are int32 arrays, and rows with equal results
-    share one table entry.  Comparing with == takes any sequence of
-    PairResult, and + concatenates into a list.
+    table[k[r]]; i, j and k are int32 arrays, the gene ids are distinct,
+    and rows with equal results share one table entry.
     """
 
     gene_ids: tuple[str, ...]
@@ -189,11 +181,6 @@ class ScreenResults(Sequence[PairResult]):
     def __len__(self) -> int:
         return len(self.k)
 
-    def __getitem__(self, r: int) -> PairResult:
-        return PairResult(
-            self.gene_ids[self.i[r]], self.gene_ids[self.j[r]], self.table[self.k[r]]
-        )
-
     def _chunks(self) -> Iterator[tuple[list[int], list[int], list[int]]]:
         """The columns i, j, k as lists, _CHUNK_ROWS rows at a time."""
         for lo in range(0, len(self), _CHUNK_ROWS):
@@ -201,20 +188,6 @@ class ScreenResults(Sequence[PairResult]):
                 column[lo : lo + _CHUNK_ROWS].tolist()
                 for column in (self.i, self.j, self.k)
             )
-
-    def __iter__(self) -> Iterator[PairResult]:
-        genes, table = self.gene_ids, self.table
-        for i, j, k in self._chunks():
-            for a, b, c in zip(i, j, k):
-                yield PairResult(genes[a], genes[b], table[c])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __add__(self, other: Iterable[PairResult]) -> list[PairResult]:
-        return [*self, *other]
 
     def where(self, keep: Callable[[BetResult], bool]) -> ScreenResults:
         """The rows whose result passes keep, asked once per table entry."""
@@ -334,6 +307,8 @@ def screen_all_pairs(
         raise BetscanError(f"need at least two genes, got {g}")
     if len(gene_ids) != g:
         raise ValueError("gene_ids and planes disagree in length")
+    if len(set(gene_ids)) != g:
+        raise ValueError("gene ids must be distinct")
     total_pairs = g * (g - 1) // 2
     m_pairs = config.m_pairs if config.m_pairs is not None else total_pairs
     if m_pairs < total_pairs:
@@ -635,20 +610,31 @@ def write_diagnostics_csv(lines: Iterable[str], path) -> None:
         fh.writelines(lines)
 
 
-def top_k_genes(
-    results: Iterable[PairResult], k: int = 200
-) -> list[tuple[str, float]]:
+def top_k_genes(results: ScreenResults, k: int = 200) -> list[tuple[str, float]]:
     """Genes ranked by their maximum z over the given (significant) pairs.
 
-    Descending z, ties broken by gene id; the first k are returned.
+    Descending z, ties broken by gene id; the first k are returned.  A
+    gene is ranked when that maximum exceeds -1 (a NaN z never counts),
+    and the first row that holds it supplies it, so 0.0 and -0.0 read as
+    written.
     """
-    best: dict[str, float] = {}
-    for row in results:
-        z = row.result.z
-        for gene in (row.gene_i, row.gene_j):
-            if z > best.get(gene, -1.0):
-                best[gene] = z
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+    i, j = results.i, results.j
+    z = np.array([r.z for r in results.table], dtype=np.float64)[results.k]
+    best = np.full(len(results.gene_ids), -1.0)
+    np.fmax.at(best, i, z)
+    np.fmax.at(best, j, z)
+    # fmax may keep 0.0 or -0.0; as in a fold row by row, the first row at
+    # a gene's maximum supplies it
+    hit = np.flatnonzero((z == best[i]) | (z == best[j]))
+    genes = np.stack([i[hit], j[hit]], axis=1).ravel()
+    z = np.repeat(z[hit], 2)
+    at_max = np.flatnonzero(z == best[genes])
+    _, first = np.unique(genes[at_max], return_index=True)
+    best[genes[at_max[first]]] = z[at_max[first]]
+    ranked = sorted(
+        (kv for kv in zip(results.gene_ids, best.tolist()) if kv[1] > -1.0),
+        key=lambda kv: (-kv[1], kv[0]),
+    )
     return ranked[:k]
 
 

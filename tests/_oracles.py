@@ -5,8 +5,10 @@ scanning the dyadic intervals with integer cross-multiplication,
 statistics by classifying each observation into its quadrant and summing
 region signs, tails by exhaustive enumeration, a matrix file by
 csv.reader and float() one row at a time, ranks by np.unique and a
-stable argsort one gene at a time.  None of it shares code with the
-bit-parallel production path, the block-wise loader or the block ranker.
+stable argsort one gene at a time, and the top genes and the network by
+walking the result rows one at a time.  None of it shares code with the
+bit-parallel production path, the block-wise loader, the block ranker or
+the columnar readers of ScreenResults.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from math import comb, factorial
 import numpy as np
 
 from betscan.core.copula import CopulaColumn
+from betscan.core.maxbet import BetResult
 from betscan.errors import (
     BetscanError,
     MatrixParseError,
     NonFiniteError,
     TiesPresentError,
 )
+from betscan.network import EDGE_COLORS, DependenceGraph, GraphEdge
 from betscan.preprocess import ExpressionMatrix
+from betscan.screen import ScreenResults
 
 
 def interval_digit(rank: int, n: int, k: int) -> int:
@@ -292,3 +297,72 @@ def empirical_copula_oracle(values, gene: str | None = None) -> CopulaColumn:
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1, dtype=np.int64)
     return CopulaColumn(ranks=ranks)
+
+
+def rows(results: ScreenResults) -> list[tuple[str, str, BetResult]]:
+    """The rows of results as (gene_i, gene_j, result) tuples, in row order."""
+    genes, table = results.gene_ids, results.table
+    return [
+        (genes[a], genes[b], table[c])
+        for a, b, c in zip(results.i.tolist(), results.j.tolist(), results.k.tolist())
+    ]
+
+
+def screen_results(pairs, gene_ids=()) -> ScreenResults:
+    """A ScreenResults holding the (gene_i, gene_j, result) rows of pairs.
+
+    Genes are numbered in first-seen order after the given gene_ids (which
+    may hold genes in no row); each row gets its own table entry.
+    """
+    index = {gene: x for x, gene in enumerate(gene_ids)}
+    i = [index.setdefault(a, len(index)) for a, _, _ in pairs]
+    j = [index.setdefault(b, len(index)) for _, b, _ in pairs]
+    return ScreenResults(
+        tuple(index),
+        np.array(i, dtype=np.int32),
+        np.array(j, dtype=np.int32),
+        np.arange(len(pairs), dtype=np.int32),
+        tuple(result for _, _, result in pairs),
+    )
+
+
+def top_k_genes_oracle(pairs, k: int = 200) -> list[tuple[str, float]]:
+    """The row-at-a-time top_k_genes over (gene_i, gene_j, result) rows."""
+    best: dict[str, float] = {}
+    for gene_i, gene_j, result in pairs:
+        z = result.z
+        for gene in (gene_i, gene_j):
+            if z > best.get(gene, -1.0):
+                best[gene] = z
+    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[:k]
+
+
+def build_network_oracle(pairs, top_genes, class_filter=None) -> DependenceGraph:
+    """The row-at-a-time build_network over (gene_i, gene_j, result) rows."""
+    allowed = set(class_filter) if class_filter is not None else None
+    nodes = {gene: float(z) for gene, z in top_genes}
+    edges: list[GraphEdge] = []
+    seen: set[tuple[str, str]] = set()
+    for gene_i, gene_j, result in pairs:
+        if gene_i == gene_j:
+            continue
+        if gene_i not in nodes or gene_j not in nodes:
+            continue
+        label = result.bid_class.label
+        if allowed is not None and label not in allowed:
+            continue
+        key = tuple(sorted((gene_i, gene_j)))
+        if key in seen:
+            continue
+        seen.add(key)
+        edges.append(
+            GraphEdge(
+                gene_i=gene_i,
+                gene_j=gene_j,
+                bid_class=label,
+                z=result.z,
+                color=EDGE_COLORS.get(label, "black"),
+            )
+        )
+    return DependenceGraph(nodes=nodes, edges=edges)

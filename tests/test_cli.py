@@ -279,6 +279,7 @@ def test_seed_outside_64_bits_refused(tmp_path, capsys, command, seed):
         ("screen", "--m-pairs", "0", "must be at least 1"),
         ("baselines", "--m-pairs", "-4", "must be at least 1"),
         ("network", "--k", "-1", "must be at least 1"),
+        ("network", "--min-degree", "-5", "must be at least 0"),
         ("baselines", "--hoeffding-iterations", "0", "must be at least 1"),
         ("screen", "--alpha", "x", "not a number: 'x'"),
     ],
@@ -436,6 +437,55 @@ def test_screen_refuses_one_gene(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["screen", str(matrix), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: need at least two genes, got 1\n"
+    assert not out.exists()
+
+
+def test_preprocess_refuses_fewer_than_two_genes_left(tmp_path, capsys):
+    matrix = tmp_path / "zeros.tsv"
+    # two and three zeros in five samples: the 0.2 threshold drops both
+    matrix.write_text(
+        "gene\tS0\tS1\tS2\tS3\tS4\n"
+        "G0\t0\t0\t3\t4\t5\n"
+        "G1\t0\t1\t0\t4\t5\n"
+    )
+    out = tmp_path / "run"
+    assert main(["preprocess", str(matrix), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 0 gene(s) left: the zero filter (zero fraction above 0.2) "
+        "dropped 2 of 2; a screen needs at least 2\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["preprocess", "screen", "test", "compare", "baselines"]
+)
+def test_duplicate_gene_id_refused_by_every_command(tmp_path, capsys, command):
+    screened = screened_fixture(tmp_path)
+    results = tmp_path / "scr" / "results.csv"
+    assert main(["screen", str(screened), "--out", str(results.parent)]) == 0
+    rng = np.random.default_rng(5)
+    matrix = write_matrix(
+        tmp_path,
+        rng.uniform(1, 2, size=(4, 8)),
+        name="dup.tsv",
+        genes=["G000", "G001", "G000", "G002"],
+    )
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("gene_i,gene_j\nG001,G002\n")
+    args = {
+        "preprocess": ["preprocess", str(matrix)],
+        "screen": ["screen", str(matrix)],
+        "test": ["test", str(matrix), "G001", "G002"],
+        "compare": ["compare", str(results), str(matrix), "--class", "Linear"],
+        "baselines": ["baselines", str(matrix), str(pairs)],
+    }[command]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {matrix}: gene id 'G000' on gene rows 1 and 3\n"
+    )
     assert not out.exists()
 
 

@@ -20,11 +20,12 @@ from betscan.core import (
 from betscan import screen
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
-    PairResult,
     ScreenConfig,
     screen_all_pairs,
     write_results_csv,
 )
+
+from ._oracles import rows
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -57,7 +58,7 @@ def reference(matrix, u, v, mode, m_pairs):
     """Every pair's max_bet result, adjusted across m_pairs, in pair order."""
     g = matrix.n_genes
     return [
-        PairResult(
+        (
             matrix.gene_ids[i],
             matrix.gene_ids[j],
             max_bet(u[i], v[j], mode).with_pair_adjustment(m_pairs),
@@ -85,7 +86,7 @@ def test_emit_all_matches_max_bet_on_every_pair(shape, mode):
     config = ScreenConfig(d1=d1, d2=d2, mode=mode, emit_all=True)
     expected = reference(matrix, u, v, mode, g * (g - 1) // 2)
     results, summary = screen_all_pairs(planes, matrix.gene_ids, config)
-    assert results == expected
+    assert rows(results) == expected
     assert summary.total_pairs == len(expected)
 
 
@@ -106,17 +107,17 @@ def test_significant_rows_are_exactly_the_reference_hits(shape, mode, alpha, dat
     bid_filter = None if chosen is None else frozenset(chosen)
     config = ScreenConfig(d1=d1, d2=d2, mode=mode, alpha=alpha, bid_filter=bid_filter)
     expected = [
-        row
-        for row in reference(matrix, u, v, mode, g * (g - 1) // 2)
-        if row.result.p_pair_adjusted <= alpha
-        and (bid_filter is None or row.result.bid_class.label in bid_filter)
+        (gene_i, gene_j, result)
+        for gene_i, gene_j, result in reference(matrix, u, v, mode, g * (g - 1) // 2)
+        if result.p_pair_adjusted <= alpha
+        and (bid_filter is None or result.bid_class.label in bid_filter)
     ]
     results, summary = screen_all_pairs(planes, matrix.gene_ids, config)
-    assert results == expected
+    assert rows(results) == expected
     assert summary.significant_pairs == len(expected)
     counts: dict[str, int] = {}
-    for row in expected:
-        label = row.result.bid_class.label
+    for _, _, result in expected:
+        label = result.bid_class.label
         counts[label] = counts.get(label, 0) + 1
     assert summary.class_counts == counts
 
@@ -135,8 +136,9 @@ def test_tied_maximum_goes_to_lowest_canonical_interaction():
         if len(tied) < 2 or tied[0] == stats[0].bid:
             continue
         results, _ = screen_all_pairs([u, v], ["X", "Y"], ScreenConfig(emit_all=True))
-        assert results[0].result.bid == min(tied)
-        assert abs(results[0].result.s) == top
+        (_, _, first), = rows(results)
+        assert first.bid == min(tied)
+        assert abs(first.s) == top
         checked += 1
     assert checked >= 5
 
@@ -182,7 +184,7 @@ def test_rows_split_into_several_passes(monkeypatch, tmp_path, pass_words, mode)
     monkeypatch.setattr(screen, "_PASS_WORDS", pass_words)
     results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
     if mode == "approx":
-        assert results == reference(matrix, u, v, "approx", 66)
+        assert rows(results) == reference(matrix, u, v, "approx", 66)
     paths = tmp_path / "whole.csv", tmp_path / "passes.csv"
     write_results_csv(whole, paths[0])
     write_results_csv(results, paths[1])
@@ -200,9 +202,9 @@ def test_permutation_screen_within_binomial_error_of_exact():
     results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
     index = {gene: k for k, gene in enumerate(matrix.gene_ids)}
     assert len(results) == 190
-    for row in results:
-        u, v = planes[index[row.gene_i]], planes[index[row.gene_j]]
+    for gene_i, gene_j, result in rows(results):
+        u, v = planes[index[gene_i]], planes[index[gene_j]]
         exact = max_bet(u, v, "exact").p_raw
         se = np.sqrt(exact * (1 - exact) / iterations)
-        assert row.result.method == "permutation" and row.result.approximate
-        assert abs(row.result.p_raw - exact) <= 5 * se + 1 / (1 + iterations)
+        assert result.method == "permutation" and result.approximate
+        assert abs(result.p_raw - exact) <= 5 * se + 1 / (1 + iterations)

@@ -3,8 +3,17 @@ import json
 import re
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from betscan.core import binary_expansion, empirical_copula, max_bet
+from betscan.core import (
+    all_bids,
+    bid_class_of,
+    binary_expansion,
+    empirical_copula,
+    max_bet,
+)
+from betscan.core.maxbet import BetResult
 from betscan.network import (
     EDGE_COLORS,
     GraphEdge,
@@ -14,13 +23,18 @@ from betscan.network import (
 )
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
-    PairResult,
     ScreenConfig,
     precompute_bitplanes,
     screen_all_pairs,
     top_k_genes,
 )
 
+from ._oracles import (
+    build_network_oracle,
+    rows,
+    screen_results,
+    top_k_genes_oracle,
+)
 from ._synth import make_parabola
 
 
@@ -73,23 +87,23 @@ def test_class_filter_equals_recount_and_commutes():
 
 
 def test_empty_results_give_empty_graph():
-    graph = build_network([], [])
+    graph = build_network(screen_results([]), [])
     assert graph.nodes == {}
     assert graph.edges == []
 
 
 def test_edge_uniqueness():
     results = screened_fixture(seed=5)
-    doubled = results + results
+    doubled = screen_results(rows(results) * 2)
     graph = build_network(doubled, top_k_genes(results, k=200))
     keys = [tuple(sorted((e.gene_i, e.gene_j))) for e in graph.edges]
     assert len(keys) == len(set(keys))
 
 
 def test_hub_report_star():
-    hub_rows = [
-        PairResult("HUB", f"LEAF{i}", _linear_result()) for i in range(10)
-    ]
+    hub_rows = screen_results(
+        [("HUB", f"LEAF{i}", _linear_result()) for i in range(10)]
+    )
     top = top_k_genes(hub_rows, k=11)
     graph = build_network(hub_rows, top)
     report = hub_report(graph, min_degree=1)
@@ -162,3 +176,100 @@ def test_exports_deterministic(tmp_path):
         export_graph(graph, p1, fmt)
         export_graph(graph, p2, fmt)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+CLASS_LABELS = sorted({bid_class_of(b).label for b in all_bids(2, 2)})
+GENE_POOL = [f"G{x}" for x in range(6)]
+# a NaN z never ranks a gene, nor does -1.0 or below; 0.0 and -0.0 tie
+Z_VALUES = [float("nan"), -3.0, -1.0, -0.5, -0.0, 0.0, 2.0]
+
+
+def bet_result(bid, z):
+    return BetResult(
+        bid=bid,
+        bid_class=bid_class_of(bid),
+        s=0,
+        n=64,
+        z=z,
+        p_raw=0.0,
+        p_bid_adjusted=0.0,
+        p_pair_adjusted=0.0,
+        approximate=False,
+        method="hypergeometric",
+    )
+
+
+def test_top_k_genes_takes_the_first_of_equal_maxima():
+    linear = all_bids(2, 2)[0]
+    pairs = [
+        ("A", "B", -0.0),  # B's first row at its maximum, as gene_j
+        ("A", "C", 5.0),
+        ("B", "C", 0.0),
+        ("D", "E", 0.0),
+        ("E", "D", -0.0),
+        ("G", "F", -0.0),  # G's, as gene_i
+        ("H", "F", 5.0),
+        ("G", "H", 0.0),
+    ]
+    results = screen_results([(a, b, bet_result(linear, z)) for a, b, z in pairs])
+    expected = [
+        ("A", 5.0), ("C", 5.0), ("F", 5.0), ("H", 5.0),
+        ("B", -0.0), ("D", 0.0), ("E", 0.0), ("G", -0.0),
+    ]
+    assert repr(top_k_genes(results, 8)) == repr(expected)
+    assert repr(top_k_genes_oracle(rows(results), 8)) == repr(expected)
+
+
+@st.composite
+def random_results(draw):
+    """A ScreenResults with duplicate, reversed and self pairs and idle genes."""
+    bids = all_bids(2, 2)
+    table = [
+        bet_result(bid, z)
+        for bid, z in draw(
+            st.lists(
+                st.tuples(st.sampled_from(bids), st.sampled_from(Z_VALUES)),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    ]
+    gene = st.sampled_from(GENE_POOL)
+    pairs = draw(
+        st.lists(st.tuples(gene, gene, st.sampled_from(table)), max_size=30)
+    )
+    # genes listed ahead of the rows' own, some of them in no row
+    idle = draw(st.lists(st.sampled_from(GENE_POOL), unique=True))
+    return screen_results(pairs, idle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    results=random_results(),
+    k=st.integers(1, len(GENE_POOL) + 1),
+    class_filter=st.none() | st.sets(st.sampled_from(CLASS_LABELS)),
+)
+def test_columnar_readers_match_the_row_oracles(results, k, class_filter):
+    pairs = rows(results)
+    top = top_k_genes(results, k)
+    # repr tells -0.0 from 0.0
+    assert repr(top) == repr(top_k_genes_oracle(pairs, k))
+    graph = build_network(results, top, class_filter)
+    expected = build_network_oracle(pairs, top, class_filter)
+    assert repr(graph.nodes) == repr(expected.nodes)
+    assert repr(graph.edges) == repr(expected.edges)
+    report = hub_report(graph, min_degree=0)
+    assert [gene for gene, _, _ in report] == sorted(
+        graph.nodes, key=lambda gene: (-len(report_neighbours(graph, gene)), gene)
+    )
+    for gene, degree, neighbours in report:
+        assert neighbours == report_neighbours(graph, gene)
+        assert degree == len(neighbours)
+
+
+def report_neighbours(graph, gene):
+    """gene's neighbours by scanning every edge."""
+    return sorted(
+        [e.gene_j for e in graph.edges if e.gene_i == gene]
+        + [e.gene_i for e in graph.edges if e.gene_j == gene]
+    )

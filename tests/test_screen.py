@@ -41,7 +41,7 @@ from betscan.screen import (
     write_results_csv,
 )
 
-from ._oracles import empirical_copula_oracle
+from ._oracles import empirical_copula_oracle, rows
 from ._synth import make_parabola
 
 
@@ -164,11 +164,13 @@ def test_duplicated_genes_win_linear_with_full_s():
     planes = precompute_bitplanes(m, 2)
     results, _ = screen_all_pairs(planes, m.gene_ids, ScreenConfig())
     hits = [
-        r for r in results if (r.gene_i, r.gene_j) == ("G000", "G002")
+        result
+        for gene_i, gene_j, result in rows(results)
+        if (gene_i, gene_j) == ("G000", "G002")
     ]
     assert len(hits) == 1
-    assert hits[0].result.bid_class.label == "Linear"
-    assert hits[0].result.s == 64
+    assert hits[0].bid_class.label == "Linear"
+    assert hits[0].s == 64
 
 
 def test_null_matrix_family_wise_false_positives():
@@ -191,7 +193,7 @@ def test_output_deterministic_across_worker_counts():
         results, _ = screen_all_pairs(
             planes, m.gene_ids, ScreenConfig(worker_count=workers, emit_all=True)
         )
-        runs[workers] = results
+        runs[workers] = rows(results)
     assert runs[1] == runs[2] == runs[4] == runs[16]
 
 
@@ -253,7 +255,7 @@ def test_thread_count_capped_by_cpus_and_blocks(monkeypatch):
     monkeypatch.setattr(screen.os, "cpu_count", lambda: 1)
     one, _ = screen_all_pairs(planes, m.gene_ids, config)
     assert pools == [2]
-    assert one == many
+    assert rows(one) == rows(many)
 
 
 def test_csv_round_trip_and_byte_identity(tmp_path):
@@ -267,11 +269,11 @@ def test_csv_round_trip_and_byte_identity(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     loaded = read_results_csv(p1, n=64)
     assert len(loaded) == len(results)
-    for have, want in zip(loaded, results):
-        assert have.gene_i == want.gene_i
-        assert have.result.bid == want.result.bid
-        assert have.result.s == want.result.s
-        assert have.result.p_raw == pytest.approx(want.result.p_raw, rel=1e-11)
+    for have, want in zip(rows(loaded), rows(results)):
+        assert have[0] == want[0]
+        assert have[2].bid == want[2].bid
+        assert have[2].s == want[2].s
+        assert have[2].p_raw == pytest.approx(want[2].p_raw, rel=1e-11)
 
 
 def test_csv_quotes_gene_ids_as_csv_writer_does(tmp_path):
@@ -288,24 +290,19 @@ def test_csv_quotes_gene_ids_as_csv_writer_does(tmp_path):
     writer.writerow(RESULT_COLUMNS)
     writer.writerows(
         [
-            r.gene_i,
-            r.gene_j,
-            r.result.bid.name,
-            r.result.bid_class.label,
-            str(r.result.s),
+            gene_i,
+            gene_j,
+            r.bid.name,
+            r.bid_class.label,
+            str(r.s),
             *(
                 f"{x:.12g}"
-                for x in (
-                    r.result.z,
-                    r.result.p_raw,
-                    r.result.p_bid_adjusted,
-                    r.result.p_pair_adjusted,
-                )
+                for x in (r.z, r.p_raw, r.p_bid_adjusted, r.p_pair_adjusted)
             ),
-            "true" if r.result.approximate else "false",
-            r.result.method,
+            "true" if r.approximate else "false",
+            r.method,
         ]
-        for r in results
+        for gene_i, gene_j, r in rows(results)
     )
     path = tmp_path / "results.csv"
     write_results_csv(results, path)
@@ -415,9 +412,9 @@ def test_summary_counts_match_stream_recount():
     planes = precompute_bitplanes(m, 2)
     results, summary = screen_all_pairs(planes, m.gene_ids, ScreenConfig())
     recount: dict[str, int] = {}
-    for r in results:
-        if r.result.p_pair_adjusted <= summary.alpha:
-            lab = r.result.bid_class.label
+    for _, _, r in rows(results):
+        if r.p_pair_adjusted <= summary.alpha:
+            lab = r.bid_class.label
             recount[lab] = recount.get(lab, 0) + 1
     assert recount == summary.class_counts
     assert sum(recount.values()) == summary.significant_pairs
@@ -434,22 +431,31 @@ def test_m_pairs_override_only_upward():
     assert summary.m_pairs == 138_020_805
 
 
+def test_duplicate_gene_ids_refused():
+    m = random_matrix(3, 16, 8)
+    planes = precompute_bitplanes(m, 2)
+    with pytest.raises(ValueError, match="gene ids must be distinct"):
+        screen_all_pairs(planes, ["G0", "G1", "G0"], ScreenConfig())
+
+
 def test_bid_filter_restricts_output():
     rng = np.random.default_rng(9)
-    rows = []
+    values = []
     for _ in range(6):
         x, y = make_parabola(64, rng)
-        rows.extend([x, y])
-    m = matrix_from(np.array(rows))
+        values.extend([x, y])
+    m = matrix_from(np.array(values))
     planes = precompute_bitplanes(m, 2)
     all_results, _ = screen_all_pairs(planes, m.gene_ids, ScreenConfig())
     filtered, summary = screen_all_pairs(
         planes, m.gene_ids, ScreenConfig(bid_filter=frozenset({"Parabolic"}))
     )
-    assert filtered
-    assert all(r.result.bid_class.label == "Parabolic" for r in filtered)
-    expected = [r for r in all_results if r.result.bid_class.label == "Parabolic"]
-    assert filtered == expected
+    assert len(filtered)
+    assert all(r.bid_class.label == "Parabolic" for _, _, r in rows(filtered))
+    expected = [
+        row for row in rows(all_results) if row[2].bid_class.label == "Parabolic"
+    ]
+    assert rows(filtered) == expected
     assert set(summary.class_counts) <= {"Parabolic"}
 
 
@@ -472,7 +478,7 @@ def test_subset_coherence():
         m.gene_ids,
         ScreenConfig(emit_all=True),
     )
-    assert a == b
+    assert rows(a) == rows(b)
 
 
 def test_top_k_genes():
@@ -487,9 +493,9 @@ def test_top_k_genes():
     assert len(everything) <= 10
     # brute-force re-scan agreement
     best = {}
-    for r in results:
-        for g in (r.gene_i, r.gene_j):
-            best[g] = max(best.get(g, 0.0), r.result.z)
+    for gene_i, gene_j, r in rows(results):
+        for g in (gene_i, gene_j):
+            best[g] = max(best.get(g, 0.0), r.z)
     assert dict(everything) == best
 
 
@@ -592,19 +598,19 @@ def test_all_bid_diagnostics_match_all_symmetry_statistics(tmp_path, depth, emit
     write_results_csv(results, path)
     index = {gene: x for x, gene in enumerate(ids)}
     # the reader numbers genes in first-seen order, not the matrix's
-    for rows in (results, read_results_csv(path)):
-        lines = diagnostics_rows(planes, ids, rows, tmp_path)
+    for emitted in (results, read_results_csv(path)):
+        lines = diagnostics_rows(planes, ids, emitted, tmp_path)
         assert lines[0] == ["gene_i", "gene_j", "bid", "bid_class", "s", "z"]
         expected = [
-            [row.gene_i, row.gene_j, st.bid.name, bid_class_of(st.bid).label,
+            [gene_i, gene_j, st.bid.name, bid_class_of(st.bid).label,
              str(st.s), f"{st.z:.12g}"]
-            for row in rows
+            for gene_i, gene_j, _ in rows(emitted)
             for st in all_symmetry_statistics(
-                planes[index[row.gene_i]], planes[index[row.gene_j]]
+                planes[index[gene_i]], planes[index[gene_j]]
             )
         ]
         assert lines[1:] == expected
-        assert len(expected) == len(rows) * ((1 << depth) - 1) ** 2
+        assert len(expected) == len(emitted) * ((1 << depth) - 1) ** 2
 
 
 # sha256 of a results_all_bids.csv written by the release that computed
@@ -653,12 +659,14 @@ def test_compare_runs_takes_class_max_of_symmetry_statistic(depth):
     other_winner = missing = 0
     for label in labels:
         members = class_members(label, depth, depth)
-        expected = [r for r in results if r.result.bid_class.label == label]
-        rows = compare_runs(results, planes_b, label)
-        assert [(r.gene_i, r.gene_j, r.z_a) for r in rows] == [
-            (r.gene_i, r.gene_j, r.result.z) for r in expected
+        expected = [
+            (gene_i, gene_j, r.z)
+            for gene_i, gene_j, r in rows(results)
+            if r.bid_class.label == label
         ]
-        for row in rows:
+        compared = compare_runs(results, planes_b, label)
+        assert [(r.gene_i, r.gene_j, r.z_a) for r in compared] == expected
+        for row in compared:
             u, v = planes_b.get(row.gene_i), planes_b.get(row.gene_j)
             if u is None or v is None:
                 assert row.flag == "missing_in_b" and np.isnan(row.z_b)
