@@ -529,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="scoring threads, capped at the CPU count",
+        help="kept for compatibility; scoring runs on BLAS threads, "
+        "which OPENBLAS_NUM_THREADS caps",
     )
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--permutation-iterations", type=_positive_int, default=999)

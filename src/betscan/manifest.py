@@ -99,6 +99,18 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def _blas_version() -> str:
+    """Name and version of the BLAS that numpy was built with, else "unknown".
+
+    The screen's matrix products run there.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        return "unknown"
+
+
 def tool_versions() -> dict:
     import numpy
     import scipy
@@ -110,6 +122,7 @@ def tool_versions() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
+        "blas": _blas_version(),
     }
 
 

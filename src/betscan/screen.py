@@ -7,18 +7,24 @@ gene's BitPlanes is a view of the block's packed words.
 
 Every gene's planes (BitPlanes.planes: W = ceil(n / 64) uint64 words per
 digit, observation k at bit k % 64 of word k // 64 and zeros past n) are
-stacked and combined once by `mask_combos` into a word-major
-(W, G, 2^d - 1) array, d = max(d1, d2).  One helper,
-`_interaction_counts`, computes S for many pairs: for each interaction
-(a, b) of pair (i, j), c = popcount(combos[:, j, b-1] ^ combos[:, i, a-1])
-summed over the words, and S = sign(a, b) * (n - 2c).  Its callers are
-`_score_rows` (row i against every j > i; the first maximum of |S| in
-canonical, a_mask-major order wins, so ties break as in max_bet),
-`all_bid_diagnostics` (every S of the emitted pairs, for --emit-all-bids)
-and `compare_runs` (a class's largest |S| in a second dataset).  max_bet
-and the other single-pair paths read the same words but keep their own
-XOR and popcount, so that they check this kernel rather than share it.
-A pair is significant when
+stacked and combined once by `mask_combos` into a mask-major
+(2^d - 1, G, W) array, d = max(d1, d2).  Bit k of mask m of a gene gives
+the sign label -1 (set) or +1, and S of interaction (a, b) of pair (i, j)
+is sign(a, b) times the dot product of label vector a of gene i and label
+vector b of gene j.  `_SignProducts` gets these dot products as one
+float32 matrix product: a band of row genes (64 at depth 2) against a tile
+of partner genes (128), each unpacked from the words into a reused buffer.
+Every partial sum is an integer of size at most n, so the product is exact
+in any BLAS summation order, and n >= 2^24 is refused.  `_Winners` folds a
+pair's interactions into one key, |x| * 2^s + 2 (T - 1 - t) + [x < 0], by
+np.maximum: the first maximum of |S| in canonical, a_mask-major order wins,
+so ties break as in max_bet.  The screen scores row bands against every
+later gene; `all_bid_diagnostics` (every S of the emitted pairs, for
+--emit-all-bids) and `compare_runs` (a class's largest |S| in a second
+dataset) group their pairs by first gene and take the same products.
+max_bet and the other single-pair paths keep their own XOR and popcount of
+the words, so that they check this kernel rather than share it.  A pair is
+significant when
 
     min(1, m_pairs * min(1, m_bids * p_raw)) <= alpha
 
@@ -28,14 +34,15 @@ overridden upward (never downward) to adjust against a larger external
 family, e.g. the full pair count of a parent dataset when screening a
 sample-subset context.  p_raw is null_table(...)[t, |S|], t the winner;
 permutation mode above n = 8 draws it from that entry with one Philox
-stream per row i (key (seed << 32) ^ i), whatever the blocks and threads.
+stream per row i (key (seed << 32) ^ i), whatever the bands.  Outside
+permutation draws a pair can be kept only if its |S| reaches the least |S|
+that the table keeps, so only those keys are decoded, _PASS_PAIRS at a time.
 
-Rows are cut into contiguous blocks of similar pair counts, scored by
-min(worker_count, os.cpu_count(), number of blocks) threads: a thread pool
-when there are several (numpy's XOR, popcount and sum loops release the
-GIL), else the calling thread.  The calling thread joins the blocks in row
-order, so results come in pair-index order (i < j, lexicographic) whatever
-worker_count is.
+The bands are scored in the calling thread, in row order, so results come
+in pair-index order (i < j, lexicographic).  The matrix products run on
+BLAS threads (OPENBLAS_NUM_THREADS caps them) and are exact, so the bytes
+do not depend on them; worker_count is accepted for callers that pass it
+and starts no thread.
 
 The emitted rows stay columns: `ScreenResults` holds int32 columns i, j
 and k, where k indexes a table with one BetResult per distinct (winner,
@@ -53,10 +60,8 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import time
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -216,80 +221,155 @@ def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
     return [CopulaColumn(r) for ranks in _gene_ranks(matrix) for r in ranks]
 
 
-# Sizes that bound the scratch memory of the kernel: a row block holds at
-# most _BLOCK_PAIRS pairs (fewer when that gives each thread less than
-# four blocks), and one numpy pass XORs at most _PASS_WORDS words.
-_BLOCK_PAIRS = 1 << 13
-_PASS_WORDS = 1 << 17
+# A band of rows holds _BAND_LABELS sign labels and a tile of partner genes
+# _TILE_LABELS: 64 and 128 genes at depth 2, fewer at deeper depths, so that
+# one product keeps about the same size.
+_BAND_LABELS = 192
+_TILE_LABELS = 384
+# pairs per pass of the screen's p-value, keep and np.unique step, and
+# (pair, interaction) entries per pass of the emitted-pair statistics
+_PASS_PAIRS = 1 << 13
+_PASS_ENTRIES = 1 << 16
+# float32 holds every integer up to 2^24 exactly
+_FLOAT32_EXACT = 1 << 24
 
 
 def _pack_combos(planes: Sequence[BitPlanes], depth: int) -> np.ndarray:
-    """Mask combinations of every gene, word-major: (W, G, 2^depth - 1) uint64."""
+    """Mask combinations of every gene, mask-major: (2^depth - 1, G, W) uint64."""
     combos = mask_combos(np.stack([p.planes[:depth] for p in planes]))
-    return np.ascontiguousarray(combos[:, 1:].transpose(2, 0, 1))
+    return np.ascontiguousarray(combos[:, 1:].transpose(1, 0, 2))
 
 
-def _row_blocks(g: int, target: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges [lo, hi), each but the last with >= target pairs."""
-    blocks, lo, pairs = [], 0, 0
-    for i in range(g - 1):
-        pairs += g - 1 - i
-        if pairs >= target:
-            blocks.append((lo, i + 1))
-            lo, pairs = i + 1, 0
-    if pairs:
-        blocks.append((lo, g - 1))
-    return blocks
+def _band_sizes(ma: int, mb: int) -> tuple[int, int]:
+    """Genes per band of rows (ma labels each) and per tile of partners (mb each)."""
+    return max(1, _BAND_LABELS // ma), max(1, _TILE_LABELS // mb)
 
 
-def _interaction_counts(
-    combos: np.ndarray, rows_u, rows_v, d1: int, d2: int
-) -> np.ndarray:
-    """XOR popcounts of every interaction for the pairs (rows_u, rows_v).
+def _check_exact_products(n: int) -> None:
+    """Refuse sample counts at which a float32 sign product could round."""
+    if n >= _FLOAT32_EXACT:
+        raise BetscanError(
+            f"n = {n} samples: the screen's float32 sign products are exact "
+            f"only below 2^24 = {_FLOAT32_EXACT} samples"
+        )
 
-    rows_u and rows_v select genes of combos, as slices or index arrays;
-    they pair up elementwise, and a side of length one pairs with every
-    gene of the other.  Returns (pairs, (2^d1 - 1)(2^d2 - 1)) int32 counts,
-    interactions in all_bids(d1, d2) order.
+
+class _SignProducts:
+    """Dot products of genes' +-1 sign labels, one float32 matrix product each.
+
+    Gene x's label of mask m is -1 at observation k where bit k of
+    combos[m, x] is set, else +1, so mask a of gene x and mask b of gene y
+    have the dot product n - 2 * popcount(combos[a, x] ^ combos[b, y]).
+    Every partial sum of it is an integer of size at most n, so BLAS gets it
+    exactly in any summation order while n < 2^24.  Labels are unpacked from
+    the packed words into float32 buffers that are reused; set_rows takes
+    at most `band` genes and a call at most `tile`.
     """
-    ma, mb = (1 << d1) - 1, (1 << d2) - 1
-    cu = combos[:, rows_u, :ma].transpose(2, 0, 1)[..., None]
-    # axes (a, word, pair, b)
-    x = combos[None, :, rows_v, :mb] ^ cu
-    counts = np.bitwise_count(x).sum(1, dtype=np.int32)
-    return counts.transpose(1, 0, 2).reshape(-1, ma * mb)
+
+    def __init__(self, combos: np.ndarray, n: int, ma: int, mb: int):
+        _check_exact_products(n)
+        self.combos, self.n, self.ma, self.mb = combos, n, ma, mb
+        self.band, self.tile = _band_sizes(ma, mb)
+        self._row_buf = np.empty(ma * self.band * n, np.float32)
+        self._col_buf = np.empty(mb * self.tile * n, np.float32)
+        self._out_buf = np.empty(ma * self.band * mb * self.tile, np.float32)
+        self._rows = self._row_buf[:0].reshape(0, n)
+
+    def _labels(self, masks: int, genes, buf: np.ndarray) -> np.ndarray:
+        """Labels (masks * len(genes), n) of combos[:masks, genes], mask-major."""
+        words = self.combos[:masks, genes]
+        bits = np.unpackbits(
+            words.view(np.uint8), axis=-1, count=self.n, bitorder="little"
+        )
+        labels = buf[: bits.size].reshape(-1, self.n)
+        np.multiply(bits.reshape(labels.shape), np.float32(-2), out=labels)
+        labels += 1
+        return labels
+
+    def set_rows(self, genes) -> None:
+        """Multiply by genes (a slice or index array) from now on."""
+        self._rows = self._labels(self.ma, genes, self._row_buf)
+
+    def __call__(self, genes) -> np.ndarray:
+        """Dots (ma, rows, mb, len(genes)) of the row genes against genes."""
+        cols = self._labels(self.mb, genes, self._col_buf)
+        out = self._out_buf[: len(self._rows) * len(cols)]
+        out = out.reshape(len(self._rows), len(cols))
+        np.matmul(self._rows, cols.T, out=out)
+        return out.reshape(self.ma, -1, self.mb, len(cols) // self.mb)
 
 
-def _pass_pairs(combos: np.ndarray, d1: int, d2: int) -> int:
-    """Pairs per _interaction_counts call that XOR at most _PASS_WORDS words."""
-    return max(1, _PASS_WORDS // (bid_count(d1, d2) * combos.shape[0]))
+class _Winners:
+    """The first maximum of |dot| over a pair's interactions, as one number.
 
+    With T interactions and s = bit_length(T - 1) + 1, interaction t with
+    dot product x has the key
 
-def _score_rows(
-    combos: np.ndarray, rows: tuple[int, int], d1: int, d2: int, n: int
-) -> list[np.ndarray]:
-    """Columns i, j, t, c for every pair i in rows, j > i.
+        |x| * 2^s + 2 * (T - 1 - t) + [x < 0]
 
-    t indexes the winning interaction in all_bids(d1, d2) order (the first
-    maximum of |n - 2c|) and c is its XOR popcount.
+    so the largest key holds the largest |x| and, among equal |x|, the
+    lowest t (all_bids order, as in max_bet); its low bit keeps the sign.
+    Keys are float32 while they stay below 2^24, else int32 or int64, so
+    they are exact for every depth and n.
     """
-    g, step = combos.shape[1], _pass_pairs(combos, d1, d2)
-    parts = []
-    for i in range(*rows):
-        for lo in range(i + 1, g, step):
-            counts = _interaction_counts(
-                combos, slice(i, i + 1), slice(lo, lo + step), d1, d2
-            )
-            t = np.abs(n - 2 * counts).argmax(1)
-            parts.append(
-                (
-                    np.full(len(t), i, dtype=np.int32),
-                    np.arange(lo, lo + len(t), dtype=np.int32),
-                    t,
-                    np.take_along_axis(counts, t[:, None], 1)[:, 0],
-                )
-            )
-    return [np.concatenate(column) for column in zip(*parts)]
+
+    def __init__(self, ma: int, mb: int, n: int):
+        self.count = ma * mb
+        self.shift = (self.count - 1).bit_length() + 1
+        top = (n + 1) << self.shift
+        self.dtype = np.dtype(
+            np.float32 if top < _FLOAT32_EXACT
+            else np.int32 if top < 1 << 31
+            else np.int64
+        )
+        ties = 2 * (self.count - 1 - np.arange(self.count))
+        self.ties = ties.astype(self.dtype).reshape(ma, 1, mb, 1)
+
+    def keys(self, dots: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Winner keys (rows, cols) of dots (ma, rows, mb, cols).
+
+        out is flat scratch of at least dots.size entries of self.dtype.
+        """
+        keys = out[: dots.size].reshape(dots.shape)
+        np.abs(dots, out=keys, casting="unsafe")
+        keys *= 1 << self.shift
+        keys += self.ties
+        keys += dots < 0
+        # fold the b axis and then the a axis by halves with np.maximum
+        for view in (keys.transpose(2, 0, 1, 3), keys[:, :, :1]):
+            size = len(view)
+            while size > 1:
+                half = size // 2
+                np.maximum(view[:half], view[size - half : size], out=view[:half])
+                size -= half
+        return keys[0, :, 0, :]
+
+    def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t, x) of each key: the winning interaction and its dot product."""
+        keys = keys.astype(np.int64)
+        low = keys & ((1 << self.shift) - 1)
+        size = keys >> self.shift
+        return self.count - 1 - (low >> 1), np.where(low & 1, -size, size)
+
+
+def _pair_dots(products: _SignProducts, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Every interaction's dot product of the pairs (u[k], v[k]).
+
+    Returns (pairs, ma, mb) float32, interactions in all_bids order.  Pairs
+    are grouped by their first gene: each band of first genes is multiplied
+    by the union of its partners, a tile at a time.
+    """
+    dots = np.empty((len(u), products.ma, products.mb), np.float32)
+    firsts, ru = np.unique(u, return_inverse=True)
+    for lo in range(0, len(firsts), products.band):
+        band = np.flatnonzero((ru >= lo) & (ru < lo + products.band))
+        partners, rv = np.unique(v[band], return_inverse=True)
+        products.set_rows(firsts[lo : lo + products.band])
+        for c0 in range(0, len(partners), products.tile):
+            block = products(partners[c0 : c0 + products.tile])
+            hit = (rv >= c0) & (rv < c0 + products.tile)
+            dots[band[hit]] = block[:, ru[band[hit]] - lo, :, rv[hit] - c0]
+    return dots
 
 
 def screen_all_pairs(
@@ -323,7 +403,9 @@ def screen_all_pairs(
             f"every gene needs {n} samples and planes of depth >= {depth}"
         )
     started = time.perf_counter()
-    combos = _pack_combos(planes, depth)
+    ma, mb = (1 << config.d1) - 1, (1 << config.d2) - 1
+    products = _SignProducts(_pack_combos(planes, depth), n, ma, mb)
+    winners = _Winners(ma, mb, n)
     bids = all_bids(config.d1, config.d2)
     classes = [bid_class_of(b) for b in bids]
     signs = [sign_factor(b) for b in bids]
@@ -337,20 +419,48 @@ def screen_all_pairs(
     p_table = null_table(config.mode, n, config.d1, config.d2)
     draw = config.mode == "permutation" and approximate
 
-    def score(rows: tuple[int, int]) -> list[np.ndarray]:
-        i, j, t, c = _score_rows(combos, rows, config.d1, config.d2, n)
-        p_raw = p_table[t, np.abs(n - 2 * c)]
-        if draw:
-            # one stream per row, so p_raw does not depend on the blocks
-            lo = 0
-            for r in range(*rows):
-                hi = lo + g - 1 - r
-                seed = (config.seed << 32) ^ r
-                p_raw[lo:hi] = permutation_pvalue(
-                    p_raw[lo:hi], config.permutation_iterations, seed
+    def p_pair_of(p_raw: np.ndarray) -> np.ndarray:
+        return np.minimum(1.0, m_pairs * np.minimum(1.0, m_bids * p_raw))
+
+    def kept(t: np.ndarray, sig: np.ndarray) -> np.ndarray:
+        keep = sig | config.emit_all
+        return keep if keep_class is None else keep & keep_class[t]
+
+    # Unless p_raw is drawn per pair, it is p_table[t, |S|]: a pair can be
+    # kept only if its |S| reaches the least |S| kept in that table.
+    least = 0
+    if not draw:
+        t_all = np.arange(len(bids))[:, None]
+        kept_sizes = kept(t_all, p_pair_of(p_table) <= config.alpha).any(0)
+        least = int(kept_sizes.argmax()) if kept_sizes.any() else n + 1
+
+    def scored() -> Iterator[tuple[np.ndarray, ...]]:
+        """Columns i, j, t, x of the pairs that may be kept, in pair order.
+
+        t is the winning interaction and x its dot product.  A pass holds
+        whole rows: the next one starts at the first row that begins at or
+        past a multiple of _PASS_PAIRS.
+        """
+        scratch = np.empty(ma * products.band * mb * products.tile, winners.dtype)
+        band_keys = np.empty(products.band * (g - 1), winners.dtype)
+        for lo in range(0, g - 1, products.band):
+            hi = min(lo + products.band, g - 1)
+            width = g - 1 - lo  # the partners lo + 1 .. g - 1
+            keys = band_keys[: (hi - lo) * width].reshape(hi - lo, width)
+            products.set_rows(slice(lo, hi))
+            for c0 in range(0, width, products.tile):
+                c1 = min(c0 + products.tile, width)
+                keys[:, c0:c1] = winners.keys(
+                    products(slice(lo + 1 + c0, lo + 1 + c1)), scratch
                 )
-                lo = hi
-        return [i, j, t, c, p_raw]
+            # row i pairs only with the genes after it
+            keys[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = -1
+            r, c = np.nonzero(keys >= least << winners.shift)
+            starts = np.flatnonzero(np.diff(r, prepend=-1))
+            cuts = starts[np.flatnonzero(np.diff(starts // _PASS_PAIRS)) + 1]
+            for r, c in zip(np.split(r, cuts), np.split(c, cuts)):
+                if len(r):
+                    yield (lo + r, lo + 1 + c, *winners.decode(keys[r, c]))
 
     def result(t: int, c: int, p_raw: float) -> BetResult:
         s = signs[t] * (n - 2 * c)
@@ -372,40 +482,38 @@ def screen_all_pairs(
     # (t, c, p_raw) -> its index
     shared: dict[tuple[int, int, float], int] = {}
     hits = np.zeros(len(bids), dtype=np.int64)
-    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    threads = min(config.worker_count, os.cpu_count() or 1)
-    blocks = _row_blocks(g, min(_BLOCK_PAIRS, -(-total_pairs // (4 * threads))))
-    threads = min(threads, len(blocks))
-    # a lone scorer runs in the calling thread: a pool thread would get a
-    # malloc arena of its own and raise the peak RSS
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    scored = pool.map(score, blocks) if pool else map(score, blocks)
-    try:
-        for i, j, t, c, p_raw in scored:
-            p_pair = np.minimum(1.0, m_pairs * np.minimum(1.0, m_bids * p_raw))
-            sig = p_pair <= config.alpha
-            keep = sig | config.emit_all
-            if keep_class is not None:
-                keep &= keep_class[t]
-            hits += np.bincount(t[keep & sig], minlength=len(bids))
-            rows = np.flatnonzero(keep)
-            i, j, t, c, p_raw = (column[rows] for column in (i, j, t, c, p_raw))
-            # (t, c) fixes p_raw, unless it is a Monte Carlo draw per pair
-            code = t * (n + 1) + c
-            if draw:
-                code = np.stack([code, p_raw.view(np.int64)], axis=1)
-            _, first, inverse = np.unique(
-                code, return_index=True, return_inverse=True, axis=0
-            )
-            keys = zip(*(column[first].tolist() for column in (t, c, p_raw)))
-            lut = np.array(
-                [shared.setdefault(key, len(shared)) for key in keys], dtype=np.int32
-            )
-            columns.append((i, j, lut[inverse.reshape(-1)]))
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    empty = np.empty(0, dtype=np.int32)
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [(empty,) * 3]
+    for i, j, t, x in scored():
+        p_raw = p_table[t, np.abs(x)]
+        if draw:
+            # one stream per row, so p_raw does not depend on the bands
+            starts = np.flatnonzero(np.diff(i, prepend=-1)).tolist()
+            for lo, hi in zip(starts, starts[1:] + [len(i)]):
+                seed = (config.seed << 32) ^ int(i[lo])
+                p_raw[lo:hi] = permutation_pvalue(
+                    p_raw[lo:hi], config.permutation_iterations, seed
+                )
+        sig = p_pair_of(p_raw) <= config.alpha
+        keep = kept(t, sig)
+        hits += np.bincount(t[keep & sig], minlength=len(bids))
+        rows = np.flatnonzero(keep)
+        i, j, t, x, p_raw = (column[rows] for column in (i, j, t, x, p_raw))
+        c = (n - x) // 2
+        # (t, c) fixes p_raw, unless it is a Monte Carlo draw per pair
+        code = t * (n + 1) + c
+        if draw:
+            code = np.stack([code, p_raw.view(np.int64)], axis=1)
+        _, first, inverse = np.unique(
+            code, return_index=True, return_inverse=True, axis=0
+        )
+        keys = zip(*(column[first].tolist() for column in (t, c, p_raw)))
+        lut = np.array(
+            [shared.setdefault(key, len(shared)) for key in keys], dtype=np.int32
+        )
+        columns.append(
+            (i.astype(np.int32), j.astype(np.int32), lut[inverse.reshape(-1)])
+        )
     results = ScreenResults(
         tuple(gene_ids),
         *(np.concatenate(column) for column in zip(*columns)),
@@ -575,7 +683,8 @@ def all_bid_diagnostics(
     index = {gene: x for x, gene in enumerate(gene_ids)}
     chosen = [planes[index[gene]] for gene in results.gene_ids]
     n, d = chosen[0].n, chosen[0].depth
-    combos = _pack_combos(chosen, d)
+    m = (1 << d) - 1
+    products = _SignProducts(_pack_combos(chosen, d), n, m, m)
     bids = all_bids(d, d)
     # code t * (n + 1) + c stands for interaction t with popcount c
     offsets = np.arange(len(bids), dtype=np.int32) * (n + 1)
@@ -588,10 +697,11 @@ def all_bid_diagnostics(
         return _csv_line([bids[t].name, label, str(s), _fmt(z_score(s, n))])
 
     genes = _gene_cells(results.gene_ids)
-    step = _pass_pairs(combos, d, d)
+    step = max(1, _PASS_ENTRIES // len(bids))
     for lo in range(0, len(results), step):
         i, j = results.i[lo : lo + step], results.j[lo : lo + step]
-        codes = _interaction_counts(combos, i, j, d, d) + offsets
+        dots = _pair_dots(products, i, j).reshape(len(i), -1).astype(np.int32)
+        codes = (n - dots) // 2 + offsets
         unique, inverse = np.unique(codes, return_inverse=True)
         cells = [cell(code) for code in unique.tolist()]
         lines = []
@@ -677,18 +787,17 @@ def compare_runs(
     if ok.any():
         chosen = list(planes_b.values())
         n, d = chosen[0].n, chosen[0].depth
-        combos = _pack_combos(chosen, d)
+        m = (1 << d) - 1
+        products = _SignProducts(_pack_combos(chosen, d), n, m, m)
         members = class_members(label, d, d)
         columns = [t for t, bid in enumerate(all_bids(d, d)) if bid in members]
         u, v = u[ok], v[ok]
-        step = _pass_pairs(combos, d, d)
+        step = max(1, _PASS_ENTRIES // (m * m))
         best = []
         for lo in range(0, len(u), step):
-            counts = _interaction_counts(
-                combos, u[lo : lo + step], v[lo : lo + step], d, d
-            )
-            best.append(np.abs(n - 2 * counts[:, columns]).max(1))
-        z_b[ok] = np.concatenate(best) / np.sqrt(n)
+            dots = _pair_dots(products, u[lo : lo + step], v[lo : lo + step])
+            best.append(np.abs(dots.reshape(len(dots), -1)[:, columns]).max(1))
+        z_b[ok] = np.concatenate(best).astype(np.int64) / np.sqrt(n)
     genes, table = rows.gene_ids, rows.table
     return [
         CompareRow(genes[a], genes[b], table[c].z, z, "ok" if f else "missing_in_b")

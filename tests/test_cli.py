@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from betscan.cli import main
+from betscan.manifest import tool_versions
 from betscan.screen import RESULT_COLUMNS
 from betscan.preprocess import ExpressionMatrix, load_labels, load_matrix, save_matrix
 
@@ -748,6 +753,46 @@ def test_rerun_reproduces_screen(tmp_path):
     b = json.loads((replay / "summary.json").read_text())
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+
+
+def test_rerun_replays_a_manifest_without_a_blas_version(tmp_path):
+    assert tool_versions()["blas"]
+    matrix = screened_fixture(tmp_path, seed=8)
+    out = tmp_path / "scr"
+    assert main(["screen", str(matrix), "--out", str(out), "--seed", "5"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["blas"] == tool_versions()["blas"]
+    del manifest["versions"]["blas"]  # as written before the key existed
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(old), "--out", str(replay)]) == 0
+    assert (out / "results.csv").read_bytes() == (replay / "results.csv").read_bytes()
+
+
+def test_screen_bytes_identical_for_one_and_two_blas_threads(tmp_path):
+    # the products are exact integers, so no BLAS summation order shows
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=(200, 256))
+    values[1] = values[0] ** 2
+    values[3] = -values[2]
+    matrix = write_matrix(tmp_path, values)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "betscan.cli", "screen", str(matrix), "--out",
+             str(out), "--emit-all", "--emit-all-bids"],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(
+            [(out / name).read_bytes() for name in ("results.csv", "results_all_bids.csv")]
+        )
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") == 1 + 200 * 199 // 2
 
 
 def test_rerun_refuses_changed_input(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Property tests: the columnar all-pairs kernel against single-pair Max BET.
 
-max_bet scores one pair from all_symmetry_statistics, which shares no code
-with the screen's packed uint64 kernel, its row blocks or its |S| table.
+max_bet scores one pair from all_symmetry_statistics, an XOR and popcount
+of the packed words, which shares no code with the screen's float32 sign
+products, its bands and tiles, its winner keys or its |S| table.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from betscan.core import (
     max_bet,
 )
 from betscan import screen
+from betscan.errors import BetscanError
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
     ScreenConfig,
@@ -169,26 +171,81 @@ def test_csv_identical_for_one_two_three_workers(
     assert csvs[0] == csvs[1] == csvs[2]
 
 
-@pytest.mark.parametrize(
-    "pass_words, mode",
-    [(1, "approx"), (40, "approx"), (1, "permutation"), (40, "permutation")],
-    ids=["1", "40", "permutation-1", "permutation-40"],
-)
-def test_rows_split_into_several_passes(monkeypatch, tmp_path, pass_words, mode):
-    # one pass per partner, or a few partners per pass, instead of whole rows;
-    # permutation draws split across passes give the same CSV
+@pytest.mark.parametrize("mode", ["exact", "approx", "permutation"])
+@pytest.mark.parametrize("d1, d2", [(1, 3), (3, 1), (2, 4), (4, 2)])
+@pytest.mark.parametrize("band, tile", [(1, 1), (3, 3), (5, 7)])
+def test_band_and_tile_sizes_change_no_byte(
+    monkeypatch, tmp_path, band, tile, d1, d2, mode
+):
+    # 12 genes, 11 of them with later partners: 3, 5 and 7 divide neither
+    # count, so bands and tiles end short; passes of 5 pairs split the bands
     matrix = make_matrix(12, 100, 5)
-    planes, u, v = screen_inputs(matrix, 2, 3)
-    config = ScreenConfig(d1=2, d2=3, mode=mode, emit_all=True, permutation_iterations=199)
-    whole, _ = screen_all_pairs(planes, matrix.gene_ids, config)
-    monkeypatch.setattr(screen, "_PASS_WORDS", pass_words)
+    planes, u, v = screen_inputs(matrix, d1, d2)
+    config = ScreenConfig(
+        d1=d1, d2=d2, mode=mode, emit_all=True, permutation_iterations=199
+    )
+
+    def outputs(results, name):
+        path = tmp_path / f"{name}.csv"
+        write_results_csv(results, path)
+        lines = "".join(screen.all_bid_diagnostics(planes, matrix.gene_ids, results))
+        return path.read_bytes(), lines
+
+    default, _ = screen_all_pairs(planes, matrix.gene_ids, config)
+    monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (band, tile))
+    monkeypatch.setattr(screen, "_PASS_PAIRS", 5)
     results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
-    if mode == "approx":
-        assert rows(results) == reference(matrix, u, v, "approx", 66)
-    paths = tmp_path / "whole.csv", tmp_path / "passes.csv"
-    write_results_csv(whole, paths[0])
-    write_results_csv(results, paths[1])
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    expected = reference(matrix, u, v, "exact" if mode == "permutation" else mode, 66)
+    if mode == "permutation":
+        # p_raw is a draw, which max_bet makes from another stream
+        def winners(found):
+            return [(a, b, r.bid, r.s) for a, b, r in found]
+
+        assert winners(rows(results)) == winners(expected)
+    else:
+        assert rows(results) == expected
+    assert outputs(results, "sized") == outputs(default, "default")
+
+
+@pytest.mark.parametrize(
+    "n, dtype",
+    [(1000, np.float32), (1 << 20, np.int32), ((1 << 24) - 1, np.int64)],
+)
+def test_winner_key_keeps_first_maximum_and_sign_at_depth_4(n, dtype):
+    # 225 interactions; n picks a key type that the largest key fits
+    winners = screen._Winners(15, 15, n)
+    assert winners.dtype == dtype
+    rng = np.random.default_rng(n)
+    tied = rng.choice([-n, n], size=225)  # all tied at |x| = n, mixed signs
+    mixed = rng.integers(-n // 2, n // 2, size=225)
+    mixed[[40, 90, 200]] = [n - 2, -(n - 2), n - 2]  # first maximum at 40
+    last = np.full(225, n - 4)
+    last[-1] = -n  # a lone maximum in last place
+    dots = np.stack([tied, -tied, mixed, -mixed, last]).astype(np.float32)
+    keys = winners.keys(
+        dots.T.reshape(15, 15, 1, -1).transpose(0, 2, 1, 3),
+        np.empty(dots.size, winners.dtype),
+    )
+    t, x = winners.decode(keys[0])
+    first = np.abs(dots).argmax(1)
+    assert t.tolist() == first.tolist() == [0, 0, 40, 40, 224]
+    assert x.tolist() == dots[np.arange(5), first].tolist()
+
+
+def test_screen_with_int32_winner_keys_matches_max_bet():
+    # at depth 5 and n = 8224 the largest key passes 2^24
+    assert screen._Winners(31, 31, 8224).dtype == np.int32
+    matrix = make_matrix(4, 8224, 9)
+    planes, u, v = screen_inputs(matrix, 5, 5)
+    config = ScreenConfig(d1=5, d2=5, emit_all=True)
+    results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
+    assert rows(results) == reference(matrix, u, v, "exact", 6)
+
+
+def test_sample_count_too_large_for_float32_refused():
+    screen._check_exact_products((1 << 24) - 1)
+    with pytest.raises(BetscanError, match="n = 16777216 samples"):
+        screen._check_exact_products(1 << 24)
 
 
 def test_permutation_screen_within_binomial_error_of_exact():

@@ -235,29 +235,6 @@ def test_screen_config_refuses_bad_values(field, value):
         ScreenConfig(**{field: value})
 
 
-def test_thread_count_capped_by_cpus_and_blocks(monkeypatch):
-    pools = []
-
-    class Recording(screen.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(screen, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(screen.os, "cpu_count", lambda: 2)
-    m = random_matrix(40, 64, 17)
-    planes = precompute_bitplanes(m, 2)
-    config = ScreenConfig(worker_count=16, emit_all=True)
-    many, _ = screen_all_pairs(planes, m.gene_ids, config)
-    assert pools == [2]
-    # one row block, or one CPU: the calling thread scores, no pool starts
-    screen_all_pairs(planes[:2], m.gene_ids[:2], config)
-    monkeypatch.setattr(screen.os, "cpu_count", lambda: 1)
-    one, _ = screen_all_pairs(planes, m.gene_ids, config)
-    assert pools == [2]
-    assert rows(one) == rows(many)
-
-
 def test_csv_round_trip_and_byte_identity(tmp_path):
     m = random_matrix(12, 64, 6)
     m.values[3] = -m.values[7]
