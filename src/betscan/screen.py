@@ -19,11 +19,13 @@ in any BLAS summation order, and n >= 2^24 is refused.  `_Winners` folds a
 pair's interactions into one key, |x| * 2^s + 2 (T - 1 - t) + [x < 0], by
 np.maximum: the first maximum of |S| in canonical, a_mask-major order wins,
 so ties break as in max_bet.  The screen scores row bands against every
-later gene; `all_bid_diagnostics` (every S of the emitted pairs, for
+later gene.  `all_bid_diagnostics` (every S of the emitted pairs, for
 --emit-all-bids) and `compare_runs` (a class's largest |S| in a second
-dataset) group their pairs by first gene and take the same products.
-max_bet and the other single-pair paths keep their own XOR and popcount of
-the words, so that they check this kernel rather than share it.  A pair is
+dataset) take S of a list of pairs, which are mostly few and scattered:
+`_pair_counts` XORs and popcounts their words, T * W word operations a
+pair, where a matrix product would unpack n labels per gene and multiply
+partners that no pair asks for.  max_bet and the other single-pair paths
+keep their own XOR and popcount, so that they check both.  A pair is
 significant when
 
     min(1, m_pairs * min(1, m_bids * p_raw)) <= alpha
@@ -226,10 +228,12 @@ def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
 # one product keeps about the same size.
 _BAND_LABELS = 192
 _TILE_LABELS = 384
-# pairs per pass of the screen's p-value, keep and np.unique step, and
-# (pair, interaction) entries per pass of the emitted-pair statistics
+# pairs per pass of the screen's p-value, keep and np.unique step,
+# (pair, interaction) entries per pass of the emitted-pair statistics, and
+# words XORed per step of _pair_counts
 _PASS_PAIRS = 1 << 13
 _PASS_ENTRIES = 1 << 16
+_PAIR_WORDS = 1 << 17
 # float32 holds every integer up to 2^24 exactly
 _FLOAT32_EXACT = 1 << 24
 
@@ -262,8 +266,8 @@ class _SignProducts:
     have the dot product n - 2 * popcount(combos[a, x] ^ combos[b, y]).
     Every partial sum of it is an integer of size at most n, so BLAS gets it
     exactly in any summation order while n < 2^24.  Labels are unpacked from
-    the packed words into float32 buffers that are reused; set_rows takes
-    at most `band` genes and a call at most `tile`.
+    the packed words into float32 buffers that are reused; set_rows takes a
+    slice of at most `band` genes and a call a slice of at most `tile`.
     """
 
     def __init__(self, combos: np.ndarray, n: int, ma: int, mb: int):
@@ -275,7 +279,7 @@ class _SignProducts:
         self._out_buf = np.empty(ma * self.band * mb * self.tile, np.float32)
         self._rows = self._row_buf[:0].reshape(0, n)
 
-    def _labels(self, masks: int, genes, buf: np.ndarray) -> np.ndarray:
+    def _labels(self, masks: int, genes: slice, buf: np.ndarray) -> np.ndarray:
         """Labels (masks * len(genes), n) of combos[:masks, genes], mask-major."""
         words = self.combos[:masks, genes]
         bits = np.unpackbits(
@@ -286,11 +290,11 @@ class _SignProducts:
         labels += 1
         return labels
 
-    def set_rows(self, genes) -> None:
-        """Multiply by genes (a slice or index array) from now on."""
+    def set_rows(self, genes: slice) -> None:
+        """Multiply by these genes from now on."""
         self._rows = self._labels(self.ma, genes, self._row_buf)
 
-    def __call__(self, genes) -> np.ndarray:
+    def __call__(self, genes: slice) -> np.ndarray:
         """Dots (ma, rows, mb, len(genes)) of the row genes against genes."""
         cols = self._labels(self.mb, genes, self._col_buf)
         out = self._out_buf[: len(self._rows) * len(cols)]
@@ -352,24 +356,21 @@ class _Winners:
         return self.count - 1 - (low >> 1), np.where(low & 1, -size, size)
 
 
-def _pair_dots(products: _SignProducts, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Every interaction's dot product of the pairs (u[k], v[k]).
+def _pair_counts(
+    combos: np.ndarray, u: np.ndarray, v: np.ndarray, ma: int, mb: int
+) -> np.ndarray:
+    """XOR popcounts of every interaction of the pairs (u[k], v[k]).
 
-    Returns (pairs, ma, mb) float32, interactions in all_bids order.  Pairs
-    are grouped by their first gene: each band of first genes is multiplied
-    by the union of its partners, a tile at a time.
+    combos is mask-major, as _pack_combos makes it.  Returns (pairs,
+    ma * mb) int32, interactions in all_bids order; S = sign * (n - 2c).
     """
-    dots = np.empty((len(u), products.ma, products.mb), np.float32)
-    firsts, ru = np.unique(u, return_inverse=True)
-    for lo in range(0, len(firsts), products.band):
-        band = np.flatnonzero((ru >= lo) & (ru < lo + products.band))
-        partners, rv = np.unique(v[band], return_inverse=True)
-        products.set_rows(firsts[lo : lo + products.band])
-        for c0 in range(0, len(partners), products.tile):
-            block = products(partners[c0 : c0 + products.tile])
-            hit = (rv >= c0) & (rv < c0 + products.tile)
-            dots[band[hit]] = block[:, ru[band[hit]] - lo, :, rv[hit] - c0]
-    return dots
+    words = combos.transpose(1, 0, 2)
+    counts = np.empty((len(u), ma, mb), np.int32)
+    step = max(1, _PAIR_WORDS // (ma * mb * words.shape[2]))
+    for lo in range(0, len(u), step):
+        x = words[u[lo : lo + step], :ma, None] ^ words[v[lo : lo + step], None, :mb]
+        np.bitwise_count(x).sum(-1, dtype=np.int32, out=counts[lo : lo + step])
+    return counts.reshape(len(u), -1)
 
 
 def screen_all_pairs(
@@ -684,7 +685,7 @@ def all_bid_diagnostics(
     chosen = [planes[index[gene]] for gene in results.gene_ids]
     n, d = chosen[0].n, chosen[0].depth
     m = (1 << d) - 1
-    products = _SignProducts(_pack_combos(chosen, d), n, m, m)
+    combos = _pack_combos(chosen, d)
     bids = all_bids(d, d)
     # code t * (n + 1) + c stands for interaction t with popcount c
     offsets = np.arange(len(bids), dtype=np.int32) * (n + 1)
@@ -700,8 +701,7 @@ def all_bid_diagnostics(
     step = max(1, _PASS_ENTRIES // len(bids))
     for lo in range(0, len(results), step):
         i, j = results.i[lo : lo + step], results.j[lo : lo + step]
-        dots = _pair_dots(products, i, j).reshape(len(i), -1).astype(np.int32)
-        codes = (n - dots) // 2 + offsets
+        codes = _pair_counts(combos, i, j, m, m) + offsets
         unique, inverse = np.unique(codes, return_inverse=True)
         cells = [cell(code) for code in unique.tolist()]
         lines = []
@@ -788,16 +788,16 @@ def compare_runs(
         chosen = list(planes_b.values())
         n, d = chosen[0].n, chosen[0].depth
         m = (1 << d) - 1
-        products = _SignProducts(_pack_combos(chosen, d), n, m, m)
+        combos = _pack_combos(chosen, d)
         members = class_members(label, d, d)
         columns = [t for t, bid in enumerate(all_bids(d, d)) if bid in members]
         u, v = u[ok], v[ok]
         step = max(1, _PASS_ENTRIES // (m * m))
         best = []
         for lo in range(0, len(u), step):
-            dots = _pair_dots(products, u[lo : lo + step], v[lo : lo + step])
-            best.append(np.abs(dots.reshape(len(dots), -1)[:, columns]).max(1))
-        z_b[ok] = np.concatenate(best).astype(np.int64) / np.sqrt(n)
+            counts = _pair_counts(combos, u[lo : lo + step], v[lo : lo + step], m, m)
+            best.append(np.abs(n - 2 * counts[:, columns]).max(1))
+        z_b[ok] = np.concatenate(best) / np.sqrt(n)
     genes, table = rows.gene_ids, rows.table
     return [
         CompareRow(genes[a], genes[b], table[c].z, z, "ok" if f else "missing_in_b")

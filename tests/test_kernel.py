@@ -178,7 +178,8 @@ def test_band_and_tile_sizes_change_no_byte(
     monkeypatch, tmp_path, band, tile, d1, d2, mode
 ):
     # 12 genes, 11 of them with later partners: 3, 5 and 7 divide neither
-    # count, so bands and tiles end short; passes of 5 pairs split the bands
+    # count, so bands and tiles end short; passes of 5 pairs split the bands,
+    # and the emitted-pair statistics XOR one pair a step
     matrix = make_matrix(12, 100, 5)
     planes, u, v = screen_inputs(matrix, d1, d2)
     config = ScreenConfig(
@@ -189,11 +190,16 @@ def test_band_and_tile_sizes_change_no_byte(
         path = tmp_path / f"{name}.csv"
         write_results_csv(results, path)
         lines = "".join(screen.all_bid_diagnostics(planes, matrix.gene_ids, results))
-        return path.read_bytes(), lines
+        compared = screen.compare_runs(
+            results, dict(zip(matrix.gene_ids, planes)), "Linear"
+        )
+        return path.read_bytes(), lines, compared
 
     default, _ = screen_all_pairs(planes, matrix.gene_ids, config)
+    expected_outputs = outputs(default, "default")
     monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (band, tile))
     monkeypatch.setattr(screen, "_PASS_PAIRS", 5)
+    monkeypatch.setattr(screen, "_PAIR_WORDS", 1)
     results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
     expected = reference(matrix, u, v, "exact" if mode == "permutation" else mode, 66)
     if mode == "permutation":
@@ -204,7 +210,7 @@ def test_band_and_tile_sizes_change_no_byte(
         assert winners(rows(results)) == winners(expected)
     else:
         assert rows(results) == expected
-    assert outputs(results, "sized") == outputs(default, "default")
+    assert outputs(results, "sized") == expected_outputs
 
 
 @pytest.mark.parametrize(
