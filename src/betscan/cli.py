@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .core.bids import bid_class_of, parse_class_label
+from .core.bids import bid_class_of, class_members, parse_class_label
 from .core.copula import rank_rows
 from .core.expansion import expand_rank_rows
 from .core.maxbet import MODES, max_bet
@@ -361,12 +361,21 @@ def run_network(config: dict, out_dir: Path) -> int:
 
 def run_compare(config: dict, out_dir: Path) -> int:
     started = time.perf_counter()
+    depth = int(config.get("depth", 2))
+    try:
+        class_members(config["bid_class"], depth, depth)
+    except ValueError as exc:
+        raise BetscanError(str(exc)) from None
     results_a = read_results_csv(config["results_a"])
     matrix_b = _load_matrix(config, "matrix_b")
-    planes_b = precompute_bitplanes(matrix_b, int(config.get("depth", 2)))
-    rows = compare_runs(
-        results_a, dict(zip(matrix_b.gene_ids, planes_b)), config["bid_class"]
-    )
+    rank_rows(matrix_b.values[:0])  # refuses too few samples, whatever run A names
+    # only the genes that run A names are ranked and expanded
+    named = set(results_a.gene_ids)
+    kept = [gene in named for gene in matrix_b.gene_ids]
+    genes = [gene for gene in matrix_b.gene_ids if gene in named]
+    matrix_b = ExpressionMatrix(genes, matrix_b.sample_ids, matrix_b.values[kept])
+    planes_b = dict(zip(genes, precompute_bitplanes(matrix_b, depth)))
+    rows = compare_runs(results_a, planes_b, config["bid_class"])
     _start_run(out_dir)
     out_path = out_dir / "compare.csv"
     write_records(rows, CompareRow, out_path)

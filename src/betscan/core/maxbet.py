@@ -35,7 +35,7 @@ from .nulls import (
     permutation_pvalue,
     pvalue_normal,
 )
-from .stats import all_symmetry_statistics, z_score
+from .stats import pair_statistics, z_score
 
 __all__ = ["BetResult", "max_bet", "null_method", "null_table", "MODES"]
 
@@ -107,21 +107,21 @@ def max_bet(
     v_ranks is unused; it is accepted for callers that still pass it.
     Permutation mode draws from Philox(key=seed).
     """
-    stats = all_symmetry_statistics(u, v)
-    t = max(range(len(stats)), key=lambda k: abs(stats[k].s))  # the first maximum
-    best = stats[t]
+    stats = pair_statistics(u, v)
+    t = int(np.argmax(np.abs(stats)))  # the first maximum
+    bid, s = all_bids(u.depth, v.depth)[t], int(stats[t])
 
     n = u.n
     method, approximate = null_method(mode, n)
-    p_raw = float(null_table(mode, n, u.depth, v.depth)[t, abs(best.s)])
+    p_raw = float(null_table(mode, n, u.depth, v.depth)[t, abs(s)])
     if method == "permutation" and approximate:
         p_raw = float(permutation_pvalue(p_raw, iterations, seed))
     return BetResult(
-        bid=best.bid,
-        bid_class=bid_class_of(best.bid),
-        s=best.s,
+        bid=bid,
+        bid_class=bid_class_of(bid),
+        s=s,
         n=n,
-        z=z_score(best.s, n),
+        z=z_score(s, n),
         p_raw=p_raw,
         p_bid_adjusted=min(1.0, bid_count(u.depth, v.depth) * p_raw),
         p_pair_adjusted=None,

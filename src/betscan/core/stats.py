@@ -13,11 +13,16 @@ of the selected digit bits this gives
 one XOR-and-popcount pass over the packed uint64 words of the planes
 (`BitPlanes.planes`) per interaction; the leading sign restores the
 orientation that the parity trick drops for odd-weight interactions.
+
+`cross_statistics` computes S of every interaction of a list of pairs
+for max_bet, `all_symmetry_statistics`, --emit-all-bids and compare.
+`symmetry_statistic` XORs only its interaction's planes, in 1/4 the time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -29,6 +34,8 @@ __all__ = [
     "SymmetryStat",
     "symmetry_statistic",
     "all_symmetry_statistics",
+    "cross_statistics",
+    "pair_statistics",
     "z_score",
     "mask_combos",
     "sign_factor",
@@ -107,17 +114,45 @@ def symmetry_statistic(u: BitPlanes, v: BitPlanes, bid: BidId) -> SymmetryStat:
     return SymmetryStat(bid=bid, s=sign_factor(bid) * s, n=u.n)
 
 
+# words XORed per step of cross_statistics; bounds its scratch array
+_XOR_WORDS = 1 << 17
+
+
+@cache
+def _signs(mu: int, mv: int) -> np.ndarray:
+    """Read-only int32 sign_factor of every interaction of mu x mv masks."""
+    bids = all_bids(mu.bit_length(), mv.bit_length())
+    signs = np.array([sign_factor(bid) for bid in bids], np.int32)
+    signs.flags.writeable = False
+    return signs
+
+
+def cross_statistics(u: np.ndarray, v: np.ndarray, i, j, n: int) -> np.ndarray:
+    """S (pairs, T) int32 of the pairs (u[i[k]], v[j[k]]), all_bids order.
+
+    u and v are (genes, 2^d - 1, words) mask combinations without the zero
+    mask, `mask_combos(...)[:, 1:]`, d the depth of that axis.
+    """
+    mu, mv = u.shape[1], v.shape[1]
+    s = np.empty((len(i), mu, mv), np.int32)
+    step = max(1, _XOR_WORDS // (mu * mv * u.shape[2]))
+    for lo in range(0, len(i), step):
+        x = u[i[lo : lo + step], :, None] ^ v[j[lo : lo + step], None, :]
+        np.bitwise_count(x).sum(-1, dtype=np.int32, out=s[lo : lo + step])
+    return (n - 2 * s.reshape(len(i), mu * mv)) * _signs(mu, mv)
+
+
+def pair_statistics(u: BitPlanes, v: BitPlanes) -> np.ndarray:
+    """S of every cross interaction of one pair: (T,) int32, all_bids order."""
+    _check_pair(u, v)
+    cu, cv = (mask_combos(p)[None, 1:] for p in (u, v))
+    return cross_statistics(cu, cv, [0], [0], u.n)[0]
+
+
 def all_symmetry_statistics(u: BitPlanes, v: BitPlanes) -> list[SymmetryStat]:
     """Every cross interaction's statistic, a_mask-major then b ascending."""
-    _check_pair(u, v)
-    n = u.n
-    cu = mask_combos(u)[1:, None]
-    cv = mask_combos(v)[None, 1:]
-    counts = np.bitwise_count(cu ^ cv).sum(-1).ravel().tolist()
-    return [
-        SymmetryStat(bid=bid, s=sign_factor(bid) * (n - 2 * c), n=n)
-        for bid, c in zip(all_bids(u.depth, v.depth), counts)
-    ]
+    bids, s = all_bids(u.depth, v.depth), pair_statistics(u, v).tolist()
+    return [SymmetryStat(bid=bid, s=x, n=u.n) for bid, x in zip(bids, s)]
 
 
 def cell_counts(u: BitPlanes, v: BitPlanes) -> np.ndarray:

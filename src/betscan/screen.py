@@ -7,26 +7,25 @@ gene's BitPlanes is a view of the block's packed words.
 
 Every gene's planes (BitPlanes.planes: W = ceil(n / 64) uint64 words per
 digit, observation k at bit k % 64 of word k // 64 and zeros past n) are
-stacked and combined once by `mask_combos` into a mask-major
-(2^d - 1, G, W) array, d = max(d1, d2).  Bit k of mask m of a gene gives
-the sign label -1 (set) or +1, and S of interaction (a, b) of pair (i, j)
-is sign(a, b) times the dot product of label vector a of gene i and label
-vector b of gene j.  `_SignProducts` gets these dot products as one
-float32 matrix product: a band of row genes (64 at depth 2) against a tile
-of partner genes (128), each unpacked from the words into a reused buffer.
-Every partial sum is an integer of size at most n, so the product is exact
-in any BLAS summation order, and n >= 2^24 is refused.  `_Winners` folds a
-pair's interactions into one key, |x| * 2^s + 2 (T - 1 - t) + [x < 0], by
-np.maximum: the first maximum of |S| in canonical, a_mask-major order wins,
-so ties break as in max_bet.  The screen scores row bands against every
-later gene.  `all_bid_diagnostics` (every S of the emitted pairs, for
---emit-all-bids) and `compare_runs` (a class's largest |S| in a second
-dataset) take S of a list of pairs, which are mostly few and scattered:
-`_pair_counts` XORs and popcounts their words, T * W word operations a
-pair, where a matrix product would unpack n labels per gene and multiply
-partners that no pair asks for.  max_bet and the other single-pair paths
-keep their own XOR and popcount, so that they check both.  A pair is
-significant when
+combined once by `mask_combos`, d = max(d1, d2).  Bit k of mask m of a
+gene gives the sign label -1 (set) or +1, and S of interaction (a, b) of
+pair (i, j) is sign(a, b) times the dot product of label vector a of gene
+i and label vector b of gene j.  `_SignProducts` gets these dot products
+as one float32 matrix product: a band of row genes (64 at depth 2)
+against a tile of partner genes (128), each unpacked from the words into
+a reused buffer.  Every partial sum is an integer of size at most n, so
+the product is exact in any BLAS summation order, and n >= 2^24 is
+refused.  `_Winners` folds a pair's interactions into one key,
+|x| * 2^s + 2 (T - 1 - t) + [x < 0], by np.maximum: the first maximum of
+|S| in canonical, a_mask-major order wins, so ties break as in max_bet,
+which shares no code with either class.  The screen scores row bands
+against every later gene, and each band's candidates in one pass.
+`all_bid_diagnostics` (every S of the emitted pairs, for --emit-all-bids)
+and `compare_runs` (a class's largest |S| in a second dataset) take S of
+a list of pairs, mostly few and scattered, from
+`core.stats.cross_statistics`: T * W word operations a pair, where a
+matrix product would unpack n labels per gene and multiply partners that
+no pair asks for.  A pair is significant when
 
     min(1, m_pairs * min(1, m_bids * p_raw)) <= alpha
 
@@ -38,7 +37,7 @@ sample-subset context.  p_raw is null_table(...)[t, |S|], t the winner;
 permutation mode above n = 8 draws it from that entry with one Philox
 stream per row i (key (seed << 32) ^ i), whatever the bands.  Outside
 permutation draws a pair can be kept only if its |S| reaches the least |S|
-that the table keeps, so only those keys are decoded, _PASS_PAIRS at a time.
+that the table keeps, so only those keys are decoded.
 
 The bands are scored in the calling thread, in row order, so results come
 in pair-index order (i < j, lexicographic).  The matrix products run on
@@ -48,7 +47,7 @@ and starts no thread.
 
 The emitted rows stay columns: `ScreenResults` holds int32 columns i, j
 and k, where k indexes a table with one BetResult per distinct (winner,
-popcount, p_raw); each block maps its rows to the table with one
+dot product, p_raw); each band maps its rows to the table with one
 np.unique.  Every reader works on the columns and asks each table entry
 once.  `write_results_csv` formats each gene-id cell and each table
 entry's cells once and writes the rows as joined strings, a few thousand
@@ -82,7 +81,7 @@ from .core.copula import CopulaColumn, rank_rows
 from .core.expansion import BitPlanes, expand_rank_rows
 from .core.maxbet import MODES, BetResult, null_method, null_table
 from .core.nulls import permutation_pvalue
-from .core.stats import mask_combos, sign_factor, z_score
+from .core.stats import cross_statistics, mask_combos, sign_factor, z_score
 from .errors import BetscanError, EmptyIntersectionError
 from .manifest import atomic_open, open_input
 from .preprocess import ExpressionMatrix
@@ -228,20 +227,10 @@ def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
 # one product keeps about the same size.
 _BAND_LABELS = 192
 _TILE_LABELS = 384
-# pairs per pass of the screen's p-value, keep and np.unique step,
-# (pair, interaction) entries per pass of the emitted-pair statistics, and
-# words XORed per step of _pair_counts
-_PASS_PAIRS = 1 << 13
+# (pair, interaction) entries per pass of the emitted-pair statistics
 _PASS_ENTRIES = 1 << 16
-_PAIR_WORDS = 1 << 17
 # float32 holds every integer up to 2^24 exactly
 _FLOAT32_EXACT = 1 << 24
-
-
-def _pack_combos(planes: Sequence[BitPlanes], depth: int) -> np.ndarray:
-    """Mask combinations of every gene, mask-major: (2^depth - 1, G, W) uint64."""
-    combos = mask_combos(np.stack([p.planes[:depth] for p in planes]))
-    return np.ascontiguousarray(combos[:, 1:].transpose(1, 0, 2))
 
 
 def _band_sizes(ma: int, mb: int) -> tuple[int, int]:
@@ -356,23 +345,6 @@ class _Winners:
         return self.count - 1 - (low >> 1), np.where(low & 1, -size, size)
 
 
-def _pair_counts(
-    combos: np.ndarray, u: np.ndarray, v: np.ndarray, ma: int, mb: int
-) -> np.ndarray:
-    """XOR popcounts of every interaction of the pairs (u[k], v[k]).
-
-    combos is mask-major, as _pack_combos makes it.  Returns (pairs,
-    ma * mb) int32, interactions in all_bids order; S = sign * (n - 2c).
-    """
-    words = combos.transpose(1, 0, 2)
-    counts = np.empty((len(u), ma, mb), np.int32)
-    step = max(1, _PAIR_WORDS // (ma * mb * words.shape[2]))
-    for lo in range(0, len(u), step):
-        x = words[u[lo : lo + step], :ma, None] ^ words[v[lo : lo + step], None, :mb]
-        np.bitwise_count(x).sum(-1, dtype=np.int32, out=counts[lo : lo + step])
-    return counts.reshape(len(u), -1)
-
-
 def screen_all_pairs(
     planes: Sequence[BitPlanes],
     gene_ids: Sequence[str],
@@ -405,7 +377,9 @@ def screen_all_pairs(
         )
     started = time.perf_counter()
     ma, mb = (1 << config.d1) - 1, (1 << config.d2) - 1
-    products = _SignProducts(_pack_combos(planes, depth), n, ma, mb)
+    combos = mask_combos(np.stack([p.planes[:depth] for p in planes]))[:, 1:]
+    combos = np.ascontiguousarray(combos.transpose(1, 0, 2))  # mask-major
+    products = _SignProducts(combos, n, ma, mb)
     winners = _Winners(ma, mb, n)
     bids = all_bids(config.d1, config.d2)
     classes = [bid_class_of(b) for b in bids]
@@ -435,36 +409,8 @@ def screen_all_pairs(
         kept_sizes = kept(t_all, p_pair_of(p_table) <= config.alpha).any(0)
         least = int(kept_sizes.argmax()) if kept_sizes.any() else n + 1
 
-    def scored() -> Iterator[tuple[np.ndarray, ...]]:
-        """Columns i, j, t, x of the pairs that may be kept, in pair order.
-
-        t is the winning interaction and x its dot product.  A pass holds
-        whole rows: the next one starts at the first row that begins at or
-        past a multiple of _PASS_PAIRS.
-        """
-        scratch = np.empty(ma * products.band * mb * products.tile, winners.dtype)
-        band_keys = np.empty(products.band * (g - 1), winners.dtype)
-        for lo in range(0, g - 1, products.band):
-            hi = min(lo + products.band, g - 1)
-            width = g - 1 - lo  # the partners lo + 1 .. g - 1
-            keys = band_keys[: (hi - lo) * width].reshape(hi - lo, width)
-            products.set_rows(slice(lo, hi))
-            for c0 in range(0, width, products.tile):
-                c1 = min(c0 + products.tile, width)
-                keys[:, c0:c1] = winners.keys(
-                    products(slice(lo + 1 + c0, lo + 1 + c1)), scratch
-                )
-            # row i pairs only with the genes after it
-            keys[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = -1
-            r, c = np.nonzero(keys >= least << winners.shift)
-            starts = np.flatnonzero(np.diff(r, prepend=-1))
-            cuts = starts[np.flatnonzero(np.diff(starts // _PASS_PAIRS)) + 1]
-            for r, c in zip(np.split(r, cuts), np.split(c, cuts)):
-                if len(r):
-                    yield (lo + r, lo + 1 + c, *winners.decode(keys[r, c]))
-
-    def result(t: int, c: int, p_raw: float) -> BetResult:
-        s = signs[t] * (n - 2 * c)
+    def result(t: int, x: int, p_raw: float) -> BetResult:
+        s = signs[t] * x
         p_bid = min(1.0, m_bids * p_raw)
         return BetResult(
             bid=bids[t],
@@ -479,38 +425,52 @@ def screen_all_pairs(
             method=method,
         )
 
-    # rows with the same winner, popcount and p_raw share one table entry:
-    # (t, c, p_raw) -> its index
+    # rows with the same winner, dot product and p_raw share one table
+    # entry: (t, x, p_raw) -> its index
     shared: dict[tuple[int, int, float], int] = {}
     hits = np.zeros(len(bids), dtype=np.int64)
-    empty = np.empty(0, dtype=np.int32)
-    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [(empty,) * 3]
-    for i, j, t, x in scored():
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # one per band
+    scratch = np.empty(ma * products.band * mb * products.tile, winners.dtype)
+    band_keys = np.empty(products.band * (g - 1), winners.dtype)
+    for lo in range(0, g - 1, products.band):
+        hi = min(lo + products.band, g - 1)
+        width = g - 1 - lo  # the partners lo + 1 .. g - 1
+        keys = band_keys[: (hi - lo) * width].reshape(hi - lo, width)
+        products.set_rows(slice(lo, hi))
+        for c0 in range(0, width, products.tile):
+            c1 = min(c0 + products.tile, width)
+            keys[:, c0:c1] = winners.keys(
+                products(slice(lo + 1 + c0, lo + 1 + c1)), scratch
+            )
+        # row i pairs only with the genes after it
+        keys[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = -1
+        # the band's candidates in pair order: winner t and its dot product x
+        r, c = np.nonzero(keys >= least << winners.shift)
+        i, j, (t, x) = lo + r, lo + 1 + c, winners.decode(keys[r, c])
         p_raw = p_table[t, np.abs(x)]
         if draw:
             # one stream per row, so p_raw does not depend on the bands
             starts = np.flatnonzero(np.diff(i, prepend=-1)).tolist()
-            for lo, hi in zip(starts, starts[1:] + [len(i)]):
-                seed = (config.seed << 32) ^ int(i[lo])
-                p_raw[lo:hi] = permutation_pvalue(
-                    p_raw[lo:hi], config.permutation_iterations, seed
+            for a, b in zip(starts, starts[1:] + [len(i)]):
+                seed = (config.seed << 32) ^ int(i[a])
+                p_raw[a:b] = permutation_pvalue(
+                    p_raw[a:b], config.permutation_iterations, seed
                 )
         sig = p_pair_of(p_raw) <= config.alpha
         keep = kept(t, sig)
         hits += np.bincount(t[keep & sig], minlength=len(bids))
         rows = np.flatnonzero(keep)
         i, j, t, x, p_raw = (column[rows] for column in (i, j, t, x, p_raw))
-        c = (n - x) // 2
-        # (t, c) fixes p_raw, unless it is a Monte Carlo draw per pair
-        code = t * (n + 1) + c
+        # (t, x) fixes p_raw, unless it is a Monte Carlo draw per pair
+        code = t * (2 * n + 1) + n - x
         if draw:
             code = np.stack([code, p_raw.view(np.int64)], axis=1)
         _, first, inverse = np.unique(
             code, return_index=True, return_inverse=True, axis=0
         )
-        keys = zip(*(column[first].tolist() for column in (t, c, p_raw)))
+        entries = zip(*(column[first].tolist() for column in (t, x, p_raw)))
         lut = np.array(
-            [shared.setdefault(key, len(shared)) for key in keys], dtype=np.int32
+            [shared.setdefault(key, len(shared)) for key in entries], dtype=np.int32
         )
         columns.append(
             (i.astype(np.int32), j.astype(np.int32), lut[inverse.reshape(-1)])
@@ -684,16 +644,15 @@ def all_bid_diagnostics(
     index = {gene: x for x, gene in enumerate(gene_ids)}
     chosen = [planes[index[gene]] for gene in results.gene_ids]
     n, d = chosen[0].n, chosen[0].depth
-    m = (1 << d) - 1
-    combos = _pack_combos(chosen, d)
+    combos = mask_combos(np.stack([p.planes for p in chosen]))[:, 1:]
     bids = all_bids(d, d)
-    # code t * (n + 1) + c stands for interaction t with popcount c
-    offsets = np.arange(len(bids), dtype=np.int32) * (n + 1)
+    # code t * (2n + 1) + n + S stands for interaction t with statistic S
+    offsets = np.arange(len(bids), dtype=np.int64) * (2 * n + 1) + n
 
     @cache
     def cell(code: int) -> str:
-        t, c = divmod(code, n + 1)
-        s = sign_factor(bids[t]) * (n - 2 * c)
+        t, s = divmod(code, 2 * n + 1)
+        s -= n
         label = bid_class_of(bids[t]).label
         return _csv_line([bids[t].name, label, str(s), _fmt(z_score(s, n))])
 
@@ -701,7 +660,7 @@ def all_bid_diagnostics(
     step = max(1, _PASS_ENTRIES // len(bids))
     for lo in range(0, len(results), step):
         i, j = results.i[lo : lo + step], results.j[lo : lo + step]
-        codes = _pair_counts(combos, i, j, m, m) + offsets
+        codes = cross_statistics(combos, combos, i, j, n) + offsets
         unique, inverse = np.unique(codes, return_inverse=True)
         cells = [cell(code) for code in unique.tolist()]
         lines = []
@@ -785,19 +744,15 @@ def compare_runs(
     ok = (u >= 0) & (v >= 0)
     z_b = np.full(len(rows), np.nan)
     if ok.any():
-        chosen = list(planes_b.values())
+        # only the genes that the rows name are packed
+        named, uv = np.unique(np.hstack([rows.i[ok], rows.j[ok]]), return_inverse=True)
+        chosen = [planes_b[rows.gene_ids[x]] for x in named.tolist()]
         n, d = chosen[0].n, chosen[0].depth
-        m = (1 << d) - 1
-        combos = _pack_combos(chosen, d)
         members = class_members(label, d, d)
         columns = [t for t, bid in enumerate(all_bids(d, d)) if bid in members]
-        u, v = u[ok], v[ok]
-        step = max(1, _PASS_ENTRIES // (m * m))
-        best = []
-        for lo in range(0, len(u), step):
-            counts = _pair_counts(combos, u[lo : lo + step], v[lo : lo + step], m, m)
-            best.append(np.abs(n - 2 * counts[:, columns]).max(1))
-        z_b[ok] = np.concatenate(best) / np.sqrt(n)
+        combos = mask_combos(np.stack([p.planes for p in chosen]))[:, 1:]
+        s = cross_statistics(combos, combos, *uv.reshape(2, -1), n)
+        z_b[ok] = np.abs(s[:, columns]).max(1) / np.sqrt(n)
     genes, table = rows.gene_ids, rows.table
     return [
         CompareRow(genes[a], genes[b], table[c].z, z, "ok" if f else "missing_in_b")

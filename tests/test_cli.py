@@ -713,6 +713,52 @@ def test_compare_command_identity(tmp_path):
         assert z_a == z_b
 
 
+@pytest.mark.parametrize("label", ["Parabolic", "W"])
+def test_compare_refuses_a_class_absent_at_depth(tmp_path, capsys, label):
+    # run A has Parabolic rows and no W row; neither class exists at depth 1
+    matrix = screened_fixture(tmp_path, seed=5)
+    scr = tmp_path / "scr"
+    assert main(["screen", str(matrix), "--out", str(scr)]) == 0
+    with open(scr / "results.csv", newline="") as fh:
+        classes = {row[3] for row in csv.reader(fh)}
+    assert "Parabolic" in classes and "W" not in classes
+    out = tmp_path / "cmp"
+    capsys.readouterr()
+    args = ["compare", str(scr / "results.csv"), str(matrix), "--class", label]
+    assert main([*args, "--depth", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no class labelled {label!r} at depths (1, 1)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["tie", "nan"])
+def test_compare_ignores_a_faulty_gene_that_run_a_never_names(tmp_path, fault):
+    # only the genes that run A names are ranked, so a tie or NaN in
+    # another gene of matrix B no longer refuses compare
+    matrix = screened_fixture(tmp_path, seed=5)
+    scr = tmp_path / "scr"
+    assert main(["screen", str(matrix), "--out", str(scr)]) == 0
+    values = load_matrix(matrix)
+    extra = np.arange(64, dtype=float)
+    extra[1] = extra[0] if fault == "tie" else np.nan
+    faulty = write_matrix(
+        tmp_path,
+        np.vstack([values.values, extra]),
+        name="faulty.tsv",
+        genes=[*values.gene_ids, "EXTRA"],
+    )
+    results = str(scr / "results.csv")
+    for path, out in ((matrix, "clean"), (faulty, "faulty")):
+        args = ["compare", results, str(path), "--class", "Parabolic"]
+        assert main([*args, "--out", str(tmp_path / out)]) == 0
+    compared = [
+        (tmp_path / out / "compare.csv").read_bytes() for out in ("clean", "faulty")
+    ]
+    assert compared[0] == compared[1]
+    assert compared[0].count(b"\n") > 1
+
+
 def test_baselines_command(tmp_path):
     matrix = screened_fixture(tmp_path, seed=6)
     pairs = tmp_path / "pairs.csv"

@@ -1,8 +1,9 @@
 """Property tests: the columnar all-pairs kernel against single-pair Max BET.
 
-max_bet scores one pair from all_symmetry_statistics, an XOR and popcount
-of the packed words, which shares no code with the screen's float32 sign
-products, its bands and tiles, its winner keys or its |S| table.
+max_bet scores one pair from core.stats.cross_statistics, an XOR and
+popcount of the packed words, which shares no code with the screen's
+float32 sign products, its bands and tiles, its winner keys or its |S|
+table.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from betscan.core import (
     max_bet,
 )
 from betscan import screen
+from betscan.core import stats
 from betscan.errors import BetscanError
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
@@ -178,8 +180,8 @@ def test_band_and_tile_sizes_change_no_byte(
     monkeypatch, tmp_path, band, tile, d1, d2, mode
 ):
     # 12 genes, 11 of them with later partners: 3, 5 and 7 divide neither
-    # count, so bands and tiles end short; passes of 5 pairs split the bands,
-    # and the emitted-pair statistics XOR one pair a step
+    # count, so bands and tiles end short, and the emitted-pair statistics
+    # XOR one pair a step
     matrix = make_matrix(12, 100, 5)
     planes, u, v = screen_inputs(matrix, d1, d2)
     config = ScreenConfig(
@@ -198,8 +200,7 @@ def test_band_and_tile_sizes_change_no_byte(
     default, _ = screen_all_pairs(planes, matrix.gene_ids, config)
     expected_outputs = outputs(default, "default")
     monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (band, tile))
-    monkeypatch.setattr(screen, "_PASS_PAIRS", 5)
-    monkeypatch.setattr(screen, "_PAIR_WORDS", 1)
+    monkeypatch.setattr(stats, "_XOR_WORDS", 1)
     results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
     expected = reference(matrix, u, v, "exact" if mode == "permutation" else mode, 66)
     if mode == "permutation":

@@ -41,7 +41,7 @@ from betscan.screen import (
     write_results_csv,
 )
 
-from ._oracles import empirical_copula_oracle, rows
+from ._oracles import all_quadrant_stats, empirical_copula_oracle, rows
 from ._synth import make_parabola
 
 
@@ -574,18 +574,26 @@ def test_all_bid_diagnostics_match_all_symmetry_statistics(tmp_path, depth, emit
     path = tmp_path / "results.csv"
     write_results_csv(results, path)
     index = {gene: x for x, gene in enumerate(ids)}
+    ranks = [empirical_copula_oracle(row).ranks for row in m.values]
+    # the diagnostics and all_symmetry_statistics share their kernel, so
+    # both are checked against the quadrant oracle
     # the reader numbers genes in first-seen order, not the matrix's
     for emitted in (results, read_results_csv(path)):
         lines = diagnostics_rows(planes, ids, emitted, tmp_path)
         assert lines[0] == ["gene_i", "gene_j", "bid", "bid_class", "s", "z"]
-        expected = [
-            [gene_i, gene_j, st.bid.name, bid_class_of(st.bid).label,
-             str(st.s), f"{st.z:.12g}"]
-            for gene_i, gene_j, _ in rows(emitted)
-            for st in all_symmetry_statistics(
-                planes[index[gene_i]], planes[index[gene_j]]
-            )
-        ]
+        expected = []
+        for gene_i, gene_j, _ in rows(emitted):
+            a, b = index[gene_i], index[gene_j]
+            oracle = all_quadrant_stats(ranks[a], ranks[b], depth)
+            statistics = all_symmetry_statistics(planes[a], planes[b])
+            assert [(st.bid.a_mask, st.bid.b_mask, st.s) for st in statistics] == [
+                (*key, s) for key, s in oracle.items()
+            ]
+            expected += [
+                [gene_i, gene_j, st.bid.name, bid_class_of(st.bid).label,
+                 str(st.s), f"{st.z:.12g}"]
+                for st in statistics
+            ]
         assert lines[1:] == expected
         assert len(expected) == len(emitted) * ((1 << depth) - 1) ** 2
 

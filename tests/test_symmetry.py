@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from betscan.core import stats
 from betscan.core import (
     BidId,
     all_bids,
@@ -8,6 +13,7 @@ from betscan.core import (
     binary_expansion,
     cell_counts,
     empirical_copula,
+    mask_combos,
     symmetry_statistic,
     z_score,
 )
@@ -59,6 +65,36 @@ def test_all_statistics_match_oracle_fixed_permutation():
     oracle = all_quadrant_stats(ur, vr, 2)
     for st in all_symmetry_statistics(u, v):
         assert st.s == oracle[(st.bid.a_mask, st.bid.b_mask)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    du=st.integers(1, 3),
+    dv=st.integers(1, 3),
+    n=st.integers(4, 140),
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12),
+)
+@example(du=3, dv=1, n=9, seed=0, pairs=[])
+def test_cross_statistics_match_quadrant_oracle(du, dv, n, seed, pairs):
+    # five genes on each axis, a pair list with repeats, one pair per XOR step
+    rng = np.random.default_rng(seed)
+    u_ranks = [rng.permutation(n) + 1 for _ in range(5)]
+    v_ranks = [rng.permutation(n) + 1 for _ in range(5)]
+    cu, cv = (
+        np.stack([mask_combos(planes_for(r, d))[1:] for r in ranks])
+        for ranks, d in ((u_ranks, du), (v_ranks, dv))
+    )
+    i = np.array([a for a, _ in pairs], dtype=np.intp)
+    j = np.array([b for _, b in pairs], dtype=np.intp)
+    with mock.patch.object(stats, "_XOR_WORDS", 1):
+        s = stats.cross_statistics(cu, cv, i, j, n)
+    assert s.dtype == np.int32
+    assert s.shape == (len(pairs), ((1 << du) - 1) * ((1 << dv) - 1))
+    for row, (a, b) in zip(s.tolist(), pairs):
+        oracle = all_quadrant_stats(u_ranks[a], v_ranks[b], max(du, dv))
+        expected = [oracle[(bid.a_mask, bid.b_mask)] for bid in all_bids(du, dv)]
+        assert row == expected
 
 
 def test_reflection_identity():
