@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 __all__ = [
     "BidId",
@@ -68,9 +69,15 @@ def bid_count(d1: int, d2: int) -> int:
 
 def all_bids(d1: int, d2: int) -> list[BidId]:
     """Every cross interaction in canonical order: a_mask-major, b ascending."""
-    return [
+    return list(_bids(d1, d2))
+
+
+@cache
+def _bids(d1: int, d2: int) -> tuple[BidId, ...]:
+    """all_bids, built once per pair of depths; BidIds are immutable."""
+    return tuple(
         BidId(a, b) for a in range(1, 1 << d1) for b in range(1, 1 << d2)
-    ]
+    )
 
 
 # Depth-2 class labels keyed by the canonical member (the orbit member with
@@ -111,8 +118,13 @@ class BidClass:
         return self.label
 
 
+@cache
 def bid_class_of(bid: BidId) -> BidClass:
-    """Reflection class of a cross interaction (any depth)."""
+    """Reflection class of a cross interaction (any depth).
+
+    Cached: a BidClass is immutable, and the interactions of the depths in
+    use are few.
+    """
     partner = bid.swapped
     if partner == bid:
         members = (bid,)

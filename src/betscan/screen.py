@@ -11,12 +11,17 @@ combined once by `mask_combos`, d = max(d1, d2).  Bit k of mask m of a
 gene gives the sign label -1 (set) or +1, and S of interaction (a, b) of
 pair (i, j) is sign(a, b) times the dot product of label vector a of gene
 i and label vector b of gene j.  `_SignProducts` gets these dot products
-as one float32 matrix product: a band of row genes (64 at depth 2)
+as one float32 matrix product: a band of row genes (128 at depth 2)
 against a tile of partner genes (128), each unpacked from the words into
-a reused buffer.  Every partial sum is an integer of size at most n, so
-the product is exact in any BLAS summation order, and n >= 2^24 is
-refused.  `_Winners` folds a pair's interactions into one key,
-|x| * 2^s + 2 (T - 1 - t) + [x < 0], by np.maximum: the first maximum of
+a reused buffer.  Up to n = 2047, column q of the tile carries two
+partners, label(q) + M * label(q + h) with h half the tile and M the least
+power of two above 2n, so the product has half the columns and gives
+y = x_lo + M * x_hi, which rounding splits exactly.  Every partial sum is
+an integer of size at most n (M + 1) < 2^24, or n with one partner a
+column above n = 2047, so the product is exact in any BLAS summation
+order, and n >= 2^24 is refused.  `_Winners` folds a pair's interactions
+into one key, |x| * 2^s + 2 (T - 1 - t) + [x < 0], by np.maximum (float32
+keys overwrite the dot products): the first maximum of
 |S| in canonical, a_mask-major order wins, so ties break as in max_bet,
 which shares no code with either class.  The screen scores row bands
 against every later gene, and each band's candidates in one pass.
@@ -223,14 +228,17 @@ def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
 
 
 # A band of rows holds _BAND_LABELS sign labels and a tile of partner genes
-# _TILE_LABELS: 64 and 128 genes at depth 2, fewer at deeper depths, so that
+# _TILE_LABELS: 128 genes each at depth 2, fewer at deeper depths, so that
 # one product keeps about the same size.
-_BAND_LABELS = 192
+_BAND_LABELS = 384
 _TILE_LABELS = 384
 # (pair, interaction) entries per pass of the emitted-pair statistics
 _PASS_ENTRIES = 1 << 16
 # float32 holds every integer up to 2^24 exactly
 _FLOAT32_EXACT = 1 << 24
+# the largest n at which two partner genes share a float32 column: with
+# M = 4096 the partial sums stay within n (M + 1) < 2^24 (_SignProducts)
+_PACKED_SAMPLES = 2047
 
 
 def _band_sizes(ma: int, mb: int) -> tuple[int, int]:
@@ -253,43 +261,86 @@ class _SignProducts:
     Gene x's label of mask m is -1 at observation k where bit k of
     combos[m, x] is set, else +1, so mask a of gene x and mask b of gene y
     have the dot product n - 2 * popcount(combos[a, x] ^ combos[b, y]).
-    Every partial sum of it is an integer of size at most n, so BLAS gets it
-    exactly in any summation order while n < 2^24.  Labels are unpacked from
-    the packed words into float32 buffers that are reused; set_rows takes a
-    slice of at most `band` genes and a call a slice of at most `tile`.
+
+    A call's partner genes are packed two to a column.  With h = ceil(cols
+    / 2) and M = `scale` the least power of two above 2n, column q of mask
+    b holds label(q) + M * label(q + h) (label(q) alone when q + h >= cols),
+    so one product gives y = x_lo + M * x_hi for both partners.  Every term
+    is +-1 +- M, so every partial sum is an integer of size at most
+    n (M + 1) <= 2047 * 4097 < 2^24 while n <= _PACKED_SAMPLES, and BLAS
+    gets y exactly in any summation order.  As |x_lo| <= n < M / 2,
+    x_hi = rint(y / M) and x_lo = y - M * x_hi are exact too, and they fill
+    the two halves of the last axis of the dots.  Above _PACKED_SAMPLES
+    each column holds one partner (h = cols), and every partial sum is at
+    most n, exact while n < 2^24.
+
+    Labels are unpacked from the packed words into float32 buffers that
+    are reused; set_rows takes a slice of at most `band` genes and a call
+    a slice of at most `tile`.
     """
 
     def __init__(self, combos: np.ndarray, n: int, ma: int, mb: int):
         _check_exact_products(n)
         self.combos, self.n, self.ma, self.mb = combos, n, ma, mb
         self.band, self.tile = _band_sizes(ma, mb)
+        self.pack = 2 if n <= _PACKED_SAMPLES else 1
+        self.scale = np.float32(1 << (2 * n).bit_length())
+        columns = mb * -(-self.tile // self.pack)
         self._row_buf = np.empty(ma * self.band * n, np.float32)
-        self._col_buf = np.empty(mb * self.tile * n, np.float32)
-        self._out_buf = np.empty(ma * self.band * mb * self.tile, np.float32)
+        self._col_buf = np.empty(columns * n, np.float32)
+        self._out_buf = np.empty(ma * self.band * columns, np.float32)
+        self._dot_buf = np.empty(ma * self.band * mb * self.tile, np.float32)
         self._rows = self._row_buf[:0].reshape(0, n)
 
-    def _labels(self, masks: int, genes: slice, buf: np.ndarray) -> np.ndarray:
-        """Labels (masks * len(genes), n) of combos[:masks, genes], mask-major."""
+    def _labels(
+        self, masks: int, genes: slice, pack: int, buf: np.ndarray
+    ) -> np.ndarray:
+        """Labels (masks * h, n) of combos[:masks, genes], mask-major.
+
+        h = ceil(len(genes) / pack), and gene q + h rides on gene q,
+        scaled by M.
+        """
         words = self.combos[:masks, genes]
         bits = np.unpackbits(
             words.view(np.uint8), axis=-1, count=self.n, bitorder="little"
         )
-        labels = buf[: bits.size].reshape(-1, self.n)
-        np.multiply(bits.reshape(labels.shape), np.float32(-2), out=labels)
-        labels += 1
-        return labels
+        h = -(-bits.shape[1] // pack)
+        k = bits.shape[1] - h  # the columns that carry a second gene
+        labels = buf[: masks * h * self.n].reshape(masks, h, self.n)
+        # 1 - 2 lo + M (1 - 2 hi), in place from the bits
+        shared = labels[:, :k]
+        shared[...] = bits[:, h:]
+        shared *= -2 * self.scale
+        shared += 1 + self.scale
+        labels[:, k:] = 1
+        lo = bits[:, :h]
+        lo += lo
+        labels -= lo
+        return labels.reshape(-1, self.n)
 
     def set_rows(self, genes: slice) -> None:
         """Multiply by these genes from now on."""
-        self._rows = self._labels(self.ma, genes, self._row_buf)
+        self._rows = self._labels(self.ma, genes, 1, self._row_buf)
 
     def __call__(self, genes: slice) -> np.ndarray:
         """Dots (ma, rows, mb, len(genes)) of the row genes against genes."""
-        cols = self._labels(self.mb, genes, self._col_buf)
-        out = self._out_buf[: len(self._rows) * len(cols)]
-        out = out.reshape(len(self._rows), len(cols))
-        np.matmul(self._rows, cols.T, out=out)
-        return out.reshape(self.ma, -1, self.mb, len(cols) // self.mb)
+        cols = self._labels(self.mb, genes, self.pack, self._col_buf)
+        rows, width = len(self._rows), len(self.combos[0, genes])
+        y = self._out_buf[: rows * len(cols)].reshape(rows, len(cols))
+        np.matmul(self._rows, cols.T, out=y)
+        y = y.reshape(self.ma, -1, self.mb, len(cols) // self.mb)
+        h = y.shape[-1]
+        k = width - h  # the columns that carry a second partner
+        if not k:
+            return y
+        dots = self._dot_buf[: y.size // h * width].reshape(*y.shape[:-1], width)
+        lo, hi = dots[..., :h], dots[..., h:]
+        np.multiply(y[..., :k], 1 / self.scale, out=hi)
+        np.rint(hi, out=hi)
+        np.multiply(hi, -self.scale, out=lo[..., :k])
+        lo[..., :k] += y[..., :k]
+        lo[..., k:] = y[..., k:]
+        return dots
 
 
 class _Winners:
@@ -318,16 +369,18 @@ class _Winners:
         ties = 2 * (self.count - 1 - np.arange(self.count))
         self.ties = ties.astype(self.dtype).reshape(ma, 1, mb, 1)
 
-    def keys(self, dots: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def keys(self, dots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Winner keys (rows, cols) of dots (ma, rows, mb, cols).
 
-        out is flat scratch of at least dots.size entries of self.dtype.
+        out is flat scratch of at least dots.size entries of self.dtype;
+        without it the keys overwrite dots, which must be of self.dtype.
         """
-        keys = out[: dots.size].reshape(dots.shape)
+        negative = dots < 0
+        keys = dots if out is None else out[: dots.size].reshape(dots.shape)
         np.abs(dots, out=keys, casting="unsafe")
         keys *= 1 << self.shift
         keys += self.ties
-        keys += dots < 0
+        keys += negative
         # fold the b axis and then the a axis by halves with np.maximum
         for view in (keys.transpose(2, 0, 1, 3), keys[:, :, :1]):
             size = len(view)
@@ -429,24 +482,19 @@ def screen_all_pairs(
     # entry: (t, x, p_raw) -> its index
     shared: dict[tuple[int, int, float], int] = {}
     hits = np.zeros(len(bids), dtype=np.int64)
-    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # one per band
-    scratch = np.empty(ma * products.band * mb * products.tile, winners.dtype)
-    band_keys = np.empty(products.band * (g - 1), winners.dtype)
-    for lo in range(0, g - 1, products.band):
-        hi = min(lo + products.band, g - 1)
-        width = g - 1 - lo  # the partners lo + 1 .. g - 1
-        keys = band_keys[: (hi - lo) * width].reshape(hi - lo, width)
-        products.set_rows(slice(lo, hi))
-        for c0 in range(0, width, products.tile):
-            c1 = min(c0 + products.tile, width)
-            keys[:, c0:c1] = winners.keys(
-                products(slice(lo + 1 + c0, lo + 1 + c1)), scratch
-            )
-        # row i pairs only with the genes after it
-        keys[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = -1
+
+    def band_rows(lo: int, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Int32 columns i, j, k of the kept pairs of the band from gene lo.
+
+        keys[r, c] is the winner key of gene lo + r and gene lo + 1 + c.
+        The band's candidate arrays die on return, before the next band's
+        products, which bounds the screen's peak memory.
+        """
         # the band's candidates in pair order: winner t and its dot product x
-        r, c = np.nonzero(keys >= least << winners.shift)
-        i, j, (t, x) = lo + r, lo + 1 + c, winners.decode(keys[r, c])
+        i, j = np.nonzero(keys >= least << winners.shift)
+        t, x = winners.decode(keys[i, j])
+        i += lo
+        j += lo + 1
         p_raw = p_table[t, np.abs(x)]
         if draw:
             # one stream per row, so p_raw does not depend on the bands
@@ -458,7 +506,7 @@ def screen_all_pairs(
                 )
         sig = p_pair_of(p_raw) <= config.alpha
         keep = kept(t, sig)
-        hits += np.bincount(t[keep & sig], minlength=len(bids))
+        hits[:] += np.bincount(t[keep & sig], minlength=len(bids))
         rows = np.flatnonzero(keep)
         i, j, t, x, p_raw = (column[rows] for column in (i, j, t, x, p_raw))
         # (t, x) fixes p_raw, unless it is a Monte Carlo draw per pair
@@ -472,9 +520,29 @@ def screen_all_pairs(
         lut = np.array(
             [shared.setdefault(key, len(shared)) for key in entries], dtype=np.int32
         )
-        columns.append(
-            (i.astype(np.int32), j.astype(np.int32), lut[inverse.reshape(-1)])
-        )
+        return i.astype(np.int32), j.astype(np.int32), lut[inverse.reshape(-1)]
+
+    columns: list[tuple[np.ndarray, ...]] = []  # one per band
+    # float32 keys overwrite the dot products; wider keys need scratch
+    scratch = (
+        None
+        if winners.dtype == np.float32
+        else np.empty(ma * products.band * mb * products.tile, winners.dtype)
+    )
+    band_keys = np.empty(products.band * (g - 1), winners.dtype)
+    for lo in range(0, g - 1, products.band):
+        hi = min(lo + products.band, g - 1)
+        width = g - 1 - lo  # the partners lo + 1 .. g - 1
+        keys = band_keys[: (hi - lo) * width].reshape(hi - lo, width)
+        products.set_rows(slice(lo, hi))
+        for c0 in range(0, width, products.tile):
+            c1 = min(c0 + products.tile, width)
+            keys[:, c0:c1] = winners.keys(
+                products(slice(lo + 1 + c0, lo + 1 + c1)), scratch
+            )
+        # row i pairs only with the genes after it
+        keys[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = -1
+        columns.append(band_rows(lo, keys))
     results = ScreenResults(
         tuple(gene_ids),
         *(np.concatenate(column) for column in zip(*columns)),

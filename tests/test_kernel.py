@@ -201,17 +201,23 @@ def test_band_and_tile_sizes_change_no_byte(
     expected_outputs = outputs(default, "default")
     monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (band, tile))
     monkeypatch.setattr(stats, "_XOR_WORDS", 1)
-    results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
     expected = reference(matrix, u, v, "exact" if mode == "permutation" else mode, 66)
-    if mode == "permutation":
-        # p_raw is a draw, which max_bet makes from another stream
-        def winners(found):
-            return [(a, b, r.bid, r.s) for a, b, r in found]
 
-        assert winners(rows(results)) == winners(expected)
-    else:
-        assert rows(results) == expected
-    assert outputs(results, "sized") == expected_outputs
+    # p_raw of a permutation screen is a draw, which max_bet makes from
+    # another stream
+    def winners(found):
+        return [(a, b, r.bid, r.s) for a, b, r in found]
+
+    # two partner genes to a float32 column at n = 100, and one once the
+    # limit is lowered below n
+    for packed in (screen._PACKED_SAMPLES, 0):
+        monkeypatch.setattr(screen, "_PACKED_SAMPLES", packed)
+        results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
+        if mode == "permutation":
+            assert winners(rows(results)) == winners(expected)
+        else:
+            assert rows(results) == expected
+        assert outputs(results, f"sized{packed}") == expected_outputs
 
 
 @pytest.mark.parametrize(
@@ -247,6 +253,41 @@ def test_screen_with_int32_winner_keys_matches_max_bet():
     config = ScreenConfig(d1=5, d2=5, emit_all=True)
     results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
     assert rows(results) == reference(matrix, u, v, "exact", 6)
+
+
+def test_packed_partial_sums_fit_float32_up_to_the_limit():
+    # every partial sum of a packed product is at most n (M + 1), with M
+    # the least power of two above 2n
+    def bound(n):
+        return n * ((1 << (2 * n).bit_length()) + 1)
+
+    limit = screen._PACKED_SAMPLES
+    assert bound(limit) <= screen._FLOAT32_EXACT < bound(limit + 1)
+    assert screen._SignProducts(np.zeros((3, 2, 32), np.uint64), limit, 3, 3).pack == 2
+    assert screen._SignProducts(np.zeros((3, 2, 33), np.uint64), limit + 1, 3, 3).pack == 1
+
+
+@pytest.mark.parametrize("n, pack", [(2047, 2), (2048, 1)])
+def test_screen_at_the_pack_limit_matches_max_bet(n, pack):
+    # 12 genes: gene 0 has 11 partners, so a tile of them packs 6 columns
+    # of which 5 carry two genes.  Genes 1 and 7 copy gene 0 and genes 2
+    # and 8 negate it, so at the factor 2 columns 0 and 1 of gene 0's row
+    # hold |S| = n (n - 2 for a negation at odd n) for both of their
+    # genes: partial sums up to n (M + 1)
+    matrix = make_matrix(12, n, 11)
+    values = matrix.values
+    values[[1, 7]] = values[0]
+    values[[2, 8]] = -values[0]
+    planes, u, v = screen_inputs(matrix, 2, 2)
+    combos = np.zeros((3, 2, planes[0].planes.shape[1]), np.uint64)
+    assert screen._SignProducts(combos, n, 3, 3).pack == pack
+    for mode in ("exact", "approx"):
+        config = ScreenConfig(mode=mode, emit_all=True)
+        results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
+        assert rows(results) == reference(matrix, u, v, mode, 66)
+    found = {(a, b): r.s for a, b, r in rows(results)}
+    assert found["G00", "G01"] == found["G00", "G07"] == n
+    assert found["G00", "G02"] == found["G00", "G08"] <= 2 - n
 
 
 def test_sample_count_too_large_for_float32_refused():
