@@ -82,6 +82,7 @@ _positive_int = _number(int, lambda x: x >= 1, "at least 1")
 _non_negative_int = _number(int, lambda x: x >= 0, "at least 0")
 _alpha = _number(float, lambda x: 0 < x < 1, "in (0, 1)")
 _fraction = _number(float, lambda x: 0 <= x <= 1, "in [0, 1]")
+_uq_target = _number(float, lambda x: 0 < x < float("inf"), "finite and above 0")
 
 
 def _labels(parse):
@@ -506,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-threshold", type=_fraction, default=0.20)
     p.add_argument(
         "--uq-target",
-        type=float,
+        type=_uq_target,
         default=None,
         help="apply approximate upper-quartile + log2(x+1) normalization first",
     )

@@ -460,10 +460,19 @@ def upper_quartile_log2(
     Each sample is scaled so the 75th percentile of its nonzero values
     equals target_quartile, then log2(x + 1) is applied.  This is a local
     stand-in for consortium-grade normalization, close but not identical
-    to published pipelines; treat the output as approximate.
+    to published pipelines; treat the output as approximate.  Raises
+    BetscanError for a target that is not finite and above 0, and names
+    the gene and sample of the first negative count.
     """
-    if (matrix.values < 0).any():
-        raise ValueError("counts must be non-negative")
+    if not 0 < target_quartile < np.inf:
+        raise BetscanError(f"uq_target must be finite and above 0, got {target_quartile}")
+    negative = np.argwhere(matrix.values < 0)
+    if len(negative):
+        g, j = negative[0].tolist()
+        raise BetscanError(
+            f"gene {matrix.gene_ids[g]!r}, sample {matrix.sample_ids[j]!r}: "
+            f"negative count {float(matrix.values[g, j])!r}"
+        )
     out = np.empty_like(matrix.values)
     for j, sample in enumerate(matrix.sample_ids):
         col = matrix.values[:, j]

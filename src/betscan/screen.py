@@ -19,11 +19,11 @@ power of two above 2n, so the product has half the columns and gives
 y = x_lo + M * x_hi, which rounding splits exactly.  Every partial sum is
 an integer of size at most n (M + 1) < 2^24, or n with one partner a
 column above n = 2047, so the product is exact in any BLAS summation
-order, and n >= 2^24 is refused.  `_Winners` folds a pair's interactions
-into one key, |x| * 2^s + 2 (T - 1 - t) + [x < 0], by np.maximum (float32
-keys overwrite the dot products): the first maximum of
-|S| in canonical, a_mask-major order wins, so ties break as in max_bet,
-which shares no code with either class.  The screen scores row bands
+order, and n >= 2^24 is refused.  `_Winners` gives each interaction of a
+pair one key, |x| * 2^s + 2 (T - 1 - t) + [x < 0], and takes the largest
+with one np.max over the interaction axes: the first maximum of |S| in
+canonical, a_mask-major order wins, so ties break as in max_bet, which
+shares no code with either class.  The screen scores row bands
 against every later gene, and each band's candidates in one pass.
 `all_bid_diagnostics` (every S of the emitted pairs, for --emit-all-bids)
 and `compare_runs` (a class's largest |S| in a second dataset) take S of
@@ -207,7 +207,7 @@ class ScreenResults:
         return replace(self, i=self.i[rows], j=self.j[rows], k=self.k[rows])
 
 
-# genes ranked per argsort and expanded per pass; bounds the scratch arrays
+# genes ranked per argsort and expanded per pass; bounds the temporary arrays
 _RANK_GENES = 32
 
 
@@ -227,11 +227,10 @@ def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
     return [CopulaColumn(r) for ranks in _gene_ranks(matrix) for r in ranks]
 
 
-# A band of rows holds _BAND_LABELS sign labels and a tile of partner genes
-# _TILE_LABELS: 128 genes each at depth 2, fewer at deeper depths, so that
-# one product keeps about the same size.
-_BAND_LABELS = 384
-_TILE_LABELS = 384
+# A band of rows and a tile of partner genes hold _LABELS sign labels each:
+# 128 genes at depth 2, fewer at deeper depths, so that one product keeps
+# about the same size.
+_LABELS = 384
 # (pair, interaction) entries per pass of the emitted-pair statistics
 _PASS_ENTRIES = 1 << 16
 # float32 holds every integer up to 2^24 exactly
@@ -243,7 +242,7 @@ _PACKED_SAMPLES = 2047
 
 def _band_sizes(ma: int, mb: int) -> tuple[int, int]:
     """Genes per band of rows (ma labels each) and per tile of partners (mb each)."""
-    return max(1, _BAND_LABELS // ma), max(1, _TILE_LABELS // mb)
+    return max(1, _LABELS // ma), max(1, _LABELS // mb)
 
 
 def _check_exact_products(n: int) -> None:
@@ -276,7 +275,8 @@ class _SignProducts:
 
     Labels are unpacked from the packed words into float32 buffers that
     are reused; set_rows takes a slice of at most `band` genes and a call
-    a slice of at most `tile`.
+    a slice of at most `tile`.  Allocating the four buffers per call made a
+    1000 x 1096 screen about 2% slower on two BLAS threads (none on one).
     """
 
     def __init__(self, combos: np.ndarray, n: int, ma: int, mb: int):
@@ -353,42 +353,30 @@ class _Winners:
 
     so the largest key holds the largest |x| and, among equal |x|, the
     lowest t (all_bids order, as in max_bet); its low bit keeps the sign.
-    Keys are float32 while they stay below 2^24, else int32 or int64, so
-    they are exact for every depth and n.
+    Keys are float32 while they stay below 2^24, else int64, so they are
+    exact for every depth and n.
     """
 
     def __init__(self, ma: int, mb: int, n: int):
         self.count = ma * mb
         self.shift = (self.count - 1).bit_length() + 1
         top = (n + 1) << self.shift
-        self.dtype = np.dtype(
-            np.float32 if top < _FLOAT32_EXACT
-            else np.int32 if top < 1 << 31
-            else np.int64
-        )
+        self.dtype = np.dtype(np.float32 if top < _FLOAT32_EXACT else np.int64)
         ties = 2 * (self.count - 1 - np.arange(self.count))
         self.ties = ties.astype(self.dtype).reshape(ma, 1, mb, 1)
 
-    def keys(self, dots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Winner keys (rows, cols) of dots (ma, rows, mb, cols).
+    def keys(self, dots: np.ndarray, out: np.ndarray) -> None:
+        """Write the winner keys of dots (ma, rows, mb, cols) to out (rows, cols).
 
-        out is flat scratch of at least dots.size entries of self.dtype;
-        without it the keys overwrite dots, which must be of self.dtype.
+        dots is overwritten: float32 keys are built in it, int64 keys in a
+        new array.
         """
         negative = dots < 0
-        keys = dots if out is None else out[: dots.size].reshape(dots.shape)
-        np.abs(dots, out=keys, casting="unsafe")
+        keys = np.abs(dots, out=dots).astype(self.dtype, copy=False)
         keys *= 1 << self.shift
         keys += self.ties
         keys += negative
-        # fold the b axis and then the a axis by halves with np.maximum
-        for view in (keys.transpose(2, 0, 1, 3), keys[:, :, :1]):
-            size = len(view)
-            while size > 1:
-                half = size // 2
-                np.maximum(view[:half], view[size - half : size], out=view[:half])
-                size -= half
-        return keys[0, :, 0, :]
+        np.max(keys, axis=(0, 2), out=out)
 
     def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, x) of each key: the winning interaction and its dot product."""
@@ -523,12 +511,6 @@ def screen_all_pairs(
         return i.astype(np.int32), j.astype(np.int32), lut[inverse.reshape(-1)]
 
     columns: list[tuple[np.ndarray, ...]] = []  # one per band
-    # float32 keys overwrite the dot products; wider keys need scratch
-    scratch = (
-        None
-        if winners.dtype == np.float32
-        else np.empty(ma * products.band * mb * products.tile, winners.dtype)
-    )
     band_keys = np.empty(products.band * (g - 1), winners.dtype)
     for lo in range(0, g - 1, products.band):
         hi = min(lo + products.band, g - 1)
@@ -537,9 +519,7 @@ def screen_all_pairs(
         products.set_rows(slice(lo, hi))
         for c0 in range(0, width, products.tile):
             c1 = min(c0 + products.tile, width)
-            keys[:, c0:c1] = winners.keys(
-                products(slice(lo + 1 + c0, lo + 1 + c1)), scratch
-            )
+            winners.keys(products(slice(lo + 1 + c0, lo + 1 + c1)), keys[:, c0:c1])
         # row i pairs only with the genes after it
         keys[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = -1
         columns.append(band_rows(lo, keys))

@@ -127,6 +127,34 @@ def test_preprocess_labels_with_commas_and_quotes_round_trip(tmp_path):
     ]
 
 
+def test_uq_target_names_the_first_negative_count(tmp_path, capsys):
+    values = np.random.default_rng(3).integers(1, 5000, size=(4, 40)).astype(float)
+    values[2, 5] = -3.0
+    values[3, 1] = -1.0  # a later gene row
+    matrix = write_matrix(tmp_path, values)
+    out = tmp_path / "pre"
+    args = ["preprocess", str(matrix), "--out", str(out), "--uq-target", "1000"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "error: gene 'G002', sample 'S005': negative count -3.0" in err
+    assert not out.exists()
+
+
+def test_rerun_refuses_a_recorded_uq_target_out_of_range(tmp_path, capsys):
+    matrix = count_fixture(tmp_path)
+    out = tmp_path / "pre"
+    assert main(["preprocess", str(matrix), "--out", str(out), "--uq-target", "1000"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["uq_target"] = -5.0
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(edited), "--out", str(replay)]) == 1
+    err = capsys.readouterr().err
+    assert "error: uq_target must be finite and above 0, got -5.0" in err
+    assert not replay.exists()
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     matrix = count_fixture(tmp_path)
     monkeypatch.setenv("BETSCAN_SEED", "11")
@@ -281,6 +309,10 @@ def test_seed_outside_64_bits_refused(tmp_path, capsys, command, seed):
         ("baselines", "--alpha", "nan", "must be in (0, 1)"),
         ("preprocess", "--zero-threshold", "2", "must be in [0, 1]"),
         ("preprocess", "--zero-threshold", "-0.5", "must be in [0, 1]"),
+        ("preprocess", "--uq-target", "nan", "must be finite and above 0"),
+        ("preprocess", "--uq-target", "inf", "must be finite and above 0"),
+        ("preprocess", "--uq-target", "0", "must be finite and above 0"),
+        ("preprocess", "--uq-target", "-5", "must be finite and above 0"),
         ("screen", "--m-pairs", "0", "must be at least 1"),
         ("baselines", "--m-pairs", "-4", "must be at least 1"),
         ("network", "--k", "-1", "must be at least 1"),
@@ -301,7 +333,7 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, command, flag, va
     with pytest.raises(SystemExit) as exc:
         main([command, *inputs, "--out", str(out), f"{flag}={value}"])
     assert exc.value.code == 2
-    assert f"{flag}: {rule}" in capsys.readouterr().err
+    assert f"error: argument {flag}: {rule}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -222,7 +222,7 @@ def test_band_and_tile_sizes_change_no_byte(
 
 @pytest.mark.parametrize(
     "n, dtype",
-    [(1000, np.float32), (1 << 20, np.int32), ((1 << 24) - 1, np.int64)],
+    [(1000, np.float32), (1 << 20, np.int64), ((1 << 24) - 1, np.int64)],
 )
 def test_winner_key_keeps_first_maximum_and_sign_at_depth_4(n, dtype):
     # 225 interactions; n picks a key type that the largest key fits
@@ -235,19 +235,22 @@ def test_winner_key_keeps_first_maximum_and_sign_at_depth_4(n, dtype):
     last = np.full(225, n - 4)
     last[-1] = -n  # a lone maximum in last place
     dots = np.stack([tied, -tied, mixed, -mixed, last]).astype(np.float32)
-    keys = winners.keys(
-        dots.T.reshape(15, 15, 1, -1).transpose(0, 2, 1, 3),
-        np.empty(dots.size, winners.dtype),
-    )
-    t, x = winners.decode(keys[0])
+    # the keys of 5 rows and 1 column go into column 1 of a wider array,
+    # a strided view, as a tile's keys go into a band's key rows; keys()
+    # overwrites the dots it is given, so it gets a copy
+    tile = dots.T.reshape(15, 15, 5, 1).transpose(0, 2, 1, 3).copy()
+    wide = np.full((5, 3), -7, winners.dtype)
+    winners.keys(tile, wide[:, 1:2])
+    assert (wide[:, [0, 2]] == -7).all()
+    t, x = winners.decode(wide[:, 1])
     first = np.abs(dots).argmax(1)
     assert t.tolist() == first.tolist() == [0, 0, 40, 40, 224]
     assert x.tolist() == dots[np.arange(5), first].tolist()
 
 
-def test_screen_with_int32_winner_keys_matches_max_bet():
+def test_screen_with_int64_winner_keys_matches_max_bet():
     # at depth 5 and n = 8224 the largest key passes 2^24
-    assert screen._Winners(31, 31, 8224).dtype == np.int32
+    assert screen._Winners(31, 31, 8224).dtype == np.int64
     matrix = make_matrix(4, 8224, 9)
     planes, u, v = screen_inputs(matrix, 5, 5)
     config = ScreenConfig(d1=5, d2=5, emit_all=True)
