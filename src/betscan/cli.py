@@ -39,9 +39,11 @@ from .manifest import (
 )
 from .preprocess import (
     ExpressionMatrix,
+    check_savable,
     load_labels,
     load_matrix,
     run_pipeline,
+    save_binary_copy,
     save_matrix,
     subset_by_labels,
     upper_quartile_log2,
@@ -154,6 +156,7 @@ def run_preprocess(config: dict, out_dir: Path) -> int:
         inputs.append(config["labels"])
 
     matrix = _load_matrix(config)
+    check_savable(matrix)
     if config.get("labels"):
         matrix = matrix.with_labels(load_labels(config["labels"]))
 
@@ -176,7 +179,8 @@ def run_preprocess(config: dict, out_dir: Path) -> int:
     outputs = []
     matrix_path = out_dir / "matrix.tsv"
     save_matrix(cleaned, matrix_path, "tsv_genes_by_samples")
-    outputs.append(matrix_path.name)
+    save_binary_copy(cleaned, matrix_path, "tsv_genes_by_samples")
+    outputs += [matrix_path.name, matrix_path.name + ".npz"]
     if cleaned.labels is not None:
         labels_path = out_dir / "labels.csv"
         with atomic_open(labels_path) as fh:

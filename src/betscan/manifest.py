@@ -19,7 +19,7 @@ import platform
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -35,15 +35,17 @@ def open_input(path) -> TextIO:
 
 
 @contextmanager
-def atomic_open(path) -> Iterator[TextIO]:
+def atomic_open(path, binary: bool = False) -> Iterator[IO]:
     """Write a temporary file beside path, renamed over it once the block completes.
 
-    A failed write leaves the earlier file, if any, in place.
+    The file takes UTF-8 text, or bytes when binary.  A failed write leaves
+    the earlier file, if any, in place.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "wb" if binary else "w", **text) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

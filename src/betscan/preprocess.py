@@ -15,6 +15,21 @@ path also names the line and column of a fault, so the accepted input,
 the values and the errors are those of the row-by-row parse.  A pipe is
 read once, into memory, to count its lines.
 
+`betscan preprocess` also writes matrix.tsv.npz beside its matrix.tsv
+(save_binary_copy): the float64 values, the gene and sample ids as
+fixed-width unicode arrays, the delimiter, and the sha256 of the text's
+bytes.  The invariant: the copy holds exactly what the parse of that text
+returns.  It holds because save_matrix writes repr floats, which reload
+bit-exact, and preprocess writes only what check_savable accepts (finite
+values, and ids with no tab, quote, CR, LF or NUL), with the ids that a
+parse returned, which are stripped.
+load_matrix trusts a copy only through its digest: when path is a regular
+file and <path>.npz loads without pickles, holds every key, and records
+the delimiter of fmt and the sha256 of path's bytes as they are now, its
+arrays are returned and the text is not parsed.  Any other copy is
+ignored and the text parsed, so the text stays the source of truth and a
+copy adds no error.
+
 Count matrices as published typically carry two artifacts that break a
 rank transform: genes whose zero counts were replaced by the gene median
 (a large spike of exactly-equal values), and residual zeros (ties at the
@@ -43,6 +58,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -55,16 +72,19 @@ from .errors import (
     DegenerateSampleError,
     DimensionMismatchError,
     MatrixParseError,
+    NonFiniteError,
     TooFewSamplesError,
     UnknownLabelError,
 )
-from .manifest import atomic_open, open_input
+from .manifest import atomic_open, open_input, sha256_file
 
 __all__ = [
     "ExpressionMatrix",
     "PreprocessReport",
     "load_matrix",
     "save_matrix",
+    "save_binary_copy",
+    "check_savable",
     "load_labels",
     "filter_zero_heavy",
     "reset_median_imputed",
@@ -169,9 +189,14 @@ def load_matrix(path, fmt: str = "tsv_genes_by_samples") -> ExpressionMatrix:
 
     First row: corner cell then sample ids.  Each following row: gene id
     then one numeric cell per sample ('.' decimal separator).  Bad cells
-    raise MatrixParseError with 1-based line/column coordinates.
+    raise MatrixParseError with 1-based line/column coordinates.  The
+    arrays of a binary copy at <path>.npz that records path's sha256 and
+    fmt's delimiter are returned instead of a parse (module docstring).
     """
     delim = _delimiter(fmt)
+    copy = _load_binary_copy(path, delim)
+    if copy is not None:
+        return copy
     with open_input(path) as fh:
         return _parse_matrix(fh, path, delim)
 
@@ -332,6 +357,105 @@ def save_matrix(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples
             fh.write(delim.join([gene, *map(repr, row.tolist())]) + "\n")
 
 
+# the arrays of a binary copy
+_COPY_KEYS = ("values", "gene_ids", "sample_ids", "delimiter", "sha256")
+
+# characters that save_matrix cannot write in an id so that load_matrix reads
+# it back: the delimiter, the csv quote and line ends; fixed-width unicode
+# arrays also drop a trailing NUL
+_UNSAVABLE = re.compile('[\t"\r\n\0]')
+
+
+def _binary_copy_path(path) -> str:
+    return f"{os.fspath(path)}.npz"
+
+
+def save_binary_copy(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples"):
+    """Write <path>.npz, the arrays of the text that save_matrix wrote at path.
+
+    The matrix must pass check_savable and have stripped ids, as a parsed
+    matrix has, so that the copy holds what the parse of the text returns.
+    The copy records the delimiter of fmt and the sha256 of path's bytes,
+    so load_matrix uses it only for that text.  It is written atomically by
+    np.savez, uncompressed; np.savez dates each member 1980-01-01, so the
+    same matrix gives the same bytes.
+    """
+    arrays = {
+        "values": np.ascontiguousarray(matrix.values),
+        "gene_ids": np.array(matrix.gene_ids, dtype=str),
+        "sample_ids": np.array(matrix.sample_ids, dtype=str),
+        "delimiter": np.array(_delimiter(fmt)),
+        "sha256": np.array(sha256_file(path)),
+    }
+    with atomic_open(_binary_copy_path(path), binary=True) as fh:
+        np.savez(fh, **arrays)
+
+
+def _load_binary_copy(path, delim: str) -> ExpressionMatrix | None:
+    """The matrix in path's binary copy, or None when the copy may not stand for path."""
+    copy = _binary_copy_path(path)
+    if not (os.path.isfile(path) and os.path.isfile(copy)):
+        return None
+    try:
+        # np.load leaves a file it opened open when the archive is cut
+        with open(copy, "rb") as fh, np.load(fh, allow_pickle=False) as arrays:
+            if sorted(arrays.files) != sorted(_COPY_KEYS):
+                return None
+            if _text(arrays["delimiter"]) != delim:
+                return None
+            if _text(arrays["sha256"]) != sha256_file(path):
+                return None
+            values = arrays["values"]
+            genes, samples = arrays["gene_ids"], arrays["sample_ids"]
+    except Exception:
+        # a cut or altered archive fails in zipfile or its decompressors with
+        # BadZipFile, EOFError, NotImplementedError, RuntimeError and more;
+        # np.load refuses a pickle or a bad header with ValueError, and the
+        # array it returns for a lone .npy file is no context manager.
+        # Whatever fails, the text is parsed instead
+        return None
+    if not (
+        values.dtype == np.float64
+        and values.ndim == 2
+        and 0 not in values.shape  # the parse refuses such a file
+        and genes.dtype.kind == samples.dtype.kind == "U"
+        and genes.shape == values.shape[:1]
+        and samples.shape == values.shape[1:]
+    ):
+        return None
+    return ExpressionMatrix(
+        gene_ids=genes.tolist(), sample_ids=samples.tolist(), values=values
+    )
+
+
+def _text(array: np.ndarray) -> str | None:
+    """The string that a 0-d unicode array holds, else None."""
+    return array.item() if array.dtype.kind == "U" and array.ndim == 0 else None
+
+
+def check_savable(matrix: ExpressionMatrix) -> None:
+    """Refuse a matrix that save_matrix cannot write for load_matrix to read back.
+
+    Raises BetscanError naming the first id that holds a tab, a double
+    quote, a CR, an LF or a NUL, or else the gene and sample of the first
+    value that is not finite, which no screen accepts.
+    """
+    for kind, ids in (("sample", matrix.sample_ids), ("gene", matrix.gene_ids)):
+        for name in ids:
+            if found := _UNSAVABLE.search(name):
+                raise BetscanError(
+                    f"{kind} id {name!r} holds {found.group()!r}, which matrix.tsv "
+                    "cannot carry"
+                )
+    faulty = np.argwhere(~np.isfinite(matrix.values))
+    if len(faulty):
+        g, j = faulty[0].tolist()
+        raise BetscanError(
+            f"gene {matrix.gene_ids[g]!r}, sample {matrix.sample_ids[j]!r}: "
+            f"non-finite value {float(matrix.values[g, j])!r}"
+        )
+
+
 def load_labels(path) -> dict[str, str]:
     """Read a two-column CSV (header 'sample_id,label') into a mapping."""
     with open_input(path) as fh:
@@ -406,7 +530,8 @@ def jitter_minimum_ties(column, seed: int) -> np.ndarray:
     (0, second_unique_min - min).  Jittered values stay strictly below the
     second-smallest distinct value, so the ordering of all non-minimum
     observations is untouched.  Draws come from Philox(key=seed); the same
-    seed reproduces the same output bit for bit.
+    seed reproduces the same output bit for bit.  Raises NonFiniteError when
+    the minimum or the second-smallest value is not finite.
     """
     col = np.asarray(column, dtype=np.float64).copy()
     uniq = np.unique(col)
@@ -414,6 +539,9 @@ def jitter_minimum_ties(column, seed: int) -> np.ndarray:
         raise DegenerateColumnError("all values equal; nothing to rank")
     lo, second = float(uniq[0]), float(uniq[1])
     gap = second - lo
+    if not (np.isfinite(lo) and np.isfinite(second)):  # no draw lands in the gap
+        at = int(np.argmin(np.isfinite(col)))
+        raise NonFiniteError(at, float(col[at]))
     idx = np.nonzero(col == lo)[0]
     if idx.shape[0] < 2:
         return col

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from betscan.cli import main
-from betscan.manifest import tool_versions
+from betscan.manifest import sha256_file, tool_versions
 from betscan.screen import RESULT_COLUMNS
 from betscan.preprocess import ExpressionMatrix, load_labels, load_matrix, save_matrix
 
 from ._synth import make_parabola
+from .test_preprocess import parse_refused
 
 
 def write_matrix(tmp_path, values, name="matrix.tsv", genes=None):
@@ -58,7 +59,8 @@ def test_preprocess_outputs_and_determinism(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert main(["preprocess", str(matrix), "--out", str(out1), "--seed", "7"]) == 0
     assert main(["preprocess", str(matrix), "--out", str(out2), "--seed", "7"]) == 0
-    assert (out1 / "matrix.tsv").read_bytes() == (out2 / "matrix.tsv").read_bytes()
+    for name in ("matrix.tsv", "matrix.tsv.npz"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert (out1 / "preprocess_report.json").read_bytes() == (
         out2 / "preprocess_report.json"
     ).read_bytes()
@@ -68,6 +70,110 @@ def test_preprocess_outputs_and_determinism(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["command"] == "preprocess"
     assert manifest["seed"] == 7
+    assert manifest["outputs"] == [
+        "matrix.tsv", "matrix.tsv.npz", "preprocess_report.json"
+    ]
+
+
+def raw_text(tmp_path, header, rows, delim):
+    """A raw matrix file: the header ids, then each gene id with its counts."""
+    rng = np.random.default_rng(2)
+    lines = [delim.join(["gene", *header])]
+    for gene in rows:
+        counts = rng.choice(np.arange(1, 5000), size=len(header), replace=False)
+        lines.append(delim.join([gene, *map(str, counts)]))
+    path = tmp_path / "raw.tsv"
+    path.write_text("\n".join(lines) + "\n", newline="")
+    return path
+
+
+_SAMPLES = [f"S{j:03d}" for j in range(40)]
+
+
+@pytest.mark.parametrize(
+    "fmt, header, gene, message",
+    [
+        ("tsv", _SAMPLES, '"a\tb"', "gene id 'a\\tb' holds '\\t'"),
+        ("csv", _SAMPLES, "a\tb", "gene id 'a\\tb' holds '\\t'"),
+        ("tsv", _SAMPLES, '"a\r\nb"', "gene id 'a\\r\\nb' holds '\\r'"),
+        ("csv", _SAMPLES, '"a\nb"', "gene id 'a\\nb' holds '\\n'"),
+        ("tsv", ['"S""0"', *_SAMPLES[1:]], "G", "sample id 'S\"0' holds '\"'"),
+    ],
+)
+def test_preprocess_refuses_an_id_that_matrix_tsv_cannot_carry(
+    tmp_path, capsys, fmt, header, gene, message
+):
+    # such an id once went into a matrix.tsv that screen could not read
+    delim = "," if fmt == "csv" else "\t"
+    raw = raw_text(tmp_path, header, ["G0", gene, "G2"], delim)
+    out = tmp_path / "pre"
+    assert main(["preprocess", str(raw), "--format", fmt, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}, which matrix.tsv cannot carry\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("uq_target", [None, "1000"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("first", [5, 2])
+def test_preprocess_refuses_a_non_finite_value(tmp_path, capsys, uq_target, value, first):
+    # such a value went into matrix.tsv; from column 2 on, the gene's tied
+    # minimum (columns 0 and 1) had no finite value above it, and the jitter
+    # looped forever
+    rng = np.random.default_rng(0)
+    values = rng.choice(np.arange(1, 5000), size=(6, 40)).astype(float)
+    values[2, :2] = 1.0
+    values[2, first : None if first == 2 else first + 1] = value
+    matrix = write_matrix(tmp_path, values)
+    out = tmp_path / "pre"
+    args = ["preprocess", str(matrix), "--out", str(out)]
+    if uq_target:
+        args += ["--uq-target", uq_target]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: gene 'G002', sample 'S{first:03d}': non-finite value {value!r}\n"
+    )
+    assert not out.exists()
+
+
+def test_commands_read_the_same_matrix_from_the_binary_copy(tmp_path):
+    raw = screened_fixture(tmp_path, seed=5)
+    pre = tmp_path / "pre"
+    assert main(["preprocess", str(raw), "--out", str(pre)]) == 0
+    matrix, copy = pre / "matrix.tsv", pre / "matrix.tsv.npz"
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("gene_i,gene_j\nP00x,P00y\nP01x,P01y\nP02x,P03y\n")
+
+    def outputs(tag):
+        out = tmp_path / tag
+        for args in (
+            ["screen", str(matrix), "--emit-all", "--emit-all-bids", "--out", str(out / "scr")],
+            ["test", str(matrix), "P01x", "P01y", "--out", str(out / "test")],
+            ["compare", str(out / "scr" / "results.csv"), str(matrix),
+             "--class", "Parabolic", "--out", str(out / "cmp")],
+            ["baselines", str(matrix), str(pairs), "--hoeffding-iterations", "50",
+             "--out", str(out / "base")],
+            ["rerun", str(out / "scr" / "manifest.json"), "--out", str(out / "replay")],
+        ):
+            assert main(args) == 0, args
+        manifest = json.loads((out / "scr" / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(matrix): sha256_file(matrix)}
+        files = {}
+        for path in sorted(out.rglob("*")):
+            if path.name == "summary.json":
+                summary = json.loads(path.read_text())
+                summary.pop("wall_time_s")
+                files[path.relative_to(out)] = summary
+            elif path.name != "manifest.json" and path.is_file():
+                files[path.relative_to(out)] = path.read_bytes()
+        return files
+
+    with parse_refused():
+        from_copy = outputs("copy")
+    copy.unlink()
+    from_text = outputs("text")
+    assert from_copy == from_text
+    assert len(from_copy) == 10
+    assert from_copy[Path("cmp/compare.csv")].count(b"\n") > 1
 
 
 def test_preprocess_context_requires_labels(tmp_path, capsys):
@@ -895,7 +1001,8 @@ def test_rerun_reproduces_preprocess(tmp_path):
     main(["preprocess", str(matrix), "--out", str(out), "--seed", "21"])
     replay = tmp_path / "replay"
     assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 0
-    assert (out / "matrix.tsv").read_bytes() == (replay / "matrix.tsv").read_bytes()
+    for name in ("matrix.tsv", "matrix.tsv.npz"):
+        assert (out / name).read_bytes() == (replay / name).read_bytes()
 
 
 def test_help_for_every_subcommand(capsys):

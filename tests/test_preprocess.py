@@ -1,6 +1,8 @@
 import math
 import os
 import threading
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from betscan.errors import (
     DegenerateColumnError,
     DegenerateSampleError,
     MatrixParseError,
+    NonFiniteError,
     TiesPresentError,
     TooFewSamplesError,
     UnknownLabelError,
 )
 from betscan.preprocess import (
     ExpressionMatrix,
+    check_savable,
     filter_zero_heavy,
     gene_stream_key,
     jitter_minimum_ties,
@@ -26,6 +30,7 @@ from betscan.preprocess import (
     load_matrix,
     reset_median_imputed,
     run_pipeline,
+    save_binary_copy,
     save_matrix,
     subset_by_labels,
     upper_quartile_log2,
@@ -323,6 +328,204 @@ def test_save_matrix_bytes_pinned(tmp_path):
     assert np.array_equal(again.view(np.uint64), m.values.view(np.uint64))
 
 
+# --------------------------------------------------------------- binary copy
+
+
+def copy_of(path):
+    return path.with_name(path.name + ".npz")
+
+
+@contextmanager
+def parse_refused():
+    """A context in which load_matrix may not parse text, so only a copy serves."""
+
+    def refuse(fh, path, delim):
+        raise AssertionError(f"{path} was parsed, not read from its copy")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preprocess, "_parse_matrix", refuse)
+        yield
+
+
+# ids that matrix.tsv carries: no tab, quote, line end or NUL, and no
+# padding, which the parse strips (the ids of a parsed matrix have none)
+_savable_ids = st.text(
+    st.characters(blacklist_characters='\t"\r\n\0', blacklist_categories=("Cs",)),
+    max_size=6,
+).map(str.strip)
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+                     -1e300, 1e-300, -1e-300]),
+)
+
+
+@st.composite
+def savable_matrices(draw):
+    genes, samples = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = draw(st.lists(_finite, min_size=genes * samples, max_size=genes * samples))
+    return ExpressionMatrix(
+        gene_ids=draw(st.lists(_savable_ids, min_size=genes, max_size=genes)),
+        sample_ids=draw(st.lists(_savable_ids, min_size=samples, max_size=samples)),
+        values=np.reshape(values, (genes, samples)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(savable_matrices())
+def test_binary_copy_returns_what_the_parse_returns(tmp_path_factory, matrix):
+    check_savable(matrix)
+    path = tmp_path_factory.mktemp("m") / "matrix.tsv"
+    save_matrix(matrix, path)
+    assert not copy_of(path).exists()  # save_matrix writes no copy
+    parsed = outcome(lambda: load_matrix(path))
+    save_binary_copy(matrix, path)
+    with parse_refused():
+        for fmt in ("tsv_genes_by_samples", "tsv"):
+            hit = load_matrix(path, fmt)
+            assert outcome(lambda: hit) == parsed
+            assert all(type(i) is str for i in hit.gene_ids + hit.sample_ids)
+    assert parsed[2] == matrix.values.shape
+    assert parsed[3] == matrix.values.view(np.uint64).tobytes()
+
+
+def saved_with_copy(tmp_path):
+    rng = np.random.default_rng(4)
+    m = ExpressionMatrix(
+        gene_ids=["GA", "gène B", ""], sample_ids=["S0", "S 1", "S,2", "S3"],
+        values=rng.normal(size=(3, 4)) * 1e-200,
+    )
+    path = tmp_path / "matrix.tsv"
+    save_matrix(m, path)
+    save_binary_copy(m, path)
+    with np.load(copy_of(path)) as arrays:
+        return path, {key: arrays[key] for key in arrays.files}
+
+
+def test_binary_copy_bytes_are_the_same_for_the_same_matrix(tmp_path, monkeypatch):
+    path, arrays = saved_with_copy(tmp_path)
+    first = copy_of(path).read_bytes()
+    m = load_matrix(path)
+    now = time.time()
+    # a day later: a copy that dated its members by the clock would differ
+    monkeypatch.setattr(time, "time", lambda: now + 86400)
+    save_binary_copy(m, path)
+    assert copy_of(path).read_bytes() == first
+    assert sorted(arrays) == ["delimiter", "gene_ids", "sample_ids", "sha256", "values"]
+    assert arrays["delimiter"].item() == "\t"
+    assert arrays["gene_ids"].dtype.kind == arrays["sample_ids"].dtype.kind == "U"
+
+
+# each case rewrites the copy so that it may not stand for the text; where
+# it still holds every key with the right digest its values differ by one,
+# so a copy used in error shows
+@pytest.mark.parametrize(
+    "case",
+    ["stale-digest", "text-edited", "pickled-ids", "float32-values", "one-id-more",
+     "no-gene-rows", "missing-key", "extra-key", "comma-delimiter", "digest-as-list",
+     "truncated", "foreign-npz", "lone-npy", "empty", "directory"],
+)
+def test_an_unusable_binary_copy_is_ignored(tmp_path, case):
+    path, arrays = saved_with_copy(tmp_path)
+    copy = copy_of(path)
+    arrays["values"] = arrays["values"] + 1.0
+    genes = arrays["gene_ids"]
+    changed = {
+        "stale-digest": {"sha256": np.array("0" * 64)},
+        "text-edited": {},
+        "pickled-ids": {"gene_ids": genes.astype(object)},
+        "float32-values": {"values": arrays["values"].astype(np.float32)},
+        "one-id-more": {"gene_ids": np.append(genes, "GX")},
+        "no-gene-rows": {"values": arrays["values"][:0], "gene_ids": genes[:0]},
+        "comma-delimiter": {"delimiter": np.array(",")},
+        "digest-as-list": {"sha256": arrays["sha256"].reshape(1)},
+        "extra-key": {"other": np.arange(3)},
+    }
+    if case in changed:
+        np.savez(copy, **{**arrays, **changed[case]})
+    elif case == "missing-key":
+        np.savez(copy, **{k: v for k, v in arrays.items() if k != "sha256"})
+    elif case == "truncated":
+        copy.write_bytes(copy.read_bytes()[: copy.stat().st_size // 2])
+    elif case == "foreign-npz":
+        np.savez(copy, x=np.arange(3))
+    elif case == "lone-npy":
+        with open(copy, "wb") as fh:  # np.save would add ".npy" to the name
+            np.save(fh, arrays["values"])
+    elif case == "empty":
+        copy.write_bytes(b"")
+    elif case == "directory":
+        copy.unlink()
+        copy.mkdir()
+    if case == "text-edited":
+        # one byte of a value, so the copy is stale and the text still parses
+        text = path.read_bytes()
+        at = text.index(b"e-2")
+        path.write_bytes(text[:at] + b"e-1" + text[at + 3:])
+    assert_matches_oracle(path)
+    assert load_matrix(path).values.tolist() != arrays["values"].tolist()
+
+
+def test_binary_copy_is_not_used_for_csv(tmp_path):
+    path, _ = saved_with_copy(tmp_path)
+    # the sample id "S,2" makes a csv header of two cells; gene rows have one
+    with pytest.raises(MatrixParseError, match="expected 2 cells, found 1"):
+        load_matrix(path, "csv")
+    assert_matches_oracle(path, "csv")
+
+
+def test_binary_copy_keeps_the_parse_error_of_a_faulty_text(tmp_path):
+    path, _ = saved_with_copy(tmp_path)
+    path.write_text(path.read_text().replace("GA\t", "GA\toops", 1))
+    with pytest.raises(MatrixParseError, match="'oops"):
+        load_matrix(path)
+    assert_matches_oracle(path)
+
+
+def test_binary_copy_is_not_read_for_a_pipe(tmp_path):
+    # a pipe has no digest to check without consuming it, so it is parsed
+    path, arrays = saved_with_copy(tmp_path)
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    # the digest of the text that the pipe carries, and other values
+    np.savez(copy_of(fifo), **{**arrays, "values": arrays["values"] + 1.0})
+    expected = load_matrix(path)
+    text = path.read_text()
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        m = load_matrix(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert outcome(lambda: m) == outcome(lambda: expected)
+
+
+@pytest.mark.parametrize(
+    "gene, sample, message",
+    [
+        ("a\tb", "S0", "gene id 'a\\tb' holds '\\t'"),
+        ("a\rb", "S0", "gene id 'a\\rb' holds '\\r'"),
+        ("ab\n", "S0", "gene id 'ab\\n' holds '\\n'"),
+        ("ab\0", "S0", "gene id 'ab\\x00' holds '\\x00'"),
+        ("ab", 'S"0', "sample id 'S\"0' holds '\"'"),
+    ],
+)
+def test_check_savable_names_an_id_the_text_cannot_carry(gene, sample, message):
+    m = ExpressionMatrix([gene], [sample], np.ones((1, 1)))
+    with pytest.raises(BetscanError) as err:
+        check_savable(m)
+    assert str(err.value) == message + ", which matrix.tsv cannot carry"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_check_savable_names_a_non_finite_value(value):
+    m = small_matrix([[1.0, 2.0], [3.0, value]])
+    with pytest.raises(BetscanError) as err:
+        check_savable(m)
+    assert str(err.value) == f"gene 'G1', sample 'S1': non-finite value {value!r}"
+
+
 def test_labels_file(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("sample_id,label\nS0,A\nS1,B\n")
@@ -420,6 +623,28 @@ def test_jitter_rank_safety_property():
 def test_jitter_degenerate():
     with pytest.raises(DegenerateColumnError):
         jitter_minimum_ties(np.ones(6), seed=0)
+
+
+@pytest.mark.parametrize(
+    "column, at",
+    [([1.0, 1.0, math.inf, math.inf], 2), ([1.0, 1.0, math.nan, math.nan], 2),
+     ([2.0, -math.inf, -math.inf, 3.0], 1)],
+)
+def test_jitter_refuses_a_non_finite_gap(column, at):
+    # the draws once looped forever: no value falls below inf or nan
+    caught = []
+
+    def jitter():
+        try:
+            jitter_minimum_ties(column, seed=1)
+        except NonFiniteError as exc:
+            caught.append(exc)
+
+    worker = threading.Thread(target=jitter, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert [exc.index for exc in caught] == [at]
 
 
 def test_jitter_no_duplicate_minimum_is_noop():
