@@ -179,7 +179,7 @@ def run_preprocess(config: dict, out_dir: Path) -> int:
     outputs = []
     matrix_path = out_dir / "matrix.tsv"
     save_matrix(cleaned, matrix_path, "tsv_genes_by_samples")
-    save_binary_copy(cleaned, matrix_path, "tsv_genes_by_samples")
+    save_binary_copy(cleaned, matrix_path)
     outputs += [matrix_path.name, matrix_path.name + ".npz"]
     if cleaned.labels is not None:
         labels_path = out_dir / "labels.csv"

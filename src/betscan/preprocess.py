@@ -17,18 +17,18 @@ read once, into memory, to count its lines.
 
 `betscan preprocess` also writes matrix.tsv.npz beside its matrix.tsv
 (save_binary_copy): the float64 values, the gene and sample ids as
-fixed-width unicode arrays, the delimiter, and the sha256 of the text's
-bytes.  The invariant: the copy holds exactly what the parse of that text
-returns.  It holds because save_matrix writes repr floats, which reload
-bit-exact, and preprocess writes only what check_savable accepts (finite
-values, and ids with no tab, quote, CR, LF or NUL), with the ids that a
-parse returned, which are stripped.
-load_matrix trusts a copy only through its digest: when path is a regular
-file and <path>.npz loads without pickles, holds every key, and records
-the delimiter of fmt and the sha256 of path's bytes as they are now, its
-arrays are returned and the text is not parsed.  Any other copy is
-ignored and the text parsed, so the text stays the source of truth and a
-copy adds no error.
+fixed-width unicode arrays, and the sha256 of the text's bytes.  The
+invariant: the copy holds exactly what the tab-delimited parse of that
+text returns.  It holds because save_matrix writes repr floats, which
+reload bit-exact, and save_binary_copy writes only what check_savable
+accepts: finite values, and stripped ids with no tab, quote, CR, LF or
+NUL.
+load_matrix trusts a copy only through its digest: when fmt is
+tab-delimited, path is a regular file and <path>.npz loads without
+pickles, holds every key and records the sha256 of path's bytes as they
+are now, its arrays are returned and the text is not parsed.  Any other
+copy is ignored and the text parsed, so the text stays the source of
+truth and a copy adds no error.
 
 Count matrices as published typically carry two artifacts that break a
 rank transform: genes whose zero counts were replaced by the gene median
@@ -189,12 +189,12 @@ def load_matrix(path, fmt: str = "tsv_genes_by_samples") -> ExpressionMatrix:
 
     First row: corner cell then sample ids.  Each following row: gene id
     then one numeric cell per sample ('.' decimal separator).  Bad cells
-    raise MatrixParseError with 1-based line/column coordinates.  The
-    arrays of a binary copy at <path>.npz that records path's sha256 and
-    fmt's delimiter are returned instead of a parse (module docstring).
+    raise MatrixParseError with 1-based line/column coordinates.  For a
+    tab-delimited fmt, the arrays of a binary copy at <path>.npz that
+    records path's sha256 are returned instead of a parse (module docstring).
     """
     delim = _delimiter(fmt)
-    copy = _load_binary_copy(path, delim)
+    copy = _load_binary_copy(path) if delim == "\t" else None
     if copy is not None:
         return copy
     with open_input(path) as fh:
@@ -358,7 +358,7 @@ def save_matrix(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples
 
 
 # the arrays of a binary copy
-_COPY_KEYS = ("values", "gene_ids", "sample_ids", "delimiter", "sha256")
+_COPY_KEYS = ("values", "gene_ids", "sample_ids", "sha256")
 
 # characters that save_matrix cannot write in an id so that load_matrix reads
 # it back: the delimiter, the csv quote and line ends; fixed-width unicode
@@ -370,28 +370,27 @@ def _binary_copy_path(path) -> str:
     return f"{os.fspath(path)}.npz"
 
 
-def save_binary_copy(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples"):
-    """Write <path>.npz, the arrays of the text that save_matrix wrote at path.
+def save_binary_copy(matrix: ExpressionMatrix, path):
+    """Write <path>.npz, the arrays of the text that save_matrix(matrix, path) wrote.
 
-    The matrix must pass check_savable and have stripped ids, as a parsed
-    matrix has, so that the copy holds what the parse of the text returns.
-    The copy records the delimiter of fmt and the sha256 of path's bytes,
-    so load_matrix uses it only for that text.  It is written atomically by
-    np.savez, uncompressed; np.savez dates each member 1980-01-01, so the
-    same matrix gives the same bytes.
+    Raises check_savable's BetscanError, and writes nothing, for a matrix
+    whose parse would differ from its arrays.  The copy records the sha256
+    of path's bytes, so load_matrix uses it only for that text.  It is
+    written atomically by np.savez, uncompressed; np.savez dates each
+    member 1980-01-01, so the same matrix gives the same bytes.
     """
+    check_savable(matrix)
     arrays = {
         "values": np.ascontiguousarray(matrix.values),
         "gene_ids": np.array(matrix.gene_ids, dtype=str),
         "sample_ids": np.array(matrix.sample_ids, dtype=str),
-        "delimiter": np.array(_delimiter(fmt)),
         "sha256": np.array(sha256_file(path)),
     }
     with atomic_open(_binary_copy_path(path), binary=True) as fh:
         np.savez(fh, **arrays)
 
 
-def _load_binary_copy(path, delim: str) -> ExpressionMatrix | None:
+def _load_binary_copy(path) -> ExpressionMatrix | None:
     """The matrix in path's binary copy, or None when the copy may not stand for path."""
     copy = _binary_copy_path(path)
     if not (os.path.isfile(path) and os.path.isfile(copy)):
@@ -400,8 +399,6 @@ def _load_binary_copy(path, delim: str) -> ExpressionMatrix | None:
         # np.load leaves a file it opened open when the archive is cut
         with open(copy, "rb") as fh, np.load(fh, allow_pickle=False) as arrays:
             if sorted(arrays.files) != sorted(_COPY_KEYS):
-                return None
-            if _text(arrays["delimiter"]) != delim:
                 return None
             if _text(arrays["sha256"]) != sha256_file(path):
                 return None
@@ -437,16 +434,21 @@ def check_savable(matrix: ExpressionMatrix) -> None:
     """Refuse a matrix that save_matrix cannot write for load_matrix to read back.
 
     Raises BetscanError naming the first id that holds a tab, a double
-    quote, a CR, an LF or a NUL, or else the gene and sample of the first
-    value that is not finite, which no screen accepts.
+    quote, a CR, an LF or a NUL, or that starts or ends with whitespace
+    (the parse strips it), or else the gene and sample of the first value
+    that is not finite, which no screen accepts.
     """
     for kind, ids in (("sample", matrix.sample_ids), ("gene", matrix.gene_ids)):
         for name in ids:
             if found := _UNSAVABLE.search(name):
-                raise BetscanError(
-                    f"{kind} id {name!r} holds {found.group()!r}, which matrix.tsv "
-                    "cannot carry"
-                )
+                fault = f"holds {found.group()!r}"
+            elif name != name.strip():
+                fault = "starts or ends with whitespace"
+            else:
+                continue
+            raise BetscanError(
+                f"{kind} id {name!r} {fault}, which matrix.tsv cannot carry"
+            )
     faulty = np.argwhere(~np.isfinite(matrix.values))
     if len(faulty):
         g, j = faulty[0].tolist()
@@ -531,7 +533,7 @@ def jitter_minimum_ties(column, seed: int) -> np.ndarray:
     second-smallest distinct value, so the ordering of all non-minimum
     observations is untouched.  Draws come from Philox(key=seed); the same
     seed reproduces the same output bit for bit.  Raises NonFiniteError when
-    the minimum or the second-smallest value is not finite.
+    the minimum is tied and it or the second-smallest value is not finite.
     """
     col = np.asarray(column, dtype=np.float64).copy()
     uniq = np.unique(col)
@@ -539,12 +541,12 @@ def jitter_minimum_ties(column, seed: int) -> np.ndarray:
         raise DegenerateColumnError("all values equal; nothing to rank")
     lo, second = float(uniq[0]), float(uniq[1])
     gap = second - lo
-    if not (np.isfinite(lo) and np.isfinite(second)):  # no draw lands in the gap
-        at = int(np.argmin(np.isfinite(col)))
-        raise NonFiniteError(at, float(col[at]))
     idx = np.nonzero(col == lo)[0]
     if idx.shape[0] < 2:
         return col
+    if not (np.isfinite(lo) and np.isfinite(second)):  # no draw lands in the gap
+        at = int(np.argmin(np.isfinite(col)))
+        raise NonFiniteError(at, float(col[at]))
     movers = idx[1:]
     rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
     while True:
