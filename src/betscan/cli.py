@@ -2,13 +2,17 @@
 
 Subcommands mirror the pipeline: preprocess, test (one pair, verbose),
 screen (all pairs), network, compare (cross-dataset), baselines, and
-rerun (replay a recorded manifest; it refuses an input that is missing
-or whose sha256 no longer matches).  Outputs are plain text, CSV, and
+rerun (replay a recorded manifest).  Outputs are plain text, CSV, and
 JSON only; every run directory gets a manifest.json, written last, that
 reproduces the data outputs byte for byte (wall-time metadata aside).
 
-The seed, when not given with --seed, falls back to the BETSCAN_SEED
-environment variable and then to 0.
+A replay's recorded config goes through the same parser as a live run's
+flags: a value that its flag refuses is a usage error (exit 2), an unknown
+key is refused, a missing key takes the flag's default, and the recorded
+inputs must be exactly the files that the config names, each with the
+sha256 it had.  The seed, when not given with --seed, falls back to the
+BETSCAN_SEED environment variable and then to 0; a replay passes its
+recorded seed.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import csv
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,11 +35,11 @@ from .core.stats import all_symmetry_statistics, cell_counts
 from .errors import BetscanError
 from .manifest import (
     atomic_open,
-    new_manifest,
     open_input,
     read_manifest,
     sha256_file,
     write_json,
+    write_manifest,
     write_records,
 )
 from .preprocess import (
@@ -100,16 +105,6 @@ def _labels(parse):
     return check
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("BETSCAN_SEED")
-    try:
-        return _seed(env) if env else 0
-    except argparse.ArgumentTypeError as exc:
-        raise BetscanError(f"BETSCAN_SEED: {exc}") from None
-
-
 def _parse_filter(text: str | None) -> frozenset[str] | None:
     if not text:
         return None
@@ -119,7 +114,7 @@ def _parse_filter(text: str | None) -> frozenset[str] | None:
 def _load_matrix(config: dict, key: str = "input") -> ExpressionMatrix:
     """The matrix at config[key], refused when two gene rows share an id."""
     path = config[key]
-    matrix = load_matrix(path, config.get("format", "tsv_genes_by_samples"))
+    matrix = load_matrix(path, config["format"])
     seen: dict[str, int] = {}
     for row, gene in enumerate(matrix.gene_ids, start=1):
         earlier = seen.setdefault(gene, row)
@@ -140,38 +135,25 @@ def _start_run(out_dir: Path) -> None:
     (out_dir / "manifest.json").unlink(missing_ok=True)
 
 
-def _finish_run(out_dir: Path, manifest, outputs: list[str], started: float) -> None:
-    manifest.outputs = sorted(outputs)
-    manifest.wall_time_s = time.perf_counter() - started
-    write_json(manifest.to_dict(), out_dir / "manifest.json")
-
-
 # ---------------------------------------------------------------- preprocess
 
 
-def run_preprocess(config: dict, out_dir: Path) -> int:
-    started = time.perf_counter()
-    inputs = [config["input"]]
-    if config.get("labels"):
-        inputs.append(config["labels"])
-
+def run_preprocess(config: dict, out_dir: Path) -> list[str]:
     matrix = _load_matrix(config)
     check_savable(matrix)
-    if config.get("labels"):
+    if config["labels"]:
         matrix = matrix.with_labels(load_labels(config["labels"]))
 
-    if config.get("uq_target") is not None:
-        matrix = upper_quartile_log2(matrix, float(config["uq_target"]))
+    if config["uq_target"] is not None:
+        matrix = upper_quartile_log2(matrix, config["uq_target"])
 
     cleaned, report = run_pipeline(
-        matrix,
-        seed=int(config["seed"]),
-        zero_fraction_threshold=float(config.get("zero_threshold", 0.20)),
+        matrix, seed=config["seed"], zero_fraction_threshold=config["zero_threshold"]
     )
 
     # Context subsetting happens after jitter so every context inherits the
     # same cleaned values; ranks are taken per context downstream anyway.
-    if config.get("context"):
+    if config["context"]:
         keep = [tok.strip() for tok in config["context"].split(",") if tok.strip()]
         cleaned = subset_by_labels(cleaned, keep)
 
@@ -189,16 +171,14 @@ def run_preprocess(config: dict, out_dir: Path) -> int:
             writer.writerows(zip(cleaned.sample_ids, cleaned.labels))
         outputs.append(labels_path.name)
     report_path = out_dir / "preprocess_report.json"
-    write_json(report.to_dict(), report_path)
+    write_json(asdict(report), report_path)
     outputs.append(report_path.name)
 
-    manifest = new_manifest("preprocess", config, inputs, seed=int(config["seed"]))
-    _finish_run(out_dir, manifest, outputs, started)
     print(
         f"preprocess: {cleaned.n_genes} genes x {cleaned.n_samples} samples -> "
         f"{matrix_path} ({len(report.genes_dropped)} gene(s) dropped)"
     )
-    return 0
+    return outputs
 
 
 # ---------------------------------------------------------------------- test
@@ -219,11 +199,9 @@ def _grid_lines(counts) -> list[str]:
     return lines
 
 
-def run_test(config: dict, out_dir: Path | None) -> int:
-    started = time.perf_counter()
+def run_test(config: dict, out_dir: Path | None) -> list[str]:
     matrix = _load_matrix(config)
-    gene_a, gene_b = config["gene_a"], config["gene_b"]
-    depth = int(config.get("depth", 2))
+    gene_a, gene_b, depth = config["gene_a"], config["gene_b"], config["depth"]
 
     values = matrix.values[[matrix.gene_index(gene_a), matrix.gene_index(gene_b)]]
     u, v = expand_rank_rows(rank_rows(values, [gene_a, gene_b]), depth)
@@ -232,9 +210,9 @@ def run_test(config: dict, out_dir: Path | None) -> int:
     result = max_bet(
         u,
         v,
-        mode=config.get("mode", "exact"),
-        iterations=int(config.get("permutation_iterations", 999)),
-        seed=int(config.get("seed", 0)),
+        mode=config["mode"],
+        iterations=config["permutation_iterations"],
+        seed=config["seed"],
     )
 
     lines = [f"pair: {gene_a} x {gene_b}   (n = {u.n}, depth = {depth})", ""]
@@ -260,36 +238,32 @@ def run_test(config: dict, out_dir: Path | None) -> int:
     report = "\n".join(lines) + "\n"
     print(report, end="")
 
-    if out_dir is not None:
-        _start_run(out_dir)
-        with atomic_open(out_dir / "test_report.txt") as fh:
-            fh.write(report)
-        manifest = new_manifest(
-            "test", config, [config["input"]], seed=int(config.get("seed", 0))
-        )
-        _finish_run(out_dir, manifest, ["test_report.txt"], started)
-    return 0
+    if out_dir is None:
+        return []
+    _start_run(out_dir)
+    with atomic_open(out_dir / "test_report.txt") as fh:
+        fh.write(report)
+    return ["test_report.txt"]
 
 
 # -------------------------------------------------------------------- screen
 
 
-def run_screen(config: dict, out_dir: Path) -> int:
-    started = time.perf_counter()
+def run_screen(config: dict, out_dir: Path) -> list[str]:
     matrix = _load_matrix(config)
-    depth = int(config.get("depth", 2))
+    depth = config["depth"]
 
     screen_config = ScreenConfig(
         d1=depth,
         d2=depth,
-        alpha=float(config.get("alpha", 0.05)),
-        m_pairs=config.get("m_pairs"),
-        bid_filter=_parse_filter(config.get("bid_filter")),
-        worker_count=int(config.get("workers", 1)),
-        emit_all=bool(config.get("emit_all", False)),
-        mode=config.get("mode", "exact"),
-        permutation_iterations=int(config.get("permutation_iterations", 999)),
-        seed=int(config.get("seed", 0)),
+        alpha=config["alpha"],
+        m_pairs=config["m_pairs"],
+        bid_filter=_parse_filter(config["bid_filter"]),
+        worker_count=config["workers"],
+        emit_all=config["emit_all"],
+        mode=config["mode"],
+        permutation_iterations=config["permutation_iterations"],
+        seed=config["seed"],
     )
     planes = precompute_bitplanes(matrix, depth)
     results, summary = screen_all_pairs(planes, matrix.gene_ids, screen_config)
@@ -301,41 +275,34 @@ def run_screen(config: dict, out_dir: Path) -> int:
     write_json(summary.to_dict(), summary_path)
     outputs = [results_path.name, summary_path.name]
 
-    if config.get("emit_all_bids"):
+    if config["emit_all_bids"]:
         diag_path = out_dir / "results_all_bids.csv"
         write_diagnostics_csv(
             all_bid_diagnostics(planes, matrix.gene_ids, results), diag_path
         )
         outputs.append(diag_path.name)
 
-    manifest = new_manifest(
-        "screen", config, [config["input"]], seed=int(config.get("seed", 0))
-    )
-    _finish_run(out_dir, manifest, outputs, started)
     print(
         f"screen: {summary.total_pairs} pairs tested, "
         f"{summary.significant_pairs} significant at alpha={summary.alpha} "
         f"(m_pairs={summary.m_pairs}) -> {results_path}"
     )
-    return 0
+    return outputs
 
 
 # ------------------------------------------------------------------- network
 
 
-def run_network(config: dict, out_dir: Path) -> int:
+def run_network(config: dict, out_dir: Path) -> list[str]:
     from .network import build_network, export_graph, hub_report
 
-    started = time.perf_counter()
-    alpha = float(config.get("alpha", 0.05))
     results = read_results_csv(config["results"]).where(
-        lambda r: r.p_pair_adjusted is not None and r.p_pair_adjusted <= alpha
+        lambda r: r.p_pair_adjusted is not None and r.p_pair_adjusted <= config["alpha"]
     )
-    k = int(config.get("k", 200))
-    class_filter = _parse_filter(config.get("bid_filter"))
+    class_filter = _parse_filter(config["bid_filter"])
 
-    graph = build_network(results, top_k_genes(results, k), class_filter)
-    fmt = config.get("graph_format", "csv_edge_list")
+    graph = build_network(results, top_k_genes(results, config["k"]), class_filter)
+    fmt = config["graph_format"]
     ext = {"csv_edge_list": "csv", "dot": "dot", "json": "json"}[fmt]
     graph_path = out_dir / f"graph.{ext}"
     _start_run(out_dir)
@@ -345,28 +312,23 @@ def run_network(config: dict, out_dir: Path) -> int:
     with atomic_open(hubs_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gene", "degree", "neighbors"])
-        for gene, degree, neighbors in hub_report(
-            graph, int(config.get("min_degree", 1))
-        ):
+        for gene, degree, neighbors in hub_report(graph, config["min_degree"]):
             writer.writerow([gene, degree, ";".join(neighbors)])
 
     outputs = [graph_path.name, hubs_path.name]
     if fmt == "csv_edge_list":
         outputs.append(graph_path.name + ".nodes.csv")
-    manifest = new_manifest("network", config, [config["results"]])
-    _finish_run(out_dir, manifest, outputs, started)
     print(
         f"network: {len(graph.nodes)} nodes, {len(graph.edges)} edges -> {graph_path}"
     )
-    return 0
+    return outputs
 
 
 # ------------------------------------------------------------------- compare
 
 
-def run_compare(config: dict, out_dir: Path) -> int:
-    started = time.perf_counter()
-    depth = int(config.get("depth", 2))
+def run_compare(config: dict, out_dir: Path) -> list[str]:
+    depth = config["depth"]
     try:
         class_members(config["bid_class"], depth, depth)
     except ValueError as exc:
@@ -384,22 +346,17 @@ def run_compare(config: dict, out_dir: Path) -> int:
     _start_run(out_dir)
     out_path = out_dir / "compare.csv"
     write_records(rows, CompareRow, out_path)
-    manifest = new_manifest(
-        "compare", config, [config["results_a"], config["matrix_b"]]
-    )
-    _finish_run(out_dir, manifest, [out_path.name], started)
     missing = sum(1 for r in rows if r.flag != "ok")
     print(f"compare: {len(rows)} pairs ({missing} flagged) -> {out_path}")
-    return 0
+    return [out_path.name]
 
 
 # ----------------------------------------------------------------- baselines
 
 
-def run_baselines(config: dict, out_dir: Path) -> int:
+def run_baselines(config: dict, out_dir: Path) -> list[str]:
     from .baselines import MeasureClassRow, MeasurePairRow, measure_comparison
 
-    started = time.perf_counter()
     matrix = _load_matrix(config)
 
     pairs = []
@@ -424,11 +381,11 @@ def run_baselines(config: dict, out_dir: Path) -> int:
     per_pair, per_class = measure_comparison(
         matrix,
         pairs,
-        alpha=float(config.get("alpha", 0.05)),
-        m_pairs=config.get("m_pairs"),
-        d=int(config.get("depth", 2)),
-        hoeffding_iterations=int(config.get("hoeffding_iterations", 999)),
-        seed=int(config.get("seed", 0)),
+        alpha=config["alpha"],
+        m_pairs=config["m_pairs"],
+        d=config["depth"],
+        hoeffding_iterations=config["hoeffding_iterations"],
+        seed=config["seed"],
     )
 
     _start_run(out_dir)
@@ -437,22 +394,17 @@ def run_baselines(config: dict, out_dir: Path) -> int:
     classes_path = out_dir / "baseline_classes.csv"
     write_records(per_class, MeasureClassRow, classes_path)
 
-    manifest = new_manifest(
-        "baselines", config, [config["input"], config["pairs"]],
-        seed=int(config.get("seed", 0)),
-    )
-    _finish_run(
-        out_dir, manifest, [pairs_path.name, classes_path.name], started
-    )
     print(
         f"baselines: {len(per_pair)} pairs over {len(per_class)} class(es) -> "
         f"{classes_path}"
     )
-    return 0
+    return [pairs_path.name, classes_path.name]
 
 
 # --------------------------------------------------------------------- rerun
 
+# Each runner loads and checks its inputs, then writes its outputs into out_dir
+# (None only for test) and returns their names; main writes the manifest last.
 _RUNNERS = {
     "preprocess": run_preprocess,
     "test": run_test,
@@ -463,19 +415,51 @@ _RUNNERS = {
 }
 
 
-def _rerun(args) -> int:
-    manifest = read_manifest(args.manifest)
-    if manifest.command not in _RUNNERS:
-        raise BetscanError(f"manifest for unknown command {manifest.command!r}")
-    for path, digest in manifest.inputs.items():
+def _recorded_argv(parser, manifest, out: Path | None) -> list[str]:
+    """The command line that gives manifest's config back to the parser.
+
+    Options come as --flag=value, so that a value such as -3 stays one, and
+    positionals after --, so that a gene id such as -A does.  A null is left
+    out where it is the default; a key that no flag has is a usage error.
+    """
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    sub = commands.choices[manifest.command]
+    config = dict(manifest.config)
+    if out is not None:
+        config["out"] = str(out)
+    options, positionals = [], []
+    for action in sub._actions:
+        if action.dest == "help" or action.dest not in config:
+            continue
+        value = config.pop(action.dest)
+        flag = action.option_strings[:1]
+        if action.nargs == 0:  # store_true
+            if not isinstance(value, bool):
+                sub.error(f"argument {flag[0]}: not true or false: {value!r}")
+            options += flag if value else []
+        elif value is None and action.default is None:
+            continue
+        elif flag:
+            options.append(f"{flag[0]}={value}")
+        else:
+            positionals.append(str(value))
+    if config:
+        sub.error(f"unknown setting in the recorded config: {min(config)!r}")
+    return [manifest.command, *options, "--", *positionals]
+
+
+def _check_inputs(recorded: dict[str, str], paths: list[str]) -> None:
+    """Refuse a replay unless the recorded digests vouch for every file it reads."""
+    if set(recorded) != set(paths):
+        raise BetscanError(
+            f"recorded inputs {sorted(recorded)} are not the files that the config "
+            f"names, {sorted(paths)}"
+        )
+    for path, digest in recorded.items():
         if not Path(path).is_file():
             raise BetscanError(f"recorded input {path} is missing")
         if sha256_file(path) != digest:
             raise BetscanError(f"recorded input {path} has changed since the run")
-    out_dir = Path(args.out) if args.out else Path(manifest.config.get("out") or ".")
-    config = dict(manifest.config)
-    config["out"] = str(out_dir)
-    return _RUNNERS[manifest.command](config, out_dir)
 
 
 # -------------------------------------------------------------------- parser
@@ -507,12 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--context",
         help="comma-separated labels to keep (requires --labels); applied last",
     )
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--zero-threshold", type=_fraction, default=0.20)
     p.add_argument(
         "--uq-target",
         type=_uq_target,
-        default=None,
         help="apply approximate upper-quartile + log2(x+1) normalization first",
     )
 
@@ -524,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_positive_int, default=2)
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--permutation-iterations", type=_positive_int, default=999)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--out", type=Path, default=None, help="also write report + manifest")
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--out", type=Path, help="also write report + manifest")
 
     p = sub.add_parser("screen", help="score every gene pair")
     p.add_argument("input", type=Path)
@@ -536,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--m-pairs",
         type=_positive_int,
-        default=None,
         help="external Bonferroni pair count (>= pairs screened)",
     )
     p.add_argument(
@@ -548,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--permutation-iterations", type=_positive_int, default=999)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed)
     p.add_argument(
         "--bid-filter",
         type=_labels(_parse_filter),
@@ -598,39 +580,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     _add_format(p)
     p.add_argument("--alpha", type=_alpha, default=0.05)
-    p.add_argument("--m-pairs", type=_positive_int, default=None)
+    p.add_argument("--m-pairs", type=_positive_int)
     p.add_argument("--depth", type=_positive_int, default=2)
     p.add_argument("--hoeffding-iterations", type=_positive_int, default=999)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed)
 
     p = sub.add_parser("rerun", help="replay a recorded manifest")
     p.add_argument("manifest", type=Path)
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", type=Path)
 
     return parser
-
-
-def _config(args) -> dict:
-    """A command's flags as its run config: paths as strings, the seed resolved."""
-    config = {
-        key: str(value) if isinstance(value, Path) else value
-        for key, value in vars(args).items()
-        if key != "command"
-    }
-    if "seed" in config:
-        config["seed"] = _resolve_seed(config["seed"])
-    return config
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "preprocess" and args.context and not args.labels:
-        parser.error("--context requires --labels")
     try:
+        recorded = None
         if args.command == "rerun":
-            return _rerun(args)
-        return _RUNNERS[args.command](_config(args), args.out)
+            recorded = read_manifest(args.manifest, _RUNNERS)
+            args = parser.parse_args(_recorded_argv(parser, recorded, args.out))
+        if args.command == "preprocess" and args.context and not args.labels:
+            parser.error("--context requires --labels")
+        # the inputs are the files that the run reads: every path but --out
+        paths = {k: str(v) for k, v in vars(args).items() if isinstance(v, Path)}
+        config = {**vars(args), **paths}
+        del config["command"]
+        inputs = [path for k, path in paths.items() if k != "out"]
+        if "seed" in config and config["seed"] is None:
+            # a replay runs on its recorded seed, never on BETSCAN_SEED
+            env = None if recorded else os.environ.get("BETSCAN_SEED")
+            try:
+                config["seed"] = _seed(env) if env else 0
+            except argparse.ArgumentTypeError as exc:
+                raise BetscanError(f"BETSCAN_SEED: {exc}") from None
+        if recorded:
+            _check_inputs(recorded.inputs, inputs)
+        started = time.perf_counter()
+        outputs = _RUNNERS[args.command](config, args.out)
+        if args.out is not None:
+            write_manifest(args.out, args.command, config, inputs, outputs, started)
+        return 0
     except BetscanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

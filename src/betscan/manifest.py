@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import platform
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -89,9 +90,6 @@ class RunManifest:
     versions: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
@@ -114,7 +112,6 @@ def _blas_version() -> str:
 
 
 def tool_versions() -> dict:
-    import numpy
     import scipy
 
     from . import __version__
@@ -122,25 +119,43 @@ def tool_versions() -> dict:
     return {
         "betscan": __version__,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": _blas_version(),
     }
 
 
-def new_manifest(command: str, config: dict, input_paths, seed=None) -> RunManifest:
-    return RunManifest(
-        command=command,
-        config=config,
-        inputs={str(p): sha256_file(p) for p in input_paths},
-        seed=seed,
-        versions=tool_versions(),
-    )
+def write_manifest(out_dir, command, config: dict, input_paths, outputs, started) -> None:
+    """Write out_dir's manifest.json, last, as it marks the run complete.
+
+    Its wall time runs from started, a time.perf_counter() reading.
+    """
+    inputs = {str(p): sha256_file(p) for p in input_paths}
+    manifest = RunManifest(command, config, inputs, sorted(outputs), config.get("seed"))
+    manifest.versions = tool_versions()
+    manifest.wall_time_s = time.perf_counter() - started
+    write_json(asdict(manifest), Path(out_dir) / "manifest.json")
 
 
-def read_manifest(path) -> RunManifest:
+def read_manifest(path, commands) -> RunManifest:
+    """The manifest at path, refused unless a replay of one of commands can use it."""
     with open_input(path) as fh:
         try:
-            return RunManifest(**json.load(fh))
+            manifest = RunManifest(**json.load(fh))
+            command = manifest.command
+            if not (isinstance(command, str) and command in commands):
+                raise ValueError(f"unknown command {command!r}")
+            if not isinstance(manifest.config, dict):
+                raise ValueError("config is not an object")
+            # JSON object keys are always strings
+            if not isinstance(manifest.inputs, dict) or not all(
+                isinstance(v, str) for v in manifest.inputs.values()
+            ):
+                raise ValueError("inputs is not an object of path to digest strings")
+            if not isinstance(manifest.outputs, list) or not all(
+                isinstance(v, str) for v in manifest.outputs
+            ):
+                raise ValueError("outputs is not a list of strings")
         except (ValueError, TypeError) as exc:
             raise BetscanError(f"{path}: not a run manifest: {exc}") from None
+    return manifest

@@ -169,14 +169,6 @@ class PreprocessReport:
     jitter_seed: int = 0
     jitter_widths: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "genes_dropped": self.genes_dropped,
-            "medians_reset": self.medians_reset,
-            "jitter_seed": self.jitter_seed,
-            "jitter_widths": self.jitter_widths,
-        }
-
 
 _DELIMS = {"tsv_genes_by_samples": "\t", "tsv": "\t", "csv": ","}
 

@@ -51,6 +51,13 @@ def screened_fixture(tmp_path, seed=1, pairs=6, n=64):
     return write_matrix(tmp_path, np.array(rows), genes=genes)
 
 
+def assert_replayed_config(manifest, replay):
+    """The replay in replay records manifest's config, apart from out."""
+    config = json.loads(Path(manifest).read_text())["config"]
+    replayed = json.loads((replay / "manifest.json").read_text())["config"]
+    assert replayed == {**config, "out": str(replay)}
+
+
 # --------------------------------------------------------------- preprocess
 
 
@@ -157,6 +164,7 @@ def test_commands_read_the_same_matrix_from_the_binary_copy(tmp_path):
             assert main(args) == 0, args
         manifest = json.loads((out / "scr" / "manifest.json").read_text())
         assert manifest["inputs"] == {str(matrix): sha256_file(matrix)}
+        assert_replayed_config(out / "scr" / "manifest.json", out / "replay")
         files = {}
         for path in sorted(out.rglob("*")):
             if path.name == "summary.json":
@@ -255,9 +263,11 @@ def test_rerun_refuses_a_recorded_uq_target_out_of_range(tmp_path, capsys):
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(manifest))
     replay = tmp_path / "replay"
-    assert main(["rerun", str(edited), "--out", str(replay)]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["rerun", str(edited), "--out", str(replay)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "error: uq_target must be finite and above 0, got -5.0" in err
+    assert "error: argument --uq-target: must be finite and above 0, got -5.0" in err
     assert not replay.exists()
 
 
@@ -937,6 +947,7 @@ def test_rerun_reproduces_screen(tmp_path):
     b = json.loads((replay / "summary.json").read_text())
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+    assert_replayed_config(out / "manifest.json", replay)
 
 
 def test_rerun_replays_a_manifest_without_a_blas_version(tmp_path):
@@ -952,6 +963,7 @@ def test_rerun_replays_a_manifest_without_a_blas_version(tmp_path):
     replay = tmp_path / "replay"
     assert main(["rerun", str(old), "--out", str(replay)]) == 0
     assert (out / "results.csv").read_bytes() == (replay / "results.csv").read_bytes()
+    assert_replayed_config(old, replay)
 
 
 def test_screen_bytes_identical_for_one_and_two_blas_threads(tmp_path):
@@ -1003,6 +1015,151 @@ def test_rerun_reproduces_preprocess(tmp_path):
     assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 0
     for name in ("matrix.tsv", "matrix.tsv.npz"):
         assert (out / name).read_bytes() == (replay / name).read_bytes()
+    assert_replayed_config(out / "manifest.json", replay)
+
+
+def record_every_command(tmp_path):
+    """A manifest of a run of every command that rerun replays, by command."""
+    (tmp_path / "raw").mkdir()
+    counts = count_fixture(tmp_path / "raw")
+    labels = tmp_path / "labels.csv"
+    rows = "".join(f"S{j:03d},{'A' if j < 25 else 'B'}\n" for j in range(40))
+    labels.write_text("sample_id,label\n" + rows)
+    matrix = screened_fixture(tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("gene_i,gene_j\nP00x,P00y\n")
+    runs = tmp_path / "runs"
+    results = runs / "screen" / "results.csv"
+    for args in (
+        ["preprocess", counts, "--labels", labels, "--context", "A", "--uq-target", "500"],
+        ["test", matrix, "P01x", "P01y"],
+        ["screen", matrix, "--emit-all", "--emit-all-bids", "--bid-filter", "Linear"],
+        ["network", results, "--bid-filter", "Linear"],
+        ["compare", results, matrix, "--class", "Parabolic"],
+        ["baselines", matrix, pairs, "--hoeffding-iterations", "20"],
+    ):
+        assert main([*map(str, args), "--out", str(runs / args[0])]) == 0, args
+    return {path.name: path / "manifest.json" for path in runs.iterdir()}
+
+
+# a value that each recorded option's flag refuses, by key
+REFUSED = {
+    "alpha": 2.0, "bid_class": "Nope", "bid_filter": "Nope", "depth": 0,
+    "emit_all": "no", "emit_all_bids": 1, "format": "xlsx", "graph_format": "png",
+    "hoeffding_iterations": 0, "k": 0, "m_pairs": 0, "min_degree": -1,
+    "mode": "bogus", "permutation_iterations": "many", "seed": -3, "workers": 0,
+    "uq_target": "abc", "zero_threshold": 5.0,
+}
+# keys whose flags take any text: paths, gene ids and --context
+FREE_TEXT = {
+    "context", "gene_a", "gene_b", "input", "labels", "matrix_b", "out", "pairs",
+    "results", "results_a",
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["preprocess", "test", "screen", "network", "compare", "baselines"]
+)
+def test_rerun_refuses_a_recorded_value_as_its_flag_does(tmp_path, capsys, command):
+    manifest = json.loads(record_every_command(tmp_path)[command].read_text())
+    config = manifest["config"]
+    assert set(config) <= set(REFUSED) | FREE_TEXT
+    cases = {
+        f"{key}={value!r}": {key: value} for key, value in REFUSED.items() if key in config
+    }
+    cases["unknown key"] = {"bogus_key": 1}
+    positional = {"network": "results", "compare": "results_a"}.get(command, "input")
+    cases["no positional"] = {positional: None}
+    if command == "preprocess":
+        cases["context without labels"] = {"labels": None}
+    edited, replay = tmp_path / "edited.json", tmp_path / "replay"
+    capsys.readouterr()
+    for case, change in cases.items():
+        edited.write_text(json.dumps({**manifest, "config": {**config, **change}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["rerun", str(edited), "--out", str(replay)])
+        assert exc.value.code == 2, case
+        err = capsys.readouterr().err
+        assert "error: " in err, case
+        if case.split("=")[0] in REFUSED:
+            assert "error: argument --" in err, case
+        assert not replay.exists(), case
+
+
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        ({"config": [1]}, "config is not an object"),
+        ({"inputs": ["a"]}, "inputs is not an object of path to digest strings"),
+        ({"inputs": {"a": 1}}, "inputs is not an object of path to digest strings"),
+        ({"outputs": "results.csv"}, "outputs is not a list of strings"),
+        ({"command": ["screen"]}, "unknown command ['screen']"),
+        ({"command": "rerun"}, "unknown command 'rerun'"),
+    ],
+)
+def test_rerun_refuses_a_manifest_with_a_field_of_the_wrong_type(
+    tmp_path, capsys, edit, fault
+):
+    matrix = screened_fixture(tmp_path)
+    out = tmp_path / "scr"
+    assert main(["screen", str(matrix), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    edited, replay = tmp_path / "edited.json", tmp_path / "replay"
+    edited.write_text(json.dumps({**manifest, **edit}))
+    assert main(["rerun", str(edited), "--out", str(replay)]) == 1
+    assert capsys.readouterr().err == f"error: {edited}: not a run manifest: {fault}\n"
+    assert not replay.exists()
+
+
+def test_rerun_refuses_inputs_that_are_not_the_configs(tmp_path, capsys):
+    matrix = count_fixture(tmp_path)
+    other = write_matrix(tmp_path, np.arange(1.0, 161.0).reshape(4, 40), "other.tsv")
+    out = tmp_path / "pre"
+    assert main(["preprocess", str(matrix), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    edited, replay = tmp_path / "edited.json", tmp_path / "replay"
+    for config, inputs in (
+        ({"input": str(other)}, manifest["inputs"]),  # no digest vouches for other
+        ({}, {**manifest["inputs"], str(other): sha256_file(other)}),
+    ):
+        config = {**manifest["config"], **config}
+        edited.write_text(json.dumps({**manifest, "config": config, "inputs": inputs}))
+        capsys.readouterr()
+        assert main(["rerun", str(edited), "--out", str(replay)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: recorded inputs ") and "are not the files" in err
+        assert not replay.exists()
+
+
+def test_rerun_keeps_a_gene_id_that_starts_with_a_dash(tmp_path):
+    rng = np.random.default_rng(6)
+    x, y = make_parabola(64, rng)
+    matrix = write_matrix(tmp_path, np.array([x, y]), genes=["-A", "-B"])
+    out, replay = tmp_path / "test", tmp_path / "replay"
+    assert main(["test", str(matrix), "--out", str(out), "--", "-A", "-B"]) == 0
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 0
+    report = (replay / "test_report.txt").read_text()
+    assert report == (out / "test_report.txt").read_text()
+    assert report.startswith("pair: -A x -B")
+    assert_replayed_config(out / "manifest.json", replay)
+
+
+def test_rerun_runs_on_the_recorded_seed_not_betscan_seed(tmp_path, monkeypatch):
+    matrix = count_fixture(tmp_path, seed=9)
+    out = tmp_path / "pre"
+    assert main(["preprocess", str(matrix), "--out", str(out), "--seed", "21"]) == 0
+    monkeypatch.setenv("BETSCAN_SEED", "4")
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 0
+    assert (out / "matrix.tsv").read_bytes() == (replay / "matrix.tsv").read_bytes()
+    assert json.loads((replay / "manifest.json").read_text())["seed"] == 21
+    # a manifest without a seed takes the flag's default, not BETSCAN_SEED
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["config"]["seed"]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    assert main(["rerun", str(edited), "--out", str(replay)]) == 0
+    assert json.loads((replay / "manifest.json").read_text())["seed"] == 0
 
 
 def test_help_for_every_subcommand(capsys):
