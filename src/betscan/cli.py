@@ -5,6 +5,8 @@ screen (all pairs), network, compare (cross-dataset), baselines, and
 rerun (replay a recorded manifest).  Outputs are plain text, CSV, and
 JSON only; every run directory gets a manifest.json, written last, that
 reproduces the data outputs byte for byte (wall-time metadata aside).
+Each input, a regular file, is hashed once before the run; the replay
+check, the binary copy's check and the manifest share that digest.
 
 A replay's recorded config goes through the same parser as a live run's
 flags: a value that its flag refuses is a usage error (exit 2), an unknown
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict
@@ -111,10 +114,10 @@ def _parse_filter(text: str | None) -> frozenset[str] | None:
     return frozenset(parse_class_label(tok) for tok in text.split(",") if tok.strip())
 
 
-def _load_matrix(config: dict, key: str = "input") -> ExpressionMatrix:
+def _load_matrix(config: dict, digests: dict, key: str = "input") -> ExpressionMatrix:
     """The matrix at config[key], refused when two gene rows share an id."""
     path = config[key]
-    matrix = load_matrix(path, config["format"])
+    matrix = load_matrix(path, config["format"], sha256=digests[path])
     seen: dict[str, int] = {}
     for row, gene in enumerate(matrix.gene_ids, start=1):
         earlier = seen.setdefault(gene, row)
@@ -138,8 +141,8 @@ def _start_run(out_dir: Path) -> None:
 # ---------------------------------------------------------------- preprocess
 
 
-def run_preprocess(config: dict, out_dir: Path) -> list[str]:
-    matrix = _load_matrix(config)
+def run_preprocess(config: dict, out_dir: Path, digests: dict[str, str]) -> list[str]:
+    matrix = _load_matrix(config, digests)
     check_savable(matrix)
     if config["labels"]:
         matrix = matrix.with_labels(load_labels(config["labels"]))
@@ -199,8 +202,8 @@ def _grid_lines(counts) -> list[str]:
     return lines
 
 
-def run_test(config: dict, out_dir: Path | None) -> list[str]:
-    matrix = _load_matrix(config)
+def run_test(config: dict, out_dir: Path | None, digests: dict[str, str]) -> list[str]:
+    matrix = _load_matrix(config, digests)
     gene_a, gene_b, depth = config["gene_a"], config["gene_b"], config["depth"]
 
     values = matrix.values[[matrix.gene_index(gene_a), matrix.gene_index(gene_b)]]
@@ -249,8 +252,8 @@ def run_test(config: dict, out_dir: Path | None) -> list[str]:
 # -------------------------------------------------------------------- screen
 
 
-def run_screen(config: dict, out_dir: Path) -> list[str]:
-    matrix = _load_matrix(config)
+def run_screen(config: dict, out_dir: Path, digests: dict[str, str]) -> list[str]:
+    matrix = _load_matrix(config, digests)
     depth = config["depth"]
 
     screen_config = ScreenConfig(
@@ -293,7 +296,7 @@ def run_screen(config: dict, out_dir: Path) -> list[str]:
 # ------------------------------------------------------------------- network
 
 
-def run_network(config: dict, out_dir: Path) -> list[str]:
+def run_network(config: dict, out_dir: Path, digests: dict[str, str]) -> list[str]:
     from .network import build_network, export_graph, hub_report
 
     results = read_results_csv(config["results"]).where(
@@ -327,14 +330,14 @@ def run_network(config: dict, out_dir: Path) -> list[str]:
 # ------------------------------------------------------------------- compare
 
 
-def run_compare(config: dict, out_dir: Path) -> list[str]:
+def run_compare(config: dict, out_dir: Path, digests: dict[str, str]) -> list[str]:
     depth = config["depth"]
     try:
         class_members(config["bid_class"], depth, depth)
     except ValueError as exc:
         raise BetscanError(str(exc)) from None
     results_a = read_results_csv(config["results_a"])
-    matrix_b = _load_matrix(config, "matrix_b")
+    matrix_b = _load_matrix(config, digests, "matrix_b")
     rank_rows(matrix_b.values[:0])  # refuses too few samples, whatever run A names
     # only the genes that run A names are ranked and expanded
     named = set(results_a.gene_ids)
@@ -354,10 +357,10 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
 # ----------------------------------------------------------------- baselines
 
 
-def run_baselines(config: dict, out_dir: Path) -> list[str]:
+def run_baselines(config: dict, out_dir: Path, digests: dict[str, str]) -> list[str]:
     from .baselines import MeasureClassRow, MeasurePairRow, measure_comparison
 
-    matrix = _load_matrix(config)
+    matrix = _load_matrix(config, digests)
 
     pairs = []
     with open_input(config["pairs"]) as fh:
@@ -448,18 +451,28 @@ def _recorded_argv(parser, manifest, out: Path | None) -> list[str]:
     return [manifest.command, *options, "--", *positionals]
 
 
-def _check_inputs(recorded: dict[str, str], paths: list[str]) -> None:
-    """Refuse a replay unless the recorded digests vouch for every file it reads."""
-    if set(recorded) != set(paths):
+def _input_digests(paths: list[str], recorded: dict[str, str] | None) -> dict[str, str]:
+    """The sha256 of each input, a regular file; a replay's must be those recorded."""
+    if recorded is not None and set(recorded) != set(paths):
         raise BetscanError(
             f"recorded inputs {sorted(recorded)} are not the files that the config "
             f"names, {sorted(paths)}"
         )
-    for path, digest in recorded.items():
-        if not Path(path).is_file():
-            raise BetscanError(f"recorded input {path} is missing")
-        if sha256_file(path) != digest:
+    digests = {}
+    for path in dict.fromkeys(paths):
+        try:
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                raise BetscanError(
+                    f"{path}: not a regular file; an input is hashed, then read"
+                )
+            digests[path] = sha256_file(path)
+        except OSError as exc:
+            if recorded is not None and isinstance(exc, FileNotFoundError):
+                raise BetscanError(f"recorded input {path} is missing") from None
+            raise BetscanError(f"{path}: {exc.strerror or exc}") from None
+        if recorded is not None and digests[path] != recorded[path]:
             raise BetscanError(f"recorded input {path} has changed since the run")
+    return digests
 
 
 # -------------------------------------------------------------------- parser
@@ -614,12 +627,11 @@ def main(argv=None) -> int:
                 config["seed"] = _seed(env) if env else 0
             except argparse.ArgumentTypeError as exc:
                 raise BetscanError(f"BETSCAN_SEED: {exc}") from None
-        if recorded:
-            _check_inputs(recorded.inputs, inputs)
+        digests = _input_digests(inputs, recorded.inputs if recorded else None)
         started = time.perf_counter()
-        outputs = _RUNNERS[args.command](config, args.out)
+        outputs = _RUNNERS[args.command](config, args.out, digests)
         if args.out is not None:
-            write_manifest(args.out, args.command, config, inputs, outputs, started)
+            write_manifest(args.out, args.command, config, digests, outputs, started)
         return 0
     except BetscanError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,11 +2,11 @@
 
 Every CLI command writes one next to its outputs, last, so a manifest
 marks a run that completed.  The manifest captures the resolved
-configuration (every flag after defaulting), the sha256 of each input
-file, the seed, and tool versions; `betscan rerun` replays a manifest and
-must reproduce the recorded outputs exactly (wall time is metadata and
-exempt).  Every output goes through `atomic_open`, so none is left
-partly written.
+configuration (every flag after defaulting), the sha256 that each input
+file had before the run, the seed, and tool versions; `betscan rerun`
+replays a manifest and must reproduce the recorded outputs exactly (wall
+time is metadata and exempt).  Every output goes through `atomic_open`,
+so none is left partly written.
 """
 
 from __future__ import annotations
@@ -125,12 +125,12 @@ def tool_versions() -> dict:
     }
 
 
-def write_manifest(out_dir, command, config: dict, input_paths, outputs, started) -> None:
+def write_manifest(out_dir, command, config: dict, inputs, outputs, started) -> None:
     """Write out_dir's manifest.json, last, as it marks the run complete.
 
-    Its wall time runs from started, a time.perf_counter() reading.
+    inputs maps each input path to the sha256 that cli.main took before the
+    run.  The wall time runs from started, a time.perf_counter() reading.
     """
-    inputs = {str(p): sha256_file(p) for p in input_paths}
     manifest = RunManifest(command, config, inputs, sorted(outputs), config.get("seed"))
     manifest.versions = tool_versions()
     manifest.wall_time_s = time.perf_counter() - started

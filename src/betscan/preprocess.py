@@ -25,10 +25,10 @@ accepts: finite values, and stripped ids with no tab, quote, CR, LF or
 NUL.
 load_matrix trusts a copy only through its digest: when fmt is
 tab-delimited, path is a regular file and <path>.npz loads without
-pickles, holds every key and records the sha256 of path's bytes as they
-are now, its arrays are returned and the text is not parsed.  Any other
-copy is ignored and the text parsed, so the text stays the source of
-truth and a copy adds no error.
+pickles, holds every key and records the sha256 of path's bytes (taken
+now, or passed by a caller that hashed them), its arrays are returned and
+the text is not parsed.  Any other copy is ignored and the text parsed,
+so the text stays the source of truth and a copy adds no error.
 
 Count matrices as published typically carry two artifacts that break a
 rank transform: genes whose zero counts were replaced by the gene median
@@ -176,7 +176,9 @@ _DELIMS = {"tsv_genes_by_samples": "\t", "tsv": "\t", "csv": ","}
 _BLOCK_LINES = 32
 
 
-def load_matrix(path, fmt: str = "tsv_genes_by_samples") -> ExpressionMatrix:
+def load_matrix(
+    path, fmt: str = "tsv_genes_by_samples", *, sha256: str | None = None
+) -> ExpressionMatrix:
     """Parse a delimited genes-by-samples matrix.
 
     First row: corner cell then sample ids.  Each following row: gene id
@@ -184,9 +186,10 @@ def load_matrix(path, fmt: str = "tsv_genes_by_samples") -> ExpressionMatrix:
     raise MatrixParseError with 1-based line/column coordinates.  For a
     tab-delimited fmt, the arrays of a binary copy at <path>.npz that
     records path's sha256 are returned instead of a parse (module docstring).
+    A caller that has hashed path may pass the digest as sha256.
     """
     delim = _delimiter(fmt)
-    copy = _load_binary_copy(path) if delim == "\t" else None
+    copy = _load_binary_copy(path, sha256) if delim == "\t" else None
     if copy is not None:
         return copy
     with open_input(path) as fh:
@@ -382,7 +385,7 @@ def save_binary_copy(matrix: ExpressionMatrix, path):
         np.savez(fh, **arrays)
 
 
-def _load_binary_copy(path) -> ExpressionMatrix | None:
+def _load_binary_copy(path, sha256: str | None) -> ExpressionMatrix | None:
     """The matrix in path's binary copy, or None when the copy may not stand for path."""
     copy = _binary_copy_path(path)
     if not (os.path.isfile(path) and os.path.isfile(copy)):
@@ -392,7 +395,7 @@ def _load_binary_copy(path) -> ExpressionMatrix | None:
         with open(copy, "rb") as fh, np.load(fh, allow_pickle=False) as arrays:
             if sorted(arrays.files) != sorted(_COPY_KEYS):
                 return None
-            if _text(arrays["sha256"]) != sha256_file(path):
+            if _text(arrays["sha256"]) != (sha256 or sha256_file(path)):
                 return None
             values = arrays["values"]
             genes, samples = arrays["gene_ids"], arrays["sample_ids"]

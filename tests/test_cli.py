@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from betscan import cli, manifest as manifest_module
 from betscan.cli import main
 from betscan.manifest import sha256_file, tool_versions
 from betscan.screen import RESULT_COLUMNS
@@ -538,6 +541,47 @@ def test_refused_input_leaves_no_output_directory(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", ["preprocess", "test", "screen", "network", "compare", "baselines", "rerun"]
+)
+def test_input_that_is_not_a_regular_file_is_refused_unopened(tmp_path, capsys, command):
+    matrix = screened_fixture(tmp_path)
+    results = tmp_path / "scr" / "results.csv"
+    assert main(["screen", str(matrix), "--out", str(results.parent)]) == 0
+    fifo = tmp_path / "in.fifo"
+    args = {
+        "preprocess": ["preprocess", str(matrix), "--labels", str(fifo)],
+        "test": ["test", str(fifo), "P00x", "P00y"],
+        "screen": ["screen", str(fifo)],
+        "network": ["network", str(fifo)],
+        "compare": ["compare", str(results), str(fifo), "--class", "Linear"],
+        "baselines": ["baselines", str(matrix), str(fifo)],
+        "rerun": ["rerun", str(results.parent / "manifest.json")],
+    }[command]
+    if command == "rerun":  # the recorded input is now a FIFO
+        matrix.unlink()
+        fifo = matrix
+    os.mkfifo(fifo)
+
+    def release():
+        # a reader blocked on the FIFO sees its end, so a fault fails, not hangs
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+
+    guard = threading.Timer(10, release)
+    guard.start()
+    out = tmp_path / "run"
+    capsys.readouterr()
+    try:
+        assert main([*args, "--out", str(out)]) == 1
+    finally:
+        guard.cancel()
+    assert capsys.readouterr().err.startswith(f"error: {fifo}: not a regular file; ")
+    assert not out.exists()
+
+
 def test_refused_input_leaves_an_earlier_run_complete(tmp_path, capsys):
     matrix = screened_fixture(tmp_path)
     out = tmp_path / "scr"
@@ -1005,6 +1049,75 @@ def test_rerun_refuses_changed_input(tmp_path, capsys):
     assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 1
     assert f"recorded input {matrix} is missing" in capsys.readouterr().err
     assert not replay.exists()
+
+
+def test_rerun_refuses_a_preprocess_that_overwrote_its_input(tmp_path, capsys):
+    matrix = count_fixture(tmp_path, seed=4)
+    before = sha256_file(matrix)
+    args = ["preprocess", str(matrix), "--out", str(tmp_path), "--uq-target", "1000"]
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(matrix): before}
+    assert sha256_file(matrix) != before  # preprocess overwrote its input
+    replay = tmp_path / "replay"
+    capsys.readouterr()
+    assert main(["rerun", str(tmp_path / "manifest.json"), "--out", str(replay)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: recorded input {matrix} has changed since the run\n"
+    assert not replay.exists()
+
+
+def test_each_input_is_hashed_once_and_the_manifest_hashes_none(tmp_path, monkeypatch):
+    hashed = Counter()
+    original = manifest_module.sha256_file
+
+    def counted(path):
+        hashed[str(path)] += 1
+        return original(path)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("betscan") and getattr(module, "sha256_file", None) is original:
+            monkeypatch.setattr(module, "sha256_file", counted)
+
+    real_write_manifest = cli.write_manifest
+
+    def write_manifest(*args):
+        before = hashed.copy()
+        real_write_manifest(*args)
+        assert hashed == before, "write_manifest hashed a file"
+
+    monkeypatch.setattr(cli, "write_manifest", write_manifest)
+
+    def assert_hashed_once(args, inputs, written=()):
+        hashed.clear()
+        assert main(list(map(str, args))) == 0, args
+        assert hashed == Counter(map(str, [*inputs, *written])), args
+
+    (tmp_path / "raw").mkdir()
+    raw = count_fixture(tmp_path / "raw")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("sample_id,label\n" + "".join(f"S{j:03d},A\n" for j in range(40)))
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("gene_i,gene_j\nG000,G001\n")
+    pre, runs = tmp_path / "pre", tmp_path / "runs"
+    matrix, results = pre / "matrix.tsv", runs / "screen" / "results.csv"
+    # preprocess hashes the matrix.tsv it writes, an output, for its binary copy
+    assert_hashed_once(
+        ["preprocess", raw, "--labels", labels, "--out", pre], [raw, labels], [matrix]
+    )
+    with parse_refused():  # every later command reads the copy, vouched for by main
+        for args, inputs in (
+            (["test", matrix, "G000", "G001", "--out", runs / "test"], [matrix]),
+            (["screen", matrix, "--emit-all", "--out", runs / "screen"], [matrix]),
+            (["network", results, "--out", runs / "network"], [results]),
+            (["compare", results, matrix, "--class", "Linear", "--out", runs / "cmp"],
+             [results, matrix]),
+            (["baselines", matrix, pairs, "--hoeffding-iterations", "20",
+              "--out", runs / "base"], [matrix, pairs]),
+            (["rerun", runs / "screen" / "manifest.json", "--out", runs / "replay"],
+             [matrix]),
+        ):
+            assert_hashed_once(args, inputs)
 
 
 def test_rerun_reproduces_preprocess(tmp_path):
