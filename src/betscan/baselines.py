@@ -324,7 +324,7 @@ def measure_comparison(
     """
     from .core.copula import rank_rows
     from .core.expansion import expand_rank_rows
-    from .core.maxbet import max_bet
+    from .core.maxbet import bonferroni, max_bet
 
     if m_pairs is None:
         m_pairs = len(pairs)
@@ -353,10 +353,10 @@ def measure_comparison(
                 bet_significant=bet.p_pair_adjusted <= alpha,
                 pearson_r=r,
                 pearson_p=p_r,
-                pearson_significant=min(1.0, m_pairs * p_r) <= alpha,
+                pearson_significant=bonferroni(m_pairs, p_r) <= alpha,
                 hoeffding_d=d_stat,
                 hoeffding_p=p_d,
-                hoeffding_significant=min(1.0, m_pairs * p_d) <= alpha,
+                hoeffding_significant=bonferroni(m_pairs, p_d) <= alpha,
             )
         )
 

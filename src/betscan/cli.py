@@ -31,11 +31,12 @@ from pathlib import Path
 
 from . import __version__
 from .core.bids import bid_class_of, class_members, parse_class_label
-from .core.copula import rank_rows
+from .core.copula import MIN_SAMPLES, rank_rows
 from .core.expansion import expand_rank_rows
-from .core.maxbet import MODES, max_bet
+from .core.maxbet import max_bet
+from .core.nulls import MODES
 from .core.stats import all_symmetry_statistics, cell_counts
-from .errors import BetscanError
+from .errors import BetscanError, TooFewSamplesError
 from .manifest import (
     atomic_open,
     open_input,
@@ -109,13 +110,26 @@ def _labels(parse):
 
 
 def _parse_filter(text: str | None) -> frozenset[str] | None:
+    """The class labels of comma-separated text; None for no text."""
     if not text:
         return None
-    return frozenset(parse_class_label(tok) for tok in text.split(",") if tok.strip())
+    labels = frozenset(parse_class_label(tok) for tok in text.split(",") if tok.strip())
+    if not labels:
+        raise ValueError(f"no class label in {text!r}")
+    return labels
+
+
+def _enough_samples(matrix: ExpressionMatrix, where: str = "") -> ExpressionMatrix:
+    """matrix, refused when it has fewer samples than a rank test takes."""
+    if matrix.n_samples < MIN_SAMPLES:
+        raise TooFewSamplesError(
+            f"{where}need at least {MIN_SAMPLES} observations, got {matrix.n_samples}"
+        )
+    return matrix
 
 
 def _load_matrix(config: dict, digests: dict, key: str = "input") -> ExpressionMatrix:
-    """The matrix at config[key], refused when two gene rows share an id."""
+    """The matrix at config[key], refused if two gene rows share an id or too small."""
     path = config[key]
     matrix = load_matrix(path, config["format"], sha256=digests[path])
     seen: dict[str, int] = {}
@@ -125,7 +139,7 @@ def _load_matrix(config: dict, digests: dict, key: str = "input") -> ExpressionM
             raise BetscanError(
                 f"{path}: gene id {gene!r} on gene rows {earlier} and {row}"
             )
-    return matrix
+    return _enough_samples(matrix)
 
 
 def _start_run(out_dir: Path) -> None:
@@ -158,7 +172,8 @@ def run_preprocess(config: dict, out_dir: Path, digests: dict[str, str]) -> list
     # same cleaned values; ranks are taken per context downstream anyway.
     if config["context"]:
         keep = [tok.strip() for tok in config["context"].split(",") if tok.strip()]
-        cleaned = subset_by_labels(cleaned, keep)
+        where = f"--context {config['context']!r} keeps too few samples: "
+        cleaned = _enough_samples(subset_by_labels(cleaned, keep), where)
 
     _start_run(out_dir)
     outputs = []
@@ -338,7 +353,6 @@ def run_compare(config: dict, out_dir: Path, digests: dict[str, str]) -> list[st
         raise BetscanError(str(exc)) from None
     results_a = read_results_csv(config["results_a"])
     matrix_b = _load_matrix(config, digests, "matrix_b")
-    rank_rows(matrix_b.values[:0])  # refuses too few samples, whatever run A names
     # only the genes that run A names are ranked and expanded
     named = set(results_a.gene_ids)
     kept = [gene in named for gene in matrix_b.gene_ids]

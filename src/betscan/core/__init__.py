@@ -14,9 +14,10 @@ from .bids import (
 )
 from .copula import CopulaColumn, empirical_copula
 from .expansion import BitPlanes, binary_expansion, plane_bits
-from .maxbet import MODES, BetResult, max_bet
+from .maxbet import BetResult, max_bet
 from .nulls import (
     EXACT_PERMUTATION_MAX_N,
+    MODES,
     label_counts,
     pvalue_hypergeometric,
     pvalue_normal,

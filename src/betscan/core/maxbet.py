@@ -7,39 +7,31 @@ interactions examined.  The adjustment count includes the linear
 interaction; restricting reports to the nonlinear classes is a
 reporting-time filter, not an adjustment change.
 
-The raw p-value of a winner is null_table(mode, n, d1, d2)[t, |S|], t the
-winner's index in all_bids(d1, d2).  By mode:
-
-    exact        the exact hypergeometric tail of the winner's label
-                 counts, for every n (approximate=False)
-    approx       the normal approximation 2 * Phi(-|S| / sqrt(n))
-    permutation  the permutation null of v's ranks: the exact tail for
-                 n <= 8, else (1 + X) / (1 + iterations) with
-                 X ~ Binomial(iterations, exact tail) from a seeded stream
+The raw p-value of a winner comes from `nulls.null_pvalue`, the p-value
+dispatch that the screen shares.  `bet_result` builds the BetResult of
+every winner, here and in the screen, and `bonferroni` is the one
+min(1, m * p) of the package.  `max_bet` keeps its own S and argmax, so
+that it checks the screen's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .bids import BidClass, BidId, all_bids, bid_class_of, bid_count
 from .copula import CopulaColumn
 from .expansion import BitPlanes
-from .nulls import (
-    EXACT_PERMUTATION_MAX_N,
-    exact_tail,
-    label_counts,
-    permutation_pvalue,
-    pvalue_normal,
-)
+from .nulls import null_method, null_pvalue
 from .stats import pair_statistics, z_score
 
-__all__ = ["BetResult", "max_bet", "null_method", "null_table", "MODES"]
+__all__ = ["BetResult", "bet_result", "bonferroni", "max_bet"]
 
-MODES = ("exact", "approx", "permutation")
+
+def bonferroni(m: int, p):
+    """min(1, m * p), p adjusted over m tests: a float (kept a float) or an array."""
+    return np.minimum(1.0, m * p) if isinstance(p, np.ndarray) else min(1.0, m * p)
 
 
 @dataclass(frozen=True)
@@ -58,39 +50,26 @@ class BetResult:
     method: str
 
     def with_pair_adjustment(self, m_pairs: int) -> "BetResult":
-        return replace(
-            self, p_pair_adjusted=min(1.0, m_pairs * self.p_bid_adjusted)
-        )
+        return replace(self, p_pair_adjusted=bonferroni(m_pairs, self.p_bid_adjusted))
 
 
-def null_method(mode: str, n: int) -> tuple[str, bool]:
-    """(method, approximate) of the null that mode uses for n samples."""
-    if mode == "exact":
-        return "hypergeometric", False
-    if mode == "approx":
-        return "normal_approx", True
-    if mode == "permutation":
-        return "permutation", n > EXACT_PERMUTATION_MAX_N
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+def bet_result(
+    t: int, s: int, n: int, d1: int, d2: int, mode: str, p_raw: float,
+    m_pairs: int | None = None,
+) -> BetResult:
+    """The result of interaction t of all_bids(d1, d2) winning with S = s.
 
-
-@lru_cache(maxsize=64)
-def null_table(mode: str, n: int, d1: int, d2: int) -> np.ndarray:
-    """Shared read-only (T, n + 1) table: [t, a] is the p-value of |S| = a won by t.
-
-    t indexes all_bids(d1, d2).  Exact and permutation mode hold each t's
-    exact tail; approx mode holds one normal row for every t.
+    p_raw is adjusted over the interactions and, given m_pairs, then over
+    that many pairs.
     """
-    null_method(mode, n)  # refuses an unknown mode
-    if mode == "approx":
-        row = np.array([pvalue_normal(a, n) for a in range(n + 1)])
-        return np.broadcast_to(row, (bid_count(d1, d2), n + 1))
-    p, q = label_counts(n, d1), label_counts(n, d2)
-    table = np.stack(
-        [exact_tail(n, p[bid.a_mask], q[bid.b_mask]) for bid in all_bids(d1, d2)]
+    bid = all_bids(d1, d2)[t]
+    p_bid = bonferroni(bid_count(d1, d2), p_raw)
+    p_pair = None if m_pairs is None else bonferroni(m_pairs, p_bid)
+    z = z_score(s, n)
+    method, approximate = null_method(mode, n)
+    return BetResult(
+        bid, bid_class_of(bid), s, n, z, p_raw, p_bid, p_pair, approximate, method
     )
-    table.flags.writeable = False
-    return table
 
 
 def max_bet(
@@ -109,22 +88,6 @@ def max_bet(
     """
     stats = pair_statistics(u, v)
     t = int(np.argmax(np.abs(stats)))  # the first maximum
-    bid, s = all_bids(u.depth, v.depth)[t], int(stats[t])
-
-    n = u.n
-    method, approximate = null_method(mode, n)
-    p_raw = float(null_table(mode, n, u.depth, v.depth)[t, abs(s)])
-    if method == "permutation" and approximate:
-        p_raw = float(permutation_pvalue(p_raw, iterations, seed))
-    return BetResult(
-        bid=bid,
-        bid_class=bid_class_of(bid),
-        s=s,
-        n=n,
-        z=z_score(s, n),
-        p_raw=p_raw,
-        p_bid_adjusted=min(1.0, bid_count(u.depth, v.depth) * p_raw),
-        p_pair_adjusted=None,
-        approximate=approximate,
-        method=method,
-    )
+    s, n, d1, d2 = int(stats[t]), u.n, u.depth, v.depth
+    p_raw = null_pvalue(mode, n, d1, d2, t, abs(s), iterations, seed)
+    return bet_result(t, s, n, d1, d2, mode, p_raw)

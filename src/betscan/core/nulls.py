@@ -14,6 +14,13 @@ exponentiation, times the sum of P(K = k) / P(K = m) over k >= m.
 
 A permutation test counts the extreme pairings among `iterations` uniform
 ones; that count is Binomial(iterations, tail) in law, so it is drawn once.
+
+The one p-value dispatch of `max_bet`, the screen and `pvalue_permutation`
+is here: the raw p-value of |S| = a won by interaction t of all_bids(d1, d2)
+is null_table(mode, n, d1, d2)[t, a], t's exact tail in exact and
+permutation mode and 2 * Phi(-a / sqrt(n)) in approx mode.  Where
+`null_draws` says so, permutation mode above n = 8, p_raw is then drawn
+from that entry by `permutation_pvalue`.  `null_pvalue` gives one pair's.
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import DivisibilityViolationError, LengthMismatchError, ParityViolationError
-from .bids import BidId
+from .bids import BidId, all_bids, bid_count
 from .copula import CopulaColumn
 from .expansion import BitPlanes, binary_expansion
 from .stats import mask_combos, symmetry_statistic
 
 __all__ = [
+    "MODES", "null_method", "null_draws", "null_table", "null_pvalue",
     "label_counts",
     "exact_tail",
     "permutation_pvalue",
@@ -38,6 +46,8 @@ __all__ = [
     "pvalue_permutation",
     "EXACT_PERMUTATION_MAX_N",
 ]
+
+MODES = ("exact", "approx", "permutation")
 
 # Smallest positive double; exact tails this small are reported at the
 # floor rather than flushing to 0, keeping p strictly positive.
@@ -156,6 +166,55 @@ def permutation_pvalue(tail, iterations: int, seed: int):
     return (1 + rng.binomial(iterations, tail)) / (1 + iterations)
 
 
+def null_method(mode: str, n: int) -> tuple[str, bool]:
+    """(method, approximate) of the null that mode uses for n samples."""
+    if mode == "exact":
+        return "hypergeometric", False
+    if mode == "approx":
+        return "normal_approx", True
+    if mode == "permutation":
+        return "permutation", n > EXACT_PERMUTATION_MAX_N
+    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def null_draws(mode: str, n: int) -> bool:
+    """Whether p_raw is drawn from its null_table entry by permutation_pvalue."""
+    return null_method(mode, n) == ("permutation", True)
+
+
+@lru_cache(maxsize=64)
+def null_table(mode: str, n: int, d1: int, d2: int) -> np.ndarray:
+    """Shared read-only (T, n + 1) table: [t, a] is the p-value of |S| = a won by t.
+
+    t indexes all_bids(d1, d2).  Exact and permutation mode hold each t's
+    exact tail; approx mode holds one normal row for every t.
+    """
+    null_method(mode, n)  # refuses an unknown mode
+    if mode == "approx":
+        row = np.array([pvalue_normal(a, n) for a in range(n + 1)])
+        return np.broadcast_to(row, (bid_count(d1, d2), n + 1))
+    p, q = label_counts(n, d1), label_counts(n, d2)
+    table = np.stack(
+        [exact_tail(n, p[bid.a_mask], q[bid.b_mask]) for bid in all_bids(d1, d2)]
+    )
+    table.flags.writeable = False
+    return table
+
+
+def null_pvalue(
+    mode: str, n: int, d1: int, d2: int, t: int, size: int, iterations: int, seed: int
+) -> float:
+    """p_raw of |S| = size won by interaction t of all_bids(d1, d2).
+
+    The null_table entry, or the draw from it that null_draws asks for,
+    from Philox(key=seed).
+    """
+    tail = null_table(mode, n, d1, d2)[t, size]
+    if null_draws(mode, n):
+        tail = permutation_pvalue(tail, iterations, seed)
+    return float(tail)
+
+
 def pvalue_permutation(
     u: BitPlanes,
     v_ranks: CopulaColumn,
@@ -174,8 +233,6 @@ def pvalue_permutation(
         raise LengthMismatchError(n, v_ranks.n)
     v = binary_expansion(v_ranks, max(1, bid.b_mask.bit_length()))
     s_obs = symmetry_statistic(u, v, bid).s
-    p = label_counts(n, u.depth)[bid.a_mask]
-    tail = exact_tail(n, p, label_counts(n, v.depth)[bid.b_mask])[abs(s_obs)]
-    if n <= EXACT_PERMUTATION_MAX_N:
-        return float(tail)
-    return float(permutation_pvalue(tail, iterations, seed))
+    t = (bid.a_mask - 1) * ((1 << v.depth) - 1) + bid.b_mask - 1  # in all_bids
+    size = abs(s_obs)
+    return null_pvalue("permutation", n, u.depth, v.depth, t, size, iterations, seed)

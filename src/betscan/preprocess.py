@@ -60,12 +60,11 @@ import csv
 import itertools
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
 
-from .core.copula import MIN_SAMPLES
 from .errors import (
     BetscanError,
     DegenerateColumnError,
@@ -73,7 +72,6 @@ from .errors import (
     DimensionMismatchError,
     MatrixParseError,
     NonFiniteError,
-    TooFewSamplesError,
     UnknownLabelError,
 )
 from .manifest import atomic_open, open_input, sha256_file
@@ -152,12 +150,8 @@ class ExpressionMatrix:
                 f"labels missing for sample(s): {', '.join(missing[:5])}"
                 + ("..." if len(missing) > 5 else "")
             )
-        return ExpressionMatrix(
-            gene_ids=list(self.gene_ids),
-            sample_ids=list(self.sample_ids),
-            values=self.values.copy(),
-            labels=[mapping[s] for s in self.sample_ids],
-        )
+        labels = [mapping[s] for s in self.sample_ids]
+        return replace(self, values=self.values.copy(), labels=labels)
 
 
 @dataclass
@@ -454,22 +448,32 @@ def check_savable(matrix: ExpressionMatrix) -> None:
 
 
 def load_labels(path) -> dict[str, str]:
-    """Read a two-column CSV (header 'sample_id,label') into a mapping."""
+    """Read a two-column CSV (header 'sample_id,label') into a mapping.
+
+    A sample may be listed again only with the same label.
+    """
     with open_input(path) as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise _csv_error(path, reader.line_num, exc) from None
-    if not rows or [c.strip() for c in rows[0][:2]] != ["sample_id", "label"]:
+    if not rows or [c.strip() for c in rows[0][1][:2]] != ["sample_id", "label"]:
         raise MatrixParseError(path, 1, 1, "expected header 'sample_id,label'")
     out: dict[str, str] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    lines: dict[str, int] = {}
+    for line_no, row in rows[1:]:
         if not row:
             continue
         if len(row) < 2:
             raise MatrixParseError(path, line_no, 1, "expected two columns")
-        out[row[0].strip()] = row[1].strip()
+        sample, label = row[0].strip(), row[1].strip()
+        first = lines.setdefault(sample, line_no)
+        if out.setdefault(sample, label) != label:
+            raise BetscanError(
+                f"{path}: sample {sample!r} is labelled {out[sample]!r} on line "
+                f"{first} and {label!r} on line {line_no}"
+            )
     return out
 
 
@@ -490,13 +494,8 @@ def filter_zero_heavy(
                 "zero_fraction": float(frac[g]),
             }
         )
-    kept = ExpressionMatrix(
-        gene_ids=[g for g, k in zip(matrix.gene_ids, keep) if k],
-        sample_ids=list(matrix.sample_ids),
-        values=matrix.values[keep],
-        labels=list(matrix.labels) if matrix.labels is not None else None,
-    )
-    return kept, report
+    genes = [g for g, k in zip(matrix.gene_ids, keep) if k]
+    return replace(matrix, gene_ids=genes, values=matrix.values[keep]), report
 
 
 def reset_median_imputed(column) -> np.ndarray:
@@ -508,10 +507,6 @@ def reset_median_imputed(column) -> np.ndarray:
     median is not a duplicated data value.
     """
     col = np.asarray(column, dtype=np.float64).copy()
-    if col.shape[0] < MIN_SAMPLES:
-        raise TooFewSamplesError(
-            f"need at least {MIN_SAMPLES} observations, got {col.shape[0]}"
-        )
     med = float(np.median(col))
     hits = np.nonzero(col == med)[0]
     if hits.shape[0] > 1:
@@ -608,12 +603,7 @@ def upper_quartile_log2(
         if q <= 0:
             raise DegenerateSampleError(sample, "zero upper quartile")
         out[:, j] = np.log2(col * (target_quartile / q) + 1.0)
-    return ExpressionMatrix(
-        gene_ids=list(matrix.gene_ids),
-        sample_ids=list(matrix.sample_ids),
-        values=out,
-        labels=list(matrix.labels) if matrix.labels is not None else None,
-    )
+    return replace(matrix, values=out)
 
 
 def gene_stream_key(seed: int, gene_index: int) -> int:
@@ -655,11 +645,4 @@ def run_pipeline(
             report.jitter_widths[gene] = float(uniq[1] - uniq[0])
             col = jitter_minimum_ties(col, gene_stream_key(seed, g))
         values[g] = col
-
-    cleaned = ExpressionMatrix(
-        gene_ids=list(filtered.gene_ids),
-        sample_ids=list(filtered.sample_ids),
-        values=values,
-        labels=list(filtered.labels) if filtered.labels is not None else None,
-    )
-    return cleaned, report
+    return replace(filtered, values=values), report

@@ -11,38 +11,33 @@ combined once by `mask_combos`, d = max(d1, d2).  Bit k of mask m of a
 gene gives the sign label -1 (set) or +1, and S of interaction (a, b) of
 pair (i, j) is sign(a, b) times the dot product of label vector a of gene
 i and label vector b of gene j.  `_SignProducts` gets these dot products
-as one float32 matrix product: a band of row genes (128 at depth 2)
-against a tile of partner genes (128), each unpacked from the words into
-a reused buffer.  Up to n = 2047, column q of the tile carries two
-partners, label(q) + M * label(q + h) with h half the tile and M the least
-power of two above 2n, so the product has half the columns and gives
-y = x_lo + M * x_hi, which rounding splits exactly.  Every partial sum is
-an integer of size at most n (M + 1) < 2^24, or n with one partner a
-column above n = 2047, so the product is exact in any BLAS summation
-order, and n >= 2^24 is refused.  `_Winners` gives each interaction of a
-pair one key, |x| * 2^s + 2 (T - 1 - t) + [x < 0], and takes the largest
-with one np.max over the interaction axes: the first maximum of |S| in
-canonical, a_mask-major order wins, so ties break as in max_bet, which
-shares no code with either class.  The screen scores row bands
-against every later gene, and each band's candidates in one pass.
-`all_bid_diagnostics` (every S of the emitted pairs, for --emit-all-bids)
-and `compare_runs` (a class's largest |S| in a second dataset) take S of
-a list of pairs, mostly few and scattered, from
+as float32 matrix products of a band of row genes (128 at depth 2) against
+a tile of partner genes, two partners a column up to n = 2047, exact in
+any BLAS summation order below n = 2^24 (its docstring has the proof).
+`_Winners` folds a pair's interactions into keys whose np.max is the first
+maximum of |S| in canonical, a_mask-major order, so ties break as in
+max_bet, whose S and argmax share no code with either class.  The screen
+scores row bands against every later gene, and each band's candidates in
+one pass.  `all_bid_diagnostics` (every S of the emitted pairs, for
+--emit-all-bids) and `compare_runs` (a class's largest |S| in a second
+dataset) take S of a list of pairs, mostly few and scattered, from
 `core.stats.cross_statistics`: T * W word operations a pair, where a
 matrix product would unpack n labels per gene and multiply partners that
-no pair asks for.  A pair is significant when
+no pair asks for.
 
-    min(1, m_pairs * min(1, m_bids * p_raw)) <= alpha
-
-i.e. Bonferroni across the interactions of the pair and then across all
-pairs.  m_pairs defaults to C(G, 2) of the screened matrix and may be
-overridden upward (never downward) to adjust against a larger external
-family, e.g. the full pair count of a parent dataset when screening a
-sample-subset context.  p_raw is null_table(...)[t, |S|], t the winner;
-permutation mode above n = 8 draws it from that entry with one Philox
-stream per row i (key (seed << 32) ^ i), whatever the bands.  Outside
-permutation draws a pair can be kept only if its |S| reaches the least |S|
-that the table keeps, so only those keys are decoded.
+p_raw is `core.nulls.null_table`(...)[t, |S|], t the winner; where
+`null_draws` says so (permutation mode above n = 8) it is drawn from that
+entry with one Philox stream per row i (key (seed << 32) ^ i), whatever
+the bands.  A pair is significant when its p_raw, Bonferroni-adjusted
+(`core.maxbet.bonferroni`, min(1, m * p)) across the m_bids interactions
+of the pair and then across m_pairs pairs, is at most alpha.  m_pairs
+defaults to C(G, 2) of the screened matrix and may be overridden upward
+(never downward) to adjust against a larger external family, e.g. the
+full pair count of a parent dataset when screening a sample-subset
+context.  Outside permutation draws a pair can be kept only if its |S|
+reaches the least |S| that the table keeps, so only those keys are
+decoded.  Each table entry's BetResult comes from `core.maxbet.bet_result`,
+as max_bet's does.
 
 The bands are scored in the calling thread, in row order, so results come
 in pair-index order (i < j, lexicographic).  The matrix products run on
@@ -77,15 +72,14 @@ import numpy as np
 from .core.bids import (
     all_bids,
     bid_class_of,
-    bid_count,
     bid_from_name,
     class_members,
     parse_class_label,
 )
 from .core.copula import CopulaColumn, rank_rows
 from .core.expansion import BitPlanes, expand_rank_rows
-from .core.maxbet import MODES, BetResult, null_method, null_table
-from .core.nulls import permutation_pvalue
+from .core.maxbet import BetResult, bet_result, bonferroni
+from .core.nulls import null_draws, null_method, null_table, permutation_pvalue
 from .core.stats import cross_statistics, mask_combos, sign_factor, z_score
 from .errors import BetscanError, EmptyIntersectionError
 from .manifest import atomic_open, open_input
@@ -142,8 +136,9 @@ class ScreenConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        null_method(self.mode, 0)  # refuses an unknown mode
+        if self.bid_filter is not None and not self.bid_filter:
+            raise ValueError("bid_filter names no class; None keeps every class")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
         if self.permutation_iterations < 1:
@@ -410,33 +405,31 @@ def screen_all_pairs(
             f"m_pairs={m_pairs} below the {total_pairs} pairs screened; "
             "the external family may only be larger"
         )
-    n = planes[0].n
-    depth = max(config.d1, config.d2)
+    n, d1, d2, mode = planes[0].n, config.d1, config.d2, config.mode
+    depth = max(d1, d2)
     if any(p.n != n or p.depth < depth for p in planes):
         raise ValueError(
             f"every gene needs {n} samples and planes of depth >= {depth}"
         )
     started = time.perf_counter()
-    ma, mb = (1 << config.d1) - 1, (1 << config.d2) - 1
+    ma, mb = (1 << d1) - 1, (1 << d2) - 1
     combos = mask_combos(np.stack([p.planes[:depth] for p in planes]))[:, 1:]
     combos = np.ascontiguousarray(combos.transpose(1, 0, 2))  # mask-major
     products = _SignProducts(combos, n, ma, mb)
     winners = _Winners(ma, mb, n)
-    bids = all_bids(config.d1, config.d2)
+    bids = all_bids(d1, d2)
     classes = [bid_class_of(b) for b in bids]
     signs = [sign_factor(b) for b in bids]
-    m_bids = bid_count(config.d1, config.d2)
     keep_class = (
         None
         if config.bid_filter is None
         else np.array([c.label in config.bid_filter for c in classes])
     )
-    method, approximate = null_method(config.mode, n)
-    p_table = null_table(config.mode, n, config.d1, config.d2)
-    draw = config.mode == "permutation" and approximate
+    p_table = null_table(mode, n, d1, d2)
+    draw = null_draws(mode, n)
 
     def p_pair_of(p_raw: np.ndarray) -> np.ndarray:
-        return np.minimum(1.0, m_pairs * np.minimum(1.0, m_bids * p_raw))
+        return bonferroni(m_pairs, bonferroni(len(bids), p_raw))
 
     def kept(t: np.ndarray, sig: np.ndarray) -> np.ndarray:
         keep = sig | config.emit_all
@@ -449,22 +442,6 @@ def screen_all_pairs(
         t_all = np.arange(len(bids))[:, None]
         kept_sizes = kept(t_all, p_pair_of(p_table) <= config.alpha).any(0)
         least = int(kept_sizes.argmax()) if kept_sizes.any() else n + 1
-
-    def result(t: int, x: int, p_raw: float) -> BetResult:
-        s = signs[t] * x
-        p_bid = min(1.0, m_bids * p_raw)
-        return BetResult(
-            bid=bids[t],
-            bid_class=classes[t],
-            s=s,
-            n=n,
-            z=z_score(s, n),
-            p_raw=p_raw,
-            p_bid_adjusted=p_bid,
-            p_pair_adjusted=min(1.0, m_pairs * p_bid),
-            approximate=approximate,
-            method=method,
-        )
 
     # rows with the same winner, dot product and p_raw share one table
     # entry: (t, x, p_raw) -> its index
@@ -526,7 +503,10 @@ def screen_all_pairs(
     results = ScreenResults(
         tuple(gene_ids),
         *(np.concatenate(column) for column in zip(*columns)),
-        tuple(result(*key) for key in shared),
+        tuple(
+            bet_result(t, signs[t] * x, n, d1, d2, mode, p, m_pairs)
+            for t, x, p in shared
+        ),
     )
 
     class_counts: dict[str, int] = {}
@@ -543,9 +523,9 @@ def screen_all_pairs(
         n_samples=n,
         alpha=config.alpha,
         m_pairs=m_pairs,
-        d1=config.d1,
-        d2=config.d2,
-        mode=config.mode,
+        d1=d1,
+        d2=d2,
+        mode=mode,
     )
     return results, summary
 

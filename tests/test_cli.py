@@ -244,6 +244,41 @@ def test_preprocess_labels_with_commas_and_quotes_round_trip(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("kept", [3, 4])
+def test_preprocess_refuses_a_context_that_keeps_fewer_than_four_samples(
+    tmp_path, capsys, kept
+):
+    matrix = count_fixture(tmp_path)
+    labels = tmp_path / "labels.csv"
+    rows = "".join(f"S{j:03d},{'A' if j < kept else 'B'}\n" for j in range(40))
+    labels.write_text("sample_id,label\n" + rows)
+    out = tmp_path / "ctx"
+    args = ["preprocess", str(matrix), "--labels", str(labels), "--context", "A"]
+    status = main([*args, "--out", str(out)])
+    if kept == 4:
+        assert status == 0 and load_matrix(out / "matrix.tsv").n_samples == 4
+        return
+    assert status == 1
+    assert capsys.readouterr().err == (
+        "error: --context 'A' keeps too few samples: "
+        "need at least 4 observations, got 3\n"
+    )
+    assert not out.exists()
+
+
+def test_preprocess_refuses_a_sample_labelled_twice(tmp_path, capsys):
+    matrix = count_fixture(tmp_path)
+    labels = tmp_path / "labels.csv"
+    rows = "".join(f"S{j:03d},A\n" for j in range(40))
+    labels.write_text("sample_id,label\n" + rows + "S000,B\n")
+    out = tmp_path / "pre"
+    assert main(["preprocess", str(matrix), "--labels", str(labels), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {labels}: sample 'S000' is labelled 'A' on line 2 and 'B' on line 42\n"
+    )
+    assert not out.exists()
+
+
 def test_uq_target_names_the_first_negative_count(tmp_path, capsys):
     values = np.random.default_rng(3).integers(1, 5000, size=(4, 40)).astype(float)
     values[2, 5] = -3.0
@@ -1129,6 +1164,45 @@ def test_rerun_reproduces_preprocess(tmp_path):
     for name in ("matrix.tsv", "matrix.tsv.npz"):
         assert (out / name).read_bytes() == (replay / name).read_bytes()
     assert_replayed_config(out / "manifest.json", replay)
+
+
+@pytest.mark.parametrize("text", [",", " , "])
+@pytest.mark.parametrize("command", ["screen", "network"])
+def test_a_bid_filter_with_no_class_label_is_a_usage_error(tmp_path, capsys, command, text):
+    matrix = screened_fixture(tmp_path)
+    scr = tmp_path / "scr"
+    assert main(["screen", str(matrix), "--bid-filter", "Linear", "--out", str(scr)]) == 0
+    run = ["network", str(scr / "results.csv"), "--bid-filter", "Linear"]
+    assert main([*run, "--out", str(tmp_path / "net")]) == 0
+    args = {
+        "screen": ["screen", str(matrix), "--emit-all"],
+        "network": run[:2],
+    }[command]
+    out = tmp_path / "run"
+    manifest = json.loads((tmp_path / command[:3] / "manifest.json").read_text())
+    edited = tmp_path / "edited.json"
+    edited.write_text(
+        json.dumps({**manifest, "config": {**manifest["config"], "bid_filter": text}})
+    )
+    capsys.readouterr()
+    for argv in ([*args, "--bid-filter", text], ["rerun", str(edited)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --bid-filter: no class label in {text!r}\n" in err
+        assert not out.exists()
+
+
+def test_an_empty_bid_filter_keeps_every_class(tmp_path):
+    matrix = screened_fixture(tmp_path)
+    runs = {}
+    for name, extra in (("all", []), ("empty", ["--bid-filter", ""])):
+        out = tmp_path / name
+        assert main(["screen", str(matrix), "--emit-all", *extra, "--out", str(out)]) == 0
+        runs[name] = (out / "results.csv").read_bytes()
+    assert runs["all"] == runs["empty"]
+    assert runs["all"].count(b"\n") == 1 + 12 * 11 // 2
 
 
 def record_every_command(tmp_path):

@@ -7,6 +7,7 @@ from betscan.core import (
     empirical_copula,
     max_bet,
 )
+from betscan.core.maxbet import bet_result
 
 from ._oracles import all_quadrant_stats
 
@@ -88,3 +89,33 @@ def test_pair_adjustment_helper():
         min(1.0, 1000 * res.p_bid_adjusted), rel=1e-12
     )
     assert res.p_pair_adjusted is None
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx", "permutation"])
+def test_bet_result_fields_follow_their_definitions(mode):
+    # every field from its definition, written out here rather than through
+    # the package's Bonferroni helper or bid tables
+    rng = np.random.default_rng(19)
+    for d1, d2 in ((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3)):
+        T = ((1 << d1) - 1) * ((1 << d2) - 1)
+        for _ in range(40):
+            n = int(rng.choice([4, 8, 9, 817, 1096, 2048]))
+            t, s = int(rng.integers(T)), int(rng.integers(-n, n + 1))
+            p_raw = float(rng.choice([1.0, rng.uniform(), 10.0 ** -rng.uniform(0, 320)]))
+            m_pairs = int(rng.choice([1, 45, 138020805]))
+            r = bet_result(t, s, n, d1, d2, mode, p_raw, m_pairs)
+            a, b = t // ((1 << d2) - 1) + 1, t % ((1 << d2) - 1) + 1
+            assert r.bid == BidId(a, b)
+            assert set(r.bid_class.members) == {BidId(a, b), BidId(b, a)}
+            assert r.bid_class.canonical == BidId(max(a, b), min(a, b))
+            assert (r.s, r.n, r.p_raw) == (s, n, p_raw)
+            assert r.z == abs(s) / np.sqrt(n)
+            assert r.p_bid_adjusted == min(1.0, T * p_raw)
+            assert r.p_pair_adjusted == min(1.0, m_pairs * min(1.0, T * p_raw))
+            method, approximate = {
+                "exact": ("hypergeometric", False),
+                "approx": ("normal_approx", True),
+                "permutation": ("permutation", n > 8),
+            }[mode]
+            assert (r.method, r.approximate) == (method, approximate)
+            assert bet_result(t, s, n, d1, d2, mode, p_raw).p_pair_adjusted is None

@@ -13,7 +13,7 @@ from betscan.core import (
     pvalue_normal,
     pvalue_permutation,
 )
-from betscan.core.nulls import exact_tail
+from betscan.core.nulls import exact_tail, null_table
 from betscan.errors import DivisibilityViolationError, ParityViolationError
 
 from ._oracles import (
@@ -250,3 +250,23 @@ def test_null_distribution_fits_hypergeometric_per_bid():
         stat = float(((obs_m - exp_m) ** 2 / exp_m).sum())
         p = float(sps.chi2.sf(stat, len(obs_m) - 1))
         assert p > 0.001, f"interaction {b}: GOF p = {p}"
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 8, 9, 12, 40])
+def test_permutation_reads_the_null_table(n):
+    # the exact entry up to n = 8, else the seeded draw from that entry
+    from betscan.core import symmetry_statistic
+
+    rng = np.random.default_rng(n)
+    ur, vr = rng.permutation(n) + 1, rng.permutation(n) + 1
+    u, v = planes_for(ur), planes_for(vr)
+    v_ranks = empirical_copula(vr.astype(float))
+    table = null_table("permutation", n, 2, 2)
+    for t, bid in enumerate(all_bids(2, 2)):
+        entry = table[t, abs(symmetry_statistic(u, v, bid).s)]
+        p = pvalue_permutation(u, v_ranks, bid, iterations=999, seed=t)
+        if n <= 8:
+            assert p == entry, bid.name
+        else:
+            x = np.random.Generator(np.random.Philox(key=t)).binomial(999, entry)
+            assert p == (1 + x) / 1000, bid.name

@@ -564,6 +564,19 @@ def test_labels_file(tmp_path):
     assert str(err.value) == f"{huge}: line 3: field larger than field limit (131072)"
 
 
+def test_labels_file_refuses_a_sample_with_two_labels(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("sample_id,label\nS0,A\nS1,B\n\nS0,B\n")
+    with pytest.raises(BetscanError) as err:
+        load_labels(path)
+    assert str(err.value) == (
+        f"{path}: sample 'S0' is labelled 'A' on line 2 and 'B' on line 5"
+    )
+    # the same label again is no conflict, as stripped cells compare
+    path.write_text("sample_id,label\nS0,A\nS1,B\n S0 , A\n")
+    assert load_labels(path) == {"S0": "A", "S1": "B"}
+
+
 # ------------------------------------------------------------------- filter
 
 

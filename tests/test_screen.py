@@ -228,7 +228,7 @@ def test_permutation_csv_identical_across_worker_counts(tmp_path):
     "field, value",
     [("alpha", 0.0), ("mode", "binomial"), ("worker_count", 0),
      ("permutation_iterations", 0), ("permutation_iterations", -5),
-     ("seed", -1), ("seed", 1 << 64)],
+     ("seed", -1), ("seed", 1 << 64), ("bid_filter", frozenset())],
 )
 def test_screen_config_refuses_bad_values(field, value):
     with pytest.raises(ValueError, match=field.split("_")[0]):
