@@ -21,6 +21,7 @@ from scipy import stats as sps
 
 from .core.bids import BidId
 from .core.copula import CopulaColumn
+from .core.nulls import EXACT_PERMUTATION_MAX_N
 from .errors import (
     DegenerateTableError,
     LengthMismatchError,
@@ -103,13 +104,14 @@ def hoeffdings_d(x, y) -> float:
 def hoeffdings_d_pvalue(x, y, iterations: int = 999, seed: int = 0) -> float:
     """Permutation tail P(D_perm >= D_obs), permuting y against x.
 
-    Exact enumeration of all n! pairings for n <= 8; otherwise Monte Carlo
+    Exact enumeration of all n! pairings for n <= EXACT_PERMUTATION_MAX_N,
+    the same switch as the Max BET permutation null; otherwise Monte Carlo
     from a seeded Philox stream with the add-one correction.
     """
     x, y = _paired(x, y, 5)
     n = x.shape[0]
     d_obs = hoeffdings_d(x, y)
-    if n <= 8:
+    if n <= EXACT_PERMUTATION_MAX_N:
         extreme = 0
         for perm in itertools.permutations(range(n)):
             if hoeffdings_d(x, y[list(perm)]) >= d_obs - 1e-12:

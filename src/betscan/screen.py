@@ -11,14 +11,32 @@ combined once by `mask_combos`, d = max(d1, d2).  Bit k of mask m of a
 gene gives the sign label -1 (set) or +1, and S of interaction (a, b) of
 pair (i, j) is sign(a, b) times the dot product of label vector a of gene
 i and label vector b of gene j.  `_SignProducts` gets these dot products
-as float32 matrix products of a band of row genes (128 at depth 2) against
-a tile of partner genes, two partners a column up to n = 2047, exact in
+as float32 matrix products, two partners a column up to n = 2047, exact in
 any BLAS summation order below n = 2^24 (its docstring has the proof).
 `_Winners` folds a pair's interactions into keys whose np.max is the first
 maximum of |S| in canonical, a_mask-major order, so ties break as in
-max_bet, whose S and argmax share no code with either class.  The screen
-scores row bands against every later gene, and each band's candidates in
-one pass.  `all_bid_diagnostics` (every S of the emitted pairs, for
+max_bet, whose S and argmax share no code with either class.
+
+The loop has two levels, as in Goto and van de Geijn, "Anatomy of
+High-Performance Matrix Multiplication" (ACM TOMS 34, 2008).  An outer
+loop takes panels of row genes (224 at depth 2) and unpacks their labels
+once.  An inner loop takes tiles of the later genes (128 at depth 2): each
+tile's labels are unpacked once per panel, and one product multiplies them
+by every row of the panel that has a partner in the tile.  Once a panel is
+scored, each band of its rows (128 at depth 2) gets its candidates in one
+pass, which bounds the candidate arrays of an emit-all screen.
+
+Outside permutation draws a pair can be kept only if its |S| reaches the
+least |S| that the table keeps, `least`.  In a significant-only screen
+(least > 0) a row of a band against a tile gets winner keys only if some
+|x| of it reaches least, which `_SignProducts.reaching` finds from the
+packed product; S is an exact integer dot product, so no other row holds a
+pair that could be kept, and its keys are 0, below every key that is
+decoded.  The block of a band against a tile that starts inside the band
+holds self pairs (|x| = n) and earlier pairs, which would mark every row;
+it always gets keys, and the pairs that are not later are masked after.
+Emit-all screens and permutation draws (least = 0) get keys for every
+pair.  `all_bid_diagnostics` (every S of the emitted pairs, for
 --emit-all-bids) and `compare_runs` (a class's largest |S| in a second
 dataset) take S of a list of pairs, mostly few and scattered, from
 `core.stats.cross_statistics`: T * W word operations a pair, where a
@@ -34,16 +52,14 @@ of the pair and then across m_pairs pairs, is at most alpha.  m_pairs
 defaults to C(G, 2) of the screened matrix and may be overridden upward
 (never downward) to adjust against a larger external family, e.g. the
 full pair count of a parent dataset when screening a sample-subset
-context.  Outside permutation draws a pair can be kept only if its |S|
-reaches the least |S| that the table keeps, so only those keys are
-decoded.  Each table entry's BetResult comes from `core.maxbet.bet_result`,
-as max_bet's does.
+context.  Only the keys that reach least are decoded.  Each table entry's
+BetResult comes from `core.maxbet.bet_result`, as max_bet's does.
 
-The bands are scored in the calling thread, in row order, so results come
-in pair-index order (i < j, lexicographic).  The matrix products run on
-BLAS threads (OPENBLAS_NUM_THREADS caps them) and are exact, so the bytes
-do not depend on them; worker_count is accepted for callers that pass it
-and starts no thread.
+The panels, and the bands within each, are scored in the calling thread,
+in row order, so results come in pair-index order (i < j, lexicographic).
+The matrix products run on BLAS threads (OPENBLAS_NUM_THREADS caps them)
+and are exact, so the bytes do not depend on them; worker_count is
+accepted for callers that pass it and starts no thread.
 
 The emitted rows stay columns: `ScreenResults` holds int32 columns i, j
 and k, where k indexes a table with one BetResult per distinct (winner,
@@ -226,6 +242,12 @@ def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
 # 128 genes at depth 2, fewer at deeper depths, so that one product keeps
 # about the same size.
 _LABELS = 384
+# A panel of rows holds _PANEL_LABELS: 224 genes at depth 2.  Each tile's
+# labels are unpacked once per panel.  Against 128-gene bands, a 256-gene
+# panel added 3 MB to the peak RSS of a 1000 x 1096 screen, a 512-gene one
+# 9 MB and a 1024-gene one 21 MB; 224 genes ran as fast as 256 and added
+# about 2.5 MB.
+_PANEL_LABELS = 672
 # (pair, interaction) entries per pass of the emitted-pair statistics
 _PASS_ENTRIES = 1 << 16
 # float32 holds every integer up to 2^24 exactly
@@ -235,9 +257,13 @@ _FLOAT32_EXACT = 1 << 24
 _PACKED_SAMPLES = 2047
 
 
-def _band_sizes(ma: int, mb: int) -> tuple[int, int]:
-    """Genes per band of rows (ma labels each) and per tile of partners (mb each)."""
-    return max(1, _LABELS // ma), max(1, _LABELS // mb)
+def _band_sizes(ma: int, mb: int) -> tuple[int, int, int]:
+    """Genes per panel and band of rows (ma labels each) and per tile (mb each)."""
+    return (
+        max(1, _PANEL_LABELS // ma),
+        max(1, _LABELS // ma),
+        max(1, _LABELS // mb),
+    )
 
 
 def _check_exact_products(n: int) -> None:
@@ -263,72 +289,93 @@ class _SignProducts:
     is +-1 +- M, so every partial sum is an integer of size at most
     n (M + 1) <= 2047 * 4097 < 2^24 while n <= _PACKED_SAMPLES, and BLAS
     gets y exactly in any summation order.  As |x_lo| <= n < M / 2,
-    x_hi = rint(y / M) and x_lo = y - M * x_hi are exact too, and they fill
-    the two halves of the last axis of the dots.  Above _PACKED_SAMPLES
-    each column holds one partner (h = cols), and every partial sum is at
-    most n, exact while n < 2^24.
+    x_hi = rint(y / M) and x_lo = y - M * x_hi are exact too, and `split`
+    puts them in the two halves of the last axis of the dots.  Above
+    _PACKED_SAMPLES each column holds one partner (h = cols), and every
+    partial sum is at most n, exact while n < 2^24.
 
-    Labels are unpacked from the packed words into float32 buffers that
-    are reused; set_rows takes a slice of at most `band` genes and a call
-    a slice of at most `tile`.  Allocating the four buffers per call made a
-    1000 x 1096 screen about 2% slower on two BLAS threads (none on one).
+    `reaching` tells which rows of a block of packed products hold some
+    |x| >= least > 0 without splitting them.  x_lo = y - M * rint(y / M)
+    as above, and |x_hi| >= least exactly when |y| >= M (least - 1/2):
+    |y| >= M |x_hi| - |x_lo| > M (|x_hi| - 1/2), and |y| < M (|x_hi| + 1/2).
+    A column with one partner has y = x_lo, below M / 2 <= M (least - 1/2),
+    and with one partner in every column, x = y.  The bound M least - M / 2
+    is an integer below 2^24, so float32 holds it exactly.
+
+    The row labels of a panel are stored gene-major, (gene, mask, n), so
+    the first r genes of the panel are one contiguous (r * ma, n) operand
+    and a call is one 2-D product.  Labels are unpacked from the packed
+    words into float32 buffers that are reused; set_rows takes a slice of
+    at most `panel` genes, a call a slice of at most `tile`, and `reaching`
+    and `split` work on at most `band` rows.  Allocating the buffers per
+    call made a 1000 x 1096 screen about 2% slower on two BLAS threads.
     """
 
     def __init__(self, combos: np.ndarray, n: int, ma: int, mb: int):
         _check_exact_products(n)
         self.combos, self.n, self.ma, self.mb = combos, n, ma, mb
-        self.band, self.tile = _band_sizes(ma, mb)
+        self.panel, self.band, self.tile = _band_sizes(ma, mb)
         self.pack = 2 if n <= _PACKED_SAMPLES else 1
         self.scale = np.float32(1 << (2 * n).bit_length())
         columns = mb * -(-self.tile // self.pack)
-        self._row_buf = np.empty(ma * self.band * n, np.float32)
-        self._col_buf = np.empty(columns * n, np.float32)
-        self._out_buf = np.empty(ma * self.band * columns, np.float32)
-        self._dot_buf = np.empty(ma * self.band * mb * self.tile, np.float32)
+        self._row_buf = np.empty(ma * self.panel * n, np.float32)
+        self._out_buf = np.empty(ma * self.panel * columns, np.float32)
+        # a tile's labels, and once its product is taken, its dots or |x_lo|
+        dots = ma * self.band * mb * self.tile
+        self._tile_buf = np.empty(max(columns * n, dots), np.float32)
         self._rows = self._row_buf[:0].reshape(0, n)
 
-    def _labels(
-        self, masks: int, genes: slice, pack: int, buf: np.ndarray
-    ) -> np.ndarray:
-        """Labels (masks * h, n) of combos[:masks, genes], mask-major.
+    def _bits(self, mask: int, genes: slice) -> np.ndarray:
+        """Bits (genes, n) of one mask combination of genes, as uint8.
 
-        h = ceil(len(genes) / pack), and gene q + h rides on gene q,
-        scaled by M.
+        One mask at a time keeps the uint8 copy small: unpacking a tile's
+        three masks at once added 0.4 MB to a 1000 x 1096 screen's peak RSS.
         """
-        words = self.combos[:masks, genes]
-        bits = np.unpackbits(
-            words.view(np.uint8), axis=-1, count=self.n, bitorder="little"
-        )
-        h = -(-bits.shape[1] // pack)
-        k = bits.shape[1] - h  # the columns that carry a second gene
-        labels = buf[: masks * h * self.n].reshape(masks, h, self.n)
-        # 1 - 2 lo + M (1 - 2 hi), in place from the bits
-        shared = labels[:, :k]
-        shared[...] = bits[:, h:]
-        shared *= -2 * self.scale
-        shared += 1 + self.scale
-        labels[:, k:] = 1
-        lo = bits[:, :h]
-        lo += lo
-        labels -= lo
-        return labels.reshape(-1, self.n)
+        words = self.combos[mask, genes].view(np.uint8)
+        return np.unpackbits(words, axis=-1, count=self.n, bitorder="little")
 
     def set_rows(self, genes: slice) -> None:
-        """Multiply by these genes from now on."""
-        self._rows = self._labels(self.ma, genes, 1, self._row_buf)
+        """Multiply by these genes from now on, gene-major."""
+        rows = self._row_buf[: len(self.combos[0, genes]) * self.ma * self.n]
+        rows = rows.reshape(-1, self.ma, self.n)
+        for m in range(self.ma):
+            np.multiply(self._bits(m, genes), np.float32(-2), out=rows[:, m])
+        rows += 1
+        self._rows = rows.reshape(-1, self.n)
 
-    def __call__(self, genes: slice) -> np.ndarray:
-        """Dots (ma, rows, mb, len(genes)) of the row genes against genes."""
-        cols = self._labels(self.mb, genes, self.pack, self._col_buf)
-        rows, width = len(self._rows), len(self.combos[0, genes])
-        y = self._out_buf[: rows * len(cols)].reshape(rows, len(cols))
-        np.matmul(self._rows, cols.T, out=y)
-        y = y.reshape(self.ma, -1, self.mb, len(cols) // self.mb)
+    def _columns(self, genes: slice) -> np.ndarray:
+        """Labels (mb * h, n) of genes, mask-major, gene q + h riding on gene q."""
+        width = len(self.combos[0, genes])
+        h = -(-width // self.pack)
+        k = width - h  # the columns that carry a second gene
+        cols = self._tile_buf[: self.mb * h * self.n].reshape(self.mb, h, self.n)
+        for m, labels in enumerate(cols):
+            bits = self._bits(m, genes)
+            # 1 - 2 lo + M (1 - 2 hi), in place from the bits
+            shared = labels[:k]
+            shared[...] = bits[h:]
+            shared *= -2 * self.scale
+            shared += 1 + self.scale
+            labels[k:] = 1
+            lo = bits[:h]
+            lo += lo
+            labels -= lo
+        return cols.reshape(-1, self.n)
+
+    def __call__(self, genes: slice, rows: int) -> np.ndarray:
+        """Packed products y (rows, ma, mb, h) of the first rows row genes and genes."""
+        cols = self._columns(genes)
+        y = self._out_buf[: rows * self.ma * len(cols)].reshape(-1, len(cols))
+        np.matmul(self._rows[: rows * self.ma], cols.T, out=y)
+        return y.reshape(rows, self.ma, self.mb, -1)
+
+    def split(self, y: np.ndarray, width: int) -> np.ndarray:
+        """Dots (rows, ma, mb, width) of packed products y of width partners."""
         h = y.shape[-1]
         k = width - h  # the columns that carry a second partner
         if not k:
             return y
-        dots = self._dot_buf[: y.size // h * width].reshape(*y.shape[:-1], width)
+        dots = self._tile_buf[: y.size // h * width].reshape(*y.shape[:-1], width)
         lo, hi = dots[..., :h], dots[..., h:]
         np.multiply(y[..., :k], 1 / self.scale, out=hi)
         np.rint(hi, out=hi)
@@ -336,6 +383,25 @@ class _SignProducts:
         lo[..., :k] += y[..., :k]
         lo[..., k:] = y[..., k:]
         return dots
+
+    def reaching(self, y: np.ndarray, least: int) -> np.ndarray:
+        """Indices of the rows of packed products y with some |x| >= least > 0.
+
+        It writes |x_lo| where `split` writes the dots.
+        """
+        y = y.reshape(len(y), -1)
+        size = self._tile_buf[: y.size].reshape(y.shape)
+        np.abs(y, out=size)
+        bound = least if self.pack == 1 else self.scale * (least - 0.5)
+        hit = (size >= bound).any(1)
+        if self.pack == 2:
+            np.multiply(y, 1 / self.scale, out=size)
+            np.rint(size, out=size)
+            size *= -self.scale
+            size += y  # x_lo
+            np.abs(size, out=size)
+            hit |= (size >= least).any(1)
+        return np.flatnonzero(hit)
 
 
 class _Winners:
@@ -358,10 +424,10 @@ class _Winners:
         top = (n + 1) << self.shift
         self.dtype = np.dtype(np.float32 if top < _FLOAT32_EXACT else np.int64)
         ties = 2 * (self.count - 1 - np.arange(self.count))
-        self.ties = ties.astype(self.dtype).reshape(ma, 1, mb, 1)
+        self.ties = ties.astype(self.dtype).reshape(ma, mb, 1)
 
     def keys(self, dots: np.ndarray, out: np.ndarray) -> None:
-        """Write the winner keys of dots (ma, rows, mb, cols) to out (rows, cols).
+        """Write the winner keys of dots (rows, ma, mb, cols) to out (rows, cols).
 
         dots is overwritten: float32 keys are built in it, int64 keys in a
         new array.
@@ -371,7 +437,7 @@ class _Winners:
         keys *= 1 << self.shift
         keys += self.ties
         keys += negative
-        np.max(keys, axis=(0, 2), out=out)
+        np.max(keys, axis=(1, 2), out=out)
 
     def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, x) of each key: the winning interaction and its dot product."""
@@ -487,19 +553,47 @@ def screen_all_pairs(
         )
         return i.astype(np.int32), j.astype(np.int32), lut[inverse.reshape(-1)]
 
+    def fill(keys: np.ndarray, y: np.ndarray, width: int, diagonal: bool) -> None:
+        """Write the winner keys of packed products y to keys (rows, width).
+
+        Off the diagonal block of a significant-only screen, only the rows
+        with some |x| >= least get keys; the others get 0, below every key
+        that band_rows keeps.
+        """
+        if diagonal or not least:
+            winners.keys(products.split(y, width), keys)
+            return
+        keys[...] = 0
+        rows = products.reaching(y, least)
+        if len(rows):
+            found = key_buf[: len(rows) * width].reshape(-1, width)
+            winners.keys(products.split(y[rows], width), found)
+            keys[rows] = found
+
     columns: list[tuple[np.ndarray, ...]] = []  # one per band
-    band_keys = np.empty(products.band * (g - 1), winners.dtype)
-    for lo in range(0, g - 1, products.band):
-        hi = min(lo + products.band, g - 1)
-        width = g - 1 - lo  # the partners lo + 1 .. g - 1
-        keys = band_keys[: (hi - lo) * width].reshape(hi - lo, width)
-        products.set_rows(slice(lo, hi))
-        for c0 in range(0, width, products.tile):
-            c1 = min(c0 + products.tile, width)
-            winners.keys(products(slice(lo + 1 + c0, lo + 1 + c1)), keys[:, c0:c1])
-        # row i pairs only with the genes after it
-        keys[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = -1
-        columns.append(band_rows(lo, keys))
+    panel, band, tile = products.panel, products.band, products.tile
+    panel_keys = np.empty(panel * (g - 1), winners.dtype)
+    key_buf = np.empty(band * tile, winners.dtype)
+    for p0 in range(0, g - 1, panel):
+        p1 = min(p0 + panel, g - 1)
+        width = g - 1 - p0  # keys[r, c]: gene p0 + r and gene p0 + 1 + c
+        keys = panel_keys[: (p1 - p0) * width].reshape(p1 - p0, width)
+        products.set_rows(slice(p0, p1))
+        for c0 in range(p0 + 1, g, tile):
+            c1 = min(c0 + tile, g)
+            r1 = min(p1, c1 - 1)  # the rows with a partner in the tile
+            y = products(slice(c0, c1), r1 - p0)
+            for b0 in range(p0, r1, band):
+                b1 = min(b0 + band, p1)
+                rows = slice(b0 - p0, min(b1, r1) - p0)
+                # a tile that starts inside the band holds self and earlier pairs
+                fill(keys[rows, c0 - p0 - 1 : c1 - p0 - 1], y[rows], c1 - c0, c0 < b1)
+        for b0 in range(p0, p1, band):
+            b1 = min(b0 + band, p1)
+            band_keys = keys[b0 - p0 : b1 - p0, b0 - p0 :]
+            # row i pairs only with the genes after it
+            band_keys[:, : b1 - b0][np.tri(b1 - b0, k=-1, dtype=bool)] = -1
+            columns.append(band_rows(b0, band_keys))
     results = ScreenResults(
         tuple(gene_ids),
         *(np.concatenate(column) for column in zip(*columns)),

@@ -16,7 +16,15 @@ from betscan.baselines import (
     pearson_test,
     region_label_counts,
 )
-from betscan.core import BidId, all_bids, binary_expansion, empirical_copula, plane_bits
+from betscan.core import (
+    EXACT_PERMUTATION_MAX_N,
+    BidId,
+    all_bids,
+    binary_expansion,
+    empirical_copula,
+    plane_bits,
+    pvalue_permutation,
+)
 from betscan.errors import (
     DegenerateTableError,
     TooFewSamplesError,
@@ -111,6 +119,22 @@ def test_hoeffding_monte_carlo_p_deterministic():
     p2 = hoeffdings_d_pvalue(x, y, iterations=99, seed=1)
     assert p1 == p2
     assert p1 == pytest.approx(1 / 100)  # strong signal: nothing more extreme
+
+
+def test_both_permutation_nulls_switch_to_monte_carlo_at_the_same_n():
+    # An enumerated tail does not depend on the iteration count.  A Monte
+    # Carlo one of a strong signal is 1 / (1 + iterations), so it does.
+    rng = np.random.default_rng(43)
+    for n in (EXACT_PERMUTATION_MAX_N, EXACT_PERMUTATION_MAX_N + 1):
+        x = rng.normal(size=n)
+        y = x + rng.normal(0, 0.01, n)
+        u = binary_expansion(empirical_copula(x), 1)
+        v = empirical_copula(y)
+        hoeffding = [hoeffdings_d_pvalue(x, y, iterations=k, seed=5) for k in (1, 3)]
+        bet = [pvalue_permutation(u, v, BidId(1, 1), iterations=k, seed=5) for k in (1, 3)]
+        enumerated = n <= EXACT_PERMUTATION_MAX_N
+        assert (hoeffding[0] == hoeffding[1]) == enumerated
+        assert (bet[0] == bet[1]) == enumerated
 
 
 # --------------------------------------------------------------- chi-square

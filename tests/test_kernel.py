@@ -6,6 +6,8 @@ float32 sign products, its bands and tiles, its winner keys or its |S|
 table.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,7 +201,6 @@ def test_band_and_tile_sizes_change_no_byte(
 
     default, _ = screen_all_pairs(planes, matrix.gene_ids, config)
     expected_outputs = outputs(default, "default")
-    monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (band, tile))
     monkeypatch.setattr(stats, "_XOR_WORDS", 1)
     expected = reference(matrix, u, v, "exact" if mode == "permutation" else mode, 66)
 
@@ -209,15 +210,121 @@ def test_band_and_tile_sizes_change_no_byte(
         return [(a, b, r.bid, r.s) for a, b, r in found]
 
     # two partner genes to a float32 column at n = 100, and one once the
-    # limit is lowered below n
-    for packed in (screen._PACKED_SAMPLES, 0):
+    # limit is lowered below n; a panel of one band, and one of two bands
+    # and a short one
+    limit = screen._PACKED_SAMPLES
+    for packed, panel in itertools.product((limit, 0), (band, 2 * band + 1)):
         monkeypatch.setattr(screen, "_PACKED_SAMPLES", packed)
+        monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (panel, band, tile))
         results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
         if mode == "permutation":
             assert winners(rows(results)) == winners(expected)
         else:
             assert rows(results) == expected
-        assert outputs(results, f"sized{packed}") == expected_outputs
+        assert outputs(results, f"sized{packed}-{panel}") == expected_outputs
+
+
+def graded_matrix(g, n, seed):
+    """make_matrix, and gene 2k + 1 following gene 2k ever more loosely."""
+    matrix = make_matrix(g, n, seed)
+    rng = np.random.default_rng(seed)
+    for k in range(3, g // 2):
+        noise = rng.normal(size=n) * 0.12 * (k - 2)
+        matrix.values[2 * k + 1] = matrix.values[2 * k] + noise
+    return matrix
+
+
+def check_significant_rows_against_emit_all(matrix, planes, d1, d2, mode, bid_filter):
+    """A significant-only screen keeps the emit-all rows with p_pair_adj <= alpha.
+
+    alpha runs over every p_pair_adj below 1 of the emit-all rows, so each
+    is the boundary once: rows at it are kept, the rows of the next larger
+    p are not.  In approx mode p falls strictly with |S|, so the least kept
+    |S| is the winning |S| of the rows at alpha.  In exact mode it is one
+    above the next attainable size, which the rows of the next p hold.
+    """
+    config = ScreenConfig(d1=d1, d2=d2, mode=mode, emit_all=True)
+    every = rows(screen_all_pairs(planes, matrix.gene_ids, config)[0])
+    alphas = sorted({r.p_pair_adjusted for _, _, r in every} - {1.0})
+    assert alphas  # the planted pairs pass some alpha
+    for alpha in alphas:
+        config = ScreenConfig(
+            d1=d1, d2=d2, mode=mode, alpha=alpha, bid_filter=bid_filter
+        )
+        expected = [
+            (a, b, r)
+            for a, b, r in every
+            if r.p_pair_adjusted <= alpha
+            and (bid_filter is None or r.bid_class.label in bid_filter)
+        ]
+        results, summary = screen_all_pairs(planes, matrix.gene_ids, config)
+        assert rows(results) == expected
+        assert summary.significant_pairs == len(expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g=st.integers(12, 18),
+    n=st.integers(40, 160),
+    depths=st.sampled_from([(2, 2), (1, 3)]),
+    mode=st.sampled_from(["exact", "approx"]),
+    packed=st.booleans(),
+    sizes=st.tuples(st.integers(1, 7), st.integers(1, 4), st.integers(1, 5)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_significant_rows_are_the_emit_all_rows_that_pass(
+    g, n, depths, mode, packed, sizes, seed, data
+):
+    # small panels, bands and tiles, so most blocks lie off the diagonal,
+    # where only the rows that reach the least kept |S| get winner keys
+    d1, d2 = depths
+    matrix = graded_matrix(g, n, seed)
+    planes, _, _ = screen_inputs(matrix, d1, d2)
+    labels = sorted({bid_class_of(b).label for b in all_bids(d1, d2)})
+    chosen = data.draw(st.none() | st.sets(st.sampled_from(labels), min_size=1))
+    bid_filter = None if chosen is None else frozenset(chosen)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(screen, "_band_sizes", lambda ma, mb: sizes)
+        if not packed:
+            patch.setattr(screen, "_PACKED_SAMPLES", 0)
+        check_significant_rows_against_emit_all(
+            matrix, planes, d1, d2, mode, bid_filter
+        )
+
+
+def test_significant_rows_with_int64_winner_keys_are_the_emit_all_rows_that_pass(
+    monkeypatch,
+):
+    # depth 5 at n = 8224: int64 keys, one partner a column
+    matrix = graded_matrix(12, 8224, 13)
+    planes, _, _ = screen_inputs(matrix, 5, 5)
+    assert screen._Winners(31, 31, 8224).dtype == np.int64
+    monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (5, 2, 3))
+    check_significant_rows_against_emit_all(matrix, planes, 5, 5, "exact", None)
+
+
+# two partners a column, and then one: x_hi is dropped, so rows 3, 6 and 7,
+# which reach least only in x_hi, are not flagged
+@pytest.mark.parametrize("n, flagged", [(100, [3, 4, 5, 6, 7, 8]), (3000, [4, 5, 8])])
+def test_reaching_flags_exactly_the_rows_with_some_size_at_least(n, flagged):
+    least = 37
+    products = screen._SignProducts(np.zeros((3, 2, -(-n // 64)), np.uint64), n, 3, 3)
+    rng = np.random.default_rng(n)
+    lo, hi = rng.integers(1 - least, least, size=(2, 12, 3, 3, 4))
+    lo[0, 0, 0, 0] = hi[0, 0, 0, 0] = least - 1
+    lo[1, 2, 1, 3] = hi[1, 2, 1, 3] = 1 - least
+    # the largest |y| below the bound, and the least |y| at or above it
+    lo[2, 1, 2, 0], hi[2, 1, 2, 0] = least - 1, least - 1
+    lo[3, 1, 2, 0], hi[3, 1, 2, 0] = 1 - least, least
+    lo[4, 0, 0, 3] = least
+    lo[5, 2, 2, 1] = -least
+    hi[6, 1, 0, 2] = least
+    hi[7, 0, 1, 0] = -least
+    lo[8] = 0
+    lo[8, 0, 2, 2] = n  # |x_lo| is at most n
+    y = lo + products.scale * hi if products.pack == 2 else lo
+    assert products.reaching(y.astype(np.float32), least).tolist() == flagged
 
 
 @pytest.mark.parametrize(
@@ -236,9 +343,10 @@ def test_winner_key_keeps_first_maximum_and_sign_at_depth_4(n, dtype):
     last[-1] = -n  # a lone maximum in last place
     dots = np.stack([tied, -tied, mixed, -mixed, last]).astype(np.float32)
     # the keys of 5 rows and 1 column go into column 1 of a wider array,
-    # a strided view, as a tile's keys go into a band's key rows; keys()
-    # overwrites the dots it is given, so it gets a copy
-    tile = dots.T.reshape(15, 15, 5, 1).transpose(0, 2, 1, 3).copy()
+    # a strided view, as a tile's keys go into a panel's key rows; keys()
+    # overwrites the dots (rows, a_mask, b_mask, cols) it is given, so it
+    # gets a copy
+    tile = dots.reshape(5, 15, 15, 1).copy()
     wide = np.full((5, 3), -7, winners.dtype)
     winners.keys(tile, wide[:, 1:2])
     assert (wide[:, [0, 2]] == -7).all()
