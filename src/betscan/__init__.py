@@ -21,7 +21,6 @@ from .core import (
     max_bet,
     pvalue_hypergeometric,
     pvalue_permutation,
-    symmetry_statistic,
     z_score,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "max_bet",
     "pvalue_hypergeometric",
     "pvalue_permutation",
-    "symmetry_statistic",
     "z_score",
     "__version__",
 ]

@@ -68,19 +68,32 @@ def pearson_test(x, y) -> tuple[float, float]:
     return float(res.statistic), float(res.pvalue)
 
 
-def _bivariate_q(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+# comparison cells (rows x n x n) per block of Monte Carlo permutations of y
+_D_CELLS = 1 << 21
+
+
+def _d_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hoeffding's D of x against each row of y (rows, n), as hoeffdings_d."""
+    n = x.shape[0]
     # Q_i = 1 + #(both strictly below) + 1/2 #(one tied, other below)
-    #         + 1/4 #(both tied, j != i)
+    #         + 1/4 #(both tied, j != i); x_i < x_i never holds, so only
+    # eqx needs its diagonal cleared
     ltx = x[None, :] < x[:, None]
-    lty = y[None, :] < y[:, None]
+    lty = y[:, None, :] < y[:, :, None]
     eqx = x[None, :] == x[:, None]
-    eqy = y[None, :] == y[:, None]
+    eqy = y[:, None, :] == y[:, :, None]
     np.fill_diagonal(eqx, False)
-    np.fill_diagonal(eqy, False)
-    both_lt = (ltx & lty).sum(axis=1)
-    half = (eqx & lty).sum(axis=1) + (ltx & eqy).sum(axis=1)
-    quarter = (eqx & eqy).sum(axis=1)
-    return 1.0 + both_lt + 0.5 * half + 0.25 * quarter
+    both_lt = (ltx & lty).sum(axis=-1)
+    half = (eqx & lty).sum(axis=-1) + (ltx & eqy).sum(axis=-1)
+    quarter = (eqx & eqy).sum(axis=-1)
+    q = 1.0 + both_lt + 0.5 * half + 0.25 * quarter
+    r = sps.rankdata(x, method="average")
+    s = sps.rankdata(y, method="average", axis=-1)
+    d1 = np.sum((q - 1.0) * (q - 2.0), axis=-1)
+    d2 = np.sum((r - 1.0) * (r - 2.0) * (s - 1.0) * (s - 2.0), axis=-1)
+    d3 = np.sum((r - 2.0) * (s - 2.0) * (q - 1.0), axis=-1)
+    denom = n * (n - 1.0) * (n - 2.0) * (n - 3.0) * (n - 4.0)
+    return 30.0 * ((n - 2.0) * (n - 3.0) * d1 + d2 - 2.0 * (n - 2.0) * d3) / denom
 
 
 def hoeffdings_d(x, y) -> float:
@@ -90,15 +103,7 @@ def hoeffdings_d(x, y) -> float:
     strictly monotone tie-free relationship.
     """
     x, y = _paired(x, y, 5)
-    n = x.shape[0]
-    r = sps.rankdata(x, method="average")
-    s = sps.rankdata(y, method="average")
-    q = _bivariate_q(x, y)
-    d1 = np.sum((q - 1.0) * (q - 2.0))
-    d2 = np.sum((r - 1.0) * (r - 2.0) * (s - 1.0) * (s - 2.0))
-    d3 = np.sum((r - 2.0) * (s - 2.0) * (q - 1.0))
-    denom = n * (n - 1.0) * (n - 2.0) * (n - 3.0) * (n - 4.0)
-    return float(30.0 * ((n - 2.0) * (n - 3.0) * d1 + d2 - 2.0 * (n - 2.0) * d3) / denom)
+    return float(_d_rows(x, y[None])[0])
 
 
 def hoeffdings_d_pvalue(x, y, iterations: int = 999, seed: int = 0) -> float:
@@ -106,22 +111,21 @@ def hoeffdings_d_pvalue(x, y, iterations: int = 999, seed: int = 0) -> float:
 
     Exact enumeration of all n! pairings for n <= EXACT_PERMUTATION_MAX_N,
     the same switch as the Max BET permutation null; otherwise Monte Carlo
-    from a seeded Philox stream with the add-one correction.
+    from a seeded Philox stream with the add-one correction.  D is taken of
+    all n! pairings at once, or of blocks of rng.permutation(y) draws.
     """
     x, y = _paired(x, y, 5)
     n = x.shape[0]
     d_obs = hoeffdings_d(x, y)
     if n <= EXACT_PERMUTATION_MAX_N:
-        extreme = 0
-        for perm in itertools.permutations(range(n)):
-            if hoeffdings_d(x, y[list(perm)]) >= d_obs - 1e-12:
-                extreme += 1
-        return extreme / math.factorial(n)
+        d = _d_rows(x, np.array(list(itertools.permutations(y))))
+        return np.count_nonzero(d >= d_obs - 1e-12) / math.factorial(n)
     rng = np.random.Generator(np.random.Philox(key=seed))
+    step = max(1, _D_CELLS // (n * n))
     extreme = 0
-    for _ in range(iterations):
-        if hoeffdings_d(x, rng.permutation(y)) >= d_obs - 1e-12:
-            extreme += 1
+    for lo in range(0, iterations, step):
+        draws = [rng.permutation(y) for _ in range(min(step, iterations - lo))]
+        extreme += np.count_nonzero(_d_rows(x, np.array(draws)) >= d_obs - 1e-12)
     return (1 + extreme) / (1 + iterations)
 
 

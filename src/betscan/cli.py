@@ -268,21 +268,23 @@ def run_test(config: dict, out_dir: Path | None, digests: dict[str, str]) -> lis
 
 
 def run_screen(config: dict, out_dir: Path, digests: dict[str, str]) -> list[str]:
-    matrix = _load_matrix(config, digests)
     depth = config["depth"]
-
-    screen_config = ScreenConfig(
-        d1=depth,
-        d2=depth,
-        alpha=config["alpha"],
-        m_pairs=config["m_pairs"],
-        bid_filter=_parse_filter(config["bid_filter"]),
-        worker_count=config["workers"],
-        emit_all=config["emit_all"],
-        mode=config["mode"],
-        permutation_iterations=config["permutation_iterations"],
-        seed=config["seed"],
-    )
+    try:
+        screen_config = ScreenConfig(
+            d1=depth,
+            d2=depth,
+            alpha=config["alpha"],
+            m_pairs=config["m_pairs"],
+            bid_filter=_parse_filter(config["bid_filter"]),
+            worker_count=config["workers"],
+            emit_all=config["emit_all"],
+            mode=config["mode"],
+            permutation_iterations=config["permutation_iterations"],
+            seed=config["seed"],
+        )
+    except ValueError as exc:
+        raise BetscanError(str(exc)) from None
+    matrix = _load_matrix(config, digests)
     planes = precompute_bitplanes(matrix, depth)
     results, summary = screen_all_pairs(planes, matrix.gene_ids, screen_config)
 

@@ -29,7 +29,6 @@ from .stats import (
     cell_counts,
     mask_combos,
     sign_factor,
-    symmetry_statistic,
     z_score,
 )
 
@@ -62,6 +61,5 @@ __all__ = [
     "pvalue_normal",
     "pvalue_permutation",
     "sign_factor",
-    "symmetry_statistic",
     "z_score",
 ]

@@ -30,11 +30,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DivisibilityViolationError, LengthMismatchError, ParityViolationError
+from ..errors import DivisibilityViolationError, ParityViolationError
 from .bids import BidId, all_bids, bid_count
 from .copula import CopulaColumn
 from .expansion import BitPlanes, binary_expansion
-from .stats import mask_combos, symmetry_statistic
+from .stats import mask_combos, pair_statistics
 
 __all__ = [
     "MODES", "null_method", "null_draws", "null_table", "null_pvalue",
@@ -228,11 +228,9 @@ def pvalue_permutation(
     that enumerating all n! pairings gives; larger n gets the seeded
     Monte Carlo estimate of `permutation_pvalue`.
     """
-    n = u.n
-    if v_ranks.n != n:
-        raise LengthMismatchError(n, v_ranks.n)
-    v = binary_expansion(v_ranks, max(1, bid.b_mask.bit_length()))
-    s_obs = symmetry_statistic(u, v, bid).s
+    if bid.a_mask >> u.depth:
+        raise ValueError(f"a_mask {bid.a_mask:#b} exceeds depth {u.depth}")
+    v = binary_expansion(v_ranks, bid.b_mask.bit_length())
     t = (bid.a_mask - 1) * ((1 << v.depth) - 1) + bid.b_mask - 1  # in all_bids
-    size = abs(s_obs)
-    return null_pvalue("permutation", n, u.depth, v.depth, t, size, iterations, seed)
+    size = abs(pair_statistics(u, v)[t])  # refuses v_ranks of another n
+    return null_pvalue("permutation", u.n, u.depth, v.depth, t, size, iterations, seed)

@@ -15,8 +15,8 @@ one XOR-and-popcount pass over the packed uint64 words of the planes
 orientation that the parity trick drops for odd-weight interactions.
 
 `cross_statistics` computes S of every interaction of a list of pairs
-for max_bet, `all_symmetry_statistics`, --emit-all-bids and compare.
-`symmetry_statistic` XORs only its interaction's planes, in 1/4 the time.
+for max_bet, `pvalue_permutation`, `all_symmetry_statistics`,
+--emit-all-bids and compare.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .expansion import BitPlanes, plane_bits
 
 __all__ = [
     "SymmetryStat",
-    "symmetry_statistic",
     "all_symmetry_statistics",
     "cross_statistics",
     "pair_statistics",
@@ -91,27 +90,9 @@ def mask_combos(planes: BitPlanes | np.ndarray) -> np.ndarray:
     return combos
 
 
-def _check_pair(u: BitPlanes, v: BitPlanes, bid: BidId | None = None) -> None:
+def _check_pair(u: BitPlanes, v: BitPlanes) -> None:
     if u.n != v.n:
         raise LengthMismatchError(u.n, v.n)
-    if bid is not None:
-        if bid.a_mask >= (1 << u.depth):
-            raise ValueError(f"a_mask {bid.a_mask:#b} exceeds depth {u.depth}")
-        if bid.b_mask >= (1 << v.depth):
-            raise ValueError(f"b_mask {bid.b_mask:#b} exceeds depth {v.depth}")
-
-
-def symmetry_statistic(u: BitPlanes, v: BitPlanes, bid: BidId) -> SymmetryStat:
-    """Signed white-minus-blue count of one interaction for one pair."""
-    _check_pair(u, v, bid)
-    chosen = [
-        p.planes[k]
-        for p, mask in ((u, bid.a_mask), (v, bid.b_mask))
-        for k in range(p.depth)
-        if mask >> k & 1
-    ]
-    s = u.n - 2 * int(np.bitwise_count(np.bitwise_xor.reduce(chosen)).sum())
-    return SymmetryStat(bid=bid, s=sign_factor(bid) * s, n=u.n)
 
 
 # words XORed per step of cross_statistics; bounds its scratch array

@@ -22,9 +22,14 @@ High-Performance Matrix Multiplication" (ACM TOMS 34, 2008).  An outer
 loop takes panels of row genes (224 at depth 2) and unpacks their labels
 once.  An inner loop takes tiles of the later genes (128 at depth 2): each
 tile's labels are unpacked once per panel, and one product multiplies them
-by every row of the panel that has a partner in the tile.  Once a panel is
-scored, each band of its rows (128 at depth 2) gets its candidates in one
-pass, which bounds the candidate arrays of an emit-all screen.
+by every row of the panel that has a partner in the tile.  The loop lives
+in one generator, `_bands`, which yields each band of a scored panel's
+rows (128 at depth 2) in row order: the int32 columns i, j and k of its
+kept pairs, the (t, x, p_raw) table entries first seen in it, and its
+significant pairs per interaction.  `screen_all_pairs` joins the bands and
+reads nothing else of the loop.  `band_rows` decodes a band's candidates
+in a function of its own, because a suspended generator keeps its locals
+alive: they die on return, which bounds the memory of an emit-all screen.
 
 Outside permutation draws a pair can be kept only if its |S| reaches the
 least |S| that the table keeps, `least`.  In a significant-only screen
@@ -77,6 +82,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import time
 from array import array
 from dataclasses import asdict, dataclass, replace
@@ -150,11 +156,19 @@ class ScreenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, depth in (("d1", self.d1), ("d2", self.d2)):
+            if depth < 1:
+                raise ValueError(f"{name} must be >= 1, got {depth}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         null_method(self.mode, 0)  # refuses an unknown mode
         if self.bid_filter is not None and not self.bid_filter:
             raise ValueError("bid_filter names no class; None keeps every class")
+        for label in sorted(self.bid_filter or ()):
+            try:
+                class_members(label, self.d1, self.d2)
+            except ValueError as exc:
+                raise ValueError(f"bid_filter: {exc}") from None
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
         if self.permutation_iterations < 1:
@@ -478,46 +492,78 @@ def screen_all_pairs(
             f"every gene needs {n} samples and planes of depth >= {depth}"
         )
     started = time.perf_counter()
+    bids = all_bids(d1, d2)
+    signs = [sign_factor(b) for b in bids]
+    i, j, k, entries, band_hits = zip(*_bands(planes, config, m_pairs))
+    hits = sum(band_hits)
+    results = ScreenResults(
+        tuple(gene_ids),
+        *(np.concatenate(column) for column in (i, j, k)),
+        tuple(
+            bet_result(t, signs[t] * x, n, d1, d2, mode, p, m_pairs)
+            for t, x, p in itertools.chain.from_iterable(entries)
+        ),
+    )
+
+    class_counts: dict[str, int] = {}
+    for bid, count in zip(bids, hits.tolist()):
+        if count:
+            label = bid_class_of(bid).label
+            class_counts[label] = class_counts.get(label, 0) + count
+
+    summary = ScreenSummary(
+        total_pairs=total_pairs,
+        significant_pairs=int(hits.sum()),
+        class_counts=dict(sorted(class_counts.items())),
+        wall_time_s=time.perf_counter() - started,
+        n_genes=g,
+        n_samples=n,
+        alpha=config.alpha,
+        m_pairs=m_pairs,
+        d1=d1,
+        d2=d2,
+        mode=mode,
+    )
+    return results, summary
+
+
+def _bands(
+    planes: Sequence[BitPlanes], config: ScreenConfig, m_pairs: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]]:
+    """The kept pairs of each band of row genes; see the module docstring."""
+    g, n, d1, d2 = len(planes), planes[0].n, config.d1, config.d2
     ma, mb = (1 << d1) - 1, (1 << d2) - 1
-    combos = mask_combos(np.stack([p.planes[:depth] for p in planes]))[:, 1:]
+    combos = mask_combos(np.stack([p.planes[: max(d1, d2)] for p in planes]))[:, 1:]
     combos = np.ascontiguousarray(combos.transpose(1, 0, 2))  # mask-major
     products = _SignProducts(combos, n, ma, mb)
     winners = _Winners(ma, mb, n)
-    bids = all_bids(d1, d2)
-    classes = [bid_class_of(b) for b in bids]
-    signs = [sign_factor(b) for b in bids]
-    keep_class = (
-        None
-        if config.bid_filter is None
-        else np.array([c.label in config.bid_filter for c in classes])
-    )
-    p_table = null_table(mode, n, d1, d2)
-    draw = null_draws(mode, n)
+    classes = [bid_class_of(b).label for b in all_bids(d1, d2)]
+    keep_class = np.isin(classes, list(config.bid_filter or classes))
+    p_table = null_table(config.mode, n, d1, d2)
+    draw = null_draws(config.mode, n)
 
     def p_pair_of(p_raw: np.ndarray) -> np.ndarray:
-        return bonferroni(m_pairs, bonferroni(len(bids), p_raw))
+        return bonferroni(m_pairs, bonferroni(winners.count, p_raw))
 
     def kept(t: np.ndarray, sig: np.ndarray) -> np.ndarray:
-        keep = sig | config.emit_all
-        return keep if keep_class is None else keep & keep_class[t]
+        return (sig | config.emit_all) & keep_class[t]
 
     # Unless p_raw is drawn per pair, it is p_table[t, |S|]: a pair can be
     # kept only if its |S| reaches the least |S| kept in that table.
     least = 0
     if not draw:
-        t_all = np.arange(len(bids))[:, None]
+        t_all = np.arange(winners.count)[:, None]
         kept_sizes = kept(t_all, p_pair_of(p_table) <= config.alpha).any(0)
         least = int(kept_sizes.argmax()) if kept_sizes.any() else n + 1
+        del t_all, kept_sizes  # not kept alive while the stream is suspended
 
     # rows with the same winner, dot product and p_raw share one table
     # entry: (t, x, p_raw) -> its index
     shared: dict[tuple[int, int, float], int] = {}
-    hits = np.zeros(len(bids), dtype=np.int64)
 
-    def band_rows(lo: int, keys: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Int32 columns i, j, k of the kept pairs of the band from gene lo.
+    def band_rows(lo: int, keys: np.ndarray) -> tuple:
+        """What the band from gene lo yields; keys[r, c] pairs lo + r, lo + 1 + c.
 
-        keys[r, c] is the winner key of gene lo + r and gene lo + 1 + c.
         The band's candidate arrays die on return, before the next band's
         products, which bounds the screen's peak memory.
         """
@@ -537,7 +583,7 @@ def screen_all_pairs(
                 )
         sig = p_pair_of(p_raw) <= config.alpha
         keep = kept(t, sig)
-        hits[:] += np.bincount(t[keep & sig], minlength=len(bids))
+        hits = np.bincount(t[keep & sig], minlength=winners.count)
         rows = np.flatnonzero(keep)
         i, j, t, x, p_raw = (column[rows] for column in (i, j, t, x, p_raw))
         # (t, x) fixes p_raw, unless it is a Monte Carlo draw per pair
@@ -547,11 +593,12 @@ def screen_all_pairs(
         _, first, inverse = np.unique(
             code, return_index=True, return_inverse=True, axis=0
         )
-        entries = zip(*(column[first].tolist() for column in (t, x, p_raw)))
-        lut = np.array(
-            [shared.setdefault(key, len(shared)) for key in entries], dtype=np.int32
-        )
-        return i.astype(np.int32), j.astype(np.int32), lut[inverse.reshape(-1)]
+        entries = list(zip(*(column[first].tolist() for column in (t, x, p_raw))))
+        fresh = [key for key in entries if key not in shared]
+        shared.update(zip(fresh, itertools.count(len(shared))))
+        lut = np.array([shared[key] for key in entries], dtype=np.int32)
+        k = lut[inverse.reshape(-1)]
+        return i.astype(np.int32), j.astype(np.int32), k, fresh, hits
 
     def fill(keys: np.ndarray, y: np.ndarray, width: int, diagonal: bool) -> None:
         """Write the winner keys of packed products y to keys (rows, width).
@@ -570,7 +617,6 @@ def screen_all_pairs(
             winners.keys(products.split(y[rows], width), found)
             keys[rows] = found
 
-    columns: list[tuple[np.ndarray, ...]] = []  # one per band
     panel, band, tile = products.panel, products.band, products.tile
     panel_keys = np.empty(panel * (g - 1), winners.dtype)
     key_buf = np.empty(band * tile, winners.dtype)
@@ -593,35 +639,7 @@ def screen_all_pairs(
             band_keys = keys[b0 - p0 : b1 - p0, b0 - p0 :]
             # row i pairs only with the genes after it
             band_keys[:, : b1 - b0][np.tri(b1 - b0, k=-1, dtype=bool)] = -1
-            columns.append(band_rows(b0, band_keys))
-    results = ScreenResults(
-        tuple(gene_ids),
-        *(np.concatenate(column) for column in zip(*columns)),
-        tuple(
-            bet_result(t, signs[t] * x, n, d1, d2, mode, p, m_pairs)
-            for t, x, p in shared
-        ),
-    )
-
-    class_counts: dict[str, int] = {}
-    for cls, k in zip(classes, hits.tolist()):
-        if k:
-            class_counts[cls.label] = class_counts.get(cls.label, 0) + k
-
-    summary = ScreenSummary(
-        total_pairs=total_pairs,
-        significant_pairs=int(hits.sum()),
-        class_counts=dict(sorted(class_counts.items())),
-        wall_time_s=time.perf_counter() - started,
-        n_genes=g,
-        n_samples=n,
-        alpha=config.alpha,
-        m_pairs=m_pairs,
-        d1=d1,
-        d2=d2,
-        mode=mode,
-    )
-    return results, summary
+            yield band_rows(b0, band_keys)
 
 
 def _fmt(x: float | None) -> str:

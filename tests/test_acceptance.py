@@ -22,7 +22,6 @@ from betscan.core import (
     empirical_copula,
     max_bet,
     pvalue_hypergeometric,
-    symmetry_statistic,
     z_score,
 )
 from betscan.preprocess import (

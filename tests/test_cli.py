@@ -959,6 +959,27 @@ def test_compare_refuses_a_class_absent_at_depth(tmp_path, capsys, label):
     assert not out.exists()
 
 
+def test_screen_refuses_a_bid_filter_class_absent_at_depth(tmp_path, capsys):
+    # W has no member at depth 1, so such a screen could keep no pair
+    matrix = screened_fixture(tmp_path)
+    scr = tmp_path / "scr"
+    assert main(["screen", str(matrix), "--bid-filter", "W", "--out", str(scr)]) == 0
+    manifest = json.loads((scr / "manifest.json").read_text())
+    edited = tmp_path / "edited.json"
+    edited.write_text(
+        json.dumps({**manifest, "config": {**manifest["config"], "depth": 1}})
+    )
+    out = tmp_path / "run"
+    capsys.readouterr()
+    args = ["screen", str(matrix), "--depth", "1", "--bid-filter", "Linear,W"]
+    for argv in (args, ["rerun", str(edited)]):
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bid_filter: no class labelled 'W' at depths (1, 1)\n"
+        )
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("fault", ["tie", "nan"])
 def test_compare_ignores_a_faulty_gene_that_run_a_never_names(tmp_path, fault):
     # only the genes that run A names are ranked, so a tie or NaN in

@@ -22,6 +22,7 @@ from ._oracles import (
     hypergeom_tail,
     permutation_distribution,
     permutation_tail,
+    quadrant_stat,
     sign_vector,
 )
 
@@ -71,10 +72,7 @@ def test_permutation_exact_s_zero_is_one():
     # v arranged so the linear statistic is exactly 0
     u = planes_for(range(1, 9))
     v_ranks = empirical_copula(np.array([1.0, 5, 2, 6, 7, 3, 8, 4]))
-    from betscan.core import symmetry_statistic
-
-    v = planes_for([1, 5, 2, 6, 7, 3, 8, 4])
-    assert symmetry_statistic(u, v, BidId(1, 1)).s == 0
+    assert quadrant_stat(range(1, 9), [1, 5, 2, 6, 7, 3, 8, 4], 1, 1, 2) == 0
     assert pvalue_permutation(u, v_ranks, BidId(1, 1)) == 1.0
 
 
@@ -86,9 +84,7 @@ def test_permutation_exact_every_bid_n8():
     v_ranks = empirical_copula(vr.astype(float))
     for bid in all_bids(2, 2):
         dist = permutation_distribution(ur, (bid.a_mask, bid.b_mask), 2)
-        from betscan.core import symmetry_statistic
-
-        s_obs = symmetry_statistic(u, planes_for(vr), bid).s
+        s_obs = quadrant_stat(ur, vr, bid.a_mask, bid.b_mask, 2)
         expected = permutation_tail(dist, s_obs, 8)
         assert pvalue_permutation(u, v_ranks, bid) == pytest.approx(
             expected, rel=1e-12
@@ -112,18 +108,17 @@ def test_permutation_monte_carlo_deterministic_and_corrected():
 def test_permutation_monte_carlo_matches_enumeration_n9():
     # n = 9 is the smallest n on the Monte Carlo branch, and there no sign
     # label splits the points in halves; 5 binomial standard errors
-    from betscan.core import symmetry_statistic
-
     n, iterations = 9, 100_000
     rng = np.random.default_rng(9)
     ur = rng.permutation(n) + 1
     vr = rng.permutation(n) + 1
-    u, v = planes_for(ur), planes_for(vr)
+    u = planes_for(ur)
     v_ranks = empirical_copula(vr.astype(float))
     for seed, bid in enumerate(all_bids(2, 2)):
         assert 2 * np.count_nonzero(sign_vector(ur, n, bid.a_mask, 2) > 0) != n
         dist = permutation_distribution(ur, (bid.a_mask, bid.b_mask), 2)
-        expected = permutation_tail(dist, symmetry_statistic(u, v, bid).s, n)
+        s_obs = quadrant_stat(ur, vr, bid.a_mask, bid.b_mask, 2)
+        expected = permutation_tail(dist, s_obs, n)
         p = pvalue_permutation(u, v_ranks, bid, iterations=iterations, seed=seed)
         se = np.sqrt(expected * (1 - expected) / iterations)
         assert abs(p - expected) <= 5 * se + 1 / (1 + iterations), bid.name
@@ -133,15 +128,13 @@ def test_permutation_monte_carlo_unequal_label_counts():
     # at n = 10 and 14 the two axes' sign labels have different numbers of
     # +1 entries for some interactions; the oracle places v's +1 labels
     # in every possible way
-    from betscan.core import symmetry_statistic
-
     iterations = 100_000
     rng = np.random.default_rng(10)
     checked = 0
     for n in (10, 14):
         ur = rng.permutation(n) + 1
         vr = rng.permutation(n) + 1
-        u, v = planes_for(ur), planes_for(vr)
+        u = planes_for(ur)
         v_ranks = empirical_copula(vr.astype(float))
         for bid in all_bids(2, 2):
             su = sign_vector(ur, n, bid.a_mask, 2)
@@ -149,7 +142,8 @@ def test_permutation_monte_carlo_unequal_label_counts():
             if np.count_nonzero(su > 0) == plus_v:
                 continue
             checked += 1
-            expected = arrangement_tail(su, plus_v, symmetry_statistic(u, v, bid).s)
+            s_obs = quadrant_stat(ur, vr, bid.a_mask, bid.b_mask, 2)
+            expected = arrangement_tail(su, plus_v, s_obs)
             p = pvalue_permutation(u, v_ranks, bid, iterations=iterations, seed=n)
             se = np.sqrt(expected * (1 - expected) / iterations)
             assert abs(p - expected) <= 5 * se + 1 / (1 + iterations), (n, bid.name)
@@ -255,15 +249,13 @@ def test_null_distribution_fits_hypergeometric_per_bid():
 @pytest.mark.parametrize("n", [4, 5, 7, 8, 9, 12, 40])
 def test_permutation_reads_the_null_table(n):
     # the exact entry up to n = 8, else the seeded draw from that entry
-    from betscan.core import symmetry_statistic
-
     rng = np.random.default_rng(n)
     ur, vr = rng.permutation(n) + 1, rng.permutation(n) + 1
-    u, v = planes_for(ur), planes_for(vr)
+    u = planes_for(ur)
     v_ranks = empirical_copula(vr.astype(float))
     table = null_table("permutation", n, 2, 2)
     for t, bid in enumerate(all_bids(2, 2)):
-        entry = table[t, abs(symmetry_statistic(u, v, bid).s)]
+        entry = table[t, abs(quadrant_stat(ur, vr, bid.a_mask, bid.b_mask, 2))]
         p = pvalue_permutation(u, v_ranks, bid, iterations=999, seed=t)
         if n <= 8:
             assert p == entry, bid.name

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import tracemalloc
 
@@ -15,7 +16,7 @@ from betscan.core import (
     binary_expansion,
     empirical_copula,
     max_bet,
-    symmetry_statistic,
+    z_score,
 )
 from betscan.core.bids import class_members
 from betscan.errors import (
@@ -41,7 +42,7 @@ from betscan.screen import (
     write_results_csv,
 )
 
-from ._oracles import all_quadrant_stats, empirical_copula_oracle, rows
+from ._oracles import all_quadrant_stats, empirical_copula_oracle, quadrant_stat, rows
 from ._synth import make_parabola
 
 
@@ -228,7 +229,10 @@ def test_permutation_csv_identical_across_worker_counts(tmp_path):
     "field, value",
     [("alpha", 0.0), ("mode", "binomial"), ("worker_count", 0),
      ("permutation_iterations", 0), ("permutation_iterations", -5),
-     ("seed", -1), ("seed", 1 << 64), ("bid_filter", frozenset())],
+     ("seed", -1), ("seed", 1 << 64), ("bid_filter", frozenset()),
+     ("d1", 0), ("d1", -1), ("d2", 0),
+     # a label that is not normalised names no class, so nothing could be kept
+     ("bid_filter", frozenset({"Linear", "linear"}))],
 )
 def test_screen_config_refuses_bad_values(field, value):
     with pytest.raises(ValueError, match=field.split("_")[0]):
@@ -340,6 +344,112 @@ def test_read_then_write_gives_identical_bytes(tmp_path, shape):
     again = tmp_path / "again.csv"
     write_results_csv(read_results_csv(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def planted_matrix(g, n, seed):
+    """random_matrix with gene k + g/2 following gene k ever more loosely.
+
+    Even k plant a line, odd k a parabola; each planted pair sits g/2
+    genes off the diagonal.
+    """
+    m = random_matrix(g, n, seed)
+    rng = np.random.default_rng(seed)
+    half = g // 2
+    for k in range(half):
+        x = m.values[k]
+        noise = rng.normal(size=n) * 0.05 * k
+        m.values[k + half] = (x if k % 2 == 0 else x**2) + noise
+    return m
+
+
+# sha256 of results.csv and summary.json, wall time aside, of screens that
+# the emit-all CSVs above do not reach, written before the band loop
+# became a stream: significant-only screens whose row filter runs off the
+# diagonal, with two partners a float32 column and with one, and int64
+# winner keys
+PINNED_SCREENS = {
+    # name: ((genes, samples, depth, (panel, band, tile) or None, config), digest)
+    "filtered, two partners a column": (
+        (40, 96, 2, (5, 2, 3), {"bid_filter": frozenset({"Linear", "Parabolic"})}),
+        "5e4c1f8b1676e1b344a008b9123d3d5fdea94b32b37a81ed59afba8b153e659d",
+    ),
+    "one partner a column": (
+        (12, 2048, 2, (3, 2, 2), {}),
+        "c939e1329b5b1a2af01cb98a42f201780512979d890c91a519d433ebfce12772",
+    ),
+    "int64 keys": (
+        (5, 8191, 5, None, {"emit_all": True}),
+        "5e6e87f0343d78ab0a6e26b5ea28e7e226069e877b34a6b7d3f6b4f6c074e668",
+    ),
+}
+
+
+def pinned_screen(tmp_path, monkeypatch, case):
+    g, n, depth, sizes, fields = case
+    if sizes is not None:
+        monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: sizes)
+    config = ScreenConfig(d1=depth, d2=depth, **fields)
+    m = planted_matrix(g, n, g * depth)
+    results, summary = screen_all_pairs(
+        precompute_bitplanes(m, depth), m.gene_ids, config
+    )
+    path = tmp_path / "results.csv"
+    write_results_csv(results, path)
+    summary = {**summary.to_dict(), "wall_time_s": 0}
+    return results, path.read_bytes() + json.dumps(summary).encode()
+
+
+@pytest.mark.parametrize(
+    "case, digest", PINNED_SCREENS.values(), ids=list(PINNED_SCREENS)
+)
+def test_screen_bytes_pinned(tmp_path, monkeypatch, case, digest):
+    _, written = pinned_screen(tmp_path, monkeypatch, case)
+    assert hashlib.sha256(written).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        {"bid_filter": frozenset({"Linear", "Parabolic"})},
+        {"emit_all": True},
+        # a Monte Carlo draw per pair: most table entries serve one row
+        {"mode": "permutation", "emit_all": True, "alpha": 0.5,
+         "permutation_iterations": 99_999},
+    ],
+)
+def test_band_stream_joins_to_the_screen_in_row_order(monkeypatch, fields):
+    # 5-gene panels of 2-gene bands against 3-gene tiles: 23 bands
+    monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (5, 2, 3))
+    m = planted_matrix(40, 96, 3)
+    planes = precompute_bitplanes(m, 2)
+    config = ScreenConfig(**fields)
+    results, summary = screen_all_pairs(planes, m.gene_ids, config)
+    bands = list(screen._bands(planes, config, summary.m_pairs))
+    assert len(bands) == 23
+    entries: list[tuple[int, int, float]] = []
+    for i, j, k, fresh, hits in bands:
+        assert i.dtype == j.dtype == k.dtype == np.int32
+        # k names the entries of this band and the earlier ones, and every
+        # entry first seen here
+        assert set(k.tolist()) >= set(range(len(entries), len(entries) + len(fresh)))
+        entries += fresh
+        assert k.max(initial=-1) < len(entries)
+    i, j, k = (np.concatenate(column) for column in list(zip(*bands))[:3])
+    assert np.all(np.diff(i.astype(np.int64) * 40 + j) > 0)  # row order, i < j
+    assert i.tolist() == results.i.tolist() and j.tolist() == results.j.tolist()
+    assert k.tolist() == results.k.tolist()
+    assert len(set(entries)) == len(entries) == len(results.table)
+    bids = all_bids(2, 2)
+    for (t, x, p), r in zip(entries, results.table):
+        assert (r.bid, abs(r.s), r.p_raw) == (bids[t], abs(x), p)
+    hits = sum(band[4] for band in bands)
+    assert hits.sum() == summary.significant_pairs > 0
+    counts: dict[str, int] = {}
+    for bid, count in zip(bids, hits.tolist()):
+        label = bid_class_of(bid).label
+        counts[label] = counts.get(label, 0) + count
+    assert {c: x for c, x in counts.items() if x} == summary.class_counts
 
 
 def test_failed_write_leaves_no_partial_csv(tmp_path, monkeypatch):
@@ -632,14 +742,9 @@ def test_compare_runs_takes_class_max_of_symmetry_statistic(depth):
     b = random_matrix(12, 96, 50 + depth)
     keep = [x for x in range(12) if x not in (4, 7)][::-1]
     ids_b = [a.gene_ids[x] for x in keep]
-    planes_b = dict(
-        zip(
-            ids_b,
-            precompute_bitplanes(
-                ExpressionMatrix(ids_b, b.sample_ids, b.values[keep]), depth
-            ),
-        )
-    )
+    matrix_b = ExpressionMatrix(ids_b, b.sample_ids, b.values[keep])
+    planes_b = dict(zip(ids_b, precompute_bitplanes(matrix_b, depth)))
+    ranks_b = {gene: c.ranks for gene, c in zip(ids_b, precompute_copulas(matrix_b))}
     labels = sorted({bid_class_of(bid).label for bid in all_bids(depth, depth)})
     other_winner = missing = 0
     for label in labels:
@@ -652,14 +757,16 @@ def test_compare_runs_takes_class_max_of_symmetry_statistic(depth):
         compared = compare_runs(results, planes_b, label)
         assert [(r.gene_i, r.gene_j, r.z_a) for r in compared] == expected
         for row in compared:
-            u, v = planes_b.get(row.gene_i), planes_b.get(row.gene_j)
+            u, v = ranks_b.get(row.gene_i), ranks_b.get(row.gene_j)
             if u is None or v is None:
                 assert row.flag == "missing_in_b" and np.isnan(row.z_b)
                 missing += 1
                 continue
             assert row.flag == "ok"
-            assert row.z_b == max(symmetry_statistic(u, v, bid).z for bid in members)
-            other_winner += max_bet(u, v).bid_class.label != label
+            s = [quadrant_stat(u, v, bid.a_mask, bid.b_mask, depth) for bid in members]
+            assert row.z_b == max(z_score(x, 96) for x in s)
+            pair = planes_b[row.gene_i], planes_b[row.gene_j]
+            other_winner += max_bet(*pair).bid_class.label != label
     assert missing and other_winner
 
 

@@ -14,7 +14,7 @@ from betscan.core import (
     cell_counts,
     empirical_copula,
     mask_combos,
-    symmetry_statistic,
+    pvalue_permutation,
     z_score,
 )
 from betscan.errors import LengthMismatchError
@@ -29,22 +29,23 @@ def planes_for(ranks, depth=2):
 
 def test_identical_ranks_linear():
     u = planes_for(range(1, 9))
-    assert symmetry_statistic(u, u, BidId(1, 1)).s == 8
+    linear = all_symmetry_statistics(u, u)[0]
+    assert (linear.bid, linear.s) == (BidId(1, 1), 8)
 
 
 def test_reversed_ranks_linear():
     u = planes_for(range(1, 9))
     v = planes_for(range(8, 0, -1))
-    assert symmetry_statistic(u, v, BidId(1, 1)).s == -8
+    linear = all_symmetry_statistics(u, v)[0]
+    assert (linear.bid, linear.s) == (BidId(1, 1), -8)
 
 
 def test_random_pair_matches_quadrant_oracle():
     rng = np.random.default_rng(3)
     ur, vr = random_rank_pair(32, rng)
     u, v = planes_for(ur), planes_for(vr)
-    for bid in all_bids(2, 2):
-        expected = quadrant_stat(ur, vr, bid.a_mask, bid.b_mask, 2)
-        assert symmetry_statistic(u, v, bid).s == expected
+    for st in all_symmetry_statistics(u, v):
+        assert st.s == quadrant_stat(ur, vr, st.bid.a_mask, st.bid.b_mask, 2)
 
 
 def test_all_statistics_census_and_order():
@@ -102,11 +103,9 @@ def test_reflection_identity():
     for n in (8, 20, 64):
         ur, vr = random_rank_pair(n, rng)
         u, v = planes_for(ur, 3), planes_for(vr, 3)
-        for bid in all_bids(3, 3):
-            assert (
-                symmetry_statistic(u, v, bid).s
-                == symmetry_statistic(v, u, bid.swapped).s
-            )
+        backward = {st.bid: st.s for st in all_symmetry_statistics(v, u)}
+        for st in all_symmetry_statistics(u, v):
+            assert st.s == backward[st.bid.swapped]
 
 
 def test_monotone_invariance():
@@ -186,13 +185,18 @@ def test_length_mismatch():
     u = planes_for(range(1, 9))
     v = planes_for(range(1, 13))
     with pytest.raises(LengthMismatchError):
-        symmetry_statistic(u, v, BidId(1, 1))
+        all_symmetry_statistics(u, v)
+    with pytest.raises(LengthMismatchError):
+        pvalue_permutation(u, empirical_copula(np.arange(1.0, 13.0)), BidId(1, 1))
 
 
 def test_mask_depth_check():
+    # a_mask 4 asks for digit 3 of planes of depth 2; b_mask sets v's depth
     u = planes_for(range(1, 9))
-    with pytest.raises(ValueError):
-        symmetry_statistic(u, u, BidId(4, 1))
+    v_ranks = empirical_copula(np.arange(8.0, 0.0, -1.0))
+    with pytest.raises(ValueError, match="a_mask 0b100 exceeds depth 2"):
+        pvalue_permutation(u, v_ranks, BidId(4, 1))
+    assert pvalue_permutation(u, v_ranks, BidId(3, 4)) <= 1
 
 
 def test_z_score_values():
