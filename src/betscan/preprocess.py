@@ -41,6 +41,7 @@ minimum).  The pipeline applies, in order:
        typical expression)
     3. jitter_minimum_ties    spread tied minima over the open interval
        up to the second-smallest distinct value
+    4. drop constant genes, which have no ranks
 
 after which each column is strictly ordered and ready for
 the rank transform.  Jitter never crosses the second-smallest value, so
@@ -49,7 +50,7 @@ non-minimum ordering changes.
 
 Randomness is drawn from numpy's Philox counter-based generator.  Gene g
 of a run seeded with s uses the stream Philox(key = s * 2^64 + g), with g
-the row index in the filtered matrix; results are therefore reproducible
+the row index after the zero filter; results are therefore reproducible
 for a given (seed, input) regardless of scheduling or gene order of
 processing.
 """
@@ -618,24 +619,23 @@ def run_pipeline(
 ) -> tuple[ExpressionMatrix, PreprocessReport]:
     """filter -> reset -> jitter, returning the cleaned matrix and a report.
 
-    Raises BetscanError when fewer than two genes pass the zero filter,
-    since a screen needs a pair.
+    A gene with one distinct value has no ranks: it is dropped after the
+    jitter, so every other gene keeps its row index and its jitter stream.
+    Raises BetscanError when fewer than two genes are left, since a screen
+    needs a pair.
     """
     filtered, report = filter_zero_heavy(matrix, zero_fraction_threshold)
-    if filtered.n_genes < 2:
-        raise BetscanError(
-            f"{filtered.n_genes} gene(s) left: the zero filter (zero fraction "
-            f"above {zero_fraction_threshold:g}) dropped "
-            f"{len(report.genes_dropped)} of {matrix.n_genes}; a screen needs "
-            "at least 2"
-        )
     report.jitter_seed = seed
 
     values = filtered.values.copy()
+    varies = np.ones(filtered.n_genes, dtype=bool)
     for g, gene in enumerate(filtered.gene_ids):
         col = values[g]
         med = float(np.median(col))
         dup = int((col == med).sum())
+        if dup == len(col):
+            varies[g] = False  # one value, so no ranks: dropped below
+            continue
         if dup > 1:
             report.medians_reset[gene] = dup - 1
         col = reset_median_imputed(col)
@@ -645,4 +645,17 @@ def run_pipeline(
             report.jitter_widths[gene] = float(uniq[1] - uniq[0])
             col = jitter_minimum_ties(col, gene_stream_key(seed, g))
         values[g] = col
-    return replace(filtered, values=values), report
+
+    constant = list(itertools.compress(filtered.gene_ids, ~varies))
+    genes = list(itertools.compress(filtered.gene_ids, varies))
+    if len(genes) < 2:
+        raise BetscanError(
+            f"{len(genes)} gene(s) left of {matrix.n_genes}: the zero filter "
+            f"(zero fraction above {zero_fraction_threshold:g}) dropped "
+            f"{len(report.genes_dropped)} and {len(constant)} were constant; "
+            "a screen needs at least 2"
+        )
+    report.genes_dropped += [{"gene": gene, "reason": "constant"} for gene in constant]
+    if not varies.all():  # values[varies] copies the matrix
+        values = values[varies]
+    return replace(filtered, gene_ids=genes, values=values), report

@@ -19,17 +19,17 @@ max_bet, whose S and argmax share no code with either class.
 
 The loop has two levels, as in Goto and van de Geijn, "Anatomy of
 High-Performance Matrix Multiplication" (ACM TOMS 34, 2008).  An outer
-loop takes panels of row genes (224 at depth 2) and unpacks their labels
+loop takes bands of row genes (224 at depth 2) and unpacks their labels
 once.  An inner loop takes tiles of the later genes (128 at depth 2): each
-tile's labels are unpacked once per panel, and one product multiplies them
-by every row of the panel that has a partner in the tile.  The loop lives
-in one generator, `_bands`, which yields each band of a scored panel's
-rows (128 at depth 2) in row order: the int32 columns i, j and k of its
-kept pairs, the (t, x, p_raw) table entries first seen in it, and its
-significant pairs per interaction.  `screen_all_pairs` joins the bands and
-reads nothing else of the loop.  `band_rows` decodes a band's candidates
-in a function of its own, because a suspended generator keeps its locals
-alive: they die on return, which bounds the memory of an emit-all screen.
+tile's labels are unpacked once per band, and one product multiplies them
+by every row of the band that has a partner in the tile.  The loop lives
+in one generator, `_bands`, which yields each scored band in row order:
+the int32 columns i, j and k of its kept pairs, the (t, x, p_raw) table
+entries first seen in it, and its significant pairs per interaction.
+`screen_all_pairs` joins the bands and reads nothing else of the loop.
+`band_rows` decodes a band's candidates in a function of its own, because
+a suspended generator keeps its locals alive: they die on return, which
+bounds the memory of an emit-all screen.
 
 Outside permutation draws a pair can be kept only if its |S| reaches the
 least |S| that the table keeps, `least`.  In a significant-only screen
@@ -60,11 +60,11 @@ full pair count of a parent dataset when screening a sample-subset
 context.  Only the keys that reach least are decoded.  Each table entry's
 BetResult comes from `core.maxbet.bet_result`, as max_bet's does.
 
-The panels, and the bands within each, are scored in the calling thread,
-in row order, so results come in pair-index order (i < j, lexicographic).
-The matrix products run on BLAS threads (OPENBLAS_NUM_THREADS caps them)
-and are exact, so the bytes do not depend on them; worker_count is
-accepted for callers that pass it and starts no thread.
+The bands are scored in the calling thread, in row order, so results
+come in pair-index order (i < j, lexicographic).  The matrix products run
+on BLAS threads (OPENBLAS_NUM_THREADS caps them) and are exact, so the
+bytes do not depend on them; worker_count is accepted for callers that
+pass it and starts no thread.
 
 The emitted rows stay columns: `ScreenResults` holds int32 columns i, j
 and k, where k indexes a table with one BetResult per distinct (winner,
@@ -252,16 +252,12 @@ def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
     return [CopulaColumn(r) for ranks in _gene_ranks(matrix) for r in ranks]
 
 
-# A band of rows and a tile of partner genes hold _LABELS sign labels each:
-# 128 genes at depth 2, fewer at deeper depths, so that one product keeps
-# about the same size.
-_LABELS = 384
-# A panel of rows holds _PANEL_LABELS: 224 genes at depth 2.  Each tile's
-# labels are unpacked once per panel.  Against 128-gene bands, a 256-gene
-# panel added 3 MB to the peak RSS of a 1000 x 1096 screen, a 512-gene one
-# 9 MB and a 1024-gene one 21 MB; 224 genes ran as fast as 256 and added
-# about 2.5 MB.
-_PANEL_LABELS = 672
+# A band of row genes holds _BAND_LABELS sign labels, 224 genes at depth 2,
+# and a tile of partner genes _TILE_LABELS, 128 genes at depth 2; fewer
+# genes at deeper depths, so that one product keeps about the same size.
+# Each tile's labels are unpacked once per band.
+_BAND_LABELS = 672
+_TILE_LABELS = 384
 # (pair, interaction) entries per pass of the emitted-pair statistics
 _PASS_ENTRIES = 1 << 16
 # float32 holds every integer up to 2^24 exactly
@@ -271,13 +267,9 @@ _FLOAT32_EXACT = 1 << 24
 _PACKED_SAMPLES = 2047
 
 
-def _band_sizes(ma: int, mb: int) -> tuple[int, int, int]:
-    """Genes per panel and band of rows (ma labels each) and per tile (mb each)."""
-    return (
-        max(1, _PANEL_LABELS // ma),
-        max(1, _LABELS // ma),
-        max(1, _LABELS // mb),
-    )
+def _band_sizes(ma: int, mb: int) -> tuple[int, int]:
+    """Genes per band of rows (ma labels each) and per tile (mb each)."""
+    return max(1, _BAND_LABELS // ma), max(1, _TILE_LABELS // mb)
 
 
 def _check_exact_products(n: int) -> None:
@@ -312,15 +304,17 @@ class _SignProducts:
     |x| >= least > 0 without splitting them.  x_lo = y - M * rint(y / M)
     as above, and |x_hi| >= least exactly when |y| >= M (least - 1/2):
     |y| >= M |x_hi| - |x_lo| > M (|x_hi| - 1/2), and |y| < M (|x_hi| + 1/2).
-    A column with one partner has y = x_lo, below M / 2 <= M (least - 1/2),
-    and with one partner in every column, x = y.  The bound M least - M / 2
-    is an integer below 2^24, so float32 holds it exactly.
+    A column with one partner has |y| = |x_lo| <= n < M / 2, so rint(y / M)
+    is 0, x_lo = y and the test on x_hi never fires; one bound serves both
+    layouts.  With two partners a column, M least - M / 2 is an integer
+    below 2^24, so float32 holds it exactly.  With one it may round, but
+    never below the power of two M / 2.
 
-    The row labels of a panel are stored gene-major, (gene, mask, n), so
-    the first r genes of the panel are one contiguous (r * ma, n) operand
+    The row labels of a band are stored gene-major, (gene, mask, n), so
+    the first r genes of the band are one contiguous (r * ma, n) operand
     and a call is one 2-D product.  Labels are unpacked from the packed
     words into float32 buffers that are reused; set_rows takes a slice of
-    at most `panel` genes, a call a slice of at most `tile`, and `reaching`
+    at most `band` genes, a call a slice of at most `tile`, and `reaching`
     and `split` work on at most `band` rows.  Allocating the buffers per
     call made a 1000 x 1096 screen about 2% slower on two BLAS threads.
     """
@@ -328,12 +322,12 @@ class _SignProducts:
     def __init__(self, combos: np.ndarray, n: int, ma: int, mb: int):
         _check_exact_products(n)
         self.combos, self.n, self.ma, self.mb = combos, n, ma, mb
-        self.panel, self.band, self.tile = _band_sizes(ma, mb)
+        self.band, self.tile = _band_sizes(ma, mb)
         self.pack = 2 if n <= _PACKED_SAMPLES else 1
         self.scale = np.float32(1 << (2 * n).bit_length())
         columns = mb * -(-self.tile // self.pack)
-        self._row_buf = np.empty(ma * self.panel * n, np.float32)
-        self._out_buf = np.empty(ma * self.panel * columns, np.float32)
+        self._row_buf = np.empty(ma * self.band * n, np.float32)
+        self._out_buf = np.empty(ma * self.band * columns, np.float32)
         # a tile's labels, and once its product is taken, its dots or |x_lo|
         dots = ma * self.band * mb * self.tile
         self._tile_buf = np.empty(max(columns * n, dots), np.float32)
@@ -406,15 +400,13 @@ class _SignProducts:
         y = y.reshape(len(y), -1)
         size = self._tile_buf[: y.size].reshape(y.shape)
         np.abs(y, out=size)
-        bound = least if self.pack == 1 else self.scale * (least - 0.5)
-        hit = (size >= bound).any(1)
-        if self.pack == 2:
-            np.multiply(y, 1 / self.scale, out=size)
-            np.rint(size, out=size)
-            size *= -self.scale
-            size += y  # x_lo
-            np.abs(size, out=size)
-            hit |= (size >= least).any(1)
+        hit = (size >= self.scale * (least - 0.5)).any(1)
+        np.multiply(y, 1 / self.scale, out=size)
+        np.rint(size, out=size)
+        size *= -self.scale
+        size += y  # x_lo
+        np.abs(size, out=size)
+        hit |= (size >= least).any(1)
         return np.flatnonzero(hit)
 
 
@@ -617,29 +609,23 @@ def _bands(
             winners.keys(products.split(y[rows], width), found)
             keys[rows] = found
 
-    panel, band, tile = products.panel, products.band, products.tile
-    panel_keys = np.empty(panel * (g - 1), winners.dtype)
+    band, tile = products.band, products.tile
+    band_keys = np.empty(band * (g - 1), winners.dtype)
     key_buf = np.empty(band * tile, winners.dtype)
-    for p0 in range(0, g - 1, panel):
-        p1 = min(p0 + panel, g - 1)
-        width = g - 1 - p0  # keys[r, c]: gene p0 + r and gene p0 + 1 + c
-        keys = panel_keys[: (p1 - p0) * width].reshape(p1 - p0, width)
-        products.set_rows(slice(p0, p1))
-        for c0 in range(p0 + 1, g, tile):
+    for b0 in range(0, g - 1, band):
+        b1 = min(b0 + band, g - 1)
+        width = g - 1 - b0  # keys[r, c]: gene b0 + r and gene b0 + 1 + c
+        keys = band_keys[: (b1 - b0) * width].reshape(b1 - b0, width)
+        products.set_rows(slice(b0, b1))
+        for c0 in range(b0 + 1, g, tile):
             c1 = min(c0 + tile, g)
-            r1 = min(p1, c1 - 1)  # the rows with a partner in the tile
-            y = products(slice(c0, c1), r1 - p0)
-            for b0 in range(p0, r1, band):
-                b1 = min(b0 + band, p1)
-                rows = slice(b0 - p0, min(b1, r1) - p0)
-                # a tile that starts inside the band holds self and earlier pairs
-                fill(keys[rows, c0 - p0 - 1 : c1 - p0 - 1], y[rows], c1 - c0, c0 < b1)
-        for b0 in range(p0, p1, band):
-            b1 = min(b0 + band, p1)
-            band_keys = keys[b0 - p0 : b1 - p0, b0 - p0 :]
-            # row i pairs only with the genes after it
-            band_keys[:, : b1 - b0][np.tri(b1 - b0, k=-1, dtype=bool)] = -1
-            yield band_rows(b0, band_keys)
+            rows = min(b1, c1 - 1) - b0  # the rows with a partner in the tile
+            y = products(slice(c0, c1), rows)
+            # a tile that starts inside the band holds self and earlier pairs
+            fill(keys[:rows, c0 - b0 - 1 : c1 - b0 - 1], y, c1 - c0, c0 < b1)
+        # row i pairs only with the genes after it
+        keys[:, : b1 - b0][np.tri(b1 - b0, k=-1, dtype=bool)] = -1
+        yield band_rows(b0, keys)
 
 
 def _fmt(x: float | None) -> str:

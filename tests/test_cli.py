@@ -639,6 +639,26 @@ def test_baselines_names_the_line_of_a_short_pairs_row(tmp_path, capsys):
     assert err == f"error: {pairs}: line 4: no gene_i or gene_j cell\n"
 
 
+@pytest.mark.parametrize("flags, value", [([], 7.0), (["--zero-threshold", "1"], 0.0)])
+def test_preprocess_drops_a_constant_gene_that_screen_would_refuse(
+    tmp_path, capsys, flags, value
+):
+    # integer counts, and G2 at one value in every sample: an all-zero G2
+    # passes the zero filter at threshold 1
+    rng = np.random.default_rng(5)
+    counts = [rng.choice(np.arange(1, 5000), size=40, replace=False) for _ in range(6)]
+    counts[2] = np.full(40, value)
+    matrix = write_matrix(tmp_path, counts, genes=[f"G{g}" for g in range(6)])
+    pre, run = tmp_path / "pre", tmp_path / "run"
+    assert main(["preprocess", str(matrix), "--out", str(pre), *flags]) == 0
+    assert capsys.readouterr().out.endswith("(1 gene(s) dropped)\n")
+    report = json.loads((pre / "preprocess_report.json").read_text())
+    assert report["genes_dropped"] == [{"gene": "G2", "reason": "constant"}]
+    assert "G2" not in report["medians_reset"]
+    assert load_matrix(pre / "matrix.tsv").gene_ids == ["G0", "G1", "G3", "G4", "G5"]
+    assert main(["screen", str(pre / "matrix.tsv"), "--out", str(run)]) == 0
+
+
 @pytest.mark.parametrize(
     "command", ["preprocess", "screen", "test", "compare", "baselines"]
 )
@@ -683,8 +703,8 @@ def test_preprocess_refuses_fewer_than_two_genes_left(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["preprocess", str(matrix), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: 0 gene(s) left: the zero filter (zero fraction above 0.2) "
-        "dropped 2 of 2; a screen needs at least 2\n"
+        "error: 0 gene(s) left of 2: the zero filter (zero fraction above 0.2) "
+        "dropped 2 and 0 were constant; a screen needs at least 2\n"
     )
     assert not out.exists()
 

@@ -210,18 +210,18 @@ def test_band_and_tile_sizes_change_no_byte(
         return [(a, b, r.bid, r.s) for a, b, r in found]
 
     # two partner genes to a float32 column at n = 100, and one once the
-    # limit is lowered below n; a panel of one band, and one of two bands
-    # and a short one
+    # limit is lowered below n; bands of band genes, and of 2 * band + 1,
+    # longer than the tile
     limit = screen._PACKED_SAMPLES
-    for packed, panel in itertools.product((limit, 0), (band, 2 * band + 1)):
+    for packed, genes in itertools.product((limit, 0), (band, 2 * band + 1)):
         monkeypatch.setattr(screen, "_PACKED_SAMPLES", packed)
-        monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (panel, band, tile))
+        monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (genes, tile))
         results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
         if mode == "permutation":
             assert winners(rows(results)) == winners(expected)
         else:
             assert rows(results) == expected
-        assert outputs(results, f"sized{packed}-{panel}") == expected_outputs
+        assert outputs(results, f"sized{packed}-{genes}") == expected_outputs
 
 
 def graded_matrix(g, n, seed):
@@ -269,14 +269,14 @@ def check_significant_rows_against_emit_all(matrix, planes, d1, d2, mode, bid_fi
     depths=st.sampled_from([(2, 2), (1, 3)]),
     mode=st.sampled_from(["exact", "approx"]),
     packed=st.booleans(),
-    sizes=st.tuples(st.integers(1, 7), st.integers(1, 4), st.integers(1, 5)),
+    sizes=st.tuples(st.integers(1, 7), st.integers(1, 5)),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_significant_rows_are_the_emit_all_rows_that_pass(
     g, n, depths, mode, packed, sizes, seed, data
 ):
-    # small panels, bands and tiles, so most blocks lie off the diagonal,
+    # small bands and tiles, so most blocks lie off the diagonal,
     # where only the rows that reach the least kept |S| get winner keys
     d1, d2 = depths
     matrix = graded_matrix(g, n, seed)
@@ -300,7 +300,7 @@ def test_significant_rows_with_int64_winner_keys_are_the_emit_all_rows_that_pass
     matrix = graded_matrix(12, 8224, 13)
     planes, _, _ = screen_inputs(matrix, 5, 5)
     assert screen._Winners(31, 31, 8224).dtype == np.int64
-    monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (5, 2, 3))
+    monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (5, 3))
     check_significant_rows_against_emit_all(matrix, planes, 5, 5, "exact", None)
 
 
@@ -343,7 +343,7 @@ def test_winner_key_keeps_first_maximum_and_sign_at_depth_4(n, dtype):
     last[-1] = -n  # a lone maximum in last place
     dots = np.stack([tied, -tied, mixed, -mixed, last]).astype(np.float32)
     # the keys of 5 rows and 1 column go into column 1 of a wider array,
-    # a strided view, as a tile's keys go into a panel's key rows; keys()
+    # a strided view, as a tile's keys go into a band's key rows; keys()
     # overwrites the dots (rows, a_mask, b_mask, cols) it is given, so it
     # gets a copy
     tile = dots.reshape(5, 15, 15, 1).copy()

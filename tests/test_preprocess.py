@@ -824,6 +824,38 @@ def test_pipeline_report_contents():
         empirical_copula(cleaned.values[g])
 
 
+def test_pipeline_drops_constant_genes_after_the_jitter():
+    # genes 1 and 4 constant, an all-zero one among them, against the same
+    # matrix with them varying: every other gene keeps its row index, its
+    # jitter stream and its values
+    varying = _count_fixture(np.random.default_rng(79))
+    varying[[1, 4]] = np.arange(1, 41)
+    constant = varying.copy()
+    constant[1], constant[4] = 7.0, 0.0
+    a, report_a = run_pipeline(small_matrix(varying), 5, zero_fraction_threshold=1)
+    b, report_b = run_pipeline(small_matrix(constant), 5, zero_fraction_threshold=1)
+    kept = [0, 2, 3, 5, 6, 7]
+    assert b.gene_ids == [f"G{g}" for g in kept]
+    assert np.array_equal(b.values, a.values[kept])
+    assert report_b.genes_dropped == [
+        {"gene": "G1", "reason": "constant"},
+        {"gene": "G4", "reason": "constant"},
+    ]
+    # the constant genes' median spikes are not reported as reset
+    assert report_b.medians_reset == report_a.medians_reset
+    assert report_b.jitter_widths == report_a.jitter_widths
+
+
+def test_pipeline_refuses_fewer_than_two_genes_naming_both_causes():
+    m = small_matrix([[0, 0, 0, 1, 2], [7, 7, 7, 7, 7], [1, 2, 3, 4, 5]])
+    with pytest.raises(BetscanError) as refused:
+        run_pipeline(m, seed=3)
+    assert str(refused.value) == (
+        "1 gene(s) left of 3: the zero filter (zero fraction above 0.2) "
+        "dropped 1 and 1 were constant; a screen needs at least 2"
+    )
+
+
 def test_gene_stream_keys_distinct():
     keys = {gene_stream_key(9, g) for g in range(100)}
     assert len(keys) == 100

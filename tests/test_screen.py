@@ -368,13 +368,13 @@ def planted_matrix(g, n, seed):
 # diagonal, with two partners a float32 column and with one, and int64
 # winner keys
 PINNED_SCREENS = {
-    # name: ((genes, samples, depth, (panel, band, tile) or None, config), digest)
+    # name: ((genes, samples, depth, (band, tile) or None, config), digest)
     "filtered, two partners a column": (
-        (40, 96, 2, (5, 2, 3), {"bid_filter": frozenset({"Linear", "Parabolic"})}),
+        (40, 96, 2, (5, 3), {"bid_filter": frozenset({"Linear", "Parabolic"})}),
         "5e4c1f8b1676e1b344a008b9123d3d5fdea94b32b37a81ed59afba8b153e659d",
     ),
     "one partner a column": (
-        (12, 2048, 2, (3, 2, 2), {}),
+        (12, 2048, 2, (2, 3), {}),
         "c939e1329b5b1a2af01cb98a42f201780512979d890c91a519d433ebfce12772",
     ),
     "int64 keys": (
@@ -419,14 +419,14 @@ def test_screen_bytes_pinned(tmp_path, monkeypatch, case, digest):
     ],
 )
 def test_band_stream_joins_to_the_screen_in_row_order(monkeypatch, fields):
-    # 5-gene panels of 2-gene bands against 3-gene tiles: 23 bands
-    monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (5, 2, 3))
+    # 5-gene bands against 3-gene tiles: ceil(39 / 5) bands
+    monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (5, 3))
     m = planted_matrix(40, 96, 3)
     planes = precompute_bitplanes(m, 2)
     config = ScreenConfig(**fields)
     results, summary = screen_all_pairs(planes, m.gene_ids, config)
     bands = list(screen._bands(planes, config, summary.m_pairs))
-    assert len(bands) == 23
+    assert len(bands) == -(-39 // 5)
     entries: list[tuple[int, int, float]] = []
     for i, j, k, fresh, hits in bands:
         assert i.dtype == j.dtype == k.dtype == np.int32
