@@ -42,13 +42,16 @@ from .manifest import (
     open_input,
     read_manifest,
     sha256_file,
+    write_csv,
     write_json,
     write_manifest,
     write_records,
 )
 from .preprocess import (
+    FORMATS,
     ExpressionMatrix,
     check_savable,
+    drop_constant_genes,
     load_labels,
     load_matrix,
     run_pipeline,
@@ -174,29 +177,29 @@ def run_preprocess(config: dict, out_dir: Path, digests: dict[str, str]) -> list
         keep = [tok.strip() for tok in config["context"].split(",") if tok.strip()]
         where = f"--context {config['context']!r} keeps too few samples: "
         cleaned = _enough_samples(subset_by_labels(cleaned, keep), where)
+        earlier = f"the pipeline before --context {config['context']!r}"
+        cleaned = drop_constant_genes(cleaned, report, earlier)
+    # --uq-target may have scaled a finite count past the float range
+    check_savable(cleaned)
 
     _start_run(out_dir)
-    outputs = []
     matrix_path = out_dir / "matrix.tsv"
     save_matrix(cleaned, matrix_path, "tsv_genes_by_samples")
-    save_binary_copy(cleaned, matrix_path)
-    outputs += [matrix_path.name, matrix_path.name + ".npz"]
+    outputs = [matrix_path, save_binary_copy(cleaned, matrix_path)]
     if cleaned.labels is not None:
         labels_path = out_dir / "labels.csv"
-        with atomic_open(labels_path) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sample_id", "label"])
-            writer.writerows(zip(cleaned.sample_ids, cleaned.labels))
-        outputs.append(labels_path.name)
+        rows = zip(cleaned.sample_ids, cleaned.labels)
+        write_csv(labels_path, ["sample_id", "label"], rows)
+        outputs.append(labels_path)
     report_path = out_dir / "preprocess_report.json"
     write_json(asdict(report), report_path)
-    outputs.append(report_path.name)
+    outputs.append(report_path)
 
     print(
         f"preprocess: {cleaned.n_genes} genes x {cleaned.n_samples} samples -> "
         f"{matrix_path} ({len(report.genes_dropped)} gene(s) dropped)"
     )
-    return outputs
+    return [path.name for path in outputs]
 
 
 # ---------------------------------------------------------------------- test
@@ -326,22 +329,17 @@ def run_network(config: dict, out_dir: Path, digests: dict[str, str]) -> list[st
     ext = {"csv_edge_list": "csv", "dot": "dot", "json": "json"}[fmt]
     graph_path = out_dir / f"graph.{ext}"
     _start_run(out_dir)
-    export_graph(graph, graph_path, fmt)
+    outputs = export_graph(graph, graph_path, fmt)
 
     hubs_path = out_dir / "hubs.csv"
-    with atomic_open(hubs_path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gene", "degree", "neighbors"])
-        for gene, degree, neighbors in hub_report(graph, config["min_degree"]):
-            writer.writerow([gene, degree, ";".join(neighbors)])
-
-    outputs = [graph_path.name, hubs_path.name]
-    if fmt == "csv_edge_list":
-        outputs.append(graph_path.name + ".nodes.csv")
+    hubs = hub_report(graph, config["min_degree"])
+    rows = [(gene, degree, ";".join(near)) for gene, degree, near in hubs]
+    write_csv(hubs_path, ["gene", "degree", "neighbors"], rows)
+    outputs.append(hubs_path)
     print(
         f"network: {len(graph.nodes)} nodes, {len(graph.edges)} edges -> {graph_path}"
     )
-    return outputs
+    return [path.name for path in outputs]
 
 
 # ------------------------------------------------------------------- compare
@@ -497,7 +495,7 @@ def _input_digests(paths: list[str], recorded: dict[str, str] | None) -> dict[st
 def _add_format(p) -> None:
     p.add_argument(
         "--format",
-        choices=["tsv_genes_by_samples", "tsv", "csv"],
+        choices=FORMATS,
         default="tsv_genes_by_samples",
         help="matrix file layout (default: tab-separated genes by samples)",
     )

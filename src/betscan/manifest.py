@@ -6,19 +6,20 @@ configuration (every flag after defaulting), the sha256 that each input
 file had before the run, the seed, and tool versions; `betscan rerun`
 replays a manifest and must reproduce the recorded outputs exactly (wall
 time is metadata and exempt).  Every output goes through `atomic_open`,
-so none is left partly written.
+so none is left partly written, and every table cell through `cell`.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import platform
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable, Iterator, TextIO
 
@@ -61,23 +62,33 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
-def _cell(value) -> str:
+def cell(value) -> str:
+    """A table cell: a float to 12 significant digits, a bool true/false, None empty."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
+    return "" if value is None else str(value)
+
+
+def csv_line(cells: Iterable[str]) -> str:
+    """The cells as a line of csv.writer, which quotes as the reader needs."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write header, then each row's values as cells, as CSV lines, atomically."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(cell, row) for row in rows)
 
 
 def write_records(records: Iterable, cls, path) -> None:
-    """Write dataclass records as CSV below cls's field names, atomically.
-
-    Floats are written at 12 significant digits, booleans as true/false.
-    """
-    names = [f.name for f in fields(cls)]
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for record in records:
-            writer.writerow([_cell(getattr(record, name)) for name in names])
+    """Write dataclass records as CSV below cls's field names, atomically."""
+    write_csv(path, [f.name for f in fields(cls)], map(astuple, records))
 
 
 @dataclass

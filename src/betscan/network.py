@@ -10,13 +10,13 @@ GraphEdge only for the rows it keeps.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .manifest import atomic_open, write_json, write_records
+from .manifest import atomic_open, cell, write_csv, write_json, write_records
 from .screen import ScreenResults
 
 __all__ = [
@@ -117,55 +117,52 @@ def hub_report(
     return hubs
 
 
-def export_graph(graph: DependenceGraph, path, fmt: str = "csv_edge_list") -> None:
-    """Write the graph deterministically as CSV, DOT, or JSON.
+def export_graph(
+    graph: DependenceGraph, path, fmt: str = "csv_edge_list"
+) -> list[Path]:
+    """Write the graph deterministically as CSV, DOT, or JSON; return the paths written.
 
     csv_edge_list writes the edge table plus a '<path>.nodes.csv' sidecar
     carrying the node max-z attributes (the edge table alone cannot
     represent isolated nodes).
     """
-    if fmt == "csv_edge_list":
-        _export_csv(graph, path)
-    elif fmt == "dot":
-        _export_dot(graph, path)
-    elif fmt == "json":
-        _export_json(graph, path)
-    else:
+    writers = {"csv_edge_list": _export_csv, "dot": _export_dot, "json": _export_json}
+    if fmt not in writers:
         raise ValueError(f"unknown graph format {fmt!r}")
+    return writers[fmt](graph, Path(path))
 
 
 def _sorted_edges(graph: DependenceGraph) -> list[GraphEdge]:
     return sorted(graph.edges, key=lambda e: (e.gene_i, e.gene_j))
 
 
-def _export_csv(graph: DependenceGraph, path) -> None:
+def _export_csv(graph: DependenceGraph, path: Path) -> list[Path]:
     write_records(_sorted_edges(graph), GraphEdge, path)
-    with atomic_open(str(path) + ".nodes.csv") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gene", "max_z"])
-        for gene in sorted(graph.nodes):
-            writer.writerow([gene, f"{graph.nodes[gene]:.12g}"])
+    nodes = path.with_name(path.name + ".nodes.csv")
+    write_csv(nodes, ["gene", "max_z"], sorted(graph.nodes.items()))
+    return [path, nodes]
 
 
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _export_dot(graph: DependenceGraph, path) -> None:
+def _export_dot(graph: DependenceGraph, path: Path) -> list[Path]:
     lines = ["graph dependence {"]
     for gene in sorted(graph.nodes):
-        lines.append(f"  {_dot_quote(gene)} [max_z={graph.nodes[gene]:.12g}];")
+        lines.append(f"  {_dot_quote(gene)} [max_z={cell(graph.nodes[gene])}];")
     for e in _sorted_edges(graph):
         lines.append(
             f"  {_dot_quote(e.gene_i)} -- {_dot_quote(e.gene_j)} "
-            f'[color={e.color}, bid_class={_dot_quote(e.bid_class)}, z={e.z:.12g}];'
+            f"[color={e.color}, bid_class={_dot_quote(e.bid_class)}, z={cell(e.z)}];"
         )
     lines.append("}")
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
+    return [path]
 
 
-def _export_json(graph: DependenceGraph, path) -> None:
+def _export_json(graph: DependenceGraph, path: Path) -> list[Path]:
     payload = {
         "nodes": [
             {"gene": gene, "max_z": graph.nodes[gene]} for gene in sorted(graph.nodes)
@@ -182,4 +179,4 @@ def _export_json(graph: DependenceGraph, path) -> None:
         ],
     }
     write_json(payload, path)
-
+    return [path]

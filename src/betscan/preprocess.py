@@ -62,6 +62,7 @@ import itertools
 import os
 import re
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -80,6 +81,7 @@ from .manifest import atomic_open, open_input, sha256_file
 __all__ = [
     "ExpressionMatrix",
     "PreprocessReport",
+    "FORMATS",
     "load_matrix",
     "save_matrix",
     "save_binary_copy",
@@ -91,6 +93,7 @@ __all__ = [
     "subset_by_labels",
     "upper_quartile_log2",
     "run_pipeline",
+    "drop_constant_genes",
     "gene_stream_key",
 ]
 
@@ -144,15 +147,17 @@ class ExpressionMatrix:
         return self.values[self.gene_index(gene_id)]
 
     def with_labels(self, mapping: dict[str, str]) -> "ExpressionMatrix":
-        """Attach per-sample labels from a sample_id -> label mapping."""
+        """Attach per-sample labels from a sample_id -> label mapping.
+
+        The new matrix shares self's values, which no step writes into.
+        """
         missing = [s for s in self.sample_ids if s not in mapping]
         if missing:
             raise DimensionMismatchError(
                 f"labels missing for sample(s): {', '.join(missing[:5])}"
                 + ("..." if len(missing) > 5 else "")
             )
-        labels = [mapping[s] for s in self.sample_ids]
-        return replace(self, values=self.values.copy(), labels=labels)
+        return replace(self, labels=[mapping[s] for s in self.sample_ids])
 
 
 @dataclass
@@ -166,6 +171,7 @@ class PreprocessReport:
 
 
 _DELIMS = {"tsv_genes_by_samples": "\t", "tsv": "\t", "csv": ","}
+FORMATS = tuple(_DELIMS)  # the fmt names of load_matrix and save_matrix
 
 # body lines parsed per np.loadtxt call; bounds the text held at once
 _BLOCK_LINES = 32
@@ -356,18 +362,18 @@ _COPY_KEYS = ("values", "gene_ids", "sample_ids", "sha256")
 _UNSAVABLE = re.compile('[\t"\r\n\0]')
 
 
-def _binary_copy_path(path) -> str:
-    return f"{os.fspath(path)}.npz"
+def _binary_copy_path(path) -> Path:
+    return Path(f"{os.fspath(path)}.npz")
 
 
-def save_binary_copy(matrix: ExpressionMatrix, path):
+def save_binary_copy(matrix: ExpressionMatrix, path) -> Path:
     """Write <path>.npz, the arrays of the text that save_matrix(matrix, path) wrote.
 
     Raises check_savable's BetscanError, and writes nothing, for a matrix
     whose parse would differ from its arrays.  The copy records the sha256
     of path's bytes, so load_matrix uses it only for that text.  It is
-    written atomically by np.savez, uncompressed; np.savez dates each
-    member 1980-01-01, so the same matrix gives the same bytes.
+    written atomically and uncompressed, each member dated 1980-01-01 by
+    np.savez, so the same matrix gives the same bytes.  Returns its path.
     """
     check_savable(matrix)
     arrays = {
@@ -376,8 +382,10 @@ def save_binary_copy(matrix: ExpressionMatrix, path):
         "sample_ids": np.array(matrix.sample_ids, dtype=str),
         "sha256": np.array(sha256_file(path)),
     }
-    with atomic_open(_binary_copy_path(path), binary=True) as fh:
+    copy = _binary_copy_path(path)
+    with atomic_open(copy, binary=True) as fh:
         np.savez(fh, **arrays)
+    return copy
 
 
 def _load_binary_copy(path, sha256: str | None) -> ExpressionMatrix | None:
@@ -603,7 +611,10 @@ def upper_quartile_log2(
         q = float(np.percentile(nz, 75))
         if q <= 0:
             raise DegenerateSampleError(sample, "zero upper quartile")
-        out[:, j] = np.log2(col * (target_quartile / q) + 1.0)
+        # a count scaled past the float range becomes inf, which
+        # check_savable names
+        with np.errstate(over="ignore"):
+            out[:, j] = np.log2(col * (target_quartile / q) + 1.0)
     return replace(matrix, values=out)
 
 
@@ -619,23 +630,20 @@ def run_pipeline(
 ) -> tuple[ExpressionMatrix, PreprocessReport]:
     """filter -> reset -> jitter, returning the cleaned matrix and a report.
 
-    A gene with one distinct value has no ranks: it is dropped after the
-    jitter, so every other gene keeps its row index and its jitter stream.
-    Raises BetscanError when fewer than two genes are left, since a screen
-    needs a pair.
+    A gene with one distinct value has no ranks: drop_constant_genes drops
+    it after the jitter, so every other gene keeps its row index and its
+    jitter stream, and refuses a matrix with fewer than two genes left.
     """
     filtered, report = filter_zero_heavy(matrix, zero_fraction_threshold)
     report.jitter_seed = seed
 
     values = filtered.values.copy()
-    varies = np.ones(filtered.n_genes, dtype=bool)
     for g, gene in enumerate(filtered.gene_ids):
         col = values[g]
         med = float(np.median(col))
         dup = int((col == med).sum())
         if dup == len(col):
-            varies[g] = False  # one value, so no ranks: dropped below
-            continue
+            continue  # one value, so no ranks: dropped below
         if dup > 1:
             report.medians_reset[gene] = dup - 1
         col = reset_median_imputed(col)
@@ -646,16 +654,31 @@ def run_pipeline(
             col = jitter_minimum_ties(col, gene_stream_key(seed, g))
         values[g] = col
 
-    constant = list(itertools.compress(filtered.gene_ids, ~varies))
-    genes = list(itertools.compress(filtered.gene_ids, varies))
+    earlier = f"the zero filter (zero fraction above {zero_fraction_threshold:g})"
+    cleaned = replace(filtered, values=values)
+    return drop_constant_genes(cleaned, report, earlier), report
+
+
+def drop_constant_genes(
+    matrix: ExpressionMatrix, report: PreprocessReport, earlier: str
+) -> ExpressionMatrix:
+    """matrix without its genes of one value, each listed in report as constant.
+
+    Raises BetscanError when fewer than two genes are left, since a screen
+    needs a pair; the message counts the genes that report lists as
+    dropped before, by the step that earlier names.
+    """
+    varies = (matrix.values != matrix.values[:, :1]).any(axis=1)
+    constant = list(itertools.compress(matrix.gene_ids, ~varies))
+    genes = list(itertools.compress(matrix.gene_ids, varies))
     if len(genes) < 2:
+        dropped = len(report.genes_dropped)
         raise BetscanError(
-            f"{len(genes)} gene(s) left of {matrix.n_genes}: the zero filter "
-            f"(zero fraction above {zero_fraction_threshold:g}) dropped "
-            f"{len(report.genes_dropped)} and {len(constant)} were constant; "
+            f"{len(genes)} gene(s) left of {matrix.n_genes + dropped}: {earlier} "
+            f"dropped {dropped} and {len(constant)} were constant; "
             "a screen needs at least 2"
         )
     report.genes_dropped += [{"gene": gene, "reason": "constant"} for gene in constant]
-    if not varies.all():  # values[varies] copies the matrix
-        values = values[varies]
-    return replace(filtered, gene_ids=genes, values=values), report
+    if varies.all():  # values[varies] copies the matrix
+        return matrix
+    return replace(matrix, gene_ids=genes, values=matrix.values[varies])

@@ -81,7 +81,6 @@ its two genes with np.fmax.at.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import time
 from array import array
@@ -104,7 +103,7 @@ from .core.maxbet import BetResult, bet_result, bonferroni
 from .core.nulls import null_draws, null_method, null_table, permutation_pvalue
 from .core.stats import cross_statistics, mask_combos, sign_factor, z_score
 from .errors import BetscanError, EmptyIntersectionError
-from .manifest import atomic_open, open_input
+from .manifest import atomic_open, cell, csv_line, open_input
 from .preprocess import ExpressionMatrix
 
 __all__ = [
@@ -122,6 +121,7 @@ __all__ = [
     "top_k_genes",
     "compare_runs",
     "RESULT_COLUMNS",
+    "DIAGNOSTIC_COLUMNS",
 ]
 
 # seeds are 64-bit, as preprocess.gene_stream_key keeps them
@@ -140,6 +140,9 @@ RESULT_COLUMNS = (
     "approximate",
     "method",
 )
+
+# the columns of results_all_bids.csv: every interaction's statistic per pair
+DIAGNOSTIC_COLUMNS = ("gene_i", "gene_j", "bid", "bid_class", "s", "z")
 
 
 @dataclass(frozen=True)
@@ -628,24 +631,13 @@ def _bands(
         yield band_rows(b0, keys)
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.12g}"
-
-
-def _csv_line(fields: Sequence[str]) -> str:
-    """The fields as a line of csv.writer, which quotes as the reader needs."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
-
-
 def _gene_cells(gene_ids: Sequence[str]) -> list[str]:
     """Each gene id as a CSV cell with the comma after it.
 
     It is formatted beside an empty field, because csv.writer writes a
     lone empty field as "".
     """
-    return [_csv_line([gene, ""])[:-1] for gene in gene_ids]
+    return [csv_line([gene, ""])[:-1] for gene in gene_ids]
 
 
 def _result_cells(r: BetResult) -> list[str]:
@@ -653,11 +645,11 @@ def _result_cells(r: BetResult) -> list[str]:
         r.bid.name,
         r.bid_class.label,
         str(r.s),
-        _fmt(r.z),
-        _fmt(r.p_raw),
-        _fmt(r.p_bid_adjusted),
-        _fmt(r.p_pair_adjusted),
-        "true" if r.approximate else "false",
+        cell(r.z),
+        cell(r.p_raw),
+        cell(r.p_bid_adjusted),
+        cell(r.p_pair_adjusted),
+        cell(r.approximate),
         r.method,
     ]
 
@@ -670,9 +662,9 @@ def write_results_csv(results: ScreenResults, path) -> None:
     file, if any, in place.
     """
     genes = _gene_cells(results.gene_ids)
-    tails = [_csv_line(_result_cells(r)) for r in results.table]
+    tails = [csv_line(_result_cells(r)) for r in results.table]
     with atomic_open(path) as fh:
-        fh.write(_csv_line(RESULT_COLUMNS))
+        fh.write(csv_line(RESULT_COLUMNS))
         for i, j, k in results._chunks():
             rows = [genes[a] + genes[b] + tails[c] for a, b, c in zip(i, j, k)]
             fh.write("".join(rows))
@@ -776,11 +768,11 @@ def all_bid_diagnostics(
     offsets = np.arange(len(bids), dtype=np.int64) * (2 * n + 1) + n
 
     @cache
-    def cell(code: int) -> str:
+    def tail_of(code: int) -> str:
         t, s = divmod(code, 2 * n + 1)
         s -= n
         label = bid_class_of(bids[t]).label
-        return _csv_line([bids[t].name, label, str(s), _fmt(z_score(s, n))])
+        return csv_line([bids[t].name, label, str(s), cell(z_score(s, n))])
 
     genes = _gene_cells(results.gene_ids)
     step = max(1, _PASS_ENTRIES // len(bids))
@@ -788,20 +780,20 @@ def all_bid_diagnostics(
         i, j = results.i[lo : lo + step], results.j[lo : lo + step]
         codes = cross_statistics(combos, combos, i, j, n) + offsets
         unique, inverse = np.unique(codes, return_inverse=True)
-        cells = [cell(code) for code in unique.tolist()]
+        tails = [tail_of(code) for code in unique.tolist()]
         lines = []
         for a, b, row in zip(
             i.tolist(), j.tolist(), inverse.reshape(codes.shape).tolist()
         ):
             pair = genes[a] + genes[b]
-            lines.append(pair + pair.join([cells[x] for x in row]))
+            lines.append(pair + pair.join([tails[x] for x in row]))
         yield "".join(lines)
 
 
 def write_diagnostics_csv(lines: Iterable[str], path) -> None:
     """Write all_bid_diagnostics' lines below their header, atomically."""
     with atomic_open(path) as fh:
-        fh.write("gene_i,gene_j,bid,bid_class,s,z\n")
+        fh.write(csv_line(DIAGNOSTIC_COLUMNS))
         fh.writelines(lines)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from betscan import cli, manifest as manifest_module
 from betscan.cli import main
-from betscan.manifest import sha256_file, tool_versions
+from betscan.manifest import cell, csv_line, sha256_file, tool_versions
 from betscan.screen import RESULT_COLUMNS
 from betscan.preprocess import ExpressionMatrix, load_labels, load_matrix, save_matrix
 
@@ -59,6 +59,12 @@ def assert_replayed_config(manifest, replay):
     config = json.loads(Path(manifest).read_text())["config"]
     replayed = json.loads((replay / "manifest.json").read_text())["config"]
     assert replayed == {**config, "out": str(replay)}
+
+
+def test_one_cell_format_for_every_table():
+    values = [0.1 + 0.2, 2.0, np.float64(1e-300), True, np.bool_(False), None, 7, "x"]
+    assert list(map(cell, values)) == ["0.3", "2", "1e-300", "true", "false", "", "7", "x"]
+    assert csv_line(["a,b", 'say "hi"', "", "1.5"]) == '"a,b","say ""hi""",,1.5\n'
 
 
 # --------------------------------------------------------------- preprocess
@@ -289,6 +295,24 @@ def test_uq_target_names_the_first_negative_count(tmp_path, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "error: gene 'G002', sample 'S005': negative count -3.0" in err
+    assert not out.exists()
+
+
+def test_preprocess_refuses_a_count_that_uq_target_scales_past_the_float_range(
+    tmp_path, capsys
+):
+    # the raw values are finite, so the early check passed and matrix.tsv
+    # was written before the binary copy refused the scaled inf
+    values = np.random.default_rng(5).integers(1, 5000, size=(5, 12)).astype(float)
+    values[2, 3] = 1e308
+    genes = [f"G{g}" for g in range(5)]
+    matrix = write_matrix(tmp_path, values, genes=genes)
+    out = tmp_path / "pre"
+    args = ["preprocess", str(matrix), "--out", str(out), "--uq-target", "1e6"]
+    assert main(args) == 1  # and warns of no overflow, which pytest makes an error
+    assert capsys.readouterr().err == (
+        "error: gene 'G2', sample 'S003': non-finite value inf\n"
+    )
     assert not out.exists()
 
 
@@ -656,6 +680,27 @@ def test_preprocess_drops_a_constant_gene_that_screen_would_refuse(
     assert report["genes_dropped"] == [{"gene": "G2", "reason": "constant"}]
     assert "G2" not in report["medians_reset"]
     assert load_matrix(pre / "matrix.tsv").gene_ids == ["G0", "G1", "G3", "G4", "G5"]
+    assert main(["screen", str(pre / "matrix.tsv"), "--out", str(run)]) == 0
+
+
+def test_preprocess_drops_a_gene_constant_on_the_context(tmp_path, capsys):
+    # G2 varies over the cohort but is 1e7 in every sample labelled A: the
+    # pipeline keeps it, and the context subset left it without ranks
+    values = np.random.default_rng(5).integers(1, 10**6, size=(6, 60)).astype(float)
+    values[2, :30] = 1e7
+    matrix = write_matrix(tmp_path, values, genes=[f"G{g}" for g in range(6)])
+    labels = tmp_path / "labels.csv"
+    rows = "".join(f"S{j:03d},{'A' if j < 30 else 'B'}\n" for j in range(60))
+    labels.write_text("sample_id,label\n" + rows)
+    pre, run = tmp_path / "pre", tmp_path / "run"
+    args = ["preprocess", str(matrix), "--labels", str(labels), "--context", "A"]
+    assert main([*args, "--out", str(pre)]) == 0
+    assert capsys.readouterr().out.endswith("(1 gene(s) dropped)\n")
+    report = json.loads((pre / "preprocess_report.json").read_text())
+    assert report["genes_dropped"] == [{"gene": "G2", "reason": "constant"}]
+    cleaned = load_matrix(pre / "matrix.tsv")
+    assert cleaned.gene_ids == ["G0", "G1", "G3", "G4", "G5"]
+    assert cleaned.n_samples == 30
     assert main(["screen", str(pre / "matrix.tsv"), "--out", str(run)]) == 0
 
 

@@ -178,6 +178,16 @@ def test_exports_deterministic(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_export_returns_the_paths_it_wrote(tmp_path):
+    results = screened_fixture(seed=13)
+    graph = build_network(results, top_k_genes(results, k=200))
+    for fmt in ("csv_edge_list", "dot", "json"):
+        (tmp_path / fmt).mkdir()
+        written = export_graph(graph, tmp_path / fmt / "graph", fmt)
+        assert sorted(written) == sorted((tmp_path / fmt).iterdir())
+        assert len(written) == (2 if fmt == "csv_edge_list" else 1)
+
+
 CLASS_LABELS = sorted({bid_class_of(b).label for b in all_bids(2, 2)})
 GENE_POOL = [f"G{x}" for x in range(6)]
 # a NaN z never ranks a gene, nor does -1.0 or below; 0.0 and -0.0 tie

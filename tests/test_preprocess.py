@@ -23,7 +23,9 @@ from betscan.errors import (
 from betscan.manifest import sha256_file
 from betscan.preprocess import (
     ExpressionMatrix,
+    PreprocessReport,
     check_savable,
+    drop_constant_genes,
     filter_zero_heavy,
     gene_stream_key,
     jitter_minimum_ties,
@@ -397,7 +399,7 @@ def saved_with_copy(tmp_path):
     )
     path = tmp_path / "matrix.tsv"
     save_matrix(m, path)
-    save_binary_copy(m, path)
+    assert save_binary_copy(m, path) == copy_of(path)
     with np.load(copy_of(path)) as arrays:
         return path, {key: arrays[key] for key in arrays.files}
 
@@ -708,6 +710,36 @@ def test_subset_identity_and_counts():
     assert np.array_equal(sub.values, m.values[:, :3])
 
 
+def test_with_labels_shares_the_values():
+    m = small_matrix(np.arange(8.0).reshape(2, 4))
+    labelled = m.with_labels({"S0": "A", "S1": "A", "S2": "B", "S3": "B"})
+    assert labelled.labels == ["A", "A", "B", "B"] and m.labels is None
+    assert np.shares_memory(labelled.values, m.values)
+
+
+def test_drop_constant_genes_on_a_context():
+    # G1 varies over the cohort but not on A, and only G1 varies on B
+    m = small_matrix(
+        [[1, 2, 3, 4, 5, 5], [7, 7, 7, 7, 1, 2], [7, 7, 7, 8, 7, 7]],
+        labels=["A", "A", "A", "A", "B", "B"],
+    )
+    report = PreprocessReport(genes_dropped=[{"gene": "G9", "reason": "constant"}])
+    context = subset_by_labels(m, {"A"})
+    kept = drop_constant_genes(context, report, "the pipeline")
+    assert kept.gene_ids == ["G0", "G2"] and kept.labels == ["A"] * 4
+    assert np.array_equal(kept.values, context.values[[0, 2]])
+    assert report.genes_dropped[1:] == [{"gene": "G1", "reason": "constant"}]
+    # nothing constant: the matrix itself comes back
+    assert drop_constant_genes(kept, report, "the pipeline") is kept
+    assert len(report.genes_dropped) == 2
+    with pytest.raises(BetscanError) as refused:
+        drop_constant_genes(subset_by_labels(m, {"B"}), report, "the pipeline")
+    assert str(refused.value) == (
+        "1 gene(s) left of 5: the pipeline dropped 2 and 2 were constant; "
+        "a screen needs at least 2"
+    )
+
+
 def test_subset_unknown_label():
     m = small_matrix(np.arange(8.0).reshape(2, 4), labels=["A", "A", "B", "B"])
     with pytest.raises(UnknownLabelError) as err:
@@ -750,6 +782,13 @@ def test_uq_log2_hand_computed():
     out = upper_quartile_log2(m, target_quartile=3.0)
     q = np.percentile([2.0, 4.0, 6.0, 8.0], 75)  # nonzero values only
     assert np.allclose(out.values[:, 0], np.log2(col * (3.0 / q) + 1.0))
+
+
+def test_uq_log2_scales_an_overflowing_count_to_inf_without_a_warning():
+    m = small_matrix([[1.0, 5.0], [2.0, 1e308], [3.0, 6.0], [4.0, 7.0], [5.0, 8.0]])
+    out = upper_quartile_log2(m, 1e6)  # pytest makes a warning an error
+    assert np.isposinf(out.values[1, 1])
+    assert np.isfinite(np.delete(out.values.ravel(), 3)).all()
 
 
 def test_uq_log2_degenerate_sample():

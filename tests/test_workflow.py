@@ -6,6 +6,7 @@ planted relationships (one linear duplicate, one parabolic pair) riding on
 otherwise independent noise.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -191,3 +192,85 @@ def test_full_workflow(tmp_path):
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["outputs"]
         assert all((out_dir / name).exists() for name in manifest["outputs"])
+
+
+# sha256 of each table output of table_workflow's run; no other test pins
+# these files' bytes
+PINNED_TABLES = {
+    "pre/labels.csv": (
+        "48bf5fc836d4fc24e57ff66280a3b9b530c66199c41332eeddf952e24ba5e835"
+    ),
+    "net_csv/hubs.csv": (
+        "07810823a7ef84c8043a4d1ddfd28066b6f9555af62898617bb50f5c2ca12a04"
+    ),
+    "net_csv/graph.csv": (
+        "d8a342db04b6dd4f586a4f542bdece8a287a29b52454bee379f7dab2e2363b90"
+    ),
+    "net_csv/graph.csv.nodes.csv": (
+        "0a898fba843d97e96175a46acf055b5b1e7834f989c1bd55284c6566db3d16d3"
+    ),
+    "net_dot/graph.dot": (
+        "4ab93cb3b191227e6796cd2971e682d6c2f23d1abf5e31b33cdb7e05da5e4665"
+    ),
+    "net_json/graph.json": (
+        "125578c993740a31313a83459a7c1b83b9bc7e4c9f2607f30e7e949593e32ee8"
+    ),
+    "cmp/compare.csv": (
+        "56502dad094541e0685fdeac7f67bfad64fc6cb99d3d89a0890a6221dd845b49"
+    ),
+}
+
+
+def table_workflow(tmp_path):
+    """preprocess --labels, screen, network in each format and compare.
+
+    Ids and labels with a comma make the tables quote cells.
+    """
+    rng = np.random.default_rng(2310)
+    n = 96
+    x, t = rng.random(n), rng.random(n)
+    rows = [x * 1e4 + 5, x * 3e4 + 2, x * 7e3 + 9, t * 1e4 + 1]
+    rows.append(np.abs((t - 0.5) ** 2 + rng.normal(0.0, 0.01, n)) * 1e5 + 7)
+    for g in range(8):
+        col = rng.choice(np.arange(1, 10**6), size=n, replace=False).astype(float)
+        col[: 3 * g] = 0.0  # zero ties, and past the 20% filter at g = 7
+        rows.append(col)
+    matrix = ExpressionMatrix(
+        gene_ids=["LIN,A", "LIN B", "LIN C", "PAR_A", "PAR_B"] + [f"BG{g}" for g in range(8)],
+        sample_ids=[f"S{j:02d}" if j != 3 else "S,03" for j in range(n)],
+        values=np.array(rows),
+    )
+    counts = tmp_path / "counts.tsv"
+    save_matrix(matrix, counts)
+    labels = tmp_path / "labels.csv"
+    lines = ["sample_id,label"]
+    for j, sample in enumerate(matrix.sample_ids):
+        lines.append(f'"{sample}",' + ("A" if j % 4 else '"B,b"'))
+    labels.write_text("\n".join(lines) + "\n")
+
+    pre, scr = tmp_path / "pre", tmp_path / "scr"
+    argvs = [
+        ["preprocess", str(counts), "--labels", str(labels), "--out", str(pre),
+         "--seed", "6"],
+        ["screen", str(pre / "matrix.tsv"), "--out", str(scr), "--emit-all"],
+        *(
+            ["network", str(scr / "results.csv"), "--out", str(tmp_path / out),
+             "--graph-format", fmt, "--alpha", "0.5", "--k", "6"]
+            for out, fmt in (
+                ("net_csv", "csv_edge_list"), ("net_dot", "dot"), ("net_json", "json")
+            )
+        ),
+        ["compare", str(scr / "results.csv"), str(pre / "matrix.tsv"),
+         "--class", "Linear", "--out", str(tmp_path / "cmp")],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0
+
+
+def test_table_output_bytes_pinned(tmp_path):
+    table_workflow(tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_TABLES
+    }
+    assert digests == PINNED_TABLES
