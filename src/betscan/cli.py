@@ -170,11 +170,12 @@ def run_preprocess(config: dict, out_dir: Path, digests: dict[str, str]) -> list
     cleaned, report = run_pipeline(
         matrix, seed=config["seed"], zero_fraction_threshold=config["zero_threshold"]
     )
+    del matrix  # the uncleaned values, which the writers below need not hold
 
     # Context subsetting happens after jitter so every context inherits the
     # same cleaned values; ranks are taken per context downstream anyway.
     if config["context"]:
-        keep = [tok.strip() for tok in config["context"].split(",") if tok.strip()]
+        keep = _context_labels(config["context"])
         where = f"--context {config['context']!r} keeps too few samples: "
         cleaned = _enough_samples(subset_by_labels(cleaned, keep), where)
         earlier = f"the pipeline before --context {config['context']!r}"
@@ -184,8 +185,8 @@ def run_preprocess(config: dict, out_dir: Path, digests: dict[str, str]) -> list
 
     _start_run(out_dir)
     matrix_path = out_dir / "matrix.tsv"
-    save_matrix(cleaned, matrix_path, "tsv_genes_by_samples")
-    outputs = [matrix_path, save_binary_copy(cleaned, matrix_path)]
+    digest = save_matrix(cleaned, matrix_path, "tsv_genes_by_samples")
+    outputs = [matrix_path, save_binary_copy(cleaned, matrix_path, digest)]
     if cleaned.labels is not None:
         labels_path = out_dir / "labels.csv"
         rows = zip(cleaned.sample_ids, cleaned.labels)
@@ -200,6 +201,21 @@ def run_preprocess(config: dict, out_dir: Path, digests: dict[str, str]) -> list
         f"{matrix_path} ({len(report.genes_dropped)} gene(s) dropped)"
     )
     return [path.name for path in outputs]
+
+
+def _context_labels(value: str) -> list[str]:
+    """The labels of a --context value: one record of labels.csv's dialect.
+
+    A quoted label may hold a comma; each label is stripped, and empty ones
+    are dropped.
+    """
+    try:
+        record = next(csv.reader([value]), [])
+    except csv.Error:
+        raise BetscanError(
+            f"--context {value!r} holds a line break outside quotes"
+        ) from None
+    return [label.strip() for label in record if label.strip()]
 
 
 # ---------------------------------------------------------------------- test
@@ -516,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=Path, help="CSV sample_id,label")
     p.add_argument(
         "--context",
-        help="comma-separated labels to keep (requires --labels); applied last",
+        help="comma-separated labels to keep, quoted as in a CSV record "
+        "(requires --labels); applied last",
     )
     p.add_argument("--seed", type=_seed)
     p.add_argument("--zero-threshold", type=_fraction, default=0.20)

@@ -58,9 +58,13 @@ processing.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import os
 import re
+import signal
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -175,6 +179,10 @@ FORMATS = tuple(_DELIMS)  # the fmt names of load_matrix and save_matrix
 
 # body lines parsed per np.loadtxt call; bounds the text held at once
 _BLOCK_LINES = 32
+# gene rows that save_matrix formats at once, and each process holds
+_WRITE_ROWS = 64
+# gene rows that run_pipeline sorts at once; bounds its working memory
+_PIPELINE_ROWS = 256
 
 
 def load_matrix(
@@ -344,13 +352,116 @@ def _csv_error(path, line: int, exc: csv.Error) -> BetscanError:
     return BetscanError(f"{path}: line {line}: {exc}")
 
 
-def save_matrix(matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples"):
-    """Write a matrix back out; floats use repr so reload is bit-exact."""
+def save_matrix(
+    matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples"
+) -> str:
+    """Write a matrix back out; floats use repr so reload is bit-exact.
+
+    Returns the sha256 of the bytes written.  The rows are formatted in
+    blocks of _WRITE_ROWS genes.  When this process may run on two CPUs, a
+    forked helper formats the odd blocks and sends them through a pipe
+    while this process formats the even ones, and the blocks are written in
+    row order, so the bytes are those of one process.  The helper runs only
+    the block formatter on a memoryview taken before the fork, and no NumPy
+    call.  It is reaped whatever happens; when it fails, save_matrix raises
+    BetscanError and leaves no file.
+    """
     delim = _delimiter(fmt)
-    with atomic_open(path) as fh:
-        fh.write(delim.join(["gene_id", *matrix.sample_ids]) + "\n")
-        for gene, row in zip(matrix.gene_ids, matrix.values):
-            fh.write(delim.join([gene, *map(repr, row.tolist())]) + "\n")
+    gene_ids, n = matrix.gene_ids, matrix.n_samples
+    # a memoryview of the values, whose rows the helper reads with no NumPy call
+    flat = memoryview(np.ascontiguousarray(matrix.values, dtype=np.float64).ravel())
+    starts = range(0, len(gene_ids), _WRITE_ROWS)
+
+    def block(start: int) -> bytes:
+        lines = []
+        for g in range(start, min(start + _WRITE_ROWS, len(gene_ids))):
+            row = flat[g * n : g * n + n].tolist()
+            lines.append((delim.join([gene_ids[g], *map(repr, row)]) + "\n").encode())
+        return b"".join(lines)
+
+    digest = hashlib.sha256()
+    with atomic_open(path, binary=True) as fh:
+
+        def write(data: bytes) -> None:
+            fh.write(data)
+            digest.update(data)
+
+        write((delim.join(["gene_id", *matrix.sample_ids]) + "\n").encode())
+        if len(starts) < 2 or _usable_cpus() < 2:
+            for start in starts:
+                write(block(start))
+        else:
+            with _helper(block, starts[1::2]) as received:
+                for k, start in enumerate(starts):
+                    write(received() if k % 2 else block(start))
+    return digest.hexdigest()
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where that is unknown."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+@contextmanager
+def _helper(block, starts) -> Iterator:
+    """Fork a process that sends block(start) for each of starts through a pipe.
+
+    Yields a function that returns the next block.  On leaving, the helper
+    has exited 0 and is reaped; on an error here it is killed and reaped,
+    and when it fails BetscanError is raised.
+    """
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as out:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork in a process with threads, such as
+            # OpenBLAS's; the helper calls nothing that could wait on them
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                pipe.close()  # so that a parent that dies breaks the pipe
+                for start in starts:
+                    data = block(start)
+                    out.write(len(data).to_bytes(8, "little"))
+                    out.write(data)
+                out.close()
+                status = 0
+            finally:
+                # no return into the caller, and no flush of the buffers that
+                # this process shares with its parent, such as the output file's
+                os._exit(status)
+        reaped = False
+
+        def exit_code() -> int:
+            nonlocal reaped
+            _, status = os.waitpid(pid, 0)
+            reaped = True
+            return os.waitstatus_to_exitcode(status)
+
+        def received() -> bytes:
+            size = int.from_bytes(pipe.read(8), "little")
+            data = pipe.read(size)
+            if size and len(data) == size:
+                return data
+            raise _helper_failed(exit_code())
+
+        try:
+            out.close()  # so that a helper that stops leaves the pipe at its end
+            yield received
+            if code := exit_code():
+                raise _helper_failed(code)
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _helper_failed(code: int) -> BetscanError:
+    return BetscanError(
+        f"the matrix writer's helper process failed (exit status {code})"
+    )
 
 
 # the arrays of a binary copy
@@ -366,12 +477,15 @@ def _binary_copy_path(path) -> Path:
     return Path(f"{os.fspath(path)}.npz")
 
 
-def save_binary_copy(matrix: ExpressionMatrix, path) -> Path:
+def save_binary_copy(
+    matrix: ExpressionMatrix, path, sha256: str | None = None
+) -> Path:
     """Write <path>.npz, the arrays of the text that save_matrix(matrix, path) wrote.
 
     Raises check_savable's BetscanError, and writes nothing, for a matrix
     whose parse would differ from its arrays.  The copy records the sha256
-    of path's bytes, so load_matrix uses it only for that text.  It is
+    of path's bytes, so load_matrix uses it only for that text: the digest
+    that save_matrix returned, when passed, or else one taken now.  It is
     written atomically and uncompressed, each member dated 1980-01-01 by
     np.savez, so the same matrix gives the same bytes.  Returns its path.
     """
@@ -380,7 +494,7 @@ def save_binary_copy(matrix: ExpressionMatrix, path) -> Path:
         "values": np.ascontiguousarray(matrix.values),
         "gene_ids": np.array(matrix.gene_ids, dtype=str),
         "sample_ids": np.array(matrix.sample_ids, dtype=str),
-        "sha256": np.array(sha256_file(path)),
+        "sha256": np.array(sha256 or sha256_file(path)),
     }
     copy = _binary_copy_path(path)
     with atomic_open(copy, binary=True) as fh:
@@ -630,33 +744,58 @@ def run_pipeline(
 ) -> tuple[ExpressionMatrix, PreprocessReport]:
     """filter -> reset -> jitter, returning the cleaned matrix and a report.
 
+    The reset and the jitter run on blocks of _PIPELINE_ROWS genes, in place
+    on the filtered values, which filter_zero_heavy has copied; each block
+    is sorted once.  The values and the report are those of
+    reset_median_imputed and jitter_minimum_ties applied gene by gene.
+
     A gene with one distinct value has no ranks: drop_constant_genes drops
     it after the jitter, so every other gene keeps its row index and its
     jitter stream, and refuses a matrix with fewer than two genes left.
     """
     filtered, report = filter_zero_heavy(matrix, zero_fraction_threshold)
     report.jitter_seed = seed
-
-    values = filtered.values.copy()
-    for g, gene in enumerate(filtered.gene_ids):
-        col = values[g]
-        med = float(np.median(col))
-        dup = int((col == med).sum())
-        if dup == len(col):
-            continue  # one value, so no ranks: dropped below
-        if dup > 1:
-            report.medians_reset[gene] = dup - 1
-        col = reset_median_imputed(col)
-
-        uniq = np.unique(col)
-        if uniq.shape[0] >= 2 and int((col == uniq[0]).sum()) > 1:
-            report.jitter_widths[gene] = float(uniq[1] - uniq[0])
-            col = jitter_minimum_ties(col, gene_stream_key(seed, g))
-        values[g] = col
+    for start in range(0, filtered.n_genes, _PIPELINE_ROWS):
+        _clean_block(filtered, start, seed, report)
 
     earlier = f"the zero filter (zero fraction above {zero_fraction_threshold:g})"
-    cleaned = replace(filtered, values=values)
-    return drop_constant_genes(cleaned, report, earlier), report
+    return drop_constant_genes(filtered, report, earlier), report
+
+
+def _clean_block(
+    matrix: ExpressionMatrix, start: int, seed: int, report: PreprocessReport
+) -> None:
+    """Reset the median spikes and jitter the tied minima of one block of genes."""
+    block = matrix.values[start : start + _PIPELINE_ROWS]
+    genes = matrix.gene_ids[start : start + len(block)]
+    n = block.shape[1]
+    ordered = np.sort(block, axis=1)
+    # np.median's value: the middle value or the mean of the middle two,
+    # and nan for a gene that holds a nan, which sorts last
+    if n % 2:
+        median = ordered[:, n // 2]
+    else:
+        median = (ordered[:, n // 2 - 1] + ordered[:, n // 2]) / 2
+    median = np.where(np.isnan(ordered[:, -1]), np.nan, median)
+    spike = block == median[:, None]
+    dup = spike.sum(axis=1)
+    # a gene of one value is left as it is, for drop_constant_genes
+    reset = (dup > 1) & (dup < n)
+    for g in np.flatnonzero(reset).tolist():
+        report.medians_reset[genes[g]] = int(dup[g]) - 1
+    # every median value but the first goes to the gene's minimum
+    spike[np.arange(len(block)), spike.argmax(axis=1)] = False
+    spike &= reset[:, None]
+    np.copyto(block, block.min(axis=1)[:, None], where=spike)
+
+    # the reset moves values onto the minimum and keeps one at the median, so
+    # the distinct values, and the next one above the minimum, stay the same
+    low = ordered[:, :1]
+    second = ordered[np.arange(len(block)), (ordered != low).argmax(axis=1)]
+    tied = ((block == low).sum(axis=1) > 1) & (dup < n)
+    for g in np.flatnonzero(tied).tolist():
+        report.jitter_widths[genes[g]] = float(second[g] - low[g, 0])
+        block[g] = jitter_minimum_ties(block[g], gene_stream_key(seed, start + g))
 
 
 def drop_constant_genes(

@@ -4,17 +4,19 @@ Everything here recomputes quantities from first principles: digits by
 scanning the dyadic intervals with integer cross-multiplication,
 statistics by classifying each observation into its quadrant and summing
 region signs, tails by exhaustive enumeration, a matrix file by
-csv.reader and float() one row at a time, ranks by np.unique and a
-stable argsort one gene at a time, and the top genes and the network by
-walking the result rows one at a time.  None of it shares code with the
-bit-parallel production path, the block-wise loader, the block ranker or
-the columnar readers of ScreenResults.
+csv.reader and float() one row at a time, the cleaning pipeline one gene
+at a time, ranks by np.unique and a stable argsort one gene at a time,
+and the top genes and the network by walking the result rows one at a
+time.  None of it shares code with the bit-parallel production path, the
+block-wise loader, the block-wise pipeline, the block ranker or the
+columnar readers of ScreenResults.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -30,7 +32,15 @@ from betscan.errors import (
     TiesPresentError,
 )
 from betscan.network import EDGE_COLORS, DependenceGraph, GraphEdge
-from betscan.preprocess import ExpressionMatrix
+from betscan.preprocess import (
+    ExpressionMatrix,
+    PreprocessReport,
+    drop_constant_genes,
+    filter_zero_heavy,
+    gene_stream_key,
+    jitter_minimum_ties,
+    reset_median_imputed,
+)
 from betscan.screen import ScreenResults
 
 
@@ -266,6 +276,39 @@ def parse_matrix_oracle(fh, path, delim: str) -> ExpressionMatrix:
         sample_ids=sample_ids,
         values=np.array(rows, dtype=np.float64),
     )
+
+
+def run_pipeline_oracle(
+    matrix: ExpressionMatrix, seed: int, zero_fraction_threshold: float = 0.20
+) -> tuple[ExpressionMatrix, PreprocessReport]:
+    """The gene-at-a-time cleaning loop that the block-wise run_pipeline replaced.
+
+    Each gene takes np.median, reset_median_imputed, np.unique and
+    jitter_minimum_ties on its own, on a copy of the filtered values.
+    """
+    filtered, report = filter_zero_heavy(matrix, zero_fraction_threshold)
+    report.jitter_seed = seed
+
+    values = filtered.values.copy()
+    for g, gene in enumerate(filtered.gene_ids):
+        col = values[g]
+        med = float(np.median(col))
+        dup = int((col == med).sum())
+        if dup == len(col):
+            continue  # one value, so no ranks: dropped below
+        if dup > 1:
+            report.medians_reset[gene] = dup - 1
+        col = reset_median_imputed(col)
+
+        uniq = np.unique(col)
+        if uniq.shape[0] >= 2 and int((col == uniq[0]).sum()) > 1:
+            report.jitter_widths[gene] = float(uniq[1] - uniq[0])
+            col = jitter_minimum_ties(col, gene_stream_key(seed, g))
+        values[g] = col
+
+    earlier = f"the zero filter (zero fraction above {zero_fraction_threshold:g})"
+    cleaned = replace(filtered, values=values)
+    return drop_constant_genes(cleaned, report, earlier), report
 
 
 def empirical_copula_oracle(values, gene: str | None = None) -> CopulaColumn:

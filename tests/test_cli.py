@@ -250,6 +250,43 @@ def test_preprocess_labels_with_commas_and_quotes_round_trip(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "context, kept",
+    [
+        ('"B,x",A', ["A", "B,x"]),  # one CSV record, as in labels.csv
+        ('"B,x"', ["B,x"]),
+        (" A ,, C,", ["A", "C"]),  # unquoted: split on commas, stripped
+    ],
+)
+def test_preprocess_context_takes_a_label_that_holds_a_comma(tmp_path, context, kept):
+    matrix = count_fixture(tmp_path)
+    names = ["A", "B,x", "C"]
+    labels = tmp_path / "labels.csv"
+    with open(labels, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "label"])
+        writer.writerows((f"S{j:03d}", names[j % 3]) for j in range(40))
+    out = tmp_path / "ctx"
+    args = ["preprocess", str(matrix), "--labels", str(labels), "--context", context]
+    assert main([*args, "--out", str(out)]) == 0
+    written = load_labels(out / "labels.csv")
+    assert sorted(set(written.values())) == kept
+    assert sorted(written) == [f"S{j:03d}" for j in range(40) if names[j % 3] in kept]
+
+
+def test_preprocess_refuses_a_context_with_a_line_break(tmp_path, capsys):
+    matrix = count_fixture(tmp_path)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("sample_id,label\n" + "".join(f"S{j:03d},A\n" for j in range(40)))
+    out = tmp_path / "ctx"
+    args = ["preprocess", str(matrix), "--labels", str(labels), "--context", "A\nB"]
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --context 'A\\nB' holds a line break outside quotes\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kept", [3, 4])
 def test_preprocess_refuses_a_context_that_keeps_fewer_than_four_samples(
     tmp_path, capsys, kept
@@ -1209,10 +1246,10 @@ def test_each_input_is_hashed_once_and_the_manifest_hashes_none(tmp_path, monkey
 
     monkeypatch.setattr(cli, "write_manifest", write_manifest)
 
-    def assert_hashed_once(args, inputs, written=()):
+    def assert_hashed_once(args, inputs):
         hashed.clear()
         assert main(list(map(str, args))) == 0, args
-        assert hashed == Counter(map(str, [*inputs, *written])), args
+        assert hashed == Counter(map(str, inputs)), args
 
     (tmp_path / "raw").mkdir()
     raw = count_fixture(tmp_path / "raw")
@@ -1222,10 +1259,9 @@ def test_each_input_is_hashed_once_and_the_manifest_hashes_none(tmp_path, monkey
     pairs.write_text("gene_i,gene_j\nG000,G001\n")
     pre, runs = tmp_path / "pre", tmp_path / "runs"
     matrix, results = pre / "matrix.tsv", runs / "screen" / "results.csv"
-    # preprocess hashes the matrix.tsv it writes, an output, for its binary copy
-    assert_hashed_once(
-        ["preprocess", raw, "--labels", labels, "--out", pre], [raw, labels], [matrix]
-    )
+    # preprocess takes the digest of matrix.tsv for its binary copy while it
+    # writes the text, and reads no output back
+    assert_hashed_once(["preprocess", raw, "--labels", labels, "--out", pre], [raw, labels])
     with parse_refused():  # every later command reads the copy, vouched for by main
         for args, inputs in (
             (["test", matrix, "G000", "G001", "--out", runs / "test"], [matrix]),

@@ -1,12 +1,15 @@
 import math
 import os
+import signal
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betscan.core import empirical_copula
@@ -41,7 +44,7 @@ from betscan.preprocess import (
 
 from betscan import preprocess
 
-from ._oracles import parse_matrix_oracle
+from ._oracles import parse_matrix_oracle, run_pipeline_oracle
 from ._synth import subtype_context_labels
 
 
@@ -329,6 +332,151 @@ def test_save_matrix_bytes_pinned(tmp_path):
     )
     again = load_matrix(path).values
     assert np.array_equal(again.view(np.uint64), m.values.view(np.uint64))
+
+
+# save_matrix's blocks, patched small: one row, a block less one, a block, a
+# block and one, and odd gene counts of several blocks each
+_ROWS = 4
+
+
+@contextmanager
+def writer_cpus(count):
+    """A context in which save_matrix sees `count` CPUs, with small blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preprocess, "_WRITE_ROWS", _ROWS)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        yield mp
+
+
+def forks_counted(mp):
+    """Count os.fork calls under mp; returns the list of forked pids."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize(
+    "genes", [1, 2, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1, 5 * _ROWS + 3]
+)
+@pytest.mark.parametrize("fmt", ["tsv_genes_by_samples", "csv"])
+def test_save_matrix_writes_the_same_bytes_from_one_and_two_processes(
+    tmp_path, genes, fmt
+):
+    rng = np.random.default_rng(genes)
+    scale = 10.0 ** rng.integers(-300, 300, (genes, 3))
+    m = ExpressionMatrix(
+        gene_ids=[f"gène{g}·β" if g % 2 else f"G{g}" for g in range(genes)],
+        sample_ids=["S0", "échantillon 1", "S2"],
+        values=rng.lognormal(size=(genes, 3)) * scale,
+    )
+    written = {}
+    for count in (1, 2):
+        path = tmp_path / f"m{count}.txt"
+        with writer_cpus(count) as mp:
+            pids = forks_counted(mp)
+            digest = save_matrix(m, path, fmt)
+        assert len(pids) == (count == 2 and genes > _ROWS)
+        assert digest == sha256_file(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [*(f"m{c}.txt" for c in written), path.name]
+        )
+        written[count] = path.read_bytes()
+    assert written[1] == written[2]
+    delim = "," if fmt == "csv" else "\t"
+    lines = written[1].decode().splitlines()
+    assert lines[0] == delim.join(["gene_id", *m.sample_ids])
+    rows = zip(m.gene_ids, m.values.tolist())
+    assert lines[1:] == [delim.join([gene, *map(repr, row)]) for gene, row in rows]
+
+
+def test_save_matrix_digest_is_that_of_the_file(tmp_path):
+    m = small_matrix(np.random.default_rng(2).normal(size=(3 * _ROWS, 5)))
+    for count in (1, 2):
+        with writer_cpus(count):
+            assert save_matrix(m, tmp_path / "m.tsv") == sha256_file(tmp_path / "m.tsv")
+
+
+def _fail_in_the_helper(mp, parent):
+    """Make the formatter raise in any process but parent."""
+
+    def failing_repr(value):
+        if os.getpid() != parent:
+            raise RuntimeError("helper fault")
+        return repr(value)
+
+    mp.setattr(preprocess, "repr", failing_repr, raising=False)
+
+
+def _kill_the_helper(mp, parent):
+    """Kill the helper as soon as it is forked."""
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+        return pid
+
+    mp.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize(
+    "fault, status", [(_fail_in_the_helper, 1), (_kill_the_helper, -signal.SIGKILL)]
+)
+def test_a_failed_helper_leaves_no_file_and_no_process(tmp_path, fault, status):
+    m = small_matrix(np.random.default_rng(3).normal(size=(4 * _ROWS, 5)))
+    path = tmp_path / "m.tsv"
+    with writer_cpus(2) as mp:
+        fault(mp, os.getpid())
+        pids = forks_counted(mp)
+        with pytest.raises(BetscanError) as failed:
+            save_matrix(m, path)
+    assert str(failed.value) == (
+        f"the matrix writer's helper process failed (exit status {status})"
+    )
+    assert list(tmp_path.iterdir()) == []
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+def test_an_error_in_the_writer_kills_and_reaps_the_helper(tmp_path, error):
+    m = small_matrix(np.random.default_rng(4).normal(size=(6 * _ROWS, 5)))
+    path = tmp_path / "m.tsv"
+    real_open = preprocess.atomic_open
+
+    @contextmanager
+    def failing_open(target, binary=False):
+        with real_open(target, binary) as fh:
+            writes = 0
+
+            def write(data):
+                nonlocal writes
+                writes += 1
+                if writes == 3:  # the header, the parent's first block, the helper's
+                    raise error
+                return fh.write(data)
+
+            yield type("Failing", (), {"write": staticmethod(write)})()
+
+    with writer_cpus(2) as mp:
+        mp.setattr(preprocess, "atomic_open", failing_open)
+        pids = forks_counted(mp)
+        with pytest.raises(type(error)):
+            save_matrix(m, path)
+    assert list(tmp_path.iterdir()) == []
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
 
 
 # --------------------------------------------------------------- binary copy
@@ -893,6 +1041,104 @@ def test_pipeline_refuses_fewer_than_two_genes_naming_both_causes():
         "1 gene(s) left of 3: the zero filter (zero fraction above 0.2) "
         "dropped 1 and 1 were constant; a screen needs at least 2"
     )
+
+
+def _pipeline_outcome(run):
+    """run()'s cleaned matrix and report, or the error it raises, as comparable data."""
+    try:
+        cleaned, report = run()
+    except Exception as exc:  # the same failure, whatever it is
+        return type(exc).__name__, str(exc)
+    # repr compares a nan jitter width as equal
+    return cleaned.gene_ids, cleaned.values.tobytes(), repr(asdict(report))
+
+
+# gene rows: draws from few values, so that medians and minima tie, with
+# zeros, a nan or -inf now and then, and constant and all-zero genes.  The
+# other values lie on a grid of 1/64: jitter_minimum_ties draws until its
+# draws fall strictly between a tied minimum and the next value, all
+# distinct, and loops for ever where too few floats lie between the two
+_cells = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 7.0, 7.0, 7.0, 50.0, -0.0]),
+    st.integers(-(2**26), 2**26).map(lambda k: k / 64),
+    st.sampled_from([math.nan, -math.inf]),
+)
+
+
+def _room_above_the_minimum(row) -> bool:
+    """Whether many floats lie between row's minimum and its next value."""
+    distinct = np.unique(row)
+    if len(distinct) < 2 or not np.isfinite(distinct[:2]).all():
+        return True
+    low, second = distinct[:2]
+    return second - low > 2**20 * np.spacing(max(abs(low), abs(second)))
+
+
+@st.composite
+def pipeline_matrices(draw):
+    genes, samples = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    rows = []
+    for _ in range(genes):
+        kind = draw(st.sampled_from(["cells", "cells", "cells", "constant", "zero"]))
+        if kind == "cells":
+            rows.append(draw(st.lists(_cells, min_size=samples, max_size=samples)))
+        else:
+            rows.append([0.0 if kind == "zero" else draw(_cells)] * samples)
+    return small_matrix(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pipeline_matrices(),
+    st.integers(0, 2**64),
+    st.floats(0.0, 1.0),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_pipeline_matches_the_gene_by_gene_oracle(matrix, seed, threshold, blocks, uq):
+    if uq:  # the --uq-target path: counts scaled and logged first
+        matrix = small_matrix(np.abs(np.nan_to_num(matrix.values, neginf=3.0)))
+        try:
+            matrix = upper_quartile_log2(matrix, 1000.0)
+        except DegenerateSampleError:
+            return
+        # samples scaled by different factors may put a gene's values a few
+        # floats apart, where the jitter would not end
+        assume(all(map(_room_above_the_minimum, matrix.values)))
+    rows = max(1, -(-matrix.n_genes // blocks))  # so that the genes take 1-3 blocks
+    expected = _pipeline_outcome(lambda: run_pipeline_oracle(matrix, seed, threshold))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preprocess, "_PIPELINE_ROWS", rows)
+        got = _pipeline_outcome(lambda: run_pipeline(matrix, seed, threshold))
+    assert got == expected
+
+
+def test_pipeline_matches_the_oracle_on_counts_with_spikes():
+    rng = np.random.default_rng(80)
+    m = small_matrix(np.concatenate([_count_fixture(rng, 300, 97) for _ in range(2)]))
+    expected = _pipeline_outcome(lambda: run_pipeline_oracle(m, 11))
+    assert _pipeline_outcome(lambda: run_pipeline(m, 11)) == expected
+    _, report = run_pipeline(m, 11)
+    assert len(report.medians_reset) > 100 and len(report.jitter_widths) > 100
+
+
+def test_pipeline_holds_the_matrix_about_once():
+    # run_pipeline cleans the filtered copy in place, a block of genes at a
+    # time, so its traced peak stays near one copy of the filtered matrix
+    rng = np.random.default_rng(81)
+    values = rng.lognormal(size=(2000, 1096))
+    values[rng.random(values.shape) < 0.05] = 0.0
+    values[::5, :300] = np.median(values[::5], axis=1, keepdims=True)
+    m = small_matrix(values)
+    filtered, _ = filter_zero_heavy(m)
+    tracemalloc.start()
+    try:
+        cleaned, report = run_pipeline(m, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.medians_reset and report.jitter_widths
+    assert peak <= 1.5 * filtered.values.nbytes, (peak, filtered.values.nbytes)
 
 
 def test_gene_stream_keys_distinct():
