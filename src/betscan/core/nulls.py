@@ -8,9 +8,13 @@ moves S only through K, the number of observations +1 on both axes:
     S = n - 2P - 2Q + 4K,    K ~ Hypergeometric(n, Q, P)
 
 `exact_tail` tabulates P(|S| >= a) for a = 0..n, once per (n, P, Q); when
-2^depth divides n, P = Q = n/2.  Each one-sided tail P(K >= m) is P(K = m),
-from log-factorials so that deep tails do not underflow before the final
-exponentiation, times the sum of P(K = k) / P(K = m) over k >= m.
+2^depth divides n, P = Q = n/2.  From K's mode outward, a cumulative
+product of the exact ratio pmf(k + 1) / pmf(k) = (P - k)(Q - k) /
+((k + 1)(n - P - Q + k + 1)), whose integer factors a double holds exactly,
+gives each pmf over the mode's; these are summed by |S| (both signs of S
+alike), largest |S| first, and divided by their total.  Every tail of at
+least 1e-300 is within 3.2e-15 of the exact rational one (n = 96 to 20,000,
+P and Q near n/2); one below the smallest double reads as the floor 5e-324.
 
 A permutation test counts the extreme pairings among `iterations` uniform
 ones; that count is Binomial(iterations, tail) in law, so it is drawn once.
@@ -69,53 +73,19 @@ def label_counts(n: int, depth: int) -> tuple[int, ...]:
     )
 
 
-def _tail_sums(ratios: np.ndarray) -> np.ndarray:
-    """For r = 0..len(ratios): 1 + x1 + x2 + ..., x_i = ratios[r] * ... * ratios[r+i-1].
-
-    Each sum runs left to right, as a scalar loop would.  ratios must not
-    increase, so no r's terms exceed those of r = 0; a term below 2^-54
-    cannot change a sum of at least 1, so all sums stop where r = 0's does.
-    """
-    padded = np.concatenate((ratios, np.zeros(len(ratios))))
-    term = np.ones(len(ratios) + 1)
-    total = term.copy()
-    for i in range(len(ratios)):
-        term = term * padded[i : i + len(term)]
-        if term[0] < 2.0**-54:
-            break
-        total += term
-    return total
-
-
-def _upper_tail(n: int, p: int, q: int, log_fact: np.ndarray) -> np.ndarray:
-    """P(S >= a) for a = 1..n, S = n - 2p - 2q + 4K, K ~ Hypergeometric(n, q, p)."""
-    hi = min(p, q)
-    c0 = n - 2 * p - 2 * q
-    m0 = max(0, p + q - n, -c0 // 4 + 1)  # least K with S > 0
-    if m0 > hi:
-        return np.zeros(n)
-
-    def log_choose(a, b):
-        # larger factorial first, so C(a, b) and C(a, a - b) agree bit for bit
-        return log_fact[a] - log_fact[np.maximum(b, a - b)] - log_fact[np.minimum(b, a - b)]
-
-    m = np.arange(m0, hi + 1)
-    log_pmf = log_choose(p, m) + log_choose(n - p, q - m) - log_choose(n, q)
-    k = m[:-1]
-    ratios = ((p - k) / (k + 1)) * ((q - k) / (n - p - q + k + 1))  # pmf(k+1) / pmf(k)
-    head = np.array([math.exp(x) for x in log_pmf.tolist()])
-    tails = np.append(head * _tail_sums(ratios), 0.0)  # P(K >= m), 0 past the end
-    return tails[np.clip(-((c0 - np.arange(1, n + 1)) // 4), m0, hi + 1) - m0]
-
-
 @lru_cache(maxsize=256)
 def _tail_table(n: int, p: int, q: int) -> np.ndarray:
-    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    # flipping u's labels maps p to n - p and S to -S, so P(S <= -a) is the
-    # upper tail of (n - p, q): the very same array when p = n/2
-    lower = _upper_tail(n, n - p, q, log_fact)
-    table = np.concatenate(([1.0], _upper_tail(n, p, q, log_fact) + lower))
-    table = np.minimum(1.0, np.maximum(table, _P_FLOOR))
+    lo, hi = max(0, p + q - n), min(p, q)
+    k = np.arange(lo, hi, dtype=np.float64)
+    up, down = (p - k) * (q - k), (k + 1) * (n - p - q + k + 1)  # pmf(k+1) / pmf(k)
+    m = (p + 1) * (q + 1) // (n + 2) - lo  # K's mode, less lo
+    # pmf(k) / pmf(mode) for k = lo..hi, as products outward from the mode
+    left = np.cumprod((down[:m] / up[:m])[::-1])[::-1]
+    mass = np.concatenate((left, [1.0], np.cumprod(up[m:] / down[m:])))
+    size = np.abs(n - 2 * p - 2 * q + 4 * np.arange(lo, hi + 1))
+    # P(|S| >= a): the masses of |S| >= a, smallest first, over all of them
+    tail = np.cumsum(np.bincount(size, mass, n + 1)[::-1])[::-1]
+    table = np.minimum(1.0, np.maximum(tail / tail[0], _P_FLOOR))
     table.flags.writeable = False
     return table
 

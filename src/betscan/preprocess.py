@@ -183,6 +183,8 @@ _BLOCK_LINES = 32
 _WRITE_ROWS = 64
 # gene rows that run_pipeline sorts at once; bounds its working memory
 _PIPELINE_ROWS = 256
+# rejected draws after which jitter_minimum_ties refuses a gene's tied minima
+_JITTER_DRAWS = 100
 
 
 def load_matrix(
@@ -357,16 +359,21 @@ def save_matrix(
 ) -> str:
     """Write a matrix back out; floats use repr so reload is bit-exact.
 
-    Returns the sha256 of the bytes written.  The rows are formatted in
-    blocks of _WRITE_ROWS genes.  When this process may run on two CPUs, a
-    forked helper formats the odd blocks and sends them through a pipe
-    while this process formats the even ones, and the blocks are written in
-    row order, so the bytes are those of one process.  The helper runs only
-    the block formatter on a memoryview taken before the fork, and no NumPy
-    call.  It is reaped whatever happens; when it fails, save_matrix raises
-    BetscanError and leaves no file.
+    Raises BetscanError, before path is opened, naming the first id that
+    holds the delimiter, a double quote, a CR, an LF or a NUL, or that
+    starts or ends with whitespace; values are not checked, as repr
+    reloads nan and inf.  Returns the sha256 of the bytes written.  The
+    rows are formatted in blocks of _WRITE_ROWS genes.  When this process
+    may run on two CPUs, a forked helper formats the odd blocks and sends
+    them through a pipe while this process formats the even ones, and the
+    blocks are written in row order, so the bytes are those of one
+    process.  The helper runs only the block formatter on a memoryview
+    taken before the fork, and no NumPy call.  It is reaped whatever
+    happens; when it fails, save_matrix raises BetscanError and leaves no
+    file.
     """
     delim = _delimiter(fmt)
+    _check_ids(matrix, delim, Path(path).name)
     gene_ids, n = matrix.gene_ids, matrix.n_samples
     # a memoryview of the values, whose rows the helper reads with no NumPy call
     flat = memoryview(np.ascontiguousarray(matrix.values, dtype=np.float64).ravel())
@@ -468,9 +475,9 @@ def _helper_failed(code: int) -> BetscanError:
 _COPY_KEYS = ("values", "gene_ids", "sample_ids", "sha256")
 
 # characters that save_matrix cannot write in an id so that load_matrix reads
-# it back: the delimiter, the csv quote and line ends; fixed-width unicode
-# arrays also drop a trailing NUL
-_UNSAVABLE = re.compile('[\t"\r\n\0]')
+# it back, by delimiter: the delimiter, the csv quote and line ends;
+# fixed-width unicode arrays also drop a trailing NUL
+_UNSAVABLE = {d: re.compile(f'[{d}"\r\n\0]') for d in set(_DELIMS.values())}
 
 
 def _binary_copy_path(path) -> Path:
@@ -550,17 +557,7 @@ def check_savable(matrix: ExpressionMatrix) -> None:
     (the parse strips it), or else the gene and sample of the first value
     that is not finite, which no screen accepts.
     """
-    for kind, ids in (("sample", matrix.sample_ids), ("gene", matrix.gene_ids)):
-        for name in ids:
-            if found := _UNSAVABLE.search(name):
-                fault = f"holds {found.group()!r}"
-            elif name != name.strip():
-                fault = "starts or ends with whitespace"
-            else:
-                continue
-            raise BetscanError(
-                f"{kind} id {name!r} {fault}, which matrix.tsv cannot carry"
-            )
+    _check_ids(matrix, "\t", "matrix.tsv")
     faulty = np.argwhere(~np.isfinite(matrix.values))
     if len(faulty):
         g, j = faulty[0].tolist()
@@ -568,6 +565,21 @@ def check_savable(matrix: ExpressionMatrix) -> None:
             f"gene {matrix.gene_ids[g]!r}, sample {matrix.sample_ids[j]!r}: "
             f"non-finite value {float(matrix.values[g, j])!r}"
         )
+
+
+def _check_ids(matrix: ExpressionMatrix, delim: str, target: str) -> None:
+    """Refuse the first id that target, a matrix delimited by delim, cannot carry."""
+    for kind, ids in (("sample", matrix.sample_ids), ("gene", matrix.gene_ids)):
+        for name in ids:
+            if found := _UNSAVABLE[delim].search(name):
+                fault = f"holds {found.group()!r}"
+            elif name != name.strip():
+                fault = "starts or ends with whitespace"
+            else:
+                continue
+            raise BetscanError(
+                f"{kind} id {name!r} {fault}, which {target} cannot carry"
+            )
 
 
 def load_labels(path) -> dict[str, str]:
@@ -646,7 +658,10 @@ def jitter_minimum_ties(column, seed: int) -> np.ndarray:
     second-smallest distinct value, so the ordering of all non-minimum
     observations is untouched.  Draws come from Philox(key=seed); the same
     seed reproduces the same output bit for bit.  Raises NonFiniteError when
-    the minimum is tied and it or the second-smallest value is not finite.
+    the minimum is tied and it or the second-smallest value is not finite,
+    and DegenerateColumnError when fewer doubles lie strictly between the
+    two than there are ties to move, or when _JITTER_DRAWS draws in a row
+    are rejected.
     """
     col = np.asarray(column, dtype=np.float64).copy()
     uniq = np.unique(col)
@@ -661,8 +676,15 @@ def jitter_minimum_ties(column, seed: int) -> np.ndarray:
         at = int(np.argmin(np.isfinite(col)))
         raise NonFiniteError(at, float(col[at]))
     movers = idx[1:]
+    tied = f"its minimum {lo!r} occurs {idx.shape[0]} times"
+    room = _float_order(second) - _float_order(lo) - 1
+    if room < movers.shape[0]:
+        raise DegenerateColumnError(
+            f"{tied}, and {room} double(s) lie between it and the next "
+            f"value {second!r}, too few to jitter the ties apart"
+        )
     rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
-    while True:
+    for _ in range(_JITTER_DRAWS):
         draws = rng.random(movers.shape[0])
         jittered = lo + draws * gap
         # open interval and distinctness; float collisions are ~impossible
@@ -673,9 +695,18 @@ def jitter_minimum_ties(column, seed: int) -> np.ndarray:
             and np.unique(jittered).shape[0] == movers.shape[0]
             and not np.isin(jittered, [lo]).any()
         ):
-            break
-    col[movers] = jittered
-    return col
+            col[movers] = jittered
+            return col
+    raise DegenerateColumnError(
+        f"{tied}, and {_JITTER_DRAWS} draws found no distinct values for "
+        f"the ties between it and the next value {second!r}"
+    )
+
+
+def _float_order(x: float) -> int:
+    """x's place among the doubles: neighbours differ by 1, and -0.0 and 0.0 share 0."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & ((1 << 63) - 1))
 
 
 def subset_by_labels(matrix: ExpressionMatrix, keep) -> ExpressionMatrix:
@@ -795,7 +826,10 @@ def _clean_block(
     tied = ((block == low).sum(axis=1) > 1) & (dup < n)
     for g in np.flatnonzero(tied).tolist():
         report.jitter_widths[genes[g]] = float(second[g] - low[g, 0])
-        block[g] = jitter_minimum_ties(block[g], gene_stream_key(seed, start + g))
+        try:
+            block[g] = jitter_minimum_ties(block[g], gene_stream_key(seed, start + g))
+        except DegenerateColumnError as exc:
+            raise DegenerateColumnError(f"gene {genes[g]!r}: {exc}") from None
 
 
 def drop_constant_genes(

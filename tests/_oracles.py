@@ -27,6 +27,7 @@ from betscan.core.copula import CopulaColumn
 from betscan.core.maxbet import BetResult
 from betscan.errors import (
     BetscanError,
+    DegenerateColumnError,
     MatrixParseError,
     NonFiniteError,
     TiesPresentError,
@@ -156,15 +157,15 @@ def exact_tails(n: int, p: int, q: int) -> dict[int, Fraction]:
     S = n - 2p - 2q + 4K with K ~ Hypergeometric(n, q, p), whose pmf is
     C(p, k) C(n - p, q - k) / C(n, q).
     """
-    weight = {
-        n - 2 * p - 2 * q + 4 * k: comb(p, k) * comb(n - p, q - k)
-        for k in range(max(0, p + q - n), min(p, q) + 1)
-    }
-    total = comb(n, q)
-    return {
-        abs(s): Fraction(sum(w for t, w in weight.items() if abs(t) >= abs(s)), total)
-        for s in weight
-    }
+    weight: dict[int, int] = {}
+    for k in range(max(0, p + q - n), min(p, q) + 1):
+        size = abs(n - 2 * p - 2 * q + 4 * k)
+        weight[size] = weight.get(size, 0) + comb(p, k) * comb(n - p, q - k)
+    total, above, tails = comb(n, q), 0, {}
+    for size in sorted(weight, reverse=True):
+        above += weight[size]
+        tails[size] = Fraction(above, total)
+    return tails
 
 
 def pearson_oracle(x, y) -> float:
@@ -303,7 +304,10 @@ def run_pipeline_oracle(
         uniq = np.unique(col)
         if uniq.shape[0] >= 2 and int((col == uniq[0]).sum()) > 1:
             report.jitter_widths[gene] = float(uniq[1] - uniq[0])
-            col = jitter_minimum_ties(col, gene_stream_key(seed, g))
+            try:
+                col = jitter_minimum_ties(col, gene_stream_key(seed, g))
+            except DegenerateColumnError as exc:
+                raise DegenerateColumnError(f"gene {gene!r}: {exc}") from None
         values[g] = col
 
     earlier = f"the zero filter (zero fraction above {zero_fraction_threshold:g})"

@@ -13,8 +13,9 @@ from betscan.core import (
     pvalue_normal,
     pvalue_permutation,
 )
-from betscan.core.nulls import exact_tail, null_table
+from betscan.core.nulls import exact_tail, label_counts, null_table
 from betscan.errors import DivisibilityViolationError, ParityViolationError
+from betscan.manifest import cell
 
 from ._oracles import (
     arrangement_tail,
@@ -150,17 +151,51 @@ def test_permutation_monte_carlo_unequal_label_counts():
     assert checked >= 4
 
 
-@pytest.mark.parametrize(
-    "n, p, q", [(817, 408, 409), (817, 409, 409), (1096, 548, 548), (1097, 548, 549)]
-)
+def _label_count_pairs(depths, ns):
+    """(n, p, q) of every distinct folded pair of digit-mask label counts."""
+    for n in ns:
+        counts = sorted(
+            {min(c, n - c) for d in depths for c in label_counts(n, d)[1:]}
+        )
+        yield from ((n, p, q) for i, p in enumerate(counts) for q in counts[i:])
+
+
+_ORACLE_CASES = [
+    (817, 408, 409), (817, 409, 409), (1096, 548, 548), (1097, 548, 549),
+    (96, 48, 48), (1098, 549, 549), (2047, 1023, 1024), (2048, 1024, 1024),
+    (8191, 4095, 4096),
+]
+_ORACLE_CASES += [
+    case
+    for case in _label_count_pairs((3, 5), (817, 1096, 1097))
+    if case not in _ORACLE_CASES
+]
+
+
+@pytest.mark.parametrize("n, p, q", _ORACLE_CASES)
 def test_exact_tail_matches_rational_oracle(n, p, q):
     table = exact_tail(n, p, q)
     checked = 0
     for a, exact in exact_tails(n, p, q).items():
         if exact >= Fraction(1, 10**300):
-            assert abs(Fraction(table[a]) - exact) <= 5e-12 * exact, a
+            assert abs(Fraction(table[a]) - exact) <= 2e-14 * exact, a
             checked += 1
-    assert checked >= 150
+    assert checked >= min(150, n // 4)
+
+
+@pytest.mark.parametrize(
+    "n, p, q", [(817, 408, 409), (1096, 548, 548), (2048, 1024, 1024)]
+)
+def test_printed_pvalues_match_the_rational_oracle(n, p, q):
+    # the 12 significant digits that every p cell carries
+    table = exact_tail(n, p, q)
+    printed = {
+        a: (cell(float(table[a])), cell(float(exact)))
+        for a, exact in exact_tails(n, p, q).items()
+        if exact >= Fraction(1, 10**300)
+    }
+    assert [a for a, (got, want) in printed.items() if got != want] == []
+    assert len(printed) > 250
 
 
 def test_exact_tail_floor():

@@ -9,7 +9,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betscan.core import empirical_copula
@@ -334,6 +334,58 @@ def test_save_matrix_bytes_pinned(tmp_path):
     assert np.array_equal(again.view(np.uint64), m.values.view(np.uint64))
 
 
+def _refused_by_save_matrix(tmp_path, gene, sample, fmt):
+    """save_matrix's message for an unsavable id, having checked it wrote nothing."""
+    m = ExpressionMatrix([gene, "G1"], [sample, "S1"], [[1.0, math.nan], [2.0, 3.0]])
+    path = tmp_path / "m.txt"
+    with pytest.raises(BetscanError) as err:
+        save_matrix(m, path, fmt)
+    assert list(tmp_path.iterdir()) == []
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "gene, sample, message",
+    [
+        ("A,B", "S0", "gene id 'A,B' holds ','"),
+        ("A", 'S"0', "sample id 'S\"0' holds '\"'"),
+        ("A\nB", "S0", "gene id 'A\\nB' holds '\\n'"),
+        ("A ", "S0", "gene id 'A ' starts or ends with whitespace"),
+    ],
+)
+def test_save_matrix_refuses_an_id_the_csv_layout_cannot_carry(
+    tmp_path, gene, sample, message
+):
+    got = _refused_by_save_matrix(tmp_path, gene, sample, "csv")
+    assert got == message + ", which m.txt cannot carry"
+
+
+@pytest.mark.parametrize("fmt", ["tsv_genes_by_samples", "tsv"])
+@pytest.mark.parametrize(
+    "gene, sample, message",
+    [
+        ("A\tB", "S0", "gene id 'A\\tB' holds '\\t'"),
+        ("A", "S0\r", "sample id 'S0\\r' holds '\\r'"),
+        ("A\0", "S0", "gene id 'A\\x00' holds '\\x00'"),
+    ],
+)
+def test_save_matrix_refuses_an_id_the_tab_layout_cannot_carry(
+    tmp_path, fmt, gene, sample, message
+):
+    got = _refused_by_save_matrix(tmp_path, gene, sample, fmt)
+    assert got == message + ", which m.txt cannot carry"
+
+
+@pytest.mark.parametrize("fmt, gene", [("csv", "A\tB"), ("tsv", "A,B")])
+def test_save_matrix_writes_the_other_layouts_delimiter_in_an_id(tmp_path, fmt, gene):
+    # a value that is not finite is written too: repr reloads it
+    m = ExpressionMatrix([gene, "G1"], ["S0", "S1"], [[1.0, math.nan], [2.0, math.inf]])
+    save_matrix(m, tmp_path / "m.txt", fmt)
+    again = load_matrix(tmp_path / "m.txt", fmt)
+    assert again.gene_ids == [gene, "G1"]
+    assert again.values.tobytes() == m.values.tobytes()
+
+
 # save_matrix's blocks, patched small: one row, a block less one, a block, a
 # block and one, and odd gene counts of several blocks each
 _ROWS = 4
@@ -625,12 +677,12 @@ def test_an_unusable_binary_copy_is_ignored(tmp_path, case):
 def test_save_binary_copy_refuses_a_matrix_the_parse_would_change(
     tmp_path, gene, sample, value, message
 ):
-    # the text that save_matrix writes for these parses to other ids, or is
-    # refused by every command
+    # ids that the text would parse to other ids, which save_matrix refuses
+    # to write as well, or a value that every command refuses
     values = np.array([[value, 2.0], [3.0, 4.0]])
     m = ExpressionMatrix([gene, "GB"], [sample, "S1"], values)
     path = tmp_path / "matrix.tsv"
-    save_matrix(m, path)
+    path.write_text("gene_id\n")
     with pytest.raises(BetscanError) as err:
         save_binary_copy(m, path)
     assert str(err.value).startswith(message)
@@ -811,6 +863,61 @@ def test_jitter_degenerate():
         jitter_minimum_ties(np.ones(6), seed=0)
 
 
+def _jitter_outcome(column, seed):
+    """jitter_minimum_ties(column, seed), or its error, in at most 10 s."""
+    outcome = []
+
+    def jitter():
+        try:
+            outcome.append(jitter_minimum_ties(column, seed))
+        except BetscanError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=jitter, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    return outcome[0]
+
+
+@pytest.mark.parametrize(
+    "column, room",
+    [
+        ([0.0, 0.0, 5e-324], 0),
+        ([1.0, 1.0, 1.0000000000000002], 0),
+        ([-0.0, 0.0, 5e-324], 0),
+        ([3.0, 3.0, 3.0, 3.0 + 2 * 2.0**-51], 1),
+    ],
+)
+def test_jitter_refuses_a_gap_too_narrow_for_the_ties(column, room):
+    # the draws once looped forever here: no distinct values fit the gap
+    exc = _jitter_outcome(column, 1)
+    assert isinstance(exc, DegenerateColumnError)
+    low, second, ties = repr(column[0]), repr(column[-1]), len(column) - 1
+    assert str(exc) == (
+        f"its minimum {low} occurs {ties} times, and {room} double(s) lie between "
+        f"it and the next value {second}, too few to jitter the ties apart"
+    )
+
+
+def test_jitter_refuses_after_rejected_draws():
+    # 20 ties to move and 20 doubles between: every draw repeats one
+    second = 1.0 + 21 * 2.0**-52
+    exc = _jitter_outcome([1.0] * 21 + [second], 3)
+    assert isinstance(exc, DegenerateColumnError)
+    assert str(exc) == (
+        "its minimum 1.0 occurs 21 times, and 100 draws found no distinct values "
+        f"for the ties between it and the next value {second!r}"
+    )
+
+
+def test_jitter_fills_a_narrow_gap_it_can_fill():
+    second = 1.0 + 4 * 2.0**-52
+    out = _jitter_outcome([1.0, 1.0, 1.0, second], 0)
+    assert out[0] == 1.0 and out[3] == second
+    assert 1.0 < out[1] < second and 1.0 < out[2] < second and out[1] != out[2]
+
+
 @pytest.mark.parametrize(
     "column, at",
     [([1.0, 1.0, math.inf, math.inf], 2), ([1.0, 1.0, math.nan, math.nan], 2),
@@ -818,19 +925,8 @@ def test_jitter_degenerate():
 )
 def test_jitter_refuses_a_non_finite_gap(column, at):
     # the draws once looped forever: no value falls below inf or nan
-    caught = []
-
-    def jitter():
-        try:
-            jitter_minimum_ties(column, seed=1)
-        except NonFiniteError as exc:
-            caught.append(exc)
-
-    worker = threading.Thread(target=jitter, daemon=True)
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert [exc.index for exc in caught] == [at]
+    exc = _jitter_outcome(column, 1)
+    assert isinstance(exc, NonFiniteError) and exc.index == at
 
 
 @pytest.mark.parametrize(
@@ -1055,23 +1151,14 @@ def _pipeline_outcome(run):
 
 # gene rows: draws from few values, so that medians and minima tie, with
 # zeros, a nan or -inf now and then, and constant and all-zero genes.  The
-# other values lie on a grid of 1/64: jitter_minimum_ties draws until its
-# draws fall strictly between a tied minimum and the next value, all
-# distinct, and loops for ever where too few floats lie between the two
+# other values lie on a grid of 1/64, so that most tied minima leave the
+# jitter room; the --uq-target cases also bring genes whose minimum and
+# next value lie a few floats apart, which the jitter refuses
 _cells = st.one_of(
     st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 7.0, 7.0, 7.0, 50.0, -0.0]),
     st.integers(-(2**26), 2**26).map(lambda k: k / 64),
     st.sampled_from([math.nan, -math.inf]),
 )
-
-
-def _room_above_the_minimum(row) -> bool:
-    """Whether many floats lie between row's minimum and its next value."""
-    distinct = np.unique(row)
-    if len(distinct) < 2 or not np.isfinite(distinct[:2]).all():
-        return True
-    low, second = distinct[:2]
-    return second - low > 2**20 * np.spacing(max(abs(low), abs(second)))
 
 
 @st.composite
@@ -1102,9 +1189,6 @@ def test_pipeline_matches_the_gene_by_gene_oracle(matrix, seed, threshold, block
             matrix = upper_quartile_log2(matrix, 1000.0)
         except DegenerateSampleError:
             return
-        # samples scaled by different factors may put a gene's values a few
-        # floats apart, where the jitter would not end
-        assume(all(map(_room_above_the_minimum, matrix.values)))
     rows = max(1, -(-matrix.n_genes // blocks))  # so that the genes take 1-3 blocks
     expected = _pipeline_outcome(lambda: run_pipeline_oracle(matrix, seed, threshold))
     with pytest.MonkeyPatch.context() as mp:
