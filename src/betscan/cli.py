@@ -50,8 +50,8 @@ from .manifest import (
 from .preprocess import (
     FORMATS,
     ExpressionMatrix,
+    _drop_constant_genes_in_place,
     check_savable,
-    drop_constant_genes,
     load_labels,
     load_matrix,
     run_pipeline,
@@ -177,9 +177,10 @@ def run_preprocess(config: dict, out_dir: Path, digests: dict[str, str]) -> list
     if config["context"]:
         keep = _context_labels(config["context"])
         where = f"--context {config['context']!r} keeps too few samples: "
+        # a copy, so that moving its kept rows up changes no other matrix
         cleaned = _enough_samples(subset_by_labels(cleaned, keep), where)
         earlier = f"the pipeline before --context {config['context']!r}"
-        cleaned = drop_constant_genes(cleaned, report, earlier)
+        cleaned = _drop_constant_genes_in_place(cleaned, report, earlier)
     # --uq-target may have scaled a finite count past the float range
     check_savable(cleaned)
 

@@ -3,17 +3,25 @@
 load_matrix reads a file as csv.reader and float() would, row by row, but
 in blocks of _BLOCK_LINES lines.  A first binary pass counts the lines,
 which bounds the gene rows, so the values go straight into one array and
-the peak memory is that array plus one block.  Each block's gene ids are
+the peak memory is that array plus a block for each process; the pass
+also records the byte offset of each block.  Each block's gene ids are
 the text before each line's first delimiter, stripped; its cells are
 parsed by one np.loadtxt call, which rounds as float() does, after a check
 that every line has one delimiter per sample (loadtxt would drop extra
-cells).  A block goes to csv.reader and float() instead when it holds a
-quote (a quoted cell may span lines; csv.reader then reads on past the
-block to the end of its record) or a NUL, a row of the wrong length, or a
-cell that loadtxt refuses but float() may take, such as '1_000'.  That
-path also names the line and column of a fault, so the accepted input,
-the values and the errors are those of the row-by-row parse.  A pipe is
-read once, into memory, to count its lines.
+cells).  When this process may run on two CPUs, a forked helper parses
+every other block of a file (_map_blocks, which save_matrix also uses):
+each process reads a block's bytes, decodes them and splits the lines as
+a text file opened with newline="" does.  A block is declined when it
+holds a quote (a quoted cell may span lines; csv.reader then reads on
+past the block to the end of its record) or a NUL, a row of the wrong
+length, a cell that loadtxt refuses but float() may take, such as
+'1_000', or bytes that are not UTF-8.  From the first declined block on,
+the helper is stopped and this process reads the text file on, one block
+at a time, as before the helper existed: csv.reader and float() take each
+block that the loadtxt parse declines, and name the line and column of a
+fault.  So the accepted input, the values and the errors are those of the
+row-by-row parse.  A pipe is read once, into memory, to count its lines,
+and parsed by this process alone.
 
 `betscan preprocess` also writes matrix.tsv.npz beside its matrix.tsv
 (save_binary_copy): the float64 values, the gene and sample ids as
@@ -61,6 +69,7 @@ import csv
 import hashlib
 import itertools
 import os
+import pickle
 import re
 import signal
 import warnings
@@ -153,7 +162,9 @@ class ExpressionMatrix:
     def with_labels(self, mapping: dict[str, str]) -> "ExpressionMatrix":
         """Attach per-sample labels from a sample_id -> label mapping.
 
-        The new matrix shares self's values, which no step writes into.
+        The new matrix shares self's values, which no public step writes
+        into: run_pipeline and `betscan preprocess` write in place only
+        into copies, filter_zero_heavy's and subset_by_labels'.
         """
         missing = [s for s in self.sample_ids if s not in mapping]
         if missing:
@@ -194,10 +205,14 @@ def load_matrix(
 
     First row: corner cell then sample ids.  Each following row: gene id
     then one numeric cell per sample ('.' decimal separator).  Bad cells
-    raise MatrixParseError with 1-based line/column coordinates.  For a
-    tab-delimited fmt, the arrays of a binary copy at <path>.npz that
-    records path's sha256 are returned instead of a parse (module docstring).
-    A caller that has hashed path may pass the digest as sha256.
+    raise MatrixParseError with 1-based line/column coordinates.  The
+    blocks of a file are parsed by this process and a forked helper when
+    two CPUs are free (module docstring); the values and errors are those
+    of one process.  A helper that fails raises BetscanError; it is reaped
+    whatever happens.  For a tab-delimited fmt, the arrays of a binary copy
+    at <path>.npz that records path's sha256 are returned instead of a
+    parse (module docstring).  A caller that has hashed path may pass the
+    digest as sha256.
     """
     delim = _delimiter(fmt)
     copy = _load_binary_copy(path, sha256) if delim == "\t" else None
@@ -217,8 +232,9 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
     # csv.reader takes lines from fh one at a time and stops at the end of
     # a record, so after the header, or a record of the csv path below, fh
     # goes on at the next line
+    reader = csv.reader(fh, delimiter=delim)
     try:
-        header = next(csv.reader(fh, delimiter=delim))
+        header = next(reader)
     except StopIteration:
         raise MatrixParseError(path, 1, 1, "empty file") from None
     except csv.Error as exc:
@@ -228,10 +244,19 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
     sample_ids = [c.strip() for c in header[1:]]
     width = len(sample_ids)
 
-    lines, bound = _body_lines(fh, path, width)
+    lines, bound, offsets = _body_lines(fh, path, width, reader.line_num)
     values = np.empty((bound, width))
     gene_ids: list[str] = []
     line_no = 2  # csv record number of the next body line
+    if offsets is not None:
+        done = _parse_file_blocks(path, offsets, delim, width, values, gene_ids)
+        if done == len(offsets) - 1:
+            lines = iter(())
+        else:
+            # read fh on from the first declined block, past the blocks before it
+            skipped = done * _BLOCK_LINES
+            next(itertools.islice(lines, skipped, skipped), None)
+            line_no += skipped
     while block := list(itertools.islice(lines, _BLOCK_LINES)):
         g = len(gene_ids)
         parsed = _parse_block(block, delim, width, gene_ids)
@@ -250,30 +275,96 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
     return ExpressionMatrix(gene_ids=gene_ids, sample_ids=sample_ids, values=values)
 
 
-def _body_lines(fh, path, width: int) -> tuple[Iterator[str], int]:
-    """The lines of fh after its header, and an upper bound on their records.
+def _body_lines(
+    fh, path, width: int, header_lines: int
+) -> tuple[Iterator[str], int, list[int] | None]:
+    """The lines of fh after its header, a bound on their records, and block offsets.
 
     A record takes at least one line and holds `width` delimiters, so there
     are no more records than lines, nor than characters // width.  A pipe
-    can be read only once, so its lines are held in memory; a file's are
-    counted in a binary pass.
+    can be read only once, so its lines are held in memory, and it has no
+    offsets (None).  A file's lines are counted in a binary pass, which
+    also records the byte offset at which each block of _BLOCK_LINES body
+    lines starts, and the file's size after the last.
     """
     if not fh.seekable():
         held = list(fh)
-        return iter(held), min(len(held), sum(map(len, held)) // width)
-    count, size, last = 0, 0, b"\n"
+        return iter(held), min(len(held), sum(map(len, held)) // width), None
+    # line i starts after the end of line i - 1, and block k at line
+    # header_lines + k * _BLOCK_LINES; wanted: the end of the line before it
+    offsets, wanted, count, size, last = [], header_lines - 1, 0, 0, b"\n"
     with open(path, "rb") as raw:
-        for chunk in iter(lambda: raw.read(1 << 20), b""):
-            # '\n', '\r' and '\r\n' each end a line
-            count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-            if last == b"\r" and chunk.startswith(b"\n"):
-                count -= 1  # a '\r\n' split between two chunks
+        while chunk := raw.read(1 << 20):
+            # so that no '\r\n' is split between chunks, read on past a run
+            # of '\r' at the end to the byte after it
+            if chunk.endswith(b"\r"):
+                run = bytearray()
+                while (more := raw.read(1)) == b"\r":
+                    run += more
+                chunk += run + more
+            ends = _line_ends(chunk)
+            found = ends[wanted - count :: _BLOCK_LINES]
+            offsets += (found + (size + 1)).tolist()
+            wanted += len(found) * _BLOCK_LINES
+            count += len(ends)
             size += len(chunk)
             last = chunk[-1:]
     if last not in b"\r\n":
         count += 1  # a last line without a line break
-    # the header took at least one line
-    return fh, min(count - 1, size // width)
+    body = count - header_lines
+    # a file that ends with a line break has no line after its last end
+    offsets = offsets[: -(-body // _BLOCK_LINES)] + [size]
+    return fh, min(body, size // width), offsets
+
+
+def _line_ends(chunk: bytes) -> np.ndarray:
+    """The offsets in chunk of the bytes that end lines: each LF, the LF of
+    each CR LF, and each CR that no LF follows."""
+    buf = np.frombuffer(chunk, np.uint8)
+    ends = buf == ord("\n")
+    if b"\r" in chunk:
+        alone = buf == ord("\r")
+        alone[:-1] &= ~ends[1:]  # a '\r\n' ends at its '\n'
+        ends |= alone
+    return np.flatnonzero(ends)
+
+
+def _parse_file_blocks(
+    path, offsets: list[int], delim: str, width: int, values, gene_ids: list[str]
+) -> int:
+    """Parse the blocks between offsets, in order, until one is declined.
+
+    Fills values from gene row len(gene_ids) on and extends gene_ids.
+    Returns the number of blocks parsed: all of them, or those before the
+    first that _parse_block, or the UTF-8 decoder, declines.
+    """
+
+    def parse(k: int) -> bytes:
+        with open(path, "rb") as raw:
+            raw.seek(offsets[k])
+            # bytes.splitlines ends a line at '\n', '\r' or '\r\n' alone, as a
+            # text file opened with newline="" does (str.splitlines would also
+            # end one at '\x0c', '\x1c', '\u2028' and more)
+            raw_lines = raw.read(offsets[k + 1] - offsets[k]).splitlines(keepends=True)
+        ids: list[str] = []
+        try:
+            lines = [line.decode("utf-8") for line in raw_lines]
+        except UnicodeDecodeError:
+            return pickle.dumps(None)
+        del raw_lines
+        parsed = _parse_block(lines, delim, width, ids)
+        return pickle.dumps(None if parsed is None else (ids, parsed))
+
+    blocks = range(len(offsets) - 1)
+    with _map_blocks(parse, blocks, "matrix parser") as results:
+        for k, data in enumerate(results):
+            parsed = pickle.loads(data)
+            if parsed is None:
+                return k
+            ids, block = parsed
+            values[len(gene_ids) : len(gene_ids) + len(ids)] = block
+            gene_ids += ids
+    return len(blocks)
 
 
 def _parse_block(
@@ -367,10 +458,9 @@ def save_matrix(
     may run on two CPUs, a forked helper formats the odd blocks and sends
     them through a pipe while this process formats the even ones, and the
     blocks are written in row order, so the bytes are those of one
-    process.  The helper runs only the block formatter on a memoryview
-    taken before the fork, and no NumPy call.  It is reaped whatever
-    happens; when it fails, save_matrix raises BetscanError and leaves no
-    file.
+    process (_map_blocks).  The helper formats rows from a memoryview
+    taken before the fork.  It is reaped whatever happens; when it fails,
+    save_matrix raises BetscanError and leaves no file.
     """
     delim = _delimiter(fmt)
     _check_ids(matrix, delim, Path(path).name)
@@ -394,13 +484,9 @@ def save_matrix(
             digest.update(data)
 
         write((delim.join(["gene_id", *matrix.sample_ids]) + "\n").encode())
-        if len(starts) < 2 or _usable_cpus() < 2:
-            for start in starts:
-                write(block(start))
-        else:
-            with _helper(block, starts[1::2]) as received:
-                for k, start in enumerate(starts):
-                    write(received() if k % 2 else block(start))
+        with _map_blocks(block, starts, "matrix writer") as blocks:
+            for data in blocks:
+                write(data)
     return digest.hexdigest()
 
 
@@ -411,13 +497,21 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _helper(block, starts) -> Iterator:
-    """Fork a process that sends block(start) for each of starts through a pipe.
+def _map_blocks(work, keys, name: str) -> Iterator[Iterator[bytes]]:
+    """Yield an iterator over work(key) for each of keys, in key order.
 
-    Yields a function that returns the next block.  On leaving, the helper
-    has exited 0 and is reaped; on an error here it is killed and reaped,
-    and when it fails BetscanError is raised.
+    work returns bytes.  When there are two keys or more and this process
+    may run on two CPUs, a forked helper computes every other key's result
+    and sends it through a pipe while this process computes the rest;
+    otherwise this process computes them all.  work may call no BLAS
+    routine, whose threads the helper lacks.  On leaving after the last
+    result, the helper has exited 0 and is reaped; on leaving earlier, or
+    on an error here, it is killed and reaped, and when it fails
+    BetscanError is raised, naming the `name`'s helper and its exit status.
     """
+    if len(keys) < 2 or _usable_cpus() < 2:
+        yield map(work, keys)
+        return
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as pipe, open(write_fd, "wb") as out:
         with warnings.catch_warnings():
@@ -429,8 +523,8 @@ def _helper(block, starts) -> Iterator:
             status = 1
             try:
                 pipe.close()  # so that a parent that dies breaks the pipe
-                for start in starts:
-                    data = block(start)
+                for key in keys[1::2]:
+                    data = work(key)
                     out.write(len(data).to_bytes(8, "little"))
                     out.write(data)
                 out.close()
@@ -439,7 +533,7 @@ def _helper(block, starts) -> Iterator:
                 # no return into the caller, and no flush of the buffers that
                 # this process shares with its parent, such as the output file's
                 os._exit(status)
-        reaped = False
+        reaped = finished = False
 
         def exit_code() -> int:
             nonlocal reaped
@@ -452,23 +546,27 @@ def _helper(block, starts) -> Iterator:
             data = pipe.read(size)
             if size and len(data) == size:
                 return data
-            raise _helper_failed(exit_code())
+            raise _helper_failed(name, exit_code())
+
+        def results() -> Iterator[bytes]:
+            nonlocal finished
+            for k, key in enumerate(keys):
+                yield received() if k % 2 else work(key)
+            finished = True
 
         try:
             out.close()  # so that a helper that stops leaves the pipe at its end
-            yield received
-            if code := exit_code():
-                raise _helper_failed(code)
+            yield results()
+            if finished and (code := exit_code()):
+                raise _helper_failed(name, code)
         finally:
             if not reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _helper_failed(code: int) -> BetscanError:
-    return BetscanError(
-        f"the matrix writer's helper process failed (exit status {code})"
-    )
+def _helper_failed(name: str, code: int) -> BetscanError:
+    return BetscanError(f"the {name}'s helper process failed (exit status {code})")
 
 
 # the arrays of a binary copy
@@ -790,7 +888,7 @@ def run_pipeline(
         _clean_block(filtered, start, seed, report)
 
     earlier = f"the zero filter (zero fraction above {zero_fraction_threshold:g})"
-    return drop_constant_genes(filtered, report, earlier), report
+    return _drop_constant_genes_in_place(filtered, report, earlier), report
 
 
 def _clean_block(
@@ -837,21 +935,56 @@ def drop_constant_genes(
 ) -> ExpressionMatrix:
     """matrix without its genes of one value, each listed in report as constant.
 
-    Raises BetscanError when fewer than two genes are left, since a screen
-    needs a pair; the message counts the genes that report lists as
-    dropped before, by the step that earlier names.
+    matrix is left as it is: when a gene is dropped, the result's values
+    are a new array.  Raises BetscanError when fewer than two genes are
+    left, since a screen needs a pair; the message counts the genes that
+    report lists as dropped before, by the step that earlier names.
     """
+    varies = _varying_genes(matrix, report, earlier)
+    if varies.all():  # values[varies] copies the matrix
+        return matrix
+    genes = list(itertools.compress(matrix.gene_ids, varies))
+    return replace(matrix, gene_ids=genes, values=matrix.values[varies])
+
+
+def _drop_constant_genes_in_place(
+    matrix: ExpressionMatrix, report: PreprocessReport, earlier: str
+) -> ExpressionMatrix:
+    """drop_constant_genes, which moves the kept rows up within matrix.values.
+
+    The rows move a block of _PIPELINE_ROWS genes at a time, so the matrix
+    is not copied, and the result's values are the leading rows of
+    matrix.values.  So that array must be one that no other matrix shares:
+    run_pipeline's filtered copy, or the copy that subset_by_labels returns.
+    """
+    varies = _varying_genes(matrix, report, earlier)
+    if varies.all():
+        return matrix
+    values, kept = matrix.values, 0
+    for start in range(0, len(values), _PIPELINE_ROWS):
+        block = slice(start, start + _PIPELINE_ROWS)
+        rows = values[block][varies[block]]  # a copy of one block's kept rows
+        values[kept : kept + len(rows)] = rows
+        kept += len(rows)
+    genes = list(itertools.compress(matrix.gene_ids, varies))
+    return replace(matrix, gene_ids=genes, values=values[:kept])
+
+
+def _varying_genes(
+    matrix: ExpressionMatrix, report: PreprocessReport, earlier: str
+) -> np.ndarray:
+    """Whether each gene of matrix takes two values or more; lists the
+    others in report as constant, or raises BetscanError when fewer than
+    two genes vary (drop_constant_genes)."""
     varies = (matrix.values != matrix.values[:, :1]).any(axis=1)
     constant = list(itertools.compress(matrix.gene_ids, ~varies))
-    genes = list(itertools.compress(matrix.gene_ids, varies))
-    if len(genes) < 2:
+    left = matrix.n_genes - len(constant)
+    if left < 2:
         dropped = len(report.genes_dropped)
         raise BetscanError(
-            f"{len(genes)} gene(s) left of {matrix.n_genes + dropped}: {earlier} "
+            f"{left} gene(s) left of {matrix.n_genes + dropped}: {earlier} "
             f"dropped {dropped} and {len(constant)} were constant; "
             "a screen needs at least 2"
         )
     report.genes_dropped += [{"gene": gene, "reason": "constant"} for gene in constant]
-    if varies.all():  # values[varies] copies the matrix
-        return matrix
-    return replace(matrix, gene_ids=genes, values=matrix.values[varies])
+    return varies

@@ -17,7 +17,12 @@ from betscan.screen import RESULT_COLUMNS
 from betscan.preprocess import ExpressionMatrix, load_labels, load_matrix, save_matrix
 
 from ._synth import make_parabola
-from .test_preprocess import parse_refused
+from .test_preprocess import (
+    _PARSE_HELPER_FAULTS,
+    forks_counted,
+    parse_refused,
+    parser_cpus,
+)
 
 
 def write_matrix(tmp_path, values, name="matrix.tsv", genes=None):
@@ -191,6 +196,26 @@ def test_commands_read_the_same_matrix_from_the_binary_copy(tmp_path):
     assert from_copy == from_text
     assert len(from_copy) == 10
     assert from_copy[Path("cmp/compare.csv")].count(b"\n") > 1
+
+
+@pytest.mark.parametrize("command", ["preprocess", "screen"])
+@pytest.mark.parametrize("fault, status", _PARSE_HELPER_FAULTS, ids=["raises", "killed"])
+def test_a_failed_parse_helper_leaves_no_out(tmp_path, capsys, command, fault, status):
+    # a text matrix with no binary copy, parsed by two processes
+    values = np.random.default_rng(8).lognormal(size=(12, 40))
+    matrix = write_matrix(tmp_path, values)
+    out = tmp_path / "out"
+    with parser_cpus(2) as mp:
+        fault(mp, os.getpid())
+        pids = forks_counted(mp)
+        assert main([command, str(matrix), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the matrix parser's helper process failed (exit status {status})\n"
+    )
+    assert not out.exists()
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
 
 
 def test_preprocess_context_requires_labels(tmp_path, capsys):

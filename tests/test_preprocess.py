@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import signal
@@ -107,12 +108,49 @@ def outcome(read):
     return m.gene_ids, m.sample_ids, m.values.shape, m.values.view(np.uint64).tobytes()
 
 
+# load_matrix's blocks, patched small, so that a short file makes several
+_PARSE_LINES = 3
+
+
+@contextmanager
+def parser_cpus(count, lines=_PARSE_LINES):
+    """A context in which load_matrix sees `count` CPUs and blocks of `lines` lines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preprocess, "_BLOCK_LINES", lines)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        yield mp
+
+
+def _body_line_count(path, delim):
+    """The lines after the header record, split as a text file with newline=""."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        next(csv.reader(fh, delimiter=delim))
+        return sum(1 for _ in fh)
+
+
 def assert_matches_oracle(path, fmt="tsv"):
+    """load_matrix reads path as the row oracle does: as it is, and with small
+    blocks on one CPU and on two, where it forks once for an accepted file
+    of two blocks or more, and reaps what it forks."""
+    delim = "," if fmt == "csv" else "\t"
+
     def oracle():
         with open(path, encoding="utf-8", newline="") as fh:
-            return parse_matrix_oracle(fh, path, "," if fmt == "csv" else "\t")
+            return parse_matrix_oracle(fh, path, delim)
 
-    assert outcome(lambda: load_matrix(path, fmt)) == outcome(oracle)
+    expected = outcome(oracle)
+    assert outcome(lambda: load_matrix(path, fmt)) == expected
+    for count, lines in ((1, _PARSE_LINES), (2, _PARSE_LINES), (2, 1)):
+        with parser_cpus(count, lines) as mp:
+            pids = forks_counted(mp)
+            assert outcome(lambda: load_matrix(path, fmt)) == expected, (count, lines)
+        if isinstance(expected[0], list):  # accepted
+            blocks = -(-_body_line_count(path, delim) // lines)
+            assert len(pids) == (count == 2 and blocks > 1)
+        assert len(pids) <= 1
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 _SPECIAL_CELLS = [
@@ -279,24 +317,44 @@ def test_block_loader_reads_what_loadtxt_refuses(tmp_path):
     assert_matches_oracle(path)
 
 
-def test_crlf_split_between_read_chunks(tmp_path):
-    # the lines of a file are counted 1 MiB at a time; put a '\r\n' across
-    chunk = 1 << 20
-    rows, size, g = ["gene_id\tS0\r\n"], 12, 0
-    while size < chunk - 2000:
-        rows.append(f"G{g}\t{' ' * 1000}{g}\r\n")
-        size += len(rows[-1])
-        g += 1
-    head = f"G{g}\t{g}"
-    rows.append(head + " " * (chunk - 1 - size - len(head)) + "\r\n")
-    rows += [f"G{g + 1}\t{g + 1}\r\n", f"G{g + 2}\t{g + 2}"]
-    text = "".join(rows)
-    assert text[chunk - 1 : chunk + 1] == "\r\n"
+@pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_lines_end_only_at_line_breaks(tmp_path, mark):
+    # str.splitlines ends a line at each mark too, and would read the line
+    # 'G5<tab>5<mark>G6<tab>6' as two rows, which loadtxt takes
+    rows = [f"G{g}\t{g}" for g in range(12)]
+    rows[5] = f"G5\t5{mark}G6\t6"
     path = tmp_path / "m.tsv"
-    path.write_bytes(text.encode())
-    m = load_matrix(path)
-    assert m.values[:, 0].tolist() == list(range(g + 3))
+    path.write_text("gene_id\tS0\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(MatrixParseError) as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (7, 3)
     assert_matches_oracle(path)
+
+
+def test_crlf_split_between_read_chunks(tmp_path):
+    # the lines of a file are counted 1 MiB at a time; put a line end across,
+    # its first '\r' the last byte of a read, and after it, past a few blocks,
+    # a quoted id, from which csv.reader reads the rest of the file
+    chunk = 1 << 20
+    for end in ["\r\n", "\r\r\n", "\r\r\r\n"]:
+        rows, size, g = ["gene_id\tS0\r\n"], 12, 0
+        while size < chunk - 2000:
+            rows.append(f"G{g}\t{' ' * 1000}{g}\r\n")
+            size += len(rows[-1])
+            g += 1
+        head = f"G{g}\t{g}"
+        rows.append(head + " " * (chunk - 1 - size - len(head)) + end)
+        after = 3 * preprocess._BLOCK_LINES
+        rows += [f"G{g + k}\t{g + k}\r\n" for k in range(1, after)]
+        rows += [f'"G{g + after}"\t{g + after}\r\n', f"G{g + after + 1}\t{g + after + 1}"]
+        text = "".join(rows)
+        assert text[chunk - 1 : chunk - 1 + len(end)] == end
+        path = tmp_path / "m.tsv"
+        path.write_bytes(text.encode())
+        m = load_matrix(path)
+        assert m.values[:, 0].tolist() == list(range(g + after + 2)), end
+        assert m.gene_ids[-2:] == [f"G{g + after}", f"G{g + after + 1}"]
+        assert_matches_oracle(path)
 
 
 def test_load_matrix_reads_a_pipe(tmp_path):
@@ -468,16 +526,17 @@ def _fail_in_the_helper(mp, parent):
 
 
 def _kill_the_helper(mp, parent):
-    """Kill the helper as soon as it is forked."""
-    real = os.fork
+    """Make the helper kill itself before it sends a block.
 
-    def fork():
-        pid = real()
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-        return pid
+    Killed from the parent, a helper could send its few small blocks first.
+    """
 
-    mp.setattr(os, "fork", fork)
+    def killing_repr(value):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return repr(value)
+
+    mp.setattr(preprocess, "repr", killing_repr, raising=False)
 
 
 @pytest.mark.parametrize(
@@ -526,6 +585,156 @@ def test_an_error_in_the_writer_kills_and_reaps_the_helper(tmp_path, error):
         with pytest.raises(type(error)):
             save_matrix(m, path)
     assert list(tmp_path.iterdir()) == []
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+# load_matrix's blocks in the tests below: 6 of 4 lines each, where this
+# process parses blocks 0, 2 and 4 and the helper blocks 1, 3 and 5
+_LINES = 4
+
+
+def _parsed_file(tmp_path, row=None, text=None):
+    """A file of 6 blocks of 3 cells a line, with `text` as body line `row`."""
+    rows = [f"G{g}\t{g}\t{-g}\t{g / 8}" for g in range(6 * _LINES)]
+    if row is not None:
+        rows[row] = text
+    path = tmp_path / "m.tsv"
+    path.write_text("gene_id\tS0\tS1\tS2\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("block", [1, 2])  # the helper's, this process's
+@pytest.mark.parametrize(
+    "text, fault",  # fault: the column of the MatrixParseError
+    [
+        ('"G{g}"\t{g}\t1_000\t0', None),  # a quote, and a cell loadtxt refuses
+        ('G{g}\t"{g}\n"\t1\t0', None),  # a cell that spans two lines
+        ("G{g}\t{g}\t1", 3),  # a missing cell: 3 cells found
+        ("G{g}\t{g}\tx\t0", 3),
+        ("G{g}\t\0\t1\t0", 2),
+    ],
+)
+def test_the_first_declined_block_is_read_on_by_this_process(
+    tmp_path, block, text, fault
+):
+    row = block * _LINES + 1
+    path = _parsed_file(tmp_path, row, text.format(g=row))
+    real = preprocess._parse_records
+    starts = []
+
+    def parse_records(records, lines, path, line_no, *rest):
+        starts.append(line_no)
+        return real(records, lines, path, line_no, *rest)
+
+    with parser_cpus(2, _LINES) as mp:
+        pids = forks_counted(mp)
+        mp.setattr(preprocess, "_parse_records", parse_records)
+        got = outcome(lambda: load_matrix(path))
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):  # killed and reaped
+        os.waitpid(pids[0], os.WNOHANG)
+    # the csv path starts at the declined block's first record
+    assert starts[0] == 2 + block * _LINES
+    if fault is None:
+        assert got[0] == [f"G{g}" for g in range(6 * _LINES)]
+    else:
+        assert got[:3] == ("MatrixParseError", 2 + row, fault)
+    assert_matches_oracle(path)
+
+
+def test_bytes_that_are_not_utf8_are_left_to_the_text_file(tmp_path):
+    path = _parsed_file(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-20] + b"\xff" + data[-19:])
+    expected = outcome(lambda: load_matrix(path))
+    assert expected[0] == "UnicodeDecodeError"
+    for count in (1, 2):
+        with parser_cpus(count, _LINES):
+            assert outcome(lambda: load_matrix(path)) == expected
+
+
+def test_a_pipe_is_parsed_by_one_process(tmp_path):
+    path = _parsed_file(tmp_path)
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True
+    )
+    with parser_cpus(2, _LINES) as mp:
+        pids = forks_counted(mp)
+        writer.start()
+        try:
+            m = load_matrix(fifo)
+        finally:
+            writer.join(timeout=10)
+    assert pids == []
+    assert outcome(lambda: m) == outcome(lambda: load_matrix(path))
+
+
+def _in_the_parse_helper(fault):
+    """A fault that makes the block parse call fault() in any process but parent."""
+
+    def patch(mp, parent):
+        real = preprocess._parse_block
+
+        def failing(*args):
+            if os.getpid() != parent:
+                fault()
+            return real(*args)
+
+        mp.setattr(preprocess, "_parse_block", failing)
+
+    return patch
+
+
+def _raise():
+    raise RuntimeError("helper fault")
+
+
+# the helper raises, or is killed before it sends a block (killed from the
+# parent, a helper could send its few small blocks first)
+_PARSE_HELPER_FAULTS = [
+    (_in_the_parse_helper(_raise), 1),
+    (_in_the_parse_helper(lambda: os.kill(os.getpid(), signal.SIGKILL)), -signal.SIGKILL),
+]
+
+
+@pytest.mark.parametrize("fault, status", _PARSE_HELPER_FAULTS, ids=["raises", "killed"])
+def test_a_failed_parse_helper_is_named_and_reaped(tmp_path, fault, status):
+    path = _parsed_file(tmp_path)
+    with parser_cpus(2, _LINES) as mp:
+        fault(mp, os.getpid())
+        pids = forks_counted(mp)
+        with pytest.raises(BetscanError) as failed:
+            load_matrix(path)
+    assert str(failed.value) == (
+        f"the matrix parser's helper process failed (exit status {status})"
+    )
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_an_interrupt_in_the_parser_kills_and_reaps_the_helper(tmp_path):
+    path = _parsed_file(tmp_path)
+    parent, calls = os.getpid(), 0
+    real = preprocess._parse_block
+
+    def interrupted(*args):
+        nonlocal calls
+        if os.getpid() == parent:
+            calls += 1
+            if calls == 2:  # this process's second block, block 2
+                raise KeyboardInterrupt
+        return real(*args)
+
+    with parser_cpus(2, _LINES) as mp:
+        mp.setattr(preprocess, "_parse_block", interrupted)
+        pids = forks_counted(mp)
+        with pytest.raises(KeyboardInterrupt):
+            load_matrix(path)
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
@@ -967,11 +1176,27 @@ def test_drop_constant_genes_on_a_context():
         [[1, 2, 3, 4, 5, 5], [7, 7, 7, 7, 1, 2], [7, 7, 7, 8, 7, 7]],
         labels=["A", "A", "A", "A", "B", "B"],
     )
+    # the public step leaves its matrix, and one that shares its values, as
+    # they were
+    own = small_matrix([[1, 2, 3], [4, 4, 4], [5, 6, 7], [8, 9, 9]])
+    shared = own.with_labels({"S0": "A", "S1": "A", "S2": "B"})
+    before = own.values.copy()
+    kept = drop_constant_genes(shared, PreprocessReport(), "the pipeline")
+    assert kept.gene_ids == ["G0", "G2", "G3"] and kept.labels == ["A", "A", "B"]
+    assert np.array_equal(kept.values, before[[0, 2, 3]])
+    assert np.array_equal(own.values, before)
+    assert not np.shares_memory(kept.values, own.values)
+
+    before = m.values.copy()
     report = PreprocessReport(genes_dropped=[{"gene": "G9", "reason": "constant"}])
     context = subset_by_labels(m, {"A"})
-    kept = drop_constant_genes(context, report, "the pipeline")
+    # the subset is a copy, so moving its kept rows up leaves m as it was
+    assert not np.shares_memory(context.values, m.values)
+    kept = preprocess._drop_constant_genes_in_place(context, report, "the pipeline")
+    assert np.shares_memory(kept.values, context.values)
     assert kept.gene_ids == ["G0", "G2"] and kept.labels == ["A"] * 4
-    assert np.array_equal(kept.values, context.values[[0, 2]])
+    assert np.array_equal(kept.values, before[[0, 2], :4])
+    assert np.array_equal(m.values, before)
     assert report.genes_dropped[1:] == [{"gene": "G1", "reason": "constant"}]
     # nothing constant: the matrix itself comes back
     assert drop_constant_genes(kept, report, "the pipeline") is kept
@@ -1222,6 +1447,26 @@ def test_pipeline_holds_the_matrix_about_once():
     finally:
         tracemalloc.stop()
     assert report.medians_reset and report.jitter_widths
+    assert peak <= 1.5 * filtered.values.nbytes, (peak, filtered.values.nbytes)
+
+
+def test_pipeline_drops_a_constant_gene_without_a_copy():
+    # the constant gene's row is dropped by moving the kept rows up within
+    # the filtered copy
+    rng = np.random.default_rng(82)
+    values = rng.lognormal(size=(2000, 1096))
+    values[700] = 3.0
+    m = small_matrix(values)
+    filtered, _ = filter_zero_heavy(m)
+    tracemalloc.start()
+    try:
+        cleaned, report = run_pipeline(m, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.genes_dropped == [{"gene": "G700", "reason": "constant"}]
+    assert cleaned.gene_ids == [g for g in m.gene_ids if g != "G700"]
+    assert np.array_equal(cleaned.values, np.delete(values, 700, axis=0))
     assert peak <= 1.5 * filtered.values.nbytes, (peak, filtered.values.nbytes)
 
 
