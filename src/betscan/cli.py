@@ -41,6 +41,7 @@ from .manifest import (
     atomic_open,
     open_input,
     read_manifest,
+    refused_record,
     sha256_file,
     write_csv,
     write_json,
@@ -406,9 +407,7 @@ def run_baselines(config: dict, out_dir: Path, digests: dict[str, str]) -> list[
                 pairs.append((rec["gene_i"], rec["gene_j"]))
         except (ValueError, csv.Error) as exc:
             # DictReader.line_num counts only the records it returned
-            raise BetscanError(
-                f"{config['pairs']}: line {reader.reader.line_num}: {exc}"
-            ) from None
+            raise refused_record(config["pairs"], reader.reader.line_num, exc) from None
     if not pairs:
         raise BetscanError(f"no pairs found in {config['pairs']}")
 

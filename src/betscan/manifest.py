@@ -36,6 +36,11 @@ def open_input(path) -> TextIO:
         raise BetscanError(f"{path}: {exc.strerror or exc}") from None
 
 
+def refused_record(path, line: int, reason) -> BetscanError:
+    """The refusal of an input's record at a line: "<path>: line <line>: <reason>"."""
+    return BetscanError(f"{path}: line {line}: {reason}")
+
+
 @contextmanager
 def atomic_open(path, binary: bool = False) -> Iterator[IO]:
     """Write a temporary file beside path, renamed over it once the block completes.

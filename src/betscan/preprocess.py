@@ -1,27 +1,30 @@
 """Expression-matrix ingestion and the cleaning pipeline.
 
 load_matrix reads a file as csv.reader and float() would, row by row, but
-in blocks of _BLOCK_LINES lines.  A first binary pass counts the lines,
-which bounds the gene rows, so the values go straight into one array and
-the peak memory is that array plus a block for each process; the pass
-also records the byte offset of each block.  Each block's gene ids are
-the text before each line's first delimiter, stripped; its cells are
-parsed by one np.loadtxt call, which rounds as float() does, after a check
-that every line has one delimiter per sample (loadtxt would drop extra
-cells).  When this process may run on two CPUs, a forked helper parses
-every other block of a file (_map_blocks, which save_matrix also uses):
-each process reads a block's bytes, decodes them and splits the lines as
-a text file opened with newline="" does.  A block is declined when it
+in blocks of _BLOCK_LINES lines.  The header is one csv.reader record of
+the text file; everything after it is read as bytes at offsets.  A pipe is
+read once into memory, and its bytes stand in for the file.  A first
+binary pass counts the lines, which bounds the gene rows, so the values go
+straight into one array and the peak memory is that array plus a block
+for each process; the pass also records the byte offset of each block.
+Each block's lines are split as a text file opened with newline="" splits
+them and decoded as UTF-8; its gene ids are the text before each line's
+first delimiter, stripped, and its cells are parsed by one np.loadtxt
+call, which rounds as float() does, after a check that every line has one
+delimiter per sample (loadtxt would drop extra cells).  When this process
+may run on two CPUs, a forked helper parses every other block
+(_map_blocks, which save_matrix also uses).  A block is declined when it
 holds a quote (a quoted cell may span lines; csv.reader then reads on
 past the block to the end of its record) or a NUL, a row of the wrong
 length, a cell that loadtxt refuses but float() may take, such as
 '1_000', or bytes that are not UTF-8.  From the first declined block on,
-the helper is stopped and this process reads the text file on, one block
-at a time, as before the helper existed: csv.reader and float() take each
-block that the loadtxt parse declines, and name the line and column of a
-fault.  So the accepted input, the values and the errors are those of the
-row-by-row parse.  A pipe is read once, into memory, to count its lines,
-and parsed by this process alone.
+the helper is stopped and this process reads the lines of the remaining
+blocks, chained: csv.reader and float() take each block that the loadtxt
+parse declines, and name the line and column of a fault, or of the first
+byte that is not UTF-8.  So the accepted input, the values and the errors
+are those of the row-by-row parse of the text file, except that a byte
+that is not UTF-8 is refused with the line of its record, where the text
+file raised UnicodeDecodeError.
 
 `betscan preprocess` also writes matrix.tsv.npz beside its matrix.tsv
 (save_binary_copy): the float64 values, the gene and sample ids as
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import os
 import pickle
@@ -89,7 +93,7 @@ from .errors import (
     NonFiniteError,
     UnknownLabelError,
 )
-from .manifest import atomic_open, open_input, sha256_file
+from .manifest import atomic_open, open_input, refused_record, sha256_file
 
 __all__ = [
     "ExpressionMatrix",
@@ -190,6 +194,10 @@ FORMATS = tuple(_DELIMS)  # the fmt names of load_matrix and save_matrix
 
 # body lines parsed per np.loadtxt call; bounds the text held at once
 _BLOCK_LINES = 32
+# bytes of each read that counts the lines of a matrix
+_COUNT_BYTES = 1 << 20
+# the characters that errors="surrogateescape" decodes bytes that are not UTF-8 to
+_ESCAPED = re.compile("[\udc80-\udcff]")
 # gene rows that save_matrix formats at once, and each process holds
 _WRITE_ROWS = 64
 # gene rows that run_pipeline sorts at once; bounds its working memory
@@ -204,15 +212,16 @@ def load_matrix(
     """Parse a delimited genes-by-samples matrix.
 
     First row: corner cell then sample ids.  Each following row: gene id
-    then one numeric cell per sample ('.' decimal separator).  Bad cells
-    raise MatrixParseError with 1-based line/column coordinates.  The
-    blocks of a file are parsed by this process and a forked helper when
-    two CPUs are free (module docstring); the values and errors are those
-    of one process.  A helper that fails raises BetscanError; it is reaped
-    whatever happens.  For a tab-delimited fmt, the arrays of a binary copy
-    at <path>.npz that records path's sha256 are returned instead of a
-    parse (module docstring).  A caller that has hashed path may pass the
-    digest as sha256.
+    then one numeric cell per sample ('.' decimal separator).  Bad cells,
+    and bytes that are not UTF-8, raise MatrixParseError with 1-based
+    line/column coordinates.  The blocks of a file or a pipe are parsed by
+    this process and a forked helper when two CPUs are free (module
+    docstring); the values and errors are those of one process.  A helper
+    that fails raises BetscanError; it is reaped whatever happens.  For a
+    tab-delimited fmt, the arrays of a binary copy at <path>.npz that
+    records path's sha256 are returned instead of a parse (module
+    docstring).  A caller that has hashed path may pass the digest as
+    sha256.
     """
     delim = _delimiter(fmt)
     copy = _load_binary_copy(path, sha256) if delim == "\t" else None
@@ -229,39 +238,86 @@ def _delimiter(fmt: str) -> str:
 
 
 def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
-    # csv.reader takes lines from fh one at a time and stops at the end of
-    # a record, so after the header, or a record of the csv path below, fh
-    # goes on at the next line
+    # the body is read at byte offsets, read(start, size): a file's, or the
+    # bytes of a pipe, read once, which stand in for the file
+    if fh.seekable():
+        fd = fh.fileno()
+
+        def read(start: int, size: int) -> bytes:
+            return os.pread(fd, size, start)
+
+    else:
+        data = fh.buffer.read()
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+        def read(start: int, size: int) -> bytes:
+            return data[start : start + size]
+
+    # the text file decodes chunks that may reach past the header; a byte
+    # that is not UTF-8 in the body is left to the body parse, which names
+    # its line
+    fh.reconfigure(errors="surrogateescape")
     reader = csv.reader(fh, delimiter=delim)
     try:
         header = next(reader)
     except StopIteration:
         raise MatrixParseError(path, 1, 1, "empty file") from None
     except csv.Error as exc:
-        raise _csv_error(path, 1, exc) from None
+        raise refused_record(path, 1, exc) from None
+    for column, cell in enumerate(header, start=1):
+        if escaped := _ESCAPED.search(cell):
+            byte = escaped.group().encode(errors="surrogateescape")
+            raise MatrixParseError(path, 1, column, _not_utf8(byte))
     if len(header) < 2:
         raise MatrixParseError(path, 1, 1, "header has no sample ids")
     sample_ids = [c.strip() for c in header[1:]]
     width = len(sample_ids)
 
-    lines, bound, offsets = _body_lines(fh, path, width, reader.line_num)
-    values = np.empty((bound, width))
+    offsets, body = _block_offsets(read, reader.line_num)
+    blocks = range(len(offsets) - 1)
+    # a record takes at least one line and holds `width` delimiters
+    values = np.empty((min(body, offsets[-1] // width), width))
     gene_ids: list[str] = []
-    line_no = 2  # csv record number of the next body line
-    if offsets is not None:
-        done = _parse_file_blocks(path, offsets, delim, width, values, gene_ids)
-        if done == len(offsets) - 1:
-            lines = iter(())
-        else:
-            # read fh on from the first declined block, past the blocks before it
-            skipped = done * _BLOCK_LINES
-            next(itertools.islice(lines, skipped, skipped), None)
-            line_no += skipped
+
+    def lines_of(k: int) -> list[bytes]:
+        # bytes.splitlines ends a line at '\n', '\r' or '\r\n' alone, as a
+        # text file opened with newline="" does (str.splitlines would also
+        # end one at '\x0c', '\x1c', '\u2028' and more)
+        return read(offsets[k], offsets[k + 1] - offsets[k]).splitlines(keepends=True)
+
+    def parse(raw: list[bytes], ids: list[str]) -> np.ndarray | None:
+        """_parse_block of raw lines decoded; None for bytes that are not UTF-8."""
+        try:
+            lines = [line.decode("utf-8") for line in raw]
+        except UnicodeDecodeError:
+            return None
+        return _parse_block(lines, delim, width, ids)
+
+    def pickled(k: int) -> bytes:
+        ids: list[str] = []
+        parsed = parse(lines_of(k), ids)
+        return pickle.dumps(None if parsed is None else (ids, parsed))
+
+    done = 0  # the blocks before the first that parse declines
+    with _map_blocks(pickled, blocks, "matrix parser") as results:
+        for parsed in map(pickle.loads, results):
+            if parsed is None:
+                break
+            ids, block = parsed
+            values[len(gene_ids) : len(gene_ids) + len(ids)] = block
+            gene_ids += ids
+            done += 1
+
+    # this process reads on from the first declined block; the lines of the
+    # blocks are chained, so that a quoted cell may carry a record on
+    lines = itertools.chain.from_iterable(map(lines_of, blocks[done:]))
+    line_no = 2 + done * _BLOCK_LINES  # csv record number of the next body line
     while block := list(itertools.islice(lines, _BLOCK_LINES)):
         g = len(gene_ids)
-        parsed = _parse_block(block, delim, width, gene_ids)
+        parsed = parse(block, gene_ids)
         if parsed is None:
-            records = csv.reader(itertools.chain(block, lines), delimiter=delim)
+            text = map(bytes.decode, itertools.chain(block, lines))
+            records = csv.reader(text, delimiter=delim)
             parsed, line_no = _parse_records(
                 records, len(block), path, line_no, width, gene_ids
             )
@@ -270,101 +326,42 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
         values[g : len(gene_ids)] = parsed
     if not gene_ids:
         raise MatrixParseError(path, 2, 1, "no gene rows")
-    if len(gene_ids) < bound:
+    if len(gene_ids) < len(values):
         values = values[: len(gene_ids)].copy()
     return ExpressionMatrix(gene_ids=gene_ids, sample_ids=sample_ids, values=values)
 
 
-def _body_lines(
-    fh, path, width: int, header_lines: int
-) -> tuple[Iterator[str], int, list[int] | None]:
-    """The lines of fh after its header, a bound on their records, and block offsets.
-
-    A record takes at least one line and holds `width` delimiters, so there
-    are no more records than lines, nor than characters // width.  A pipe
-    can be read only once, so its lines are held in memory, and it has no
-    offsets (None).  A file's lines are counted in a binary pass, which
-    also records the byte offset at which each block of _BLOCK_LINES body
-    lines starts, and the file's size after the last.
+def _block_offsets(read, header_lines: int) -> tuple[list[int], int]:
+    """The byte offsets at which the blocks of _BLOCK_LINES body lines start,
+    then the input's size; and the number of body lines, which start after
+    the header's header_lines lines.  Lines end at each LF, at the LF of
+    each CR LF, and at each CR that no LF follows, as in a text file opened
+    with newline="".
     """
-    if not fh.seekable():
-        held = list(fh)
-        return iter(held), min(len(held), sum(map(len, held)) // width), None
     # line i starts after the end of line i - 1, and block k at line
     # header_lines + k * _BLOCK_LINES; wanted: the end of the line before it
     offsets, wanted, count, size, last = [], header_lines - 1, 0, 0, b"\n"
-    with open(path, "rb") as raw:
-        while chunk := raw.read(1 << 20):
-            # so that no '\r\n' is split between chunks, read on past a run
-            # of '\r' at the end to the byte after it
-            if chunk.endswith(b"\r"):
-                run = bytearray()
-                while (more := raw.read(1)) == b"\r":
-                    run += more
-                chunk += run + more
-            ends = _line_ends(chunk)
-            found = ends[wanted - count :: _BLOCK_LINES]
-            offsets += (found + (size + 1)).tolist()
-            wanted += len(found) * _BLOCK_LINES
-            count += len(ends)
-            size += len(chunk)
-            last = chunk[-1:]
+    # each read takes a byte past its span, which shows whether a CR at its
+    # end is that of a CR LF
+    while chunk := read(size, _COUNT_BYTES + 1):
+        buf = np.frombuffer(chunk, np.uint8)
+        ends = buf == ord("\n")
+        if b"\r" in chunk:
+            alone = buf == ord("\r")
+            alone[:-1] &= ~ends[1:]  # a '\r\n' ends at its '\n'
+            ends |= alone
+        ends = np.flatnonzero(ends[:_COUNT_BYTES])
+        found = ends[wanted - count :: _BLOCK_LINES]
+        offsets += (found + (size + 1)).tolist()
+        wanted += len(found) * _BLOCK_LINES
+        count += len(ends)
+        size += min(len(chunk), _COUNT_BYTES)
+        last = chunk[-1:]
     if last not in b"\r\n":
         count += 1  # a last line without a line break
     body = count - header_lines
     # a file that ends with a line break has no line after its last end
-    offsets = offsets[: -(-body // _BLOCK_LINES)] + [size]
-    return fh, min(body, size // width), offsets
-
-
-def _line_ends(chunk: bytes) -> np.ndarray:
-    """The offsets in chunk of the bytes that end lines: each LF, the LF of
-    each CR LF, and each CR that no LF follows."""
-    buf = np.frombuffer(chunk, np.uint8)
-    ends = buf == ord("\n")
-    if b"\r" in chunk:
-        alone = buf == ord("\r")
-        alone[:-1] &= ~ends[1:]  # a '\r\n' ends at its '\n'
-        ends |= alone
-    return np.flatnonzero(ends)
-
-
-def _parse_file_blocks(
-    path, offsets: list[int], delim: str, width: int, values, gene_ids: list[str]
-) -> int:
-    """Parse the blocks between offsets, in order, until one is declined.
-
-    Fills values from gene row len(gene_ids) on and extends gene_ids.
-    Returns the number of blocks parsed: all of them, or those before the
-    first that _parse_block, or the UTF-8 decoder, declines.
-    """
-
-    def parse(k: int) -> bytes:
-        with open(path, "rb") as raw:
-            raw.seek(offsets[k])
-            # bytes.splitlines ends a line at '\n', '\r' or '\r\n' alone, as a
-            # text file opened with newline="" does (str.splitlines would also
-            # end one at '\x0c', '\x1c', '\u2028' and more)
-            raw_lines = raw.read(offsets[k + 1] - offsets[k]).splitlines(keepends=True)
-        ids: list[str] = []
-        try:
-            lines = [line.decode("utf-8") for line in raw_lines]
-        except UnicodeDecodeError:
-            return pickle.dumps(None)
-        del raw_lines
-        parsed = _parse_block(lines, delim, width, ids)
-        return pickle.dumps(None if parsed is None else (ids, parsed))
-
-    blocks = range(len(offsets) - 1)
-    with _map_blocks(parse, blocks, "matrix parser") as results:
-        for k, data in enumerate(results):
-            parsed = pickle.loads(data)
-            if parsed is None:
-                return k
-            ids, block = parsed
-            values[len(gene_ids) : len(gene_ids) + len(ids)] = block
-            gene_ids += ids
-    return len(blocks)
+    return offsets[: -(-body // _BLOCK_LINES)] + [size], body
 
 
 def _parse_block(
@@ -436,13 +433,17 @@ def _parse_records(
             if records.line_num >= lines:
                 break
     except csv.Error as exc:
-        raise _csv_error(path, line_no, exc) from None
+        raise refused_record(path, line_no, exc) from None
+    except UnicodeDecodeError as exc:  # exc.object: the line
+        cells = exc.object[: exc.start].count(records.dialect.delimiter.encode())
+        byte = exc.object[exc.start : exc.start + 1]
+        raise MatrixParseError(path, line_no, cells + 1, _not_utf8(byte)) from None
     return np.array(rows, dtype=np.float64).reshape(-1, width), line_no
 
 
-def _csv_error(path, line: int, exc: csv.Error) -> BetscanError:
-    """A record that csv.reader refuses, such as a field past its size limit."""
-    return BetscanError(f"{path}: line {line}: {exc}")
+def _not_utf8(byte: bytes) -> str:
+    """Why an input is refused for a byte that is not UTF-8."""
+    return f"byte {byte!r} is not UTF-8"
 
 
 def save_matrix(
@@ -683,14 +684,22 @@ def _check_ids(matrix: ExpressionMatrix, delim: str, target: str) -> None:
 def load_labels(path) -> dict[str, str]:
     """Read a two-column CSV (header 'sample_id,label') into a mapping.
 
-    A sample may be listed again only with the same label.
+    A sample may be listed again only with the same label.  A record that
+    csv.reader refuses, or that holds a byte that is not UTF-8, raises
+    BetscanError naming its line.
     """
     with open_input(path) as fh:
+        fh.reconfigure(errors="surrogateescape")
         reader = csv.reader(fh)
+        rows = []
         try:
-            rows = [(reader.line_num, row) for row in reader]
+            for row in reader:
+                if escaped := _ESCAPED.search("".join(row)):
+                    byte = escaped.group().encode(errors="surrogateescape")
+                    raise refused_record(path, reader.line_num, _not_utf8(byte))
+                rows.append((reader.line_num, row))
         except csv.Error as exc:
-            raise _csv_error(path, reader.line_num, exc) from None
+            raise refused_record(path, reader.line_num, exc) from None
     if not rows or [c.strip() for c in rows[0][1][:2]] != ["sample_id", "label"]:
         raise MatrixParseError(path, 1, 1, "expected header 'sample_id,label'")
     out: dict[str, str] = {}

@@ -103,7 +103,7 @@ from .core.maxbet import BetResult, bet_result, bonferroni
 from .core.nulls import null_draws, null_method, null_table, permutation_pvalue
 from .core.stats import cross_statistics, mask_combos, sign_factor, z_score
 from .errors import BetscanError, EmptyIntersectionError
-from .manifest import atomic_open, cell, csv_line, open_input
+from .manifest import atomic_open, cell, csv_line, open_input, refused_record
 from .preprocess import ExpressionMatrix
 
 __all__ = [
@@ -736,7 +736,7 @@ def read_results_csv(path, n: int | None = None) -> ScreenResults:
                 j.append(genes.setdefault(row[1], len(genes)))
                 k.append(entry)
         except (ValueError, csv.Error) as exc:
-            raise BetscanError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise refused_record(path, reader.line_num, exc) from None
     return ScreenResults(
         tuple(genes),
         *(np.array(column, dtype=np.int32) for column in (i, j, k)),

@@ -679,6 +679,40 @@ def test_refused_input_leaves_no_output_directory(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
+    "command", ["preprocess", "labels", "test", "screen", "compare", "baselines"]
+)
+def test_a_matrix_or_labels_file_that_is_not_utf8_is_refused(tmp_path, capsys, command):
+    matrix = screened_fixture(tmp_path)
+    results = tmp_path / "scr" / "results.csv"
+    assert main(["screen", str(matrix), "--out", str(results.parent)]) == 0
+    latin = tmp_path / "latin.tsv"  # gene P01x, body line 3, as P\xe901x
+    latin.write_bytes(matrix.read_bytes().replace(b"P01x", b"P\xe901x", 1))
+    labels = tmp_path / "labels.csv"
+    rows = [f"S{j:03d},A\n" for j in range(64)]
+    rows[1] = "S001,B\xe9\n"
+    labels.write_bytes(("sample_id,label\n" + "".join(rows)).encode("latin-1"))
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("gene_i,gene_j\nP00x,P00y\n")
+    args = {
+        "preprocess": ["preprocess", str(latin)],
+        "labels": ["preprocess", str(matrix), "--labels", str(labels)],
+        "test": ["test", str(latin), "P00x", "P00y"],
+        "screen": ["screen", str(latin)],
+        "compare": ["compare", str(results), str(latin), "--class", "Linear"],
+        "baselines": ["baselines", str(latin), str(pairs)],
+    }[command]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([*args, "--out", str(out)]) == 1
+    if command == "labels":
+        where = f"{labels}: line 3"
+    else:
+        where = f"{latin}: line 4, column 1"
+    assert capsys.readouterr().err == f"error: {where}: byte b'\\xe9' is not UTF-8\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command", ["preprocess", "test", "screen", "network", "compare", "baselines", "rerun"]
 )
 def test_input_that_is_not_a_regular_file_is_refused_unopened(tmp_path, capsys, command):

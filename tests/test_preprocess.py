@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import os
 import signal
@@ -128,10 +129,32 @@ def _body_line_count(path, delim):
         return sum(1 for _ in fh)
 
 
+def piped_outcome(path, *args):
+    """The outcome of load_matrix on path's bytes, which a thread writes into
+    a new FIFO, with the FIFO's name in a message put back to path's."""
+    fifo = path.with_name(path.name + ".fifo")
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True
+    )
+    writer.start()
+    try:
+        got = outcome(lambda: load_matrix(fifo, *args))
+    finally:
+        writer.join(timeout=10)
+        fifo.unlink()
+    assert not writer.is_alive()
+    return tuple(
+        part.replace(str(fifo), str(path)) if isinstance(part, str) else part
+        for part in got
+    )
+
+
 def assert_matches_oracle(path, fmt="tsv"):
-    """load_matrix reads path as the row oracle does: as it is, and with small
-    blocks on one CPU and on two, where it forks once for an accepted file
-    of two blocks or more, and reaps what it forks."""
+    """load_matrix reads path, and its bytes through a FIFO, as the row oracle
+    reads path: as it is, and with small blocks on one CPU and on two, where
+    it forks once for an accepted file of two blocks or more, and reaps what
+    it forks."""
     delim = "," if fmt == "csv" else "\t"
 
     def oracle():
@@ -140,10 +163,15 @@ def assert_matches_oracle(path, fmt="tsv"):
 
     expected = outcome(oracle)
     assert outcome(lambda: load_matrix(path, fmt)) == expected
-    for count, lines in ((1, _PARSE_LINES), (2, _PARSE_LINES), (2, 1)):
+    settings = ((1, _PARSE_LINES), (2, _PARSE_LINES), (2, 1))
+    for (count, lines), pipe in itertools.product(settings, (False, True)):
         with parser_cpus(count, lines) as mp:
             pids = forks_counted(mp)
-            assert outcome(lambda: load_matrix(path, fmt)) == expected, (count, lines)
+            if pipe:
+                got = piped_outcome(path, fmt)
+            else:
+                got = outcome(lambda: load_matrix(path, fmt))
+            assert got == expected, (count, lines, pipe)
         if isinstance(expected[0], list):  # accepted
             blocks = -(-_body_line_count(path, delim) // lines)
             assert len(pids) == (count == 2 and blocks > 1)
@@ -355,6 +383,28 @@ def test_crlf_split_between_read_chunks(tmp_path):
         assert m.values[:, 0].tolist() == list(range(g + after + 2)), end
         assert m.gene_ids[-2:] == [f"G{g + after}", f"G{g + after + 1}"]
         assert_matches_oracle(path)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r\r\n"])
+def test_a_line_end_split_between_reads_keeps_the_line_numbers(tmp_path, end):
+    # a line end across the first 1 MiB read, as above, then a bad cell three
+    # blocks later: a line end counted twice would shift the error's line
+    chunk = 1 << 20
+    rows = ["gene_id\tS0\r\n"]
+    while sum(map(len, rows)) < chunk - 2000:
+        rows.append(f"G{len(rows)}\t{' ' * 1000}1\r\n")
+    size, head = sum(map(len, rows)), f"G{len(rows)}\t1"
+    rows.append(head + " " * (chunk - 1 - size - len(head)) + end)
+    after = range(len(rows), len(rows) + 3 * preprocess._BLOCK_LINES)
+    rows += [f"G{g}\t1\r\n" for g in after]
+    rows.append("Gbad\tx\r\n")
+    path = tmp_path / "m.tsv"
+    path.write_bytes("".join(rows).encode())
+    with pytest.raises(MatrixParseError) as err:
+        load_matrix(path)
+    # the lone '\r' of '\r\r\n' ends a blank line
+    assert (err.value.line, err.value.column) == (len(rows) + len(end) - 2, 2)
+    assert_matches_oracle(path)
 
 
 def test_load_matrix_reads_a_pipe(tmp_path):
@@ -644,33 +694,47 @@ def test_the_first_declined_block_is_read_on_by_this_process(
     assert_matches_oracle(path)
 
 
-def test_bytes_that_are_not_utf8_are_left_to_the_text_file(tmp_path):
+# a quoted cell of two lines, from which csv.reader reads on
+_TWO_LINES = b'G9\t"9\n"\t-9\t1.125'
+
+
+@pytest.mark.parametrize(
+    "rows, line, column, byte",
+    [
+        ({-1: b"gene_id\tS0\tS\xe91\tS2"}, 1, 3, b"\xe9"),  # the header
+        ({0: b"G\xe90\t0\t0\t0"}, 2, 1, b"\xe9"),  # in the header's text chunk
+        ({5: b"G5\t5\t-5\t0.6\xe925"}, 7, 4, b"\xe9"),  # the helper's block
+        ({23: b"G23\t23\t-23\t2.875\xc3"}, 25, 4, b"\xc3"),  # half a character
+        # lines count records: after a record of two lines, in its block,
+        # which csv.reader reads, and in the next, which loadtxt would
+        ({9: _TWO_LINES, 10: b"G10\t10\t-1\xe90\t1.25"}, 12, 3, b"\xe9"),
+        ({9: _TWO_LINES, 13: b"G13\t13\t-13\t1.6\xff25"}, 15, 4, b"\xff"),
+    ],
+)
+def test_bytes_that_are_not_utf8_are_refused(tmp_path, rows, line, column, byte):
     path = _parsed_file(tmp_path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-20] + b"\xff" + data[-19:])
+    lines = path.read_bytes().split(b"\n")
+    for row, text in rows.items():
+        lines[1 + row] = text
+    path.write_bytes(b"\n".join(lines))
     expected = outcome(lambda: load_matrix(path))
-    assert expected[0] == "UnicodeDecodeError"
+    message = f"{path}: line {line}, column {column}: byte {byte!r} is not UTF-8"
+    assert expected == ("MatrixParseError", line, column, message)
     for count in (1, 2):
         with parser_cpus(count, _LINES):
             assert outcome(lambda: load_matrix(path)) == expected
+            assert piped_outcome(path) == expected
 
 
-def test_a_pipe_is_parsed_by_one_process(tmp_path):
-    path = _parsed_file(tmp_path)
-    fifo = tmp_path / "m.fifo"
-    os.mkfifo(fifo)
-    writer = threading.Thread(
-        target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True
-    )
+def test_a_pipe_is_parsed_by_two_processes(tmp_path):
+    path = _parsed_file(tmp_path)  # 6 blocks
     with parser_cpus(2, _LINES) as mp:
         pids = forks_counted(mp)
-        writer.start()
-        try:
-            m = load_matrix(fifo)
-        finally:
-            writer.join(timeout=10)
-    assert pids == []
-    assert outcome(lambda: m) == outcome(lambda: load_matrix(path))
+        got = piped_outcome(path)
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(pids[0], os.WNOHANG)
+    assert got == outcome(lambda: load_matrix(path))
 
 
 def _in_the_parse_helper(fault):
