@@ -33,6 +33,7 @@ __all__ = [
     "pearson_test",
     "hoeffdings_d",
     "hoeffdings_d_pvalue",
+    "hoeffding_pvalue_floor",
     "chi_square_independence",
     "format_pvalue",
     "ContingencyTable",
@@ -127,6 +128,16 @@ def hoeffdings_d_pvalue(x, y, iterations: int = 999, seed: int = 0) -> float:
         draws = [rng.permutation(y) for _ in range(min(step, iterations - lo))]
         extreme += np.count_nonzero(_d_rows(x, np.array(draws)) >= d_obs - 1e-12)
     return (1 + extreme) / (1 + iterations)
+
+
+def hoeffding_pvalue_floor(n: int, iterations: int) -> float:
+    """The smallest p-value that hoeffdings_d_pvalue returns for n samples.
+
+    The observed pairing is one of the n! enumerated, or the add-one term.
+    """
+    if n <= EXACT_PERMUTATION_MAX_N:
+        return 1 / math.factorial(n)
+    return 1 / (iterations + 1)
 
 
 @dataclass(frozen=True)
@@ -325,8 +336,10 @@ def measure_comparison(
     them each baseline also flags (Bonferroni over m_pairs throughout,
     defaulting to the number of listed pairs).
 
-    The Hoeffding permutation p cannot fall below 1/(iterations + 1), so
-    at stringent thresholds its significant counts are a lower bound.
+    The Hoeffding permutation p cannot fall below hoeffding_pvalue_floor:
+    1/(iterations + 1), or 1/n! at n <= EXACT_PERMUTATION_MAX_N.  When
+    bonferroni(m_pairs, floor) > alpha, no pair is Hoeffding-significant,
+    and every hoeffding_significant count is 0 by construction.
     """
     from .core.copula import rank_rows
     from .core.expansion import expand_rank_rows

@@ -33,13 +33,13 @@ from . import __version__
 from .core.bids import bid_class_of, class_members, parse_class_label
 from .core.copula import MIN_SAMPLES, rank_rows
 from .core.expansion import expand_rank_rows
-from .core.maxbet import max_bet
+from .core.maxbet import bonferroni, max_bet
 from .core.nulls import MODES
 from .core.stats import all_symmetry_statistics, cell_counts
 from .errors import BetscanError, TooFewSamplesError
 from .manifest import (
     atomic_open,
-    open_input,
+    read_csv,
     read_manifest,
     refused_record,
     sha256_file,
@@ -182,8 +182,11 @@ def run_preprocess(config: dict, out_dir: Path, digests: dict[str, str]) -> list
         cleaned = _enough_samples(subset_by_labels(cleaned, keep), where)
         earlier = f"the pipeline before --context {config['context']!r}"
         cleaned = _drop_constant_genes_in_place(cleaned, report, earlier)
-    # --uq-target may have scaled a finite count past the float range
-    check_savable(cleaned)
+    # --uq-target may have scaled a finite count past the float range, in a
+    # gene that the pipeline keeps; the pipeline and --context change no id
+    # and make no finite value non-finite
+    if config["uq_target"] is not None:
+        check_savable(cleaned)
 
     _start_run(out_dir)
     matrix_path = out_dir / "matrix.tsv"
@@ -390,24 +393,26 @@ def run_compare(config: dict, out_dir: Path, digests: dict[str, str]) -> list[st
 
 
 def run_baselines(config: dict, out_dir: Path, digests: dict[str, str]) -> list[str]:
-    from .baselines import MeasureClassRow, MeasurePairRow, measure_comparison
+    from .baselines import (
+        MeasureClassRow,
+        MeasurePairRow,
+        hoeffding_pvalue_floor,
+        measure_comparison,
+    )
 
     matrix = _load_matrix(config, digests)
 
+    records = read_csv(config["pairs"])
+    # a repeated column name means its last column, as in csv.DictReader
+    column = {name: k for k, name in enumerate(next(records)[1])}
+    if not {"gene_i", "gene_j"} <= column.keys():
+        raise BetscanError(f"{config['pairs']}: no gene_i and gene_j columns")
+    i, j = column["gene_i"], column["gene_j"]
     pairs = []
-    with open_input(config["pairs"]) as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if not {"gene_i", "gene_j"} <= set(reader.fieldnames or ()):
-                raise BetscanError(f"{config['pairs']}: no gene_i and gene_j columns")
-            for rec in reader:
-                # DictReader fills the cells missing from a short row with None
-                if rec["gene_i"] is None or rec["gene_j"] is None:
-                    raise ValueError("no gene_i or gene_j cell")
-                pairs.append((rec["gene_i"], rec["gene_j"]))
-        except (ValueError, csv.Error) as exc:
-            # DictReader.line_num counts only the records it returned
-            raise refused_record(config["pairs"], reader.reader.line_num, exc) from None
+    for line, row in records:
+        if len(row) <= max(i, j):
+            raise refused_record(config["pairs"], line, "no gene_i or gene_j cell")
+        pairs.append((row[i], row[j]))
     if not pairs:
         raise BetscanError(f"no pairs found in {config['pairs']}")
 
@@ -431,6 +436,14 @@ def run_baselines(config: dict, out_dir: Path, digests: dict[str, str]) -> list[
         f"baselines: {len(per_pair)} pairs over {len(per_class)} class(es) -> "
         f"{classes_path}"
     )
+    m_pairs = len(pairs) if config["m_pairs"] is None else config["m_pairs"]
+    floor = hoeffding_pvalue_floor(matrix.n_samples, config["hoeffding_iterations"])
+    if bonferroni(m_pairs, floor) > config["alpha"]:
+        print(
+            f"note: Hoeffding's D can flag no pair: its smallest p-value, {floor:.3g}, "
+            f"times {m_pairs} pairs exceeds alpha {config['alpha']}",
+            file=sys.stderr,
+        )
     return [pairs_path.name, classes_path.name]
 
 

@@ -7,6 +7,9 @@ file had before the run, the seed, and tool versions; `betscan rerun`
 replays a manifest and must reproduce the recorded outputs exactly (wall
 time is metadata and exempt).  Every output goes through `atomic_open`,
 so none is left partly written, and every table cell through `cell`.
+Every CSV input (labels, a screen's results, a baselines pairs file) is
+read through `read_csv`, which names the line of each record it refuses,
+a byte that is not UTF-8 included.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -28,10 +32,10 @@ import numpy as np
 from .errors import BetscanError
 
 
-def open_input(path) -> TextIO:
+def open_input(path, errors: str = "strict") -> TextIO:
     """Open a text input; a missing or unreadable file is a BetscanError."""
     try:
-        return open(path, "r", encoding="utf-8", newline="")
+        return open(path, "r", encoding="utf-8", errors=errors, newline="")
     except OSError as exc:
         raise BetscanError(f"{path}: {exc.strerror or exc}") from None
 
@@ -39,6 +43,38 @@ def open_input(path) -> TextIO:
 def refused_record(path, line: int, reason) -> BetscanError:
     """The refusal of an input's record at a line: "<path>: line <line>: <reason>"."""
     return BetscanError(f"{path}: line {line}: {reason}")
+
+
+# the characters of a run of lines that read_csv checks at once
+_CHECK_CHARS = 1 << 16
+
+
+def _not_utf8(byte: bytes) -> str:
+    """Why an input is refused for a byte that is not UTF-8."""
+    return f"byte {byte!r} is not UTF-8"
+
+
+def read_csv(path) -> Iterator[tuple[int, list[str]]]:
+    """Each record of a CSV input, with its last line as csv.reader counts.
+
+    The header comes even when blank ([] for an empty input); later blank
+    records are skipped.  A line that holds a byte that is not UTF-8, or a
+    record that csv.reader refuses, raises refused_record naming that line.
+    """
+    with open_input(path, errors="surrogateescape") as fh:
+        # a run of lines that is all ASCII costs one isascii call; in another,
+        # str.encode, true for every line, refuses the escape of a bad byte
+        runs = iter(lambda: fh.readlines(_CHECK_CHARS), [])
+        lines = (r if "".join(r).isascii() else filter(str.encode, r) for r in runs)
+        reader = csv.reader(itertools.chain.from_iterable(lines))
+        try:
+            for row in itertools.chain([next(reader, [])], filter(None, reader)):
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise refused_record(path, reader.line_num, exc) from None
+        except UnicodeEncodeError as exc:  # in the line after those read
+            byte = exc.object[exc.start].encode(errors="surrogateescape")
+            raise refused_record(path, reader.line_num + 1, _not_utf8(byte)) from None
 
 
 @contextmanager

@@ -93,7 +93,14 @@ from .errors import (
     NonFiniteError,
     UnknownLabelError,
 )
-from .manifest import atomic_open, open_input, refused_record, sha256_file
+from .manifest import (
+    _not_utf8,
+    atomic_open,
+    open_input,
+    read_csv,
+    refused_record,
+    sha256_file,
+)
 
 __all__ = [
     "ExpressionMatrix",
@@ -441,11 +448,6 @@ def _parse_records(
     return np.array(rows, dtype=np.float64).reshape(-1, width), line_no
 
 
-def _not_utf8(byte: bytes) -> str:
-    """Why an input is refused for a byte that is not UTF-8."""
-    return f"byte {byte!r} is not UTF-8"
-
-
 def save_matrix(
     matrix: ExpressionMatrix, path, fmt: str = "tsv_genes_by_samples"
 ) -> str:
@@ -685,38 +687,23 @@ def load_labels(path) -> dict[str, str]:
     """Read a two-column CSV (header 'sample_id,label') into a mapping.
 
     A sample may be listed again only with the same label.  A record that
-    csv.reader refuses, or that holds a byte that is not UTF-8, raises
-    BetscanError naming its line.
+    read_csv refuses raises BetscanError naming its line.
     """
-    with open_input(path) as fh:
-        fh.reconfigure(errors="surrogateescape")
-        reader = csv.reader(fh)
-        rows = []
-        try:
-            for row in reader:
-                if escaped := _ESCAPED.search("".join(row)):
-                    byte = escaped.group().encode(errors="surrogateescape")
-                    raise refused_record(path, reader.line_num, _not_utf8(byte))
-                rows.append((reader.line_num, row))
-        except csv.Error as exc:
-            raise refused_record(path, reader.line_num, exc) from None
-    if not rows or [c.strip() for c in rows[0][1][:2]] != ["sample_id", "label"]:
+    records = read_csv(path)
+    if [c.strip() for c in next(records)[1][:2]] != ["sample_id", "label"]:
         raise MatrixParseError(path, 1, 1, "expected header 'sample_id,label'")
-    out: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for line_no, row in rows[1:]:
-        if not row:
-            continue
+    first: dict[str, tuple[str, int]] = {}  # each sample's label and its line
+    for line_no, row in records:
         if len(row) < 2:
             raise MatrixParseError(path, line_no, 1, "expected two columns")
         sample, label = row[0].strip(), row[1].strip()
-        first = lines.setdefault(sample, line_no)
-        if out.setdefault(sample, label) != label:
+        was, line = first.setdefault(sample, (label, line_no))
+        if was != label:
             raise BetscanError(
-                f"{path}: sample {sample!r} is labelled {out[sample]!r} on line "
-                f"{first} and {label!r} on line {line_no}"
+                f"{path}: sample {sample!r} is labelled {was!r} on line {line} "
+                f"and {label!r} on line {line_no}"
             )
-    return out
+    return {sample: label for sample, (label, _) in first.items()}
 
 
 def filter_zero_heavy(

@@ -80,7 +80,6 @@ its two genes with np.fmax.at.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import time
 from array import array
@@ -103,7 +102,7 @@ from .core.maxbet import BetResult, bet_result, bonferroni
 from .core.nulls import null_draws, null_method, null_table, permutation_pvalue
 from .core.stats import cross_statistics, mask_combos, sign_factor, z_score
 from .errors import BetscanError, EmptyIntersectionError
-from .manifest import atomic_open, cell, csv_line, open_input, refused_record
+from .manifest import atomic_open, cell, csv_line, read_csv, refused_record
 from .preprocess import ExpressionMatrix
 
 __all__ = [
@@ -706,37 +705,33 @@ def read_results_csv(path, n: int | None = None) -> ScreenResults:
     sample count is not stored per row; pass n when downstream code needs
     BetResult.n, otherwise it is reconstructed from s and z (0 when
     s = 0).  A file whose header is not RESULT_COLUMNS, or with a record
-    that csv.reader refuses, a row of another length or a cell that does
-    not parse, raises BetscanError.
+    that read_csv refuses, a row of another length or a cell that does not
+    parse, raises BetscanError.
     """
     genes: dict[str, int] = {}
     tails: dict[tuple[str, ...], int] = {}
     table: list[BetResult] = []
     i, j, k = array("i"), array("i"), array("i")
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            if tuple(header) != RESULT_COLUMNS:
-                raise BetscanError(
-                    f"{path}: header {','.join(header)!r} is not "
-                    f"{','.join(RESULT_COLUMNS)!r}"
-                )
-            for row in filter(None, reader):  # blank lines aside
+    records = read_csv(path)
+    _, header = next(records)
+    if tuple(header) != RESULT_COLUMNS:
+        raise BetscanError(
+            f"{path}: header {','.join(header)!r} is not {','.join(RESULT_COLUMNS)!r}"
+        )
+    try:
+        for line, row in records:
+            tail = tuple(row[2:])
+            entry = tails.get(tail)
+            if entry is None:  # a new tail, as is that of a row of another length
                 if len(row) != len(RESULT_COLUMNS):
-                    raise ValueError(
-                        f"{len(row)} cells, expected {len(RESULT_COLUMNS)}"
-                    )
-                tail = tuple(row[2:])
-                entry = tails.get(tail)
-                if entry is None:
-                    table.append(_parse_result(tail, n))
-                    entry = tails[tail] = len(tails)
-                i.append(genes.setdefault(row[0], len(genes)))
-                j.append(genes.setdefault(row[1], len(genes)))
-                k.append(entry)
-        except (ValueError, csv.Error) as exc:
-            raise refused_record(path, reader.line_num, exc) from None
+                    raise ValueError(f"{len(row)} cells, expected {len(RESULT_COLUMNS)}")
+                table.append(_parse_result(tail, n))
+                entry = tails[tail] = len(tails)
+            i.append(genes.setdefault(row[0], len(genes)))
+            j.append(genes.setdefault(row[1], len(genes)))
+            k.append(entry)
+    except ValueError as exc:
+        raise refused_record(path, line, exc) from None
     return ScreenResults(
         tuple(genes),
         *(np.array(column, dtype=np.int32) for column in (i, j, k)),

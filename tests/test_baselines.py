@@ -11,6 +11,7 @@ from betscan.baselines import (
     bid_region_rectangles,
     chi_square_independence,
     format_pvalue,
+    hoeffding_pvalue_floor,
     hoeffdings_d,
     hoeffdings_d_pvalue,
     pearson_test,
@@ -119,6 +120,21 @@ def test_hoeffding_monte_carlo_p_deterministic():
     p2 = hoeffdings_d_pvalue(x, y, iterations=99, seed=1)
     assert p1 == p2
     assert p1 == pytest.approx(1 / 100)  # strong signal: nothing more extreme
+
+
+def test_hoeffding_p_never_falls_below_its_floor():
+    # a strictly increasing pair: the Monte Carlo p of 99 draws is the add-one
+    # floor; the enumerated p counts the observed pairing among the 6!
+    x = np.arange(20.0)
+    assert hoeffdings_d_pvalue(x, x**3, iterations=99) == hoeffding_pvalue_floor(20, 99)
+    x = np.arange(6.0)
+    floor = hoeffding_pvalue_floor(6, 99)
+    assert floor == 1 / math.factorial(6)
+    hits = hoeffdings_d_pvalue(x, x**3, iterations=99) / floor
+    assert hits >= 1 and hits == pytest.approx(round(hits))
+    n = EXACT_PERMUTATION_MAX_N
+    assert hoeffding_pvalue_floor(n, 99) == 1 / math.factorial(n)
+    assert hoeffding_pvalue_floor(n + 1, 99) == 1 / 100
 
 
 def test_both_permutation_nulls_switch_to_monte_carlo_at_the_same_n():

@@ -394,6 +394,22 @@ def test_preprocess_refuses_a_tie_it_cannot_jitter(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_preprocess_keeps_no_gene_that_uq_target_scales_past_the_float_range(
+    tmp_path, capsys
+):
+    # G2's inf is refused only if a gene that holds it reaches matrix.tsv;
+    # here the zero filter drops G2 (4 zeros in 12 samples)
+    values = np.random.default_rng(5).integers(1, 5000, size=(5, 12)).astype(float)
+    values[2, :4] = 0.0
+    values[2, 5] = 1e308
+    matrix = write_matrix(tmp_path, values, genes=[f"G{g}" for g in range(5)])
+    out = tmp_path / "pre"
+    args = ["preprocess", str(matrix), "--out", str(out), "--uq-target", "1e6"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.endswith("(1 gene(s) dropped)\n")
+    assert "G2" not in load_matrix(out / "matrix.tsv").gene_ids
+
+
 def test_rerun_refuses_a_recorded_uq_target_out_of_range(tmp_path, capsys):
     matrix = count_fixture(tmp_path)
     out = tmp_path / "pre"
@@ -679,9 +695,13 @@ def test_refused_input_leaves_no_output_directory(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
-    "command", ["preprocess", "labels", "test", "screen", "compare", "baselines"]
+    "command",
+    [
+        "preprocess", "labels", "test", "screen", "compare", "baselines",
+        "network-results", "compare-results", "baselines-pairs",
+    ],
 )
-def test_a_matrix_or_labels_file_that_is_not_utf8_is_refused(tmp_path, capsys, command):
+def test_an_input_that_is_not_utf8_is_refused_at_its_line(tmp_path, capsys, command):
     matrix = screened_fixture(tmp_path)
     results = tmp_path / "scr" / "results.csv"
     assert main(["screen", str(matrix), "--out", str(results.parent)]) == 0
@@ -693,6 +713,20 @@ def test_a_matrix_or_labels_file_that_is_not_utf8_is_refused(tmp_path, capsys, c
     labels.write_bytes(("sample_id,label\n" + "".join(rows)).encode("latin-1"))
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("gene_i,gene_j\nP00x,P00y\n")
+    # the byte past the first 8 KiB, which a text file decodes at once: on
+    # line 151 of a results file and on line 1502 of a pairs file
+    row = "P00x,P00y,A1B1,Linear,64,8,1e-10,9e-10,1e-09,false,hypergeometric\n"
+    lines = [",".join(RESULT_COLUMNS) + "\n"] + [row] * 200
+    lines[150] = lines[150].replace("P00y", "P00\xe9")
+    latin_results = tmp_path / "latin_results.csv"
+    latin_results.write_bytes("".join(lines).encode("latin-1"))
+    lines = ["gene_i,gene_j\n"] + ["P00x,P00y\n"] * 1600
+    lines[1501] = "P\xe900x,P00y\n"
+    latin_pairs = tmp_path / "latin_pairs.csv"
+    latin_pairs.write_bytes("".join(lines).encode("latin-1"))
+    for path, line in ((latin_results, 151), (latin_pairs, 1502)):
+        assert path.read_bytes().index(b"\xe9") > 8192
+        assert path.read_bytes().split(b"\n")[line - 1].count(b"\xe9") == 1
     args = {
         "preprocess": ["preprocess", str(latin)],
         "labels": ["preprocess", str(matrix), "--labels", str(labels)],
@@ -700,14 +734,21 @@ def test_a_matrix_or_labels_file_that_is_not_utf8_is_refused(tmp_path, capsys, c
         "screen": ["screen", str(latin)],
         "compare": ["compare", str(results), str(latin), "--class", "Linear"],
         "baselines": ["baselines", str(latin), str(pairs)],
+        "network-results": ["network", str(latin_results)],
+        "compare-results": [
+            "compare", str(latin_results), str(matrix), "--class", "Linear"
+        ],
+        "baselines-pairs": ["baselines", str(matrix), str(latin_pairs)],
     }[command]
     out = tmp_path / "run"
     capsys.readouterr()
     assert main([*args, "--out", str(out)]) == 1
-    if command == "labels":
-        where = f"{labels}: line 3"
-    else:
-        where = f"{latin}: line 4, column 1"
+    where = {
+        "labels": f"{labels}: line 3",
+        "network-results": f"{latin_results}: line 151",
+        "compare-results": f"{latin_results}: line 151",
+        "baselines-pairs": f"{latin_pairs}: line 1502",
+    }.get(command, f"{latin}: line 4, column 1")
     assert capsys.readouterr().err == f"error: {where}: byte b'\\xe9' is not UTF-8\n"
     assert not out.exists()
 
@@ -1213,6 +1254,37 @@ def test_baselines_command(tmp_path):
     assert any(row[0] == "Parabolic" for row in body)
     per_pair = (out / "baseline_pairs.csv").read_text().splitlines()
     assert len(per_pair) == 7
+
+
+@pytest.mark.parametrize(
+    "n, flags, note",
+    [
+        (64, [], None),
+        (64, ["--m-pairs", "10"], None),  # 10 / 201 <= 0.05
+        (64, ["--m-pairs", "11"], "smallest p-value, 0.00498, times 11 pairs"),
+        (8, ["--m-pairs", "2000"], None),  # 2000 / 8! <= 0.05
+        (8, ["--m-pairs", "2100"], "smallest p-value, 2.48e-05, times 2100 pairs"),
+    ],
+)
+def test_baselines_notes_when_hoeffdings_d_can_flag_no_pair(
+    tmp_path, capsys, n, flags, note
+):
+    matrix = screened_fixture(tmp_path, seed=6, pairs=2, n=n)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("gene_i,gene_j\nP00x,P00y\nP01x,P01y\n")
+    out = tmp_path / "base"
+    args = ["baselines", str(matrix), str(pairs), "--out", str(out)]
+    assert main([*args, "--hoeffding-iterations", "200", *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("baselines: 2 pairs over ")
+    if note is None:
+        assert captured.err == ""
+    else:
+        assert captured.err == (
+            f"note: Hoeffding's D can flag no pair: its {note} exceeds alpha 0.05\n"
+        )
+        rows = list(csv.DictReader((out / "baseline_pairs.csv").read_text().splitlines()))
+        assert [row["hoeffding_significant"] for row in rows] == ["false", "false"]
 
 
 # -------------------------------------------------------------------- rerun
