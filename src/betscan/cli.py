@@ -70,6 +70,7 @@ from .screen import (
     precompute_bitplanes,
     read_results_csv,
     screen_all_pairs,
+    screen_reach,
     top_k_genes,
     write_diagnostics_csv,
     write_results_csv,
@@ -331,6 +332,13 @@ def run_screen(config: dict, out_dir: Path, digests: dict[str, str]) -> list[str
         f"{summary.significant_pairs} significant at alpha={summary.alpha} "
         f"(m_pairs={summary.m_pairs}) -> {results_path}"
     )
+    _, smallest = screen_reach(screen_config, summary.n_samples, summary.m_pairs)
+    if smallest > summary.alpha:
+        print(
+            f"note: the screen can flag no pair: its smallest p_pair_adj, "
+            f"{smallest:.3g}, exceeds alpha {summary.alpha}",
+            file=sys.stderr,
+        )
     return outputs
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 __all__ = [
     "BidId",
@@ -42,8 +42,9 @@ class BidId:
         if self.a_mask <= 0 or self.b_mask <= 0:
             raise ValueError("cross interactions need a nonzero mask on both axes")
 
-    @property
+    @cached_property
     def name(self) -> str:
+        """'A1A2B1' and the like, built once per BidId: every table cell names one."""
         return _mask_name(self.a_mask, "A") + _mask_name(self.b_mask, "B")
 
     @property

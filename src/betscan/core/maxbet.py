@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bids import BidClass, BidId, all_bids, bid_class_of, bid_count
+from .bids import BidClass, BidId, _bids, bid_class_of, bid_count
 from .copula import CopulaColumn
 from .expansion import BitPlanes
 from .nulls import null_method, null_pvalue
@@ -62,7 +62,7 @@ def bet_result(
     p_raw is adjusted over the interactions and, given m_pairs, then over
     that many pairs.
     """
-    bid = all_bids(d1, d2)[t]
+    bid = _bids(d1, d2)[t]
     p_bid = bonferroni(bid_count(d1, d2), p_raw)
     p_pair = None if m_pairs is None else bonferroni(m_pairs, p_bid)
     z = z_score(s, n)

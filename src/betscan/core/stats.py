@@ -21,6 +21,7 @@ for max_bet, `pvalue_permutation`, `all_symmetry_statistics`,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -61,7 +62,7 @@ def z_score(s: int, n: int) -> float:
         raise ValueError(f"n must be positive, got {n}")
     if abs(s) > n:
         raise ValueError(f"|s| = {abs(s)} exceeds n = {n}")
-    return abs(s) / np.sqrt(n)
+    return abs(s) / math.sqrt(n)
 
 
 def sign_factor(bid: BidId) -> int:

@@ -68,14 +68,20 @@ pass it and starts no thread.
 
 The emitted rows stay columns: `ScreenResults` holds int32 columns i, j
 and k, where k indexes a table with one BetResult per distinct (winner,
-dot product, p_raw); each band maps its rows to the table with one
-np.unique.  Every reader works on the columns and asks each table entry
-once.  `write_results_csv` formats each gene-id cell and each table
-entry's cells once and writes the rows as joined strings, a few thousand
-at a time, into a temporary file that is renamed over the target when
-complete.  `read_results_csv` reads such a file back into a ScreenResults,
-parsing each distinct result once.  `top_k_genes` folds each row's z into
-its two genes with np.fmax.at.
+dot product, p_raw).  Each band codes each row as one int64, t (2n + 1) +
+n - x; under permutation draws that code times B + 1, plus the draw's
+count X = (1 + B) p_raw - 1, as B iterations give p_raw = (1 + X) / (1 +
+B).  One np.unique of the codes maps the rows to the table, and each new
+entry's (t, x, p_raw) is decoded from its code; `_check_draw_codes`
+refuses a B whose codes would not fit.  Every reader works on the columns
+and asks each table entry once.  `write_results_csv` and
+`all_bid_diagnostics` format each gene-id cell and each table entry's (or
+interaction and S's) cells once.  `_joined` picks a chunk's cells by
+index arrays into one object array and joins it once, with no Python step
+per row; the results go into a temporary file that is renamed over the
+target when complete.  `read_results_csv` reads such a file back into a
+ScreenResults, parsing each distinct result once.  `top_k_genes` folds
+each row's z into its two genes with np.fmax.at.
 """
 
 from __future__ import annotations
@@ -113,6 +119,7 @@ __all__ = [
     "precompute_bitplanes",
     "precompute_copulas",
     "screen_all_pairs",
+    "screen_reach",
     "write_results_csv",
     "read_results_csv",
     "all_bid_diagnostics",
@@ -218,14 +225,6 @@ class ScreenResults:
 
     def __len__(self) -> int:
         return len(self.k)
-
-    def _chunks(self) -> Iterator[tuple[list[int], list[int], list[int]]]:
-        """The columns i, j, k as lists, _CHUNK_ROWS rows at a time."""
-        for lo in range(0, len(self), _CHUNK_ROWS):
-            yield tuple(
-                column[lo : lo + _CHUNK_ROWS].tolist()
-                for column in (self.i, self.j, self.k)
-            )
 
     def where(self, keep: Callable[[BetResult], bool]) -> ScreenResults:
         """The rows whose result passes keep, asked once per table entry."""
@@ -521,39 +520,87 @@ def screen_all_pairs(
     return results, summary
 
 
+def _kept_classes(config: ScreenConfig) -> np.ndarray:
+    """Whether bid_filter keeps the class of each of all_bids(d1, d2)."""
+    classes = [bid_class_of(b).label for b in all_bids(config.d1, config.d2)]
+    return np.isin(classes, list(config.bid_filter or classes))
+
+
+def screen_reach(config: ScreenConfig, n: int, m_pairs: int) -> tuple[int, float]:
+    """(least, smallest) of a screen of n samples over a family of m_pairs.
+
+    least is the least |S| at which a pair can be kept: unless p_raw is
+    drawn per pair, it is null_table[t, |S|], so no smaller |S| reaches a
+    kept entry (n + 1 when none does); under draws it is 0.  smallest is
+    the smallest p_pair_adj that a pair of a kept class can reach, from
+    the least null_table entry of those classes, or 1 / (1 + B) under
+    draws; above alpha, the screen can flag no pair.
+    """
+    keep_class = _kept_classes(config)
+    p_table = null_table(config.mode, n, config.d1, config.d2)
+    draw = null_draws(config.mode, n)
+    if draw:
+        floor = 1 / (1 + config.permutation_iterations)
+    else:
+        floor = float(p_table[keep_class].min())
+    smallest = bonferroni(m_pairs, bonferroni(len(keep_class), floor))
+    if draw:
+        return 0, smallest
+    sig = bonferroni(m_pairs, bonferroni(len(keep_class), p_table)) <= config.alpha
+    kept_sizes = ((sig | config.emit_all) & keep_class[:, None]).any(0)
+    return (int(kept_sizes.argmax()) if kept_sizes.any() else n + 1), smallest
+
+
+def _check_draw_codes(count: int, n: int, iterations: int) -> None:
+    """Refuse B = iterations draws that band_rows cannot code as one int64.
+
+    A kept row's code t (2n + 1) + n - x times B + 1, plus its count X,
+    stays below count (2n + 1) (B + 1), which must stay below 2^63; and
+    rint((1 + B) p_raw) gives 1 + X back exactly only while 1 + B < 2^51.
+    """
+    most = min(1 << 51, -(-(1 << 63) // (count * (2 * n + 1)))) - 2
+    if iterations > most:
+        raise BetscanError(
+            f"{iterations} permutation iterations: at most {most} at {count} "
+            f"interactions and n = {n}, as each row's table code (interaction, "
+            "S, draw count) is one int64, below 2^63, and needs 1 + B < 2^51"
+        )
+
+
 def _bands(
     planes: Sequence[BitPlanes], config: ScreenConfig, m_pairs: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]]:
     """The kept pairs of each band of row genes; see the module docstring."""
     g, n, d1, d2 = len(planes), planes[0].n, config.d1, config.d2
     ma, mb = (1 << d1) - 1, (1 << d2) - 1
+    p_table = null_table(config.mode, n, d1, d2)
+    draw = null_draws(config.mode, n)
+    iterations = config.permutation_iterations
+    if draw:
+        _check_draw_codes(ma * mb, n, iterations)
     combos = mask_combos(np.stack([p.planes[: max(d1, d2)] for p in planes]))[:, 1:]
     combos = np.ascontiguousarray(combos.transpose(1, 0, 2))  # mask-major
     products = _SignProducts(combos, n, ma, mb)
     winners = _Winners(ma, mb, n)
-    classes = [bid_class_of(b).label for b in all_bids(d1, d2)]
-    keep_class = np.isin(classes, list(config.bid_filter or classes))
-    p_table = null_table(config.mode, n, d1, d2)
-    draw = null_draws(config.mode, n)
+    keep_class = _kept_classes(config)
+    least, _ = screen_reach(config, n, m_pairs)
 
     def p_pair_of(p_raw: np.ndarray) -> np.ndarray:
         return bonferroni(m_pairs, bonferroni(winners.count, p_raw))
 
-    def kept(t: np.ndarray, sig: np.ndarray) -> np.ndarray:
-        return (sig | config.emit_all) & keep_class[t]
-
-    # Unless p_raw is drawn per pair, it is p_table[t, |S|]: a pair can be
-    # kept only if its |S| reaches the least |S| kept in that table.
-    least = 0
-    if not draw:
-        t_all = np.arange(winners.count)[:, None]
-        kept_sizes = kept(t_all, p_pair_of(p_table) <= config.alpha).any(0)
-        least = int(kept_sizes.argmax()) if kept_sizes.any() else n + 1
-        del t_all, kept_sizes  # not kept alive while the stream is suspended
-
     # rows with the same winner, dot product and p_raw share one table
-    # entry: (t, x, p_raw) -> its index
-    shared: dict[tuple[int, int, float], int] = {}
+    # entry: its code (band_rows) -> its index
+    shared: dict[int, int] = {}
+
+    def entry(code: int) -> tuple[int, int, float]:
+        """The (t, x, p_raw) of a table entry's code."""
+        if draw:
+            code, count = divmod(code, iterations + 1)
+        t, rest = divmod(code, 2 * n + 1)
+        x = n - rest
+        # a draw's p_raw as permutation_pvalue divides it
+        p_raw = (1 + count) / (1 + iterations) if draw else float(p_table[t, abs(x)])
+        return t, x, p_raw
 
     def band_rows(lo: int, keys: np.ndarray) -> tuple:
         """What the band from gene lo yields; keys[r, c] pairs lo + r, lo + 1 + c.
@@ -572,27 +619,25 @@ def _bands(
             starts = np.flatnonzero(np.diff(i, prepend=-1)).tolist()
             for a, b in zip(starts, starts[1:] + [len(i)]):
                 seed = (config.seed << 32) ^ int(i[a])
-                p_raw[a:b] = permutation_pvalue(
-                    p_raw[a:b], config.permutation_iterations, seed
-                )
+                p_raw[a:b] = permutation_pvalue(p_raw[a:b], iterations, seed)
         sig = p_pair_of(p_raw) <= config.alpha
-        keep = kept(t, sig)
+        keep = (sig | config.emit_all) & keep_class[t]
         hits = np.bincount(t[keep & sig], minlength=winners.count)
         rows = np.flatnonzero(keep)
         i, j, t, x, p_raw = (column[rows] for column in (i, j, t, x, p_raw))
-        # (t, x) fixes p_raw, unless it is a Monte Carlo draw per pair
+        # (t, x) fixes p_raw, unless it is a Monte Carlo draw per pair; then
+        # the draw's count X = (1 + B) p_raw - 1 joins the code, and as
+        # p_raw grows with X, the codes sort as (t, x, p_raw) entries would
         code = t * (2 * n + 1) + n - x
         if draw:
-            code = np.stack([code, p_raw.view(np.int64)], axis=1)
-        _, first, inverse = np.unique(
-            code, return_index=True, return_inverse=True, axis=0
-        )
-        entries = list(zip(*(column[first].tolist() for column in (t, x, p_raw))))
-        fresh = [key for key in entries if key not in shared]
+            code *= iterations + 1
+            code += np.rint(p_raw * (iterations + 1)).astype(np.int64) - 1
+        codes, inverse = np.unique(code, return_inverse=True)
+        codes = codes.tolist()
+        fresh = [c for c in codes if c not in shared]
         shared.update(zip(fresh, itertools.count(len(shared))))
-        lut = np.array([shared[key] for key in entries], dtype=np.int32)
-        k = lut[inverse.reshape(-1)]
-        return i.astype(np.int32), j.astype(np.int32), k, fresh, hits
+        k = np.array([shared[c] for c in codes], dtype=np.int32)[inverse]
+        return i.astype(np.int32), j.astype(np.int32), k, list(map(entry, fresh)), hits
 
     def fill(keys: np.ndarray, y: np.ndarray, width: int, diagonal: bool) -> None:
         """Write the winner keys of packed products y to keys (rows, width).
@@ -630,13 +675,26 @@ def _bands(
         yield band_rows(b0, keys)
 
 
-def _gene_cells(gene_ids: Sequence[str]) -> list[str]:
-    """Each gene id as a CSV cell with the comma after it.
+def _gene_cells(gene_ids: Sequence[str]) -> np.ndarray:
+    """Each gene id as a CSV cell with the comma after it, an object array.
 
     It is formatted beside an empty field, because csv.writer writes a
     lone empty field as "".
     """
-    return [csv_line([gene, ""])[:-1] for gene in gene_ids]
+    return np.array([csv_line([gene, ""])[:-1] for gene in gene_ids], dtype=object)
+
+
+def _joined(genes: np.ndarray, i: np.ndarray, j: np.ndarray, tails: np.ndarray) -> str:
+    """The lines genes[i] + genes[j] + tails, in the order of tails' cells.
+
+    i and j broadcast to the shape of tails.  The cells are filled into one
+    object array and joined once, with no Python step per line.
+    """
+    cells = np.empty((*tails.shape, 3), dtype=object)
+    cells[..., 0] = genes[i]
+    cells[..., 1] = genes[j]
+    cells[..., 2] = tails
+    return "".join(cells.ravel().tolist())
 
 
 def _result_cells(r: BetResult) -> list[str]:
@@ -661,12 +719,13 @@ def write_results_csv(results: ScreenResults, path) -> None:
     file, if any, in place.
     """
     genes = _gene_cells(results.gene_ids)
-    tails = [csv_line(_result_cells(r)) for r in results.table]
+    tails = np.array([csv_line(_result_cells(r)) for r in results.table], dtype=object)
     with atomic_open(path) as fh:
         fh.write(csv_line(RESULT_COLUMNS))
-        for i, j, k in results._chunks():
-            rows = [genes[a] + genes[b] + tails[c] for a, b, c in zip(i, j, k)]
-            fh.write("".join(rows))
+        for lo in range(0, len(results), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            i, j, k = results.i[rows], results.j[rows], results.k[rows]
+            fh.write(_joined(genes, i, j, tails[k]))
 
 
 # how read_results_csv parses the cells after the gene ids; the bid_class
@@ -775,14 +834,9 @@ def all_bid_diagnostics(
         i, j = results.i[lo : lo + step], results.j[lo : lo + step]
         codes = cross_statistics(combos, combos, i, j, n) + offsets
         unique, inverse = np.unique(codes, return_inverse=True)
-        tails = [tail_of(code) for code in unique.tolist()]
-        lines = []
-        for a, b, row in zip(
-            i.tolist(), j.tolist(), inverse.reshape(codes.shape).tolist()
-        ):
-            pair = genes[a] + genes[b]
-            lines.append(pair + pair.join([tails[x] for x in row]))
-        yield "".join(lines)
+        tails = np.array([tail_of(code) for code in unique.tolist()], dtype=object)
+        cells = tails[inverse.reshape(codes.shape)]
+        yield _joined(genes, i[:, None], j[:, None], cells)
 
 
 def write_diagnostics_csv(lines: Iterable[str], path) -> None:

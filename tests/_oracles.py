@@ -6,15 +6,18 @@ statistics by classifying each observation into its quadrant and summing
 region signs, tails by exhaustive enumeration, a matrix file by
 csv.reader and float() one row at a time, the cleaning pipeline one gene
 at a time, ranks by np.unique and a stable argsort one gene at a time,
-and the top genes and the network by walking the result rows one at a
-time.  None of it shares code with the bit-parallel production path, the
-block-wise loader, the block-wise pipeline, the block ranker or the
-columnar readers of ScreenResults.
+the top genes and the network by walking the result rows one at a
+time, the CSV outputs by csv.writer one row at a time, and a screen's
+table by a two-column np.unique of each band's codes and p_raw bits.  None
+of it shares code with the bit-parallel production path, the block-wise
+loader, the block-wise pipeline, the block ranker, the columnar readers of
+ScreenResults or its joined writers.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -23,8 +26,10 @@ from math import comb, factorial
 
 import numpy as np
 
+from betscan.core.bids import bid_class_of
 from betscan.core.copula import CopulaColumn
 from betscan.core.maxbet import BetResult
+from betscan.core.stats import all_symmetry_statistics
 from betscan.errors import (
     BetscanError,
     DegenerateColumnError,
@@ -42,7 +47,8 @@ from betscan.preprocess import (
     jitter_minimum_ties,
     reset_median_imputed,
 )
-from betscan.screen import ScreenResults
+from betscan.manifest import cell
+from betscan.screen import DIAGNOSTIC_COLUMNS, RESULT_COLUMNS, ScreenResults
 
 
 def interval_digit(rank: int, n: int, k: int) -> int:
@@ -413,3 +419,55 @@ def build_network_oracle(pairs, top_genes, class_filter=None) -> DependenceGraph
             )
         )
     return DependenceGraph(nodes=nodes, edges=edges)
+
+
+def results_csv_oracle(results: ScreenResults) -> str:
+    """The text of write_results_csv, by csv.writer one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RESULT_COLUMNS)
+    for gene_i, gene_j, r in rows(results):
+        writer.writerow([
+            gene_i, gene_j, r.bid.name, r.bid_class.label, str(r.s), cell(r.z),
+            cell(r.p_raw), cell(r.p_bid_adjusted), cell(r.p_pair_adjusted),
+            cell(r.approximate), r.method,
+        ])
+    return buf.getvalue()
+
+
+def diagnostics_oracle(planes, gene_ids, results: ScreenResults) -> str:
+    """The text of write_diagnostics_csv(all_bid_diagnostics(...)), pair by pair."""
+    index = {gene: x for x, gene in enumerate(gene_ids)}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(DIAGNOSTIC_COLUMNS)
+    for gene_i, gene_j, _ in rows(results):
+        for st in all_symmetry_statistics(planes[index[gene_i]], planes[index[gene_j]]):
+            label = bid_class_of(st.bid).label
+            writer.writerow([gene_i, gene_j, st.bid.name, label, str(st.s), cell(st.z)])
+    return buf.getvalue()
+
+
+def band_table_oracle(i, t, x, p_raw, n: int, band: int):
+    """k and the (t, x, p_raw) table of a screen's rows, band by band.
+
+    The rows come in pair order, and a band holds the rows of `band`
+    consecutive genes i.  Within a band, the entries that are new come in
+    the order of the two-column np.unique(axis=0) of (t (2n + 1) + n - x,
+    the bits of p_raw), and equal pairs of those share one entry.
+    """
+    shared: dict[tuple[int, int, float], int] = {}
+    k = np.empty(len(i), dtype=np.int32)
+    for lo in range(0, int(i.max(initial=-1)) + 1, band):
+        rows_ = np.flatnonzero((i >= lo) & (i < lo + band))
+        tb, xb, pb = t[rows_], x[rows_], p_raw[rows_]
+        code = np.stack([tb * (2 * n + 1) + n - xb, pb.view(np.int64)], axis=1)
+        _, first, inverse = np.unique(
+            code, return_index=True, return_inverse=True, axis=0
+        )
+        entries = list(zip(tb[first].tolist(), xb[first].tolist(), pb[first].tolist()))
+        for entry in entries:
+            shared.setdefault(entry, len(shared))
+        lut = np.array([shared[entry] for entry in entries], dtype=np.int32)
+        k[rows_] = lut[inverse.reshape(-1)]
+    return k, list(shared)

@@ -1008,6 +1008,23 @@ def test_screen_zero_significant_still_exits_zero(tmp_path):
     assert summary["significant_pairs"] == 0
 
 
+def test_screen_that_can_flag_no_pair_says_so(tmp_path, capsys):
+    # 999 draws give p_raw >= 1/1000, and 9 interactions x 1,770 pairs put
+    # every p_pair_adj at 1; the exact tails at n = 96 go far below alpha
+    matrix = write_matrix(tmp_path, np.random.default_rng(61).normal(size=(60, 96)))
+    out = tmp_path / "permutation"
+    assert main(["screen", str(matrix), "--out", str(out), "--mode", "permutation"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("note:") == 1
+    assert (
+        "note: the screen can flag no pair: its smallest p_pair_adj, 1, "
+        "exceeds alpha 0.05\n"
+    ) in err
+    assert (out / "results.csv").read_text() == csv_line(RESULT_COLUMNS)
+    assert main(["screen", str(matrix), "--out", str(tmp_path / "exact")]) == 0
+    assert "note:" not in capsys.readouterr().err
+
+
 def test_screen_emit_all_bids_sidecar(tmp_path):
     matrix = screened_fixture(tmp_path, seed=10)
     out = tmp_path / "diag"

@@ -4,10 +4,16 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 import tracemalloc
+from functools import cache
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betscan.core import (
     all_bids,
@@ -19,6 +25,9 @@ from betscan.core import (
     z_score,
 )
 from betscan.core.bids import class_members
+from betscan.core.maxbet import bet_result
+from betscan.core.nulls import permutation_pvalue
+from betscan.core.stats import sign_factor
 from betscan.errors import (
     BetscanError,
     EmptyIntersectionError,
@@ -42,7 +51,15 @@ from betscan.screen import (
     write_results_csv,
 )
 
-from ._oracles import all_quadrant_stats, empirical_copula_oracle, quadrant_stat, rows
+from ._oracles import (
+    all_quadrant_stats,
+    band_table_oracle,
+    diagnostics_oracle,
+    empirical_copula_oracle,
+    quadrant_stat,
+    results_csv_oracle,
+    rows,
+)
 from ._synth import make_parabola
 
 
@@ -453,6 +470,147 @@ def test_band_stream_joins_to_the_screen_in_row_order(monkeypatch, fields):
         label = bid_class_of(bid).label
         counts[label] = counts.get(label, 0) + count
     assert {c: x for c, x in counts.items() if x} == summary.class_counts
+
+
+@pytest.mark.parametrize("iterations", [199, 99_999])
+def test_draw_codes_give_the_table_of_a_two_column_unique(monkeypatch, iterations):
+    # 5-gene bands: the table grows over eight bands
+    monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (5, 3))
+    m = planted_matrix(40, 96, 3)
+    planes = precompute_bitplanes(m, 2)
+    config = ScreenConfig(
+        mode="permutation", emit_all=True, permutation_iterations=iterations, seed=5
+    )
+    results, _ = screen_all_pairs(planes, m.gene_ids, config)
+    # each row's winner from max_bet, and its draw from row i's own stream
+    i, j = np.triu_indices(40, 1)
+    bids = all_bids(2, 2)
+    winners = [max_bet(planes[a], planes[b]) for a, b in zip(i.tolist(), j.tolist())]
+    t = np.array([bids.index(r.bid) for r in winners])
+    x = np.array([sign_factor(r.bid) * r.s for r in winners])
+    tails = np.array([r.p_raw for r in winners])
+    p_raw = np.concatenate([
+        permutation_pvalue(tails[i == a], iterations, (5 << 32) ^ a) for a in range(39)
+    ])
+    k, table = band_table_oracle(i, t, x, p_raw, 96, 5)
+    assert results.i.tolist() == i.tolist() and results.j.tolist() == j.tolist()
+    assert results.k.tolist() == k.tolist()
+    assert [
+        (bids.index(r.bid), sign_factor(r.bid) * r.s, r.p_raw) for r in results.table
+    ] == table
+    # some entries serve rows of more than one band
+    bands = np.zeros((len(table), 8), dtype=bool)
+    bands[k, i // 5] = True
+    assert (bands.sum(1) > 1).any()
+
+
+def _failing_draw(*args):
+    raise AssertionError("a draw was started")
+
+
+@pytest.mark.parametrize(
+    "depth, n, most",
+    [
+        (1, 10, (1 << 51) - 2),  # 1 + B < 2^51, for rint to give the count back
+        (3, 100, 936_478_021_814_881),  # 49 (2n + 1) (B + 1) < 2^63
+    ],
+)
+def test_draw_codes_beyond_int64_refused_before_any_draw(monkeypatch, depth, n, most):
+    monkeypatch.setattr(screen, "permutation_pvalue", _failing_draw)
+    m = random_matrix(3, n, 9)
+    planes = precompute_bitplanes(m, depth)
+    config = ScreenConfig(d1=depth, d2=depth, mode="permutation", emit_all=True)
+    refused = f"{most + 1} permutation iterations: at most {most} "
+    with pytest.raises(BetscanError, match=refused):
+        screen_all_pairs(planes, m.gene_ids, with_iterations(config, most + 1))
+    # one fewer passes the check and reaches the first draw
+    with pytest.raises(AssertionError, match="a draw was started"):
+        screen_all_pairs(planes, m.gene_ids, with_iterations(config, most))
+
+
+def with_iterations(config, count):
+    return dataclasses.replace(config, permutation_iterations=count)
+
+
+# gene ids that csv.writer quotes: a comma, a quote, a leading space, a newline
+GENE_IDS = st.text(alphabet='ab, "\n\u00e9', max_size=4)
+
+
+@st.composite
+def screen_rows(draw):
+    """A ScreenResults of drawn rows, and whether its last k is out of range."""
+    genes = draw(st.lists(GENE_IDS, min_size=1, max_size=6, unique=True))
+    mode = draw(st.sampled_from(["exact", "approx", "permutation"]))
+    table = tuple(
+        bet_result(
+            draw(st.integers(0, 8)), draw(st.integers(-64, 64)), 64, 2, 2, mode,
+            draw(st.floats(1e-300, 1.0)), draw(st.none() | st.integers(1, 10**12)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    size = draw(st.integers(0, 30)) if table else 0
+
+    def column(top):
+        values = st.lists(st.integers(0, top), min_size=size, max_size=size)
+        return np.array(draw(values), dtype=np.int32)
+
+    i, j = column(len(genes) - 1), column(len(genes) - 1)
+    k = column(max(len(table) - 1, 0))  # some entries may serve no row
+    broken = size > 0 and draw(st.booleans())
+    if broken:
+        k[-1] = len(table)
+    return screen.ScreenResults(tuple(genes), i, j, k, table), broken
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=screen_rows(), chunk=st.integers(1, 7))
+def test_write_results_csv_matches_a_row_by_row_writer(case, chunk):
+    results, broken = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        screen, "_CHUNK_ROWS", chunk
+    ):
+        path = Path(tmp) / "results.csv"
+        if broken:
+            with pytest.raises(IndexError):
+                results_csv_oracle(results)
+            with pytest.raises(IndexError):
+                write_results_csv(results, path)
+            assert os.listdir(tmp) == []
+        else:
+            write_results_csv(results, path)
+            assert path.read_bytes() == results_csv_oracle(results).encode()
+
+
+@cache
+def diagnostic_planes(depth):
+    return tuple(precompute_bitplanes(random_matrix(6, 70, 44), depth))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    genes=st.lists(GENE_IDS, min_size=6, max_size=6, unique=True),
+    depth=st.sampled_from([1, 2, 3]),
+    data=st.data(),
+    entries=st.integers(1, 200),
+)
+def test_all_bid_diagnostics_match_a_pair_by_pair_writer(genes, depth, data, entries):
+    planes = diagnostic_planes(depth)
+    # the results name some of the genes, in an order of their own
+    named = data.draw(st.permutations(genes).map(lambda ids: ids[: len(ids) // 2 + 1]))
+    pair = st.integers(0, len(named) - 1)
+    size = data.draw(st.integers(0, 25))
+    i, j = (
+        np.array(data.draw(st.lists(pair, min_size=size, max_size=size)), dtype=np.int32)
+        for _ in "ij"
+    )
+    table = (bet_result(0, 1, 70, depth, depth, "exact", 0.5),)
+    results = screen.ScreenResults(tuple(named), i, j, np.zeros(size, np.int32), table)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        screen, "_PASS_ENTRIES", entries
+    ):
+        path = Path(tmp) / "results_all_bids.csv"
+        write_diagnostics_csv(all_bid_diagnostics(planes, genes, results), path)
+        assert path.read_bytes() == diagnostics_oracle(planes, genes, results).encode()
 
 
 def test_failed_write_leaves_no_partial_csv(tmp_path, monkeypatch):
