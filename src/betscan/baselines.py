@@ -20,7 +20,9 @@ import numpy as np
 from scipy import stats as sps
 
 from .core.bids import BidId
-from .core.copula import CopulaColumn
+from .core.copula import CopulaColumn, rank_rows
+from .core.expansion import expand_rank_rows
+from .core.maxbet import bonferroni, max_bet
 from .core.nulls import EXACT_PERMUTATION_MAX_N
 from .errors import (
     DegenerateTableError,
@@ -341,10 +343,6 @@ def measure_comparison(
     bonferroni(m_pairs, floor) > alpha, no pair is Hoeffding-significant,
     and every hoeffding_significant count is 0 by construction.
     """
-    from .core.copula import rank_rows
-    from .core.expansion import expand_rank_rows
-    from .core.maxbet import bonferroni, max_bet
-
     if m_pairs is None:
         m_pairs = len(pairs)
     per_pair: list[MeasurePairRow] = []

@@ -416,11 +416,16 @@ def run_baselines(config: dict, out_dir: Path, digests: dict[str, str]) -> list[
     if not {"gene_i", "gene_j"} <= column.keys():
         raise BetscanError(f"{config['pairs']}: no gene_i and gene_j columns")
     i, j = column["gene_i"], column["gene_j"]
+    genes = set(matrix.gene_ids)
     pairs = []
     for line, row in records:
         if len(row) <= max(i, j):
             raise refused_record(config["pairs"], line, "no gene_i or gene_j cell")
-        pairs.append((row[i], row[j]))
+        pair = (row[i], row[j])
+        for gene in pair:
+            if gene not in genes:
+                raise refused_record(config["pairs"], line, f"unknown gene id {gene!r}")
+        pairs.append(pair)
     if not pairs:
         raise BetscanError(f"no pairs found in {config['pairs']}")
 

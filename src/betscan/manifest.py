@@ -54,6 +54,12 @@ def _not_utf8(byte: bytes) -> str:
     return f"byte {byte!r} is not UTF-8"
 
 
+def _escaped_byte(exc: UnicodeEncodeError) -> bytes:
+    """The byte that errors="surrogateescape" decoded to the character that
+    exc could not encode."""
+    return exc.object[exc.start].encode(errors="surrogateescape")
+
+
 def read_csv(path) -> Iterator[tuple[int, list[str]]]:
     """Each record of a CSV input, with its last line as csv.reader counts.
 
@@ -73,7 +79,7 @@ def read_csv(path) -> Iterator[tuple[int, list[str]]]:
         except csv.Error as exc:
             raise refused_record(path, reader.line_num, exc) from None
         except UnicodeEncodeError as exc:  # in the line after those read
-            byte = exc.object[exc.start].encode(errors="surrogateescape")
+            byte = _escaped_byte(exc)
             raise refused_record(path, reader.line_num + 1, _not_utf8(byte)) from None
 
 

@@ -7,24 +7,26 @@ read once into memory, and its bytes stand in for the file.  A first
 binary pass counts the lines, which bounds the gene rows, so the values go
 straight into one array and the peak memory is that array plus a block
 for each process; the pass also records the byte offset of each block.
-Each block's lines are split as a text file opened with newline="" splits
-them and decoded as UTF-8; its gene ids are the text before each line's
-first delimiter, stripped, and its cells are parsed by one np.loadtxt
-call, which rounds as float() does, after a check that every line has one
-delimiter per sample (loadtxt would drop extra cells).  When this process
-may run on two CPUs, a forked helper parses every other block
-(_map_blocks, which save_matrix also uses).  A block is declined when it
-holds a quote (a quoted cell may span lines; csv.reader then reads on
-past the block to the end of its record) or a NUL, a row of the wrong
-length, a cell that loadtxt refuses but float() may take, such as
-'1_000', or bytes that are not UTF-8.  From the first declined block on,
-the helper is stopped and this process reads the lines of the remaining
-blocks, chained: csv.reader and float() take each block that the loadtxt
-parse declines, and name the line and column of a fault, or of the first
-byte that is not UTF-8.  So the accepted input, the values and the errors
-are those of the row-by-row parse of the text file, except that a byte
-that is not UTF-8 is refused with the line of its record, where the text
-file raised UnicodeDecodeError.
+Each block's lines are split as a text file opened with newline=""
+splits them and decoded as UTF-8; its gene ids are the text before each
+line's first delimiter, stripped, and its cells are parsed by one
+np.loadtxt call, which rounds as float() does, after a check that every
+line has one delimiter per sample (loadtxt would drop extra cells).
+When this process may run on two CPUs, a forked helper parses every
+other block and pickles its gene ids and values into a pipe
+(_map_blocks, which save_matrix also uses); the blocks of this process
+are not pickled.  A block is declined when it holds a quote (a quoted
+cell may span lines; csv.reader then reads on past the block to the end
+of its record) or a NUL, a row of the wrong length, a cell that loadtxt
+refuses but float() may take, such as '1_000', or bytes that are not
+UTF-8.  From the first declined block on, the helper is stopped and this
+process reads the lines of the remaining blocks, chained: csv.reader and
+float() take each block that the loadtxt parse declines, and name the
+line and column of a fault, or of the first byte that is not UTF-8.  So
+the accepted input, the values and the errors are those of the
+row-by-row parse of the text file, except that a byte that is not UTF-8
+is refused with the line of its record, where the text file raised
+UnicodeDecodeError.
 
 `betscan preprocess` also writes matrix.tsv.npz beside its matrix.tsv
 (save_binary_copy): the float64 values, the gene and sample ids as
@@ -52,7 +54,8 @@ minimum).  The pipeline applies, in order:
        typical expression)
     3. jitter_minimum_ties    spread tied minima over the open interval
        up to the second-smallest distinct value
-    4. drop constant genes, which have no ranks
+    4. drop constant genes, which have no ranks, moving the kept rows up
+       within the cleaned values
 
 after which each column is strictly ordered and ready for
 the rank transform.  Jitter never crosses the second-smallest value, so
@@ -91,9 +94,11 @@ from .errors import (
     DimensionMismatchError,
     MatrixParseError,
     NonFiniteError,
+    UnknownGeneError,
     UnknownLabelError,
 )
 from .manifest import (
+    _escaped_byte,
     _not_utf8,
     atomic_open,
     open_input,
@@ -117,7 +122,6 @@ __all__ = [
     "subset_by_labels",
     "upper_quartile_log2",
     "run_pipeline",
-    "drop_constant_genes",
     "gene_stream_key",
 ]
 
@@ -163,8 +167,6 @@ class ExpressionMatrix:
         try:
             return self.gene_ids.index(gene_id)
         except ValueError:
-            from .errors import UnknownGeneError
-
             raise UnknownGeneError(gene_id) from None
 
     def column(self, gene_id: str) -> np.ndarray:
@@ -203,8 +205,6 @@ FORMATS = tuple(_DELIMS)  # the fmt names of load_matrix and save_matrix
 _BLOCK_LINES = 32
 # bytes of each read that counts the lines of a matrix
 _COUNT_BYTES = 1 << 20
-# the characters that errors="surrogateescape" decodes bytes that are not UTF-8 to
-_ESCAPED = re.compile("[\udc80-\udcff]")
 # gene rows that save_matrix formats at once, and each process holds
 _WRITE_ROWS = 64
 # gene rows that run_pipeline sorts at once; bounds its working memory
@@ -272,9 +272,11 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
     except csv.Error as exc:
         raise refused_record(path, 1, exc) from None
     for column, cell in enumerate(header, start=1):
-        if escaped := _ESCAPED.search(cell):
-            byte = escaped.group().encode(errors="surrogateescape")
-            raise MatrixParseError(path, 1, column, _not_utf8(byte))
+        try:
+            cell.encode()  # refuses the escape of a byte that is not UTF-8
+        except UnicodeEncodeError as exc:
+            byte = _escaped_byte(exc)
+            raise MatrixParseError(path, 1, column, _not_utf8(byte)) from None
     if len(header) < 2:
         raise MatrixParseError(path, 1, 1, "header has no sample ids")
     sample_ids = [c.strip() for c in header[1:]]
@@ -292,22 +294,17 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
         # end one at '\x0c', '\x1c', '\u2028' and more)
         return read(offsets[k], offsets[k + 1] - offsets[k]).splitlines(keepends=True)
 
-    def parse(raw: list[bytes], ids: list[str]) -> np.ndarray | None:
+    def parse(raw: list[bytes]) -> tuple[list[str], np.ndarray] | None:
         """_parse_block of raw lines decoded; None for bytes that are not UTF-8."""
         try:
             lines = [line.decode("utf-8") for line in raw]
         except UnicodeDecodeError:
             return None
-        return _parse_block(lines, delim, width, ids)
-
-    def pickled(k: int) -> bytes:
-        ids: list[str] = []
-        parsed = parse(lines_of(k), ids)
-        return pickle.dumps(None if parsed is None else (ids, parsed))
+        return _parse_block(lines, delim, width)
 
     done = 0  # the blocks before the first that parse declines
-    with _map_blocks(pickled, blocks, "matrix parser") as results:
-        for parsed in map(pickle.loads, results):
+    with _map_blocks(lambda k: parse(lines_of(k)), blocks, "matrix parser") as results:
+        for parsed in results:
             if parsed is None:
                 break
             ids, block = parsed
@@ -321,16 +318,18 @@ def _parse_matrix(fh, path, delim: str) -> ExpressionMatrix:
     line_no = 2 + done * _BLOCK_LINES  # csv record number of the next body line
     while block := list(itertools.islice(lines, _BLOCK_LINES)):
         g = len(gene_ids)
-        parsed = parse(block, gene_ids)
+        parsed = parse(block)
         if parsed is None:
             text = map(bytes.decode, itertools.chain(block, lines))
             records = csv.reader(text, delimiter=delim)
-            parsed, line_no = _parse_records(
+            rows, line_no = _parse_records(
                 records, len(block), path, line_no, width, gene_ids
             )
         else:
+            ids, rows = parsed
+            gene_ids += ids
             line_no += len(block)
-        values[g : len(gene_ids)] = parsed
+        values[g : len(gene_ids)] = rows
     if not gene_ids:
         raise MatrixParseError(path, 2, 1, "no gene rows")
     if len(gene_ids) < len(values):
@@ -372,15 +371,15 @@ def _block_offsets(read, header_lines: int) -> tuple[list[int], int]:
 
 
 def _parse_block(
-    lines: list[str], delim: str, width: int, gene_ids: list[str]
-) -> np.ndarray | None:
+    lines: list[str], delim: str, width: int
+) -> tuple[list[str], np.ndarray] | None:
     """Parse lines that hold one record each with one loadtxt call.
 
-    Returns their (records, width) values and appends their gene ids, or
-    returns None and appends nothing when csv.reader must read the lines:
-    a quote or NUL, a row of the wrong length, or a cell that loadtxt
-    refuses (float() also takes '1_000').  A carriage return needs no
-    csv.reader: a file opened with newline="" ends a line at every one.
+    Returns their gene ids and (records, width) values, or None when
+    csv.reader must read the lines: a quote or NUL, a row of the wrong
+    length, or a cell that loadtxt refuses (float() also takes '1_000').
+    A carriage return needs no csv.reader: a file opened with newline=""
+    ends a line at every one.
     """
     text = "".join(lines)
     if '"' in text or "\0" in text:
@@ -390,7 +389,7 @@ def _parse_block(
     if any(line.count(delim) != width for line in rows):
         return None
     if not rows:
-        return np.empty((0, width))
+        return [], np.empty((0, width))
     try:
         values = np.loadtxt(
             rows,
@@ -401,8 +400,7 @@ def _parse_block(
         )
     except ValueError:
         return None
-    gene_ids.extend(line.partition(delim)[0].strip() for line in rows)
-    return values
+    return [line.partition(delim)[0].strip() for line in rows], values
 
 
 def _parse_records(
@@ -461,23 +459,18 @@ def save_matrix(
     may run on two CPUs, a forked helper formats the odd blocks and sends
     them through a pipe while this process formats the even ones, and the
     blocks are written in row order, so the bytes are those of one
-    process (_map_blocks).  The helper formats rows from a memoryview
-    taken before the fork.  It is reaped whatever happens; when it fails,
-    save_matrix raises BetscanError and leaves no file.
+    process (_map_blocks).  The helper is reaped whatever happens; when it
+    fails, save_matrix raises BetscanError and leaves no file.
     """
     delim = _delimiter(fmt)
     _check_ids(matrix, delim, Path(path).name)
-    gene_ids, n = matrix.gene_ids, matrix.n_samples
-    # a memoryview of the values, whose rows the helper reads with no NumPy call
-    flat = memoryview(np.ascontiguousarray(matrix.values, dtype=np.float64).ravel())
-    starts = range(0, len(gene_ids), _WRITE_ROWS)
+    starts = range(0, matrix.n_genes, _WRITE_ROWS)
 
     def block(start: int) -> bytes:
-        lines = []
-        for g in range(start, min(start + _WRITE_ROWS, len(gene_ids))):
-            row = flat[g * n : g * n + n].tolist()
-            lines.append((delim.join([gene_ids[g], *map(repr, row)]) + "\n").encode())
-        return b"".join(lines)
+        genes = matrix.gene_ids[start : start + _WRITE_ROWS]
+        rows = matrix.values[start : start + _WRITE_ROWS].tolist()
+        lines = [delim.join([gene, *map(repr, row)]) for gene, row in zip(genes, rows)]
+        return "".join(line + "\n" for line in lines).encode()
 
     digest = hashlib.sha256()
     with atomic_open(path, binary=True) as fh:
@@ -500,17 +493,18 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _map_blocks(work, keys, name: str) -> Iterator[Iterator[bytes]]:
+def _map_blocks(work, keys, name: str) -> Iterator[Iterator]:
     """Yield an iterator over work(key) for each of keys, in key order.
 
-    work returns bytes.  When there are two keys or more and this process
-    may run on two CPUs, a forked helper computes every other key's result
-    and sends it through a pipe while this process computes the rest;
-    otherwise this process computes them all.  work may call no BLAS
-    routine, whose threads the helper lacks.  On leaving after the last
-    result, the helper has exited 0 and is reaped; on leaving earlier, or
-    on an error here, it is killed and reaped, and when it fails
-    BetscanError is raised, naming the `name`'s helper and its exit status.
+    work returns a picklable value; it may call NumPy but no BLAS routine,
+    whose threads the helper lacks.  When there are two keys or more and
+    this process may run on two CPUs, a forked helper computes every other
+    key's result and pickles it into a pipe while this process computes
+    the rest; otherwise this process computes them all and nothing is
+    pickled.  On leaving after the last result, the helper has exited 0
+    and is reaped; on leaving earlier, or on an error here, it is killed
+    and reaped, and when it fails BetscanError is raised, naming the
+    `name`'s helper and its exit status.
     """
     if len(keys) < 2 or _usable_cpus() < 2:
         yield map(work, keys)
@@ -527,9 +521,8 @@ def _map_blocks(work, keys, name: str) -> Iterator[Iterator[bytes]]:
             try:
                 pipe.close()  # so that a parent that dies breaks the pipe
                 for key in keys[1::2]:
-                    data = work(key)
-                    out.write(len(data).to_bytes(8, "little"))
-                    out.write(data)
+                    pickle.dump(work(key), out)
+                    out.flush()  # the whole result, not held until the next
                 out.close()
                 status = 0
             finally:
@@ -544,14 +537,13 @@ def _map_blocks(work, keys, name: str) -> Iterator[Iterator[bytes]]:
             reaped = True
             return os.waitstatus_to_exitcode(status)
 
-        def received() -> bytes:
-            size = int.from_bytes(pipe.read(8), "little")
-            data = pipe.read(size)
-            if size and len(data) == size:
-                return data
-            raise _helper_failed(name, exit_code())
+        def received():
+            try:
+                return pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # a pipe cut short
+                raise _helper_failed(name, exit_code()) from None
 
-        def results() -> Iterator[bytes]:
+        def results() -> Iterator:
             nonlocal finished
             for k, key in enumerate(keys):
                 yield received() if k % 2 else work(key)
@@ -874,8 +866,8 @@ def run_pipeline(
     is sorted once.  The values and the report are those of
     reset_median_imputed and jitter_minimum_ties applied gene by gene.
 
-    A gene with one distinct value has no ranks: drop_constant_genes drops
-    it after the jitter, so every other gene keeps its row index and its
+    A gene with one distinct value has no ranks: _drop_constant_genes_in_place
+    drops it after the jitter, so every other gene keeps its row index and its
     jitter stream, and refuses a matrix with fewer than two genes left.
     """
     filtered, report = filter_zero_heavy(matrix, zero_fraction_threshold)
@@ -904,7 +896,7 @@ def _clean_block(
     median = np.where(np.isnan(ordered[:, -1]), np.nan, median)
     spike = block == median[:, None]
     dup = spike.sum(axis=1)
-    # a gene of one value is left as it is, for drop_constant_genes
+    # a gene of one value is left as it is, for _drop_constant_genes_in_place
     reset = (dup > 1) & (dup < n)
     for g in np.flatnonzero(reset).tolist():
         report.medians_reset[genes[g]] = int(dup[g]) - 1
@@ -926,52 +918,19 @@ def _clean_block(
             raise DegenerateColumnError(f"gene {genes[g]!r}: {exc}") from None
 
 
-def drop_constant_genes(
+def _drop_constant_genes_in_place(
     matrix: ExpressionMatrix, report: PreprocessReport, earlier: str
 ) -> ExpressionMatrix:
     """matrix without its genes of one value, each listed in report as constant.
 
-    matrix is left as it is: when a gene is dropped, the result's values
-    are a new array.  Raises BetscanError when fewer than two genes are
-    left, since a screen needs a pair; the message counts the genes that
-    report lists as dropped before, by the step that earlier names.
-    """
-    varies = _varying_genes(matrix, report, earlier)
-    if varies.all():  # values[varies] copies the matrix
-        return matrix
-    genes = list(itertools.compress(matrix.gene_ids, varies))
-    return replace(matrix, gene_ids=genes, values=matrix.values[varies])
-
-
-def _drop_constant_genes_in_place(
-    matrix: ExpressionMatrix, report: PreprocessReport, earlier: str
-) -> ExpressionMatrix:
-    """drop_constant_genes, which moves the kept rows up within matrix.values.
-
-    The rows move a block of _PIPELINE_ROWS genes at a time, so the matrix
+    Raises BetscanError when fewer than two genes are left, since a screen
+    needs a pair; the message counts the genes that report lists as dropped
+    before, by the step that earlier names.  The kept rows move up a block
+    of _PIPELINE_ROWS genes at a time within matrix.values, so the matrix
     is not copied, and the result's values are the leading rows of
     matrix.values.  So that array must be one that no other matrix shares:
     run_pipeline's filtered copy, or the copy that subset_by_labels returns.
     """
-    varies = _varying_genes(matrix, report, earlier)
-    if varies.all():
-        return matrix
-    values, kept = matrix.values, 0
-    for start in range(0, len(values), _PIPELINE_ROWS):
-        block = slice(start, start + _PIPELINE_ROWS)
-        rows = values[block][varies[block]]  # a copy of one block's kept rows
-        values[kept : kept + len(rows)] = rows
-        kept += len(rows)
-    genes = list(itertools.compress(matrix.gene_ids, varies))
-    return replace(matrix, gene_ids=genes, values=values[:kept])
-
-
-def _varying_genes(
-    matrix: ExpressionMatrix, report: PreprocessReport, earlier: str
-) -> np.ndarray:
-    """Whether each gene of matrix takes two values or more; lists the
-    others in report as constant, or raises BetscanError when fewer than
-    two genes vary (drop_constant_genes)."""
     varies = (matrix.values != matrix.values[:, :1]).any(axis=1)
     constant = list(itertools.compress(matrix.gene_ids, ~varies))
     left = matrix.n_genes - len(constant)
@@ -983,4 +942,13 @@ def _varying_genes(
             "a screen needs at least 2"
         )
     report.genes_dropped += [{"gene": gene, "reason": "constant"} for gene in constant]
-    return varies
+    if not constant:
+        return matrix
+    values, kept = matrix.values, 0
+    for start in range(0, len(values), _PIPELINE_ROWS):
+        block = slice(start, start + _PIPELINE_ROWS)
+        rows = values[block][varies[block]]  # a copy of one block's kept rows
+        values[kept : kept + len(rows)] = rows
+        kept += len(rows)
+    genes = list(itertools.compress(matrix.gene_ids, varies))
+    return replace(matrix, gene_ids=genes, values=values[:kept])

@@ -41,7 +41,7 @@ from betscan.network import EDGE_COLORS, DependenceGraph, GraphEdge
 from betscan.preprocess import (
     ExpressionMatrix,
     PreprocessReport,
-    drop_constant_genes,
+    _drop_constant_genes_in_place,
     filter_zero_heavy,
     gene_stream_key,
     jitter_minimum_ties,
@@ -318,7 +318,7 @@ def run_pipeline_oracle(
 
     earlier = f"the zero filter (zero fraction above {zero_fraction_threshold:g})"
     cleaned = replace(filtered, values=values)
-    return drop_constant_genes(cleaned, report, earlier), report
+    return _drop_constant_genes_in_place(cleaned, report, earlier), report
 
 
 def empirical_copula_oracle(values, gene: str | None = None) -> CopulaColumn:

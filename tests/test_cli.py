@@ -816,6 +816,18 @@ def test_baselines_names_the_line_of_a_short_pairs_row(tmp_path, capsys):
     assert err == f"error: {pairs}: line 4: no gene_i or gene_j cell\n"
 
 
+@pytest.mark.parametrize("row, gene", [("P00x,", ""), ("P00x,GX", "GX")])
+def test_baselines_names_the_line_of_an_unknown_gene(tmp_path, capsys, row, gene):
+    matrix = screened_fixture(tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"gene_i,gene_j\nP00x,P00y\n\n{row}\nP00y,P00x\n")
+    out = tmp_path / "b"
+    assert main(["baselines", str(matrix), str(pairs), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {pairs}: line 4: unknown gene id {gene!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, value", [([], 7.0), (["--zero-threshold", "1"], 0.0)])
 def test_preprocess_drops_a_constant_gene_that_screen_would_refuse(
     tmp_path, capsys, flags, value

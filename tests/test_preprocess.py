@@ -2,6 +2,7 @@ import csv
 import itertools
 import math
 import os
+import pickle
 import signal
 import threading
 import time
@@ -30,7 +31,6 @@ from betscan.preprocess import (
     ExpressionMatrix,
     PreprocessReport,
     check_savable,
-    drop_constant_genes,
     filter_zero_heavy,
     gene_stream_key,
     jitter_minimum_ties,
@@ -640,6 +640,43 @@ def test_an_error_in_the_writer_kills_and_reaps_the_helper(tmp_path, error):
         os.waitpid(pids[0], os.WNOHANG)
 
 
+def test_a_helper_that_stops_inside_a_block_is_named_and_reaped(tmp_path):
+    m = small_matrix(np.random.default_rng(5).normal(size=(4 * _ROWS, 5)))
+    path = tmp_path / "m.tsv"
+    parent, real = os.getpid(), pickle.dump
+
+    def cut_short(value, file):
+        if os.getpid() == parent:
+            return real(value, file)
+        data = pickle.dumps(value)
+        file.write(data[: len(data) // 2])
+        file.flush()
+        os._exit(3)
+
+    with writer_cpus(2) as mp:
+        mp.setattr(pickle, "dump", cut_short)
+        pids = forks_counted(mp)
+        with pytest.raises(BetscanError) as failed:
+            save_matrix(m, path)
+    assert str(failed.value) == "the matrix writer's helper process failed (exit status 3)"
+    assert list(tmp_path.iterdir()) == []
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def _refuse_in(mp, parent, *names):
+    """Make each of pickle's functions `names` raise in the process parent."""
+    for name in names:
+
+        def refused(*args, real=getattr(pickle, name), name=name):
+            if os.getpid() == parent:
+                raise AssertionError(f"pickle.{name} called in this process")
+            return real(*args)
+
+        mp.setattr(pickle, name, refused)
+
+
 # load_matrix's blocks in the tests below: 6 of 4 lines each, where this
 # process parses blocks 0, 2 and 4 and the helper blocks 1, 3 and 5
 _LINES = 4
@@ -735,6 +772,23 @@ def test_a_pipe_is_parsed_by_two_processes(tmp_path):
     with pytest.raises(ChildProcessError):  # reaped
         os.waitpid(pids[0], os.WNOHANG)
     assert got == outcome(lambda: load_matrix(path))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_only_the_helpers_results_are_pickled(tmp_path, count):
+    # on two CPUs the helper pickles its blocks and this process unpickles
+    # them; its own blocks, and every block on one CPU, are not pickled
+    path, out = _parsed_file(tmp_path), tmp_path / "out.tsv"  # 6 blocks
+    m = small_matrix(np.random.default_rng(6).normal(size=(4 * _ROWS, 5)))
+    expected = outcome(lambda: load_matrix(path))
+    refused = ["dump", "dumps"] + (["load", "loads"] if count == 1 else [])
+    with parser_cpus(count, _LINES) as mp:
+        mp.setattr(preprocess, "_WRITE_ROWS", _ROWS)
+        _refuse_in(mp, os.getpid(), *refused)
+        pids = forks_counted(mp)
+        assert outcome(lambda: load_matrix(path)) == expected
+        assert save_matrix(m, out) == sha256_file(out)
+    assert len(pids) == 2 * (count == 2)
 
 
 def _in_the_parse_helper(fault):
@@ -1240,33 +1294,23 @@ def test_drop_constant_genes_on_a_context():
         [[1, 2, 3, 4, 5, 5], [7, 7, 7, 7, 1, 2], [7, 7, 7, 8, 7, 7]],
         labels=["A", "A", "A", "A", "B", "B"],
     )
-    # the public step leaves its matrix, and one that shares its values, as
-    # they were
-    own = small_matrix([[1, 2, 3], [4, 4, 4], [5, 6, 7], [8, 9, 9]])
-    shared = own.with_labels({"S0": "A", "S1": "A", "S2": "B"})
-    before = own.values.copy()
-    kept = drop_constant_genes(shared, PreprocessReport(), "the pipeline")
-    assert kept.gene_ids == ["G0", "G2", "G3"] and kept.labels == ["A", "A", "B"]
-    assert np.array_equal(kept.values, before[[0, 2, 3]])
-    assert np.array_equal(own.values, before)
-    assert not np.shares_memory(kept.values, own.values)
-
+    drop = preprocess._drop_constant_genes_in_place
     before = m.values.copy()
     report = PreprocessReport(genes_dropped=[{"gene": "G9", "reason": "constant"}])
     context = subset_by_labels(m, {"A"})
     # the subset is a copy, so moving its kept rows up leaves m as it was
     assert not np.shares_memory(context.values, m.values)
-    kept = preprocess._drop_constant_genes_in_place(context, report, "the pipeline")
+    kept = drop(context, report, "the pipeline")
     assert np.shares_memory(kept.values, context.values)
     assert kept.gene_ids == ["G0", "G2"] and kept.labels == ["A"] * 4
     assert np.array_equal(kept.values, before[[0, 2], :4])
     assert np.array_equal(m.values, before)
     assert report.genes_dropped[1:] == [{"gene": "G1", "reason": "constant"}]
     # nothing constant: the matrix itself comes back
-    assert drop_constant_genes(kept, report, "the pipeline") is kept
+    assert drop(kept, report, "the pipeline") is kept
     assert len(report.genes_dropped) == 2
     with pytest.raises(BetscanError) as refused:
-        drop_constant_genes(subset_by_labels(m, {"B"}), report, "the pipeline")
+        drop(subset_by_labels(m, {"B"}), report, "the pipeline")
     assert str(refused.value) == (
         "1 gene(s) left of 5: the pipeline dropped 2 and 2 were constant; "
         "a screen needs at least 2"
