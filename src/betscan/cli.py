@@ -25,6 +25,7 @@ import os
 import stat
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,7 @@ from .core.stats import all_symmetry_statistics, cell_counts
 from .errors import BetscanError, TooFewSamplesError
 from .manifest import (
     atomic_open,
+    csv_line,
     read_csv,
     read_manifest,
     refused_record,
@@ -64,6 +66,7 @@ from .preprocess import (
 from .screen import (
     SEED_LIMIT,
     CompareRow,
+    DIAGNOSTIC_COLUMNS,
     ScreenConfig,
     all_bid_diagnostics,
     compare_runs,
@@ -72,7 +75,6 @@ from .screen import (
     screen_all_pairs,
     screen_reach,
     top_k_genes,
-    write_diagnostics_csv,
     write_results_csv,
 )
 
@@ -311,21 +313,30 @@ def run_screen(config: dict, out_dir: Path, digests: dict[str, str]) -> list[str
         raise BetscanError(str(exc)) from None
     matrix = _load_matrix(config, digests)
     planes = precompute_bitplanes(matrix, depth)
-    results, summary = screen_all_pairs(planes, matrix.gene_ids, screen_config)
-
-    _start_run(out_dir)
     results_path = out_dir / "results.csv"
-    write_results_csv(results, results_path)
     summary_path = out_dir / "summary.json"
-    write_json(summary.to_dict(), summary_path)
     outputs = [results_path.name, summary_path.name]
+    on_band = None
+    with ExitStack() as stack:
+        if config["emit_all_bids"]:
+            diag_path = out_dir / "results_all_bids.csv"
+            outputs.append(diag_path.name)
+            lines = all_bid_diagnostics(matrix.gene_ids, matrix.n_samples, depth, depth)
+            opened = []  # at the first band, which comes after every refusal
 
-    if config["emit_all_bids"]:
-        diag_path = out_dir / "results_all_bids.csv"
-        write_diagnostics_csv(
-            all_bid_diagnostics(planes, matrix.gene_ids, results), diag_path
+            def on_band(i, j, s) -> None:
+                if not opened:
+                    _start_run(out_dir)
+                    opened.append(stack.enter_context(atomic_open(diag_path)))
+                    opened[0].write(csv_line(DIAGNOSTIC_COLUMNS))
+                opened[0].writelines(lines(i, j, s))
+
+        results, summary = screen_all_pairs(
+            planes, matrix.gene_ids, screen_config, on_band=on_band
         )
-        outputs.append(diag_path.name)
+    _start_run(out_dir)
+    write_results_csv(results, results_path)
+    write_json(summary.to_dict(), summary_path)
 
     print(
         f"screen: {summary.total_pairs} pairs tested, "

@@ -15,8 +15,9 @@ one XOR-and-popcount pass over the packed uint64 words of the planes
 orientation that the parity trick drops for odd-weight interactions.
 
 `cross_statistics` computes S of every interaction of a list of pairs
-for max_bet, `pvalue_permutation`, `all_symmetry_statistics`,
---emit-all-bids and compare.
+for max_bet, `pvalue_permutation`, `all_symmetry_statistics` and
+compare: the single-pair checks of the screen, whose own S (and that of
+--emit-all-bids) comes from its float32 sign products.
 """
 
 from __future__ import annotations

@@ -24,12 +24,15 @@ once.  An inner loop takes tiles of the later genes (128 at depth 2): each
 tile's labels are unpacked once per band, and one product multiplies them
 by every row of the band that has a partner in the tile.  The loop lives
 in one generator, `_bands`, which yields each scored band in row order:
-the int32 columns i, j and k of its kept pairs, the (t, x, p_raw) table
-entries first seen in it, and its significant pairs per interaction.
-`screen_all_pairs` joins the bands and reads nothing else of the loop.
-`band_rows` decodes a band's candidates in a function of its own, because
-a suspended generator keeps its locals alive: they die on return, which
-bounds the memory of an emit-all screen.
+the int32 columns i, j and k of its kept pairs, the (t, S, p_raw) table
+entries first seen in it, its significant pairs per interaction, and if
+asked S of its kept pairs, from each tile's dots before `_Winners`
+overwrites them.  `screen_all_pairs` joins the bands, hands each band's
+(i, j, S) to on_band (--emit-all-bids writes `all_bid_diagnostics` from
+them), and reads nothing else of the loop.  `band_rows` decodes a band's
+candidates in a function of its own, because a suspended generator keeps
+its locals alive: they die on return, which bounds the memory of an
+emit-all screen.
 
 Outside permutation draws a pair can be kept only if its |S| reaches the
 least |S| that the table keeps, `least`.  In a significant-only screen
@@ -41,9 +44,8 @@ decoded.  The block of a band against a tile that starts inside the band
 holds self pairs (|x| = n) and earlier pairs, which would mark every row;
 it always gets keys, and the pairs that are not later are masked after.
 Emit-all screens and permutation draws (least = 0) get keys for every
-pair.  `all_bid_diagnostics` (every S of the emitted pairs, for
---emit-all-bids) and `compare_runs` (a class's largest |S| in a second
-dataset) take S of a list of pairs, mostly few and scattered, from
+pair.  `compare_runs` (a class's largest |S| in a second dataset) takes S
+of a list of pairs, mostly few and scattered, from
 `core.stats.cross_statistics`: T * W word operations a pair, where a
 matrix product would unpack n labels per gene and multiply partners that
 no pair asks for.
@@ -91,7 +93,7 @@ import time
 from array import array
 from dataclasses import asdict, dataclass, replace
 from functools import cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -123,7 +125,6 @@ __all__ = [
     "write_results_csv",
     "read_results_csv",
     "all_bid_diagnostics",
-    "write_diagnostics_csv",
     "top_k_genes",
     "compare_runs",
     "RESULT_COLUMNS",
@@ -259,7 +260,7 @@ def precompute_copulas(matrix: ExpressionMatrix) -> list[CopulaColumn]:
 # Each tile's labels are unpacked once per band.
 _BAND_LABELS = 672
 _TILE_LABELS = 384
-# (pair, interaction) entries per pass of the emitted-pair statistics
+# (pair, interaction) entries per chunk of all_bid_diagnostics' lines
 _PASS_ENTRIES = 1 << 16
 # float32 holds every integer up to 2^24 exactly
 _FLOAT32_EXACT = 1 << 24
@@ -459,10 +460,15 @@ def screen_all_pairs(
     gene_ids: Sequence[str],
     config: ScreenConfig,
     ranks: Sequence[CopulaColumn] | None = None,
+    *,
+    on_band: Callable[[np.ndarray, np.ndarray, np.ndarray], object] | None = None,
 ) -> tuple[ScreenResults, ScreenSummary]:
     """Score every unordered gene pair; see the module docstring for rules.
 
     ranks is unused; it is accepted for callers that still pass it.
+    on_band gets each band's kept rows after every refusal, before the next
+    band is scored: int32 i < j and S (rows, T) in all_bids order, int16
+    below n = 2^15 samples and int32 from there.
     """
     g = len(planes)
     if g < 2:
@@ -486,15 +492,20 @@ def screen_all_pairs(
         )
     started = time.perf_counter()
     bids = all_bids(d1, d2)
-    signs = [sign_factor(b) for b in bids]
-    i, j, k, entries, band_hits = zip(*_bands(planes, config, m_pairs))
+    bands = []
+    for *band, s in _bands(planes, config, m_pairs, on_band is not None):
+        if on_band is not None:
+            on_band(*band[:2], s)
+        bands.append(band)
+        del s  # before the next band is scored
+    i, j, k, entries, band_hits = zip(*bands)
     hits = sum(band_hits)
     results = ScreenResults(
         tuple(gene_ids),
         *(np.concatenate(column) for column in (i, j, k)),
         tuple(
-            bet_result(t, signs[t] * x, n, d1, d2, mode, p, m_pairs)
-            for t, x, p in itertools.chain.from_iterable(entries)
+            bet_result(t, s, n, d1, d2, mode, p, m_pairs)
+            for t, s, p in itertools.chain.from_iterable(entries)
         ),
     )
 
@@ -568,9 +579,9 @@ def _check_draw_codes(count: int, n: int, iterations: int) -> None:
 
 
 def _bands(
-    planes: Sequence[BitPlanes], config: ScreenConfig, m_pairs: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]]:
-    """The kept pairs of each band of row genes; see the module docstring."""
+    planes: Sequence[BitPlanes], config: ScreenConfig, m_pairs: int, statistics=False
+) -> Iterator[tuple]:
+    """The kept pairs, and S if statistics, of each band; see the module docstring."""
     g, n, d1, d2 = len(planes), planes[0].n, config.d1, config.d2
     ma, mb = (1 << d1) - 1, (1 << d2) - 1
     p_table = null_table(config.mode, n, d1, d2)
@@ -584,6 +595,9 @@ def _bands(
     winners = _Winners(ma, mb, n)
     keep_class = _kept_classes(config)
     least, _ = screen_reach(config, n, m_pairs)
+    s_dtype = np.int16 if n < 1 << 15 else np.int32  # holds every |S| <= n
+    signs = np.array([sign_factor(b) for b in all_bids(d1, d2)], s_dtype)
+    empty = np.empty(0, np.int32), np.empty((0, ma, mb), s_dtype)
 
     def p_pair_of(p_raw: np.ndarray) -> np.ndarray:
         return bonferroni(m_pairs, bonferroni(winners.count, p_raw))
@@ -593,14 +607,14 @@ def _bands(
     shared: dict[int, int] = {}
 
     def entry(code: int) -> tuple[int, int, float]:
-        """The (t, x, p_raw) of a table entry's code."""
+        """The (t, S, p_raw) of a table entry's code."""
         if draw:
             code, count = divmod(code, iterations + 1)
         t, rest = divmod(code, 2 * n + 1)
         x = n - rest
         # a draw's p_raw as permutation_pvalue divides it
         p_raw = (1 + count) / (1 + iterations) if draw else float(p_table[t, abs(x)])
-        return t, x, p_raw
+        return t, int(signs[t]) * x, p_raw
 
     def band_rows(lo: int, keys: np.ndarray) -> tuple:
         """What the band from gene lo yields; keys[r, c] pairs lo + r, lo + 1 + c.
@@ -608,6 +622,12 @@ def _bands(
         The band's candidate arrays die on return, before the next band's
         products, which bounds the screen's peak memory.
         """
+        s = None
+        if pieces is not None:  # tile by tile, each in pair order: sort by row
+            r, s = map(np.concatenate, zip(*pieces))
+            pieces.clear()
+            s = s[np.argsort(r, kind="stable")].reshape(-1, ma * mb)
+            s *= signs
         # the band's candidates in pair order: winner t and its dot product x
         i, j = np.nonzero(keys >= least << winners.shift)
         t, x = winners.decode(keys[i, j])
@@ -625,6 +645,7 @@ def _bands(
         hits = np.bincount(t[keep & sig], minlength=winners.count)
         rows = np.flatnonzero(keep)
         i, j, t, x, p_raw = (column[rows] for column in (i, j, t, x, p_raw))
+        s = None if s is None else s[rows]
         # (t, x) fixes p_raw, unless it is a Monte Carlo draw per pair; then
         # the draw's count X = (1 + B) p_raw - 1 joins the code, and as
         # p_raw grows with X, the codes sort as (t, x, p_raw) entries would
@@ -637,24 +658,35 @@ def _bands(
         fresh = [c for c in codes if c not in shared]
         shared.update(zip(fresh, itertools.count(len(shared))))
         k = np.array([shared[c] for c in codes], dtype=np.int32)[inverse]
-        return i.astype(np.int32), j.astype(np.int32), k, list(map(entry, fresh)), hits
+        i, j = i.astype(np.int32), j.astype(np.int32)
+        return i, j, k, list(map(entry, fresh)), hits, s
 
-    def fill(keys: np.ndarray, y: np.ndarray, width: int, diagonal: bool) -> None:
+    def fill(keys: np.ndarray, y: np.ndarray, width: int, diagonal: bool, first: int):
         """Write the winner keys of packed products y to keys (rows, width).
 
         Off the diagonal block of a significant-only screen, only the rows
         with some |x| >= least get keys; the others get 0, below every key
-        that band_rows keeps.
+        that band_rows keeps.  keys[r, c] pairs band row r and column first +
+        c, and pieces gets (r, S) of each later pair that band_rows decodes.
         """
         if diagonal or not least:
-            winners.keys(products.split(y, width), keys)
-            return
-        keys[...] = 0
-        rows = products.reaching(y, least)
-        if len(rows):
+            rows, found, dots = None, keys, products.split(y, width)
+        else:
+            keys[...] = 0
+            rows = products.reaching(y, least)
+            if not len(rows):
+                return
             found = key_buf[: len(rows) * width].reshape(-1, width)
-            winners.keys(products.split(y[rows], width), found)
+            dots = products.split(y[rows], width)
+        s = None if pieces is None else dots.astype(s_dtype)
+        winners.keys(dots, found)
+        if rows is not None:
             keys[rows] = found
+        if s is not None:
+            r, c = np.nonzero(found >= least << winners.shift)
+            row = r if rows is None else rows[r]
+            later = first + c >= row
+            pieces.append((row[later].astype(np.int32), s[r[later], :, :, c[later]]))
 
     band, tile = products.band, products.tile
     band_keys = np.empty(band * (g - 1), winners.dtype)
@@ -663,13 +695,15 @@ def _bands(
         b1 = min(b0 + band, g - 1)
         width = g - 1 - b0  # keys[r, c]: gene b0 + r and gene b0 + 1 + c
         keys = band_keys[: (b1 - b0) * width].reshape(b1 - b0, width)
+        pieces = [empty] if statistics else None  # fill's (rows, S), never []
         products.set_rows(slice(b0, b1))
         for c0 in range(b0 + 1, g, tile):
             c1 = min(c0 + tile, g)
             rows = min(b1, c1 - 1) - b0  # the rows with a partner in the tile
             y = products(slice(c0, c1), rows)
+            first = c0 - b0 - 1
             # a tile that starts inside the band holds self and earlier pairs
-            fill(keys[:rows, c0 - b0 - 1 : c1 - b0 - 1], y, c1 - c0, c0 < b1)
+            fill(keys[:rows, first : c1 - b0 - 1], y, c1 - c0, c0 < b1, first)
         # row i pairs only with the genes after it
         keys[:, : b1 - b0][np.tri(b1 - b0, k=-1, dtype=bool)] = -1
         yield band_rows(b0, keys)
@@ -799,27 +833,22 @@ def read_results_csv(path, n: int | None = None) -> ScreenResults:
 
 
 def all_bid_diagnostics(
-    planes: Sequence[BitPlanes],
-    gene_ids: Sequence[str],
-    results: ScreenResults,
-) -> Iterator[str]:
-    """Every interaction's statistic for the emitted pairs, as CSV lines.
+    gene_ids: Sequence[str], n: int, d1: int, d2: int
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], Iterator[str]]:
+    """The CSV lines of a screen's bands, from the (i, j, S) of each.
 
-    Yields the lines gene_i,gene_j,bid,bid_class,s,z of one kernel pass
-    of pairs at a time, in row order and all_bids order within a pair;
-    inference stays with the winning interaction in the main results.
-    planes[x] belongs to gene_ids[x].  Each gene cell and each
-    (interaction, S) cell is formatted once.
+    The function returned takes the (i, j, S) that screen_all_pairs gives
+    on_band and yields the lines gene_i,gene_j,bid,bid_class,s,z of
+    _PASS_ENTRIES (pair, interaction) entries at a time, in row order and
+    all_bids(d1, d2) order within a pair; inference stays with the winning
+    interaction in the main results.  Each gene cell, and each
+    (interaction, S) cell of the whole screen, is formatted once.
     """
-    if not len(results):
-        return
-    index = {gene: x for x, gene in enumerate(gene_ids)}
-    chosen = [planes[index[gene]] for gene in results.gene_ids]
-    n, d = chosen[0].n, chosen[0].depth
-    combos = mask_combos(np.stack([p.planes for p in chosen]))[:, 1:]
-    bids = all_bids(d, d)
+    bids = all_bids(d1, d2)
     # code t * (2n + 1) + n + S stands for interaction t with statistic S
     offsets = np.arange(len(bids), dtype=np.int64) * (2 * n + 1) + n
+    genes = _gene_cells(gene_ids)
+    step = max(1, _PASS_ENTRIES // len(bids))
 
     @cache
     def tail_of(code: int) -> str:
@@ -828,22 +857,16 @@ def all_bid_diagnostics(
         label = bid_class_of(bids[t]).label
         return csv_line([bids[t].name, label, str(s), cell(z_score(s, n))])
 
-    genes = _gene_cells(results.gene_ids)
-    step = max(1, _PASS_ENTRIES // len(bids))
-    for lo in range(0, len(results), step):
-        i, j = results.i[lo : lo + step], results.j[lo : lo + step]
-        codes = cross_statistics(combos, combos, i, j, n) + offsets
-        unique, inverse = np.unique(codes, return_inverse=True)
-        tails = np.array([tail_of(code) for code in unique.tolist()], dtype=object)
-        cells = tails[inverse.reshape(codes.shape)]
-        yield _joined(genes, i[:, None], j[:, None], cells)
+    def lines(i: np.ndarray, j: np.ndarray, s: np.ndarray) -> Iterator[str]:
+        for lo in range(0, len(i), step):
+            rows = slice(lo, lo + step)
+            codes = s[rows] + offsets
+            unique, inverse = np.unique(codes, return_inverse=True)
+            tails = np.array([tail_of(code) for code in unique.tolist()], dtype=object)
+            cells = tails[inverse.reshape(codes.shape)]
+            yield _joined(genes, i[rows, None], j[rows, None], cells)
 
-
-def write_diagnostics_csv(lines: Iterable[str], path) -> None:
-    """Write all_bid_diagnostics' lines below their header, atomically."""
-    with atomic_open(path) as fh:
-        fh.write(csv_line(DIAGNOSTIC_COLUMNS))
-        fh.writelines(lines)
+    return lines
 
 
 def top_k_genes(results: ScreenResults, k: int = 200) -> list[tuple[str, float]]:

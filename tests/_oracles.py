@@ -28,6 +28,7 @@ import numpy as np
 
 from betscan.core.bids import bid_class_of
 from betscan.core.copula import CopulaColumn
+from betscan.core.expansion import BitPlanes
 from betscan.core.maxbet import BetResult
 from betscan.core.stats import all_symmetry_statistics
 from betscan.errors import (
@@ -435,14 +436,22 @@ def results_csv_oracle(results: ScreenResults) -> str:
     return buf.getvalue()
 
 
-def diagnostics_oracle(planes, gene_ids, results: ScreenResults) -> str:
-    """The text of write_diagnostics_csv(all_bid_diagnostics(...)), pair by pair."""
+def diagnostics_oracle(
+    planes, gene_ids, results: ScreenResults, d1: int, d2: int
+) -> str:
+    """The text of a d1 x d2 screen's results_all_bids.csv, pair by pair.
+
+    planes[x] belongs to gene_ids[x], and its first d1 (for gene_i) or d2
+    (for gene_j) digits give the interactions of all_bids(d1, d2).
+    """
     index = {gene: x for x, gene in enumerate(gene_ids)}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(DIAGNOSTIC_COLUMNS)
     for gene_i, gene_j, _ in rows(results):
-        for st in all_symmetry_statistics(planes[index[gene_i]], planes[index[gene_j]]):
+        u, v = planes[index[gene_i]], planes[index[gene_j]]
+        u, v = BitPlanes(d1, u.n, u.planes[:d1]), BitPlanes(d2, v.n, v.planes[:d2])
+        for st in all_symmetry_statistics(u, v):
             label = bid_class_of(st.bid).label
             writer.writerow([gene_i, gene_j, st.bid.name, label, str(st.s), cell(st.z)])
     return buf.getvalue()

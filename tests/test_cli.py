@@ -1050,9 +1050,9 @@ def test_screen_emit_all_bids_sidecar(tmp_path):
 
 
 def test_failed_screen_leaves_no_manifest(tmp_path, monkeypatch):
-    # a rerun into the same directory fails after results.csv: the earlier
-    # manifest must not mark the new outputs complete, and the failed
-    # write must leave no partial or temporary file
+    # a rerun into the same directory fails while it writes the diagnostics
+    # band by band: the earlier manifest must not mark the new outputs
+    # complete, and the failed write must leave no partial or temporary file
     from betscan import cli
 
     matrix = screened_fixture(tmp_path, seed=10)
@@ -1060,14 +1060,50 @@ def test_failed_screen_leaves_no_manifest(tmp_path, monkeypatch):
     assert main(["screen", str(matrix), "--out", str(out)]) == 0
     assert (out / "manifest.json").is_file()
 
-    def failing_diagnostics(planes, gene_ids, results):
-        yield "P00x,P00y,A1B1,Linear,0,0\n"
-        raise OSError("disk full")
+    def failing_diagnostics(gene_ids, n, d1, d2):
+        def lines(i, j, s):
+            yield "P00x,P00y,A1B1,Linear,0,0\n"
+            raise OSError("disk full")
+
+        return lines
 
     monkeypatch.setattr(cli, "all_bid_diagnostics", failing_diagnostics)
     with pytest.raises(OSError, match="disk full"):
         main(["screen", str(matrix), "--out", str(out), "--emit-all-bids"])
     assert sorted(p.name for p in out.iterdir()) == ["results.csv", "summary.json"]
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (["--m-pairs", "65"], "m_pairs=65 below the 66 pairs screened"),
+        # 1 + B must stay below 2^51
+        (
+            ["--mode", "permutation", "--permutation-iterations", str(1 << 51)],
+            f"{1 << 51} permutation iterations: at most {(1 << 51) - 2} ",
+        ),
+    ],
+)
+def test_refused_emit_all_bids_screen_leaves_no_output(
+    tmp_path, capsys, refused, message
+):
+    # the diagnostics are written band by band, and every refusal comes
+    # before the first band
+    matrix = screened_fixture(tmp_path)
+    args = ["screen", str(matrix), "--emit-all-bids", *refused, "--out"]
+    out = tmp_path / "run"
+    assert main([*args, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+    earlier = tmp_path / "earlier"
+    assert main(["screen", str(matrix), "--emit-all-bids", "--out", str(earlier)]) == 0
+    files = {p.name: p.read_bytes() for p in earlier.iterdir()}
+    assert "manifest.json" in files and "results_all_bids.csv" in files
+    capsys.readouterr()
+    assert main([*args, str(earlier)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == files
 
 
 def test_screen_m_pairs_override_recorded(tmp_path):

@@ -182,25 +182,30 @@ def test_band_and_tile_sizes_change_no_byte(
     monkeypatch, tmp_path, band, tile, d1, d2, mode
 ):
     # 12 genes, 11 of them with later partners: 3, 5 and 7 divide neither
-    # count, so bands and tiles end short, and the emitted-pair statistics
-    # XOR one pair a step
+    # count, so bands and tiles end short, and compare's statistics XOR one
+    # pair a step
     matrix = make_matrix(12, 100, 5)
     planes, u, v = screen_inputs(matrix, d1, d2)
     config = ScreenConfig(
         d1=d1, d2=d2, mode=mode, emit_all=True, permutation_iterations=199
     )
 
-    def outputs(results, name):
+    def outputs(name):
+        """The screen's rows, and its results, diagnostics and comparison."""
+        lines = screen.all_bid_diagnostics(matrix.gene_ids, 100, d1, d2)
+        diagnostics = []
+        results, _ = screen_all_pairs(
+            planes, matrix.gene_ids, config,
+            on_band=lambda i, j, s: diagnostics.extend(lines(i, j, s)),
+        )
         path = tmp_path / f"{name}.csv"
         write_results_csv(results, path)
-        lines = "".join(screen.all_bid_diagnostics(planes, matrix.gene_ids, results))
         compared = screen.compare_runs(
             results, dict(zip(matrix.gene_ids, planes)), "Linear"
         )
-        return path.read_bytes(), lines, compared
+        return rows(results), (path.read_bytes(), "".join(diagnostics), compared)
 
-    default, _ = screen_all_pairs(planes, matrix.gene_ids, config)
-    expected_outputs = outputs(default, "default")
+    _, expected_outputs = outputs("default")
     monkeypatch.setattr(stats, "_XOR_WORDS", 1)
     expected = reference(matrix, u, v, "exact" if mode == "permutation" else mode, 66)
 
@@ -216,12 +221,12 @@ def test_band_and_tile_sizes_change_no_byte(
     for packed, genes in itertools.product((limit, 0), (band, 2 * band + 1)):
         monkeypatch.setattr(screen, "_PACKED_SAMPLES", packed)
         monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: (genes, tile))
-        results, _ = screen_all_pairs(planes, matrix.gene_ids, config)
+        found, sized_outputs = outputs(f"sized{packed}-{genes}")
         if mode == "permutation":
-            assert winners(rows(results)) == winners(expected)
+            assert winners(found) == winners(expected)
         else:
-            assert rows(results) == expected
-        assert outputs(results, f"sized{packed}-{genes}") == expected_outputs
+            assert found == expected
+        assert sized_outputs == expected_outputs
 
 
 def graded_matrix(g, n, seed):

@@ -36,8 +36,10 @@ from betscan.errors import (
     TooFewSamplesError,
 )
 from betscan import screen
+from betscan.manifest import csv_line
 from betscan.preprocess import ExpressionMatrix
 from betscan.screen import (
+    DIAGNOSTIC_COLUMNS,
     RESULT_COLUMNS,
     ScreenConfig,
     all_bid_diagnostics,
@@ -47,7 +49,6 @@ from betscan.screen import (
     read_results_csv,
     screen_all_pairs,
     top_k_genes,
-    write_diagnostics_csv,
     write_results_csv,
 )
 
@@ -448,8 +449,9 @@ def test_band_stream_joins_to_the_screen_in_row_order(monkeypatch, fields):
     bands = list(screen._bands(planes, config, summary.m_pairs))
     assert len(bands) == -(-39 // 5)
     entries: list[tuple[int, int, float]] = []
-    for i, j, k, fresh, hits in bands:
+    for i, j, k, fresh, hits, s in bands:
         assert i.dtype == j.dtype == k.dtype == np.int32
+        assert s is None  # S is yielded only when asked for
         # k names the entries of this band and the earlier ones, and every
         # entry first seen here
         assert set(k.tolist()) >= set(range(len(entries), len(entries) + len(fresh)))
@@ -461,8 +463,8 @@ def test_band_stream_joins_to_the_screen_in_row_order(monkeypatch, fields):
     assert k.tolist() == results.k.tolist()
     assert len(set(entries)) == len(entries) == len(results.table)
     bids = all_bids(2, 2)
-    for (t, x, p), r in zip(entries, results.table):
-        assert (r.bid, abs(r.s), r.p_raw) == (bids[t], abs(x), p)
+    for (t, s, p), r in zip(entries, results.table):
+        assert (r.bid, r.s, r.p_raw) == (bids[t], s, p)
     hits = sum(band[4] for band in bands)
     assert hits.sum() == summary.significant_pairs > 0
     counts: dict[str, int] = {}
@@ -581,36 +583,104 @@ def test_write_results_csv_matches_a_row_by_row_writer(case, chunk):
             assert path.read_bytes() == results_csv_oracle(results).encode()
 
 
+def diagnosed_screen(planes, gene_ids, config):
+    """screen_all_pairs, the text of results_all_bids.csv written band by
+    band as the CLI writes it, and the (i, j, S) of each band."""
+    lines = all_bid_diagnostics(gene_ids, planes[0].n, config.d1, config.d2)
+    bands, text = [], [csv_line(DIAGNOSTIC_COLUMNS)]
+
+    def on_band(i, j, s):
+        bands.append((i, j, s))
+        text.extend(lines(i, j, s))
+
+    results, _ = screen_all_pairs(planes, gene_ids, config, on_band=on_band)
+    return results, "".join(text), bands
+
+
 @cache
-def diagnostic_planes(depth):
-    return tuple(precompute_bitplanes(random_matrix(6, 70, 44), depth))
+def diagnostic_planes(seed, depth):
+    # quoted ids, and 12 genes of which 6 follow others
+    m = planted_matrix(12, 70, seed)
+    ids = QUOTED_IDS + m.gene_ids[len(QUOTED_IDS) :]
+    return tuple(ids), tuple(precompute_bitplanes(m, depth))
 
 
-@settings(max_examples=40, deadline=None)
+DIAGNOSED_SCREENS = {
+    "significant": {"alpha": 0.5},
+    "emit_all": {"emit_all": True},
+    "bid_filter": {"emit_all": True, "bid_filter": frozenset({"Linear"})},
+}
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    genes=st.lists(GENE_IDS, min_size=6, max_size=6, unique=True),
-    depth=st.sampled_from([1, 2, 3]),
-    data=st.data(),
+    seed=st.integers(0, 3),
+    d1=st.integers(1, 3),
+    d2=st.integers(1, 3),
+    mode=st.sampled_from(["exact", "approx", "permutation"]),
+    kind=st.sampled_from(sorted(DIAGNOSED_SCREENS)),
+    sizes=st.sampled_from([None, (5, 3), (1, 1)]),
     entries=st.integers(1, 200),
 )
-def test_all_bid_diagnostics_match_a_pair_by_pair_writer(genes, depth, data, entries):
-    planes = diagnostic_planes(depth)
-    # the results name some of the genes, in an order of their own
-    named = data.draw(st.permutations(genes).map(lambda ids: ids[: len(ids) // 2 + 1]))
-    pair = st.integers(0, len(named) - 1)
-    size = data.draw(st.integers(0, 25))
-    i, j = (
-        np.array(data.draw(st.lists(pair, min_size=size, max_size=size)), dtype=np.int32)
-        for _ in "ij"
+def test_all_bid_diagnostics_match_the_oracle_screen_by_screen(
+    seed, d1, d2, mode, kind, sizes, entries
+):
+    ids, planes = diagnostic_planes(seed, max(d1, d2))
+    config = ScreenConfig(
+        d1=d1, d2=d2, mode=mode, permutation_iterations=99, seed=seed,
+        **DIAGNOSED_SCREENS[kind],
     )
-    table = (bet_result(0, 1, 70, depth, depth, "exact", 0.5),)
-    results = screen.ScreenResults(tuple(named), i, j, np.zeros(size, np.int32), table)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        screen, "_PASS_ENTRIES", entries
+    band_sizes = screen._band_sizes if sizes is None else lambda ma, mb: sizes
+    with mock.patch.object(screen, "_PASS_ENTRIES", entries), mock.patch.object(
+        screen, "_band_sizes", band_sizes
     ):
-        path = Path(tmp) / "results_all_bids.csv"
-        write_diagnostics_csv(all_bid_diagnostics(planes, genes, results), path)
-        assert path.read_bytes() == diagnostics_oracle(planes, genes, results).encode()
+        results, text, bands = diagnosed_screen(planes, ids, config)
+    assert text == diagnostics_oracle(planes, ids, results, d1, d2)
+    # the bands' (i, j) are the screen's rows, and S holds T columns
+    assert np.concatenate([i for i, _, _ in bands]).tolist() == results.i.tolist()
+    assert np.concatenate([j for _, j, _ in bands]).tolist() == results.j.tolist()
+    for i, _, s in bands:
+        assert s.dtype == np.int16 and s.shape == (len(i), len(all_bids(d1, d2)))
+
+
+@pytest.mark.parametrize(
+    "g, n, sizes, dtype",
+    [
+        (12, 2048, None, np.int16),  # one partner gene a float32 column
+        (12, 2048, (5, 3), np.int16),
+        (4, 1 << 15, None, np.int32),  # S beyond int16
+    ],
+)
+def test_all_bid_diagnostics_match_the_oracle_at_large_n(
+    monkeypatch, g, n, sizes, dtype
+):
+    if sizes is not None:
+        monkeypatch.setattr(screen, "_band_sizes", lambda ma, mb: sizes)
+    m = random_matrix(g, n, 21)
+    m.values[1] = m.values[0] ** 2
+    m.values[3] = -m.values[2]
+    planes = precompute_bitplanes(m, 2)
+    results, text, bands = diagnosed_screen(planes, m.gene_ids, ScreenConfig(emit_all=True))
+    assert len(results) == g * (g - 1) // 2
+    assert text == diagnostics_oracle(planes, m.gene_ids, results, 2, 2)
+    assert {s.dtype for _, _, s in bands} == {np.dtype(dtype)}
+    # |S| = n for the copy and the reflection
+    assert np.abs(np.concatenate([s for _, _, s in bands])).max() == n
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (1, 2)])
+def test_diagnostics_list_the_screens_own_interactions(d1, d2):
+    # planes of depth 3, deeper than the screen: each pair gets the
+    # (2^d1 - 1)(2^d2 - 1) interactions that the screen scores, not 49
+    m = random_matrix(4, 70, 8)
+    planes = precompute_bitplanes(m, 3)
+    config = ScreenConfig(d1=d1, d2=d2, emit_all=True)
+    results, text, _ = diagnosed_screen(planes, m.gene_ids, config)
+    lines = text.splitlines()[1:]
+    bids = all_bids(d1, d2)
+    assert len(lines) == 6 * ((1 << d1) - 1) * ((1 << d2) - 1) == 6 * len(bids)
+    assert [line.split(",")[2] for line in lines] == [bid.name for bid in bids] * 6
+    assert text == diagnostics_oracle(planes, m.gene_ids, results, d1, d2)
 
 
 def test_failed_write_leaves_no_partial_csv(tmp_path, monkeypatch):
@@ -820,19 +890,12 @@ def test_compare_runs_empty_intersection():
         compare_runs(results, {}, "Linear")
 
 
-def diagnostics_rows(planes, gene_ids, results, tmp_path):
-    path = tmp_path / "results_all_bids.csv"
-    write_diagnostics_csv(all_bid_diagnostics(planes, gene_ids, results), path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.reader(fh))
-
-
 QUOTED_IDS = ["a,b", 'say "hi"', " lead", "two\nlines", "plain", ""]
 
 
 @pytest.mark.parametrize("emit_all", [True, False])
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_all_bid_diagnostics_match_all_symmetry_statistics(tmp_path, depth, emit_all):
+def test_all_bid_diagnostics_match_all_symmetry_statistics(depth, emit_all):
     m = random_matrix(14, 70, 30 + depth)
     m.values[1] = m.values[0] ** 2
     m.values[5] = -m.values[4]
@@ -840,33 +903,29 @@ def test_all_bid_diagnostics_match_all_symmetry_statistics(tmp_path, depth, emit
     m = ExpressionMatrix(gene_ids=ids, sample_ids=m.sample_ids, values=m.values)
     planes = precompute_bitplanes(m, depth)
     config = ScreenConfig(d1=depth, d2=depth, emit_all=emit_all, alpha=0.5)
-    results, _ = screen_all_pairs(planes, m.gene_ids, config)
+    results, text, _ = diagnosed_screen(planes, m.gene_ids, config)
     assert 0 < len(results) <= 91
-    path = tmp_path / "results.csv"
-    write_results_csv(results, path)
     index = {gene: x for x, gene in enumerate(ids)}
     ranks = [empirical_copula_oracle(row).ranks for row in m.values]
-    # the diagnostics and all_symmetry_statistics share their kernel, so
-    # both are checked against the quadrant oracle
-    # the reader numbers genes in first-seen order, not the matrix's
-    for emitted in (results, read_results_csv(path)):
-        lines = diagnostics_rows(planes, ids, emitted, tmp_path)
-        assert lines[0] == ["gene_i", "gene_j", "bid", "bid_class", "s", "z"]
-        expected = []
-        for gene_i, gene_j, _ in rows(emitted):
-            a, b = index[gene_i], index[gene_j]
-            oracle = all_quadrant_stats(ranks[a], ranks[b], depth)
-            statistics = all_symmetry_statistics(planes[a], planes[b])
-            assert [(st.bid.a_mask, st.bid.b_mask, st.s) for st in statistics] == [
-                (*key, s) for key, s in oracle.items()
-            ]
-            expected += [
-                [gene_i, gene_j, st.bid.name, bid_class_of(st.bid).label,
-                 str(st.s), f"{st.z:.12g}"]
-                for st in statistics
-            ]
-        assert lines[1:] == expected
-        assert len(expected) == len(emitted) * ((1 << depth) - 1) ** 2
+    # the screen's S and all_symmetry_statistics share no kernel; both are
+    # checked against the quadrant oracle
+    lines = list(csv.reader(io.StringIO(text, newline="")))
+    assert lines[0] == ["gene_i", "gene_j", "bid", "bid_class", "s", "z"]
+    expected = []
+    for gene_i, gene_j, _ in rows(results):
+        a, b = index[gene_i], index[gene_j]
+        oracle = all_quadrant_stats(ranks[a], ranks[b], depth)
+        statistics = all_symmetry_statistics(planes[a], planes[b])
+        assert [(st.bid.a_mask, st.bid.b_mask, st.s) for st in statistics] == [
+            (*key, s) for key, s in oracle.items()
+        ]
+        expected += [
+            [gene_i, gene_j, st.bid.name, bid_class_of(st.bid).label,
+             str(st.s), f"{st.z:.12g}"]
+            for st in statistics
+        ]
+    assert lines[1:] == expected
+    assert len(expected) == len(results) * ((1 << depth) - 1) ** 2
 
 
 # sha256 of a results_all_bids.csv written by the release that computed
@@ -886,10 +945,8 @@ def test_all_bid_diagnostics_bytes_pinned(tmp_path):
     )
     planes = precompute_bitplanes(m, 3)
     config = ScreenConfig(d1=3, d2=3, emit_all=True)
-    results, _ = screen_all_pairs(planes, m.gene_ids, config)
-    path = tmp_path / "results_all_bids.csv"
-    write_diagnostics_csv(all_bid_diagnostics(planes, m.gene_ids, results), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIAGNOSTICS
+    _, text, _ = diagnosed_screen(planes, m.gene_ids, config)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIAGNOSTICS
 
 
 @pytest.mark.parametrize("depth", [2, 3])
